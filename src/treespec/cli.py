@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,8 +164,6 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("geometry.eps_list: entries must lie in (0, 1)")
     if data["experiment"]["rayleigh_samples"] > 0 and data["seed"] is None:
         raise ConfigError("seed: required when a randomized check is requested")
-    if data["threads"] is None and os.environ.get("TREESPEC_THREADS"):
-        data["threads"] = int(os.environ["TREESPEC_THREADS"])
     return cfg
 
 

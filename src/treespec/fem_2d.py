@@ -281,7 +281,7 @@ def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
     tree = tmesh.tree
     gen_local = []
     for j in range(tree.J + 1):
-        thetas, _ = tmesh.edge_stations[_first_edge(tree, j)]
+        thetas, _ = tmesh.edge_stations[EdgeId(j, 0)]
         local = list(thetas - tree.t_shell[j])
         if j >= 1:
             a = local[0]
@@ -322,10 +322,6 @@ def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
     return Matched1D(mesh=mesh, station_dof_rows=station_dof_rows,
                      zone_dofs=zone_dofs, p_parent_dof=p_parent_dof,
                      p_child_dofs=p_child_dofs)
-
-
-def _first_edge(tree: Tree, j: int) -> EdgeId:
-    return EdgeId(j, 0)
 
 
 def p_eps_project(tmesh: TreeMesh2D, matched: Matched1D,

@@ -9,13 +9,14 @@ operators on [t_v, R), one per vertex generation plus the root component.
 """
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .eigensolver import Spectrum, merge_spectra, smallest_eigenpairs
-from .tree_model import Tree
+from .tree_model import EdgeId, Tree
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
@@ -238,22 +239,47 @@ def average_potential_1d(W2d, tree: Tree, eps: float, zones: VertexZones,
 # 1-D tree meshes
 # ---------------------------------------------------------------------------
 
+class EdgeDofs(Mapping):
+    """Read-only ``EdgeId -> dof row`` view over the per-generation dof arrays."""
+
+    def __init__(self, gen_dofs: list):
+        self._gen_dofs = gen_dofs
+
+    def __getitem__(self, e: EdgeId) -> np.ndarray:
+        if not (0 <= e.j < len(self._gen_dofs)
+                and 0 <= e.index < len(self._gen_dofs[e.j])):
+            raise KeyError(e)
+        return self._gen_dofs[e.j][e.index]
+
+    def __iter__(self):
+        for j, dofs in enumerate(self._gen_dofs):
+            for i in range(len(dofs)):
+                yield EdgeId(j, i)
+
+    def __len__(self) -> int:
+        return sum(len(dofs) for dofs in self._gen_dofs)
+
+
 @dataclass
 class Mesh1D:
     """Conforming P1 mesh on the truncated tree.
 
     Local node layouts are shared within a generation (required by the exact
-    radial-decomposition identity); vertex degrees of freedom are shared among
-    the incident edges and the root carries dof 0.
+    radial-decomposition identity).  ``gen_dofs[j]`` is the read-only
+    ``(k**j, len(gen_local[j]))`` array of global dofs, row i for edge (j, i):
+    its first column is the parent's last dof (dof 0, the root, for j = 0),
+    so vertex dofs are shared among the incident edges.
     """
 
     tree: Tree
     gen_local: list            # local node positions per generation
-    edge_dofs: dict            # EdgeId -> global dof array per local node
+    gen_dofs: list             # (k**j, n_j) global dof array per generation
     n_dofs: int
     dof_t: np.ndarray          # distance from root per dof
-    root_dof: int = 0
-    vertex_dofs: dict = field(default_factory=dict)  # EdgeId -> junction dof
+    edge_dofs: EdgeDofs = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.edge_dofs = EdgeDofs(self.gen_dofs)
 
     def edges(self):
         return self.tree.edges()
@@ -283,35 +309,25 @@ def build_mesh_1d(tree: Tree, h: float,
                 refined.extend(np.linspace(a, b, n + 1)[1:])
             gen_local.append(np.array(refined))
 
-    edge_dofs = {}
-    vertex_dofs = {}
-    dof_t = [0.0]
-    counter = 1
+    # Edges are numbered generation-major and each owns the dofs of its local
+    # nodes after the first, consecutively: edge (j, i) owns
+    # offset_j + i (n_j - 1) + [0, n_j - 1).
+    k = tree.k
+    gen_dofs = []
+    dof_t = [np.zeros(1)]
+    offset = 1
+    for j, local in enumerate(gen_local):
+        n_edges, n_own = k ** j, len(local) - 1
+        dofs = np.empty((n_edges, n_own + 1), dtype=int)
+        dofs[:, 0] = 0 if j == 0 else gen_dofs[-1][np.arange(n_edges) // k, -1]
+        dofs[:, 1:] = (offset + np.arange(n_edges * n_own)).reshape(n_edges, n_own)
+        dofs.flags.writeable = False
+        gen_dofs.append(dofs)
+        dof_t.append(np.tile(tree.t_shell[j] + local[1:], n_edges))
+        offset += n_edges * n_own
 
-    def fresh(t):
-        nonlocal counter
-        dof_t.append(t)
-        counter += 1
-        return counter - 1
-
-    for e in tree.edges():
-        local = gen_local[e.j]
-        t0 = tree.t_shell[e.j]
-        dofs = np.empty(len(local), dtype=int)
-        if e.j == 0:
-            dofs[0] = 0
-        else:
-            dofs[0] = vertex_dofs[e.parent(tree.k)]
-        for i in range(1, len(local) - 1):
-            dofs[i] = fresh(t0 + local[i])
-        dofs[-1] = fresh(t0 + local[-1])
-        if e.j < tree.J:
-            vertex_dofs[e] = dofs[-1]
-        edge_dofs[e] = dofs
-
-    return Mesh1D(tree=tree, gen_local=gen_local, edge_dofs=edge_dofs,
-                  n_dofs=counter, dof_t=np.array(dof_t),
-                  vertex_dofs=vertex_dofs)
+    return Mesh1D(tree=tree, gen_local=gen_local, gen_dofs=gen_dofs,
+                  n_dofs=offset, dof_t=np.concatenate(dof_t))
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +350,14 @@ class AssembledSystem:
         return full
 
 
-def _element_rows(t0, local, rho_a, rho_b, W, extra_weight=None):
-    """Elementwise K and M contributions for one edge/interval of the mesh."""
+def _element_rows(t0, local, rho_a, rho_b, W, weight=1.0):
+    """Elementwise K and M contributions for one edge/interval of the mesh,
+    both weights scaled by the constant ``weight``."""
     a, b = local[:-1], local[1:]
     hs = b - a
     mids = t0 + 0.5 * (a + b)
-    ra = rho_a(mids)
-    rb = rho_b(mids)
-    if extra_weight is not None:
-        g = extra_weight(mids)
-        ra = ra * g
-        rb = rb * g
+    ra = rho_a(mids) * weight
+    rb = rho_b(mids) * weight
     k_loc = (ra / hs)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     m_loc = (rb * hs / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
     if W is not None:
@@ -356,6 +369,30 @@ def _element_rows(t0, local, rho_a, rho_b, W, extra_weight=None):
     return k_loc, m_loc
 
 
+def _scatter(n: int, blocks) -> tuple:
+    """Sum element matrices into the n x n CSR pair (K, M).
+
+    ``blocks`` holds one ``(dofs, k_loc, m_loc)`` triple per generation: the
+    ``(edges, nodes)`` dof array and the element matrices shared by all of its
+    edges.  Entries are laid out edge by edge, each edge's in the order
+    (0, 0), (0, 1), (1, 0), (1, 1), so duplicate entries are summed in the
+    order of a per-edge loop.
+    """
+    rows, cols, kv, mv = [], [], [], []
+    for dofs, k_loc, m_loc in blocks:
+        ends = (dofs[:, :-1], dofs[:, 1:])
+        rows.append(np.stack([ends[0], ends[0], ends[1], ends[1]], axis=1).ravel())
+        cols.append(np.stack([ends[0], ends[1], ends[0], ends[1]], axis=1).ravel())
+        shape = (len(dofs), 4, dofs.shape[1] - 1)
+        kv.append(np.broadcast_to(k_loc.reshape(-1, 4).T, shape).ravel())
+        mv.append(np.broadcast_to(m_loc.reshape(-1, 4).T, shape).ravel())
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(n, n)).tocsr()
+    return K, M
+
+
 def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
                 rho_beta: WeightProfile, W: PotentialProfile | None = None,
                 dirichlet_root: bool = True) -> AssembledSystem:
@@ -365,23 +402,11 @@ def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
     via 2-point Gauss; M is the consistent rho_b mass.  Mesh nodes sit on all
     weight breakpoints, so the weight factors are exact per element.
     """
-    rows, cols, kv, mv = [], [], [], []
-    for e, dofs in mesh.edge_dofs.items():
-        local = mesh.gen_local[e.j]
-        t0 = tree.t_shell[e.j]
-        k_loc, m_loc = _element_rows(t0, local, rho_alpha, rho_beta, W)
-        pair = np.stack([dofs[:-1], dofs[1:]], axis=1)
-        for i in range(2):
-            for jj in range(2):
-                rows.append(pair[:, i])
-                cols.append(pair[:, jj])
-                kv.append(k_loc[:, i, jj])
-                mv.append(m_loc[:, i, jj])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
     n = mesh.n_dofs
-    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(n, n)).tocsr()
+    K, M = _scatter(n, [
+        (dofs, *_element_rows(tree.t_shell[j], mesh.gen_local[j],
+                              rho_alpha, rho_beta, W))
+        for j, dofs in enumerate(mesh.gen_dofs)])
     if dirichlet_root:
         free = np.arange(1, n)
         K = K[1:, 1:].tocsr()
@@ -399,24 +424,23 @@ def spectrum_1d(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
 
 def kirchhoff_residuals(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
                         u_full: np.ndarray) -> np.ndarray:
-    """|sum_e rho_a * du/ds outward| at every branching vertex."""
+    """|sum_e rho_a * du/ds outward| at every branching vertex, generation-major."""
+    k = tree.k
     res = []
-    for e, vdof in mesh.vertex_dofs.items():
-        local = mesh.gen_local[e.j]
-        t0 = tree.t_shell[e.j]
+    for j in range(tree.J):
+        local, clocal = mesh.gen_local[j], mesh.gen_local[j + 1]
+        dofs = mesh.gen_dofs[j]
+        cdofs = mesh.gen_dofs[j + 1].reshape(len(dofs), k, -1)
         h_in = local[-1] - local[-2]
-        mid_in = t0 + local[-1] - 0.5 * h_in
-        dofs = mesh.edge_dofs[e]
-        total = float(rho_alpha(mid_in)) * (u_full[dofs[-2]] - u_full[vdof]) / h_in
-        for pos in range(tree.k):
-            child = e.child(tree.k, pos)
-            cdofs = mesh.edge_dofs[child]
-            clocal = mesh.gen_local[child.j]
-            h_out = clocal[1] - clocal[0]
-            mid_out = tree.t_shell[child.j] + 0.5 * h_out
-            total += float(rho_alpha(mid_out)) * (u_full[cdofs[1]] - u_full[vdof]) / h_out
-        res.append(abs(total))
-    return np.array(res)
+        a_in = float(rho_alpha(tree.t_shell[j] + local[-1] - 0.5 * h_in))
+        h_out = clocal[1] - clocal[0]
+        a_out = float(rho_alpha(tree.t_shell[j + 1] + 0.5 * h_out))
+        u_v = u_full[dofs[:, -1]]
+        total = a_in * (u_full[dofs[:, -2]] - u_v) / h_in
+        for pos in range(k):
+            total += a_out * (u_full[cdofs[:, pos, 1]] - u_v) / h_out
+        res.append(np.abs(total))
+    return np.concatenate(res) if res else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -440,36 +464,17 @@ def radial_component_operator(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
     """
     if not 0 <= vertex_gen <= tree.J:
         raise Operator1DError(f"vertex generation {vertex_gen} outside [0, {tree.J}]")
-    k = tree.k
-
-    def g_rel(t):
-        t = np.asarray(t)
-        gens = np.clip(np.searchsorted(tree.t_shell, t, side="right") - 1, 0, tree.J)
-        return k ** (gens - vertex_gen).astype(float)
-
-    rows, cols, kv, mv = [], [], [], []
-    n = 1 + sum(len(mesh.gen_local[j]) - 1 for j in range(vertex_gen, tree.J + 1))
-
+    blocks = []
     dof = 0
     for j in range(vertex_gen, tree.J + 1):
         local = mesh.gen_local[j]
-        t0 = tree.t_shell[j]
-        k_loc, m_loc = _element_rows(t0, local, rho_alpha, rho_beta, W,
-                                     extra_weight=g_rel)
-        idx = dof + np.arange(len(local))
-        pair = np.stack([idx[:-1], idx[1:]], axis=1)
-        for i in range(2):
-            for jj in range(2):
-                rows.append(pair[:, i])
-                cols.append(pair[:, jj])
-                kv.append(k_loc[:, i, jj])
-                mv.append(m_loc[:, i, jj])
-        dof = idx[-1]
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(n, n)).tocsr()
+        g_rel = float(tree.k ** (j - vertex_gen))
+        blocks.append((dof + np.arange(len(local))[None, :],
+                       *_element_rows(tree.t_shell[j], local, rho_alpha, rho_beta,
+                                      W, weight=g_rel)))
+        dof += len(local) - 1
+    n = dof + 1
+    K, M = _scatter(n, blocks)
     free = np.arange(1, n)   # Dirichlet at t_j
     return AssembledSystem(K=K[1:, 1:].tocsr(), M=M[1:, 1:].tocsr(),
                            free=free, n_full=n)
@@ -518,8 +523,7 @@ def discreteness_condition_check(tree: Tree, rho: WeightProfile) -> Discreteness
     pts = np.unique(np.concatenate([rho.breakpoints, tree.t_shell]))
     pts = pts[(pts >= 0) & (pts <= tree.radius)]
     mids = 0.5 * (pts[:-1] + pts[1:])
-    g = np.array([tree.counting_function(min(t, tree.radius * (1 - 1e-15)))
-                  for t in mids], dtype=float)
+    g = tree.k ** tree.generations_at(np.minimum(mids, tree.radius * (1 - 1e-15)))
     v = g * rho(mids)
     running_max = np.maximum.accumulate(v)
     best_C = float((v / running_max).min())
@@ -527,7 +531,7 @@ def discreteness_condition_check(tree: Tree, rho: WeightProfile) -> Discreteness
     # per-generation factor of g*rho on edge interiors (zones excluded by
     # taking the shell midpoints of the base intervals)
     shell_mids = 0.5 * (tree.t_shell[:-1] + tree.t_shell[1:])
-    gv = np.array([tree.counting_function(t) * float(rho(t)) for t in shell_mids])
+    gv = tree.k ** np.arange(tree.J + 1) * rho(shell_mids)
     factors = gv[1:] / gv[:-1] if len(gv) > 1 else np.array([1.0])
     q = float(factors.min())
     boundary = abs(q - 1.0) <= 1e-9
@@ -540,16 +544,12 @@ def _edge_field_integrals(tree, mesh, u_full, weight, gen_min=0):
     """(integral u^2 * w, integral u'^2 * w) over edges of generation >= gen_min."""
     mass = 0.0
     energy = 0.0
-    for e, dofs in mesh.edge_dofs.items():
-        if e.j < gen_min:
-            continue
-        local = mesh.gen_local[e.j]
-        t0 = tree.t_shell[e.j]
+    for j in range(gen_min, tree.J + 1):
+        local = mesh.gen_local[j]
         hs = np.diff(local)
-        mids = t0 + local[:-1] + 0.5 * hs
-        w = weight(mids)
-        u0 = u_full[dofs[:-1]]
-        u1 = u_full[dofs[1:]]
+        w = weight(tree.t_shell[j] + local[:-1] + 0.5 * hs)
+        u = u_full[mesh.gen_dofs[j]]
+        u0, u1 = u[:, :-1], u[:, 1:]
         mass += float(np.sum(w * hs / 3.0 * (u0 ** 2 + u0 * u1 + u1 ** 2)))
         energy += float(np.sum(w * (u1 - u0) ** 2 / hs))
     return mass, energy
@@ -584,21 +584,22 @@ def hardy_inequality_check(tree: Tree, rho: WeightProfile,
         warnings.warn("field does not vanish near the tree radius; "
                       "Hardy integral may blow up", stacklevel=2)
     gauss, gw = np.polynomial.legendre.leggauss(n_quad)
-    num = 0.0
-    den = 0.0
-    for a, b, ua, ub in zip(nodes[:-1], nodes[1:], u[:-1], u[1:]):
-        h = b - a
-        if h <= 0:
-            raise Operator1DError("nodes must be strictly increasing")
-        x = a + 0.5 * h * (gauss + 1.0)
-        uu = ua + (ub - ua) * (x - a) / h
-        g = np.array([tree.counting_function(min(t, R * (1 - 1e-15)))
-                      for t in x], dtype=float)
-        w = rho(x) * g
-        p = w / (R * (R - x))
-        num += 0.5 * h * float(np.dot(gw, p * uu ** 2))
-        den += float(rho(a + h / 2) * tree.counting_function(min(a + h / 2, R * (1 - 1e-15)))
-                     * (ub - ua) ** 2 / h)
+    nodes = np.asarray(nodes, dtype=float)
+    u = np.asarray(u, dtype=float)
+
+    def g(t):
+        return tree.k ** tree.generations_at(np.minimum(t, R * (1 - 1e-15)))
+
+    a, ua, du = nodes[:-1, None], u[:-1, None], np.diff(u)[:, None]
+    h = np.diff(nodes)[:, None]
+    if np.any(h <= 0):
+        raise Operator1DError("nodes must be strictly increasing")
+    x = a + 0.5 * h * (gauss + 1.0)
+    uu = ua + du * (x - a) / h
+    p = rho(x) * g(x) / (R * (R - x))
+    num = float(np.sum(0.5 * h[:, 0] * ((p * uu ** 2) @ gw)))
+    mid = a + h / 2
+    den = float(np.sum(rho(mid) * g(mid) * du ** 2 / h))
     if den == 0.0:
         return 0.0
     return num / den

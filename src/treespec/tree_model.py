@@ -144,12 +144,19 @@ class Tree:
             for i in range(self.spec.k ** j):
                 yield EdgeId(j, i)
 
+    def generations_at(self, t) -> np.ndarray:
+        """Generation of the shell containing each distance in ``t``
+        (right-continuous), as an integer array of the shape of ``t``."""
+        t = np.asarray(t, dtype=float)
+        bad = ~((t >= 0.0) & (t < self.radius))
+        if bad.any():
+            raise TreeModelError(f"t = {t[bad].flat[0]} outside [0, {self.radius})")
+        j = np.searchsorted(self.t_shell, t, side="right") - 1
+        return np.minimum(j, self.spec.J)
+
     def generation_at(self, t: float) -> int:
         """Generation of the shell containing distance ``t`` (right-continuous)."""
-        if not 0.0 <= t < self.radius:
-            raise TreeModelError(f"t = {t} outside [0, {self.radius})")
-        j = int(np.searchsorted(self.t_shell, t, side="right")) - 1
-        return min(j, self.spec.J)
+        return int(self.generations_at(t))
 
     def counting_function(self, t: float) -> int:
         """Number of edges meeting the sphere of radius ``t`` around the root."""

@@ -121,6 +121,21 @@ def test_identical_config_and_seed_identical_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_threads_env_leaves_config_hash_unchanged(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    headers = []
+    for threads in (None, "4"):
+        if threads is None:
+            monkeypatch.delenv("TREESPEC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TREESPEC_THREADS", threads)
+        out = tmp_path / f"out{len(headers)}"
+        assert main(["spectrum1d", "--config", str(cfg), "--out", str(out)]) == 0
+        headers.append((out / "spectrum1d.csv").read_text().splitlines()[0])
+    assert headers[0] == headers[1]
+    assert "config=" in headers[0]
+
+
 def test_invalid_json_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -99,6 +99,64 @@ def test_indefinite_K_negative_shift_retry():
     assert np.allclose(spec.values, exact, rtol=1e-3, atol=1e-3)
 
 
+@pytest.mark.parametrize("n", [256, 2500], ids=["dense", "arpack"])
+@pytest.mark.parametrize("sk,sm", [(1e8, 1.0), (1e-8, 1.0), (1e8, 1e8), (1.0, 1e-8)])
+def test_converged_pairs_accepted_at_any_scale(n, sk, sm):
+    K, M = interval_mixed_bc(n)
+    base = smallest_eigenpairs(K, M, 3)
+    scaled = smallest_eigenpairs((sk * K).tocsr(), (sm * M).tocsr(), 3)
+    assert np.allclose(scaled.values, base.values * sk / sm, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("sk", [1e-8, 1.0, 1e8])
+def test_stalled_pairs_rejected_at_any_scale(monkeypatch, sk):
+    import scipy.linalg
+    eigh = scipy.linalg.eigh
+    noise = 1e-4 * np.random.default_rng(1).standard_normal((256, 256))
+
+    def stalled(a, b):
+        vals, vecs = eigh(a, b)
+        return vals, vecs + noise
+
+    monkeypatch.setattr(scipy.linalg, "eigh", stalled)
+    K, M = interval_mixed_bc(256)
+    with pytest.raises(EigensolverError, match="backward error"):
+        smallest_eigenpairs((sk * K).tocsr(), M, 3)
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e-6])
+@pytest.mark.parametrize("sk", [1e-8, 1.0, 1e8])
+def test_low_frequency_mode_mixing_rejected(monkeypatch, sk, c):
+    # a stalled iteration that returns u1 + c u2: K barely amplifies the
+    # error, so only a gate relative to ||Ku|| + |lam| ||Mu|| catches it
+    import scipy.linalg
+    eigh = scipy.linalg.eigh
+
+    def mixed(a, b):
+        vals, vecs = eigh(a, b)
+        vecs = vecs.copy()
+        vecs[:, 0] += c * vecs[:, 1]
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh", mixed)
+    K, M = interval_mixed_bc(256)
+    with pytest.raises(EigensolverError, match="backward error"):
+        smallest_eigenpairs((sk * K).tocsr(), M, 3)
+
+
+def test_neumann_ground_state_accepted():
+    # null vector of K: ||Ku|| is roundoff, the roundoff allowance keeps the
+    # backward error at 0
+    n = 256
+    K, M = interval_mixed_bc(n)
+    K, M = K.tolil(), M.tolil()
+    K[0, 0], M[0, 0] = n, M[-1, -1]  # Neumann at both ends: K annihilates constants
+    spec = smallest_eigenpairs(K.tocsr(), M.tocsr(), 2)
+    assert abs(spec.values[0]) < 1e-8
+    # the n nodes span [h, 1]
+    assert spec.values[1] == pytest.approx((np.pi * n / (n - 1)) ** 2, rel=1e-3)
+
+
 def test_bad_request_rejected():
     K, M = interval_mixed_bc(10)
     with pytest.raises(EigensolverError):

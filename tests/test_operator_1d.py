@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from treespec.connector import EquivalenceConstants
 from treespec.eigensolver import smallest_eigenpairs
+from treespec.fem_2d import GeometrySpec2D, build_geometry_2d, matched_mesh_1d
 from treespec.operator_1d import (
+    GAUSS2,
     Operator1DError,
     PotentialProfile,
     VertexZones,
@@ -22,7 +25,7 @@ from treespec.operator_1d import (
     tail_bound_check,
     zone_modified_profile,
 )
-from treespec.tree_model import TreeSpec, build_tree
+from treespec.tree_model import EdgeId, TreeSpec, build_tree
 
 
 def single_edge_tree(l0=1.0):
@@ -400,3 +403,219 @@ def test_hardy_warns_when_supported_near_radius():
     u = nodes.copy()  # does not vanish near R
     with pytest.warns(UserWarning):
         hardy_inequality_check(tree, rho_star_profile(tree), nodes, u)
+
+
+# -- per-edge reference loops ---------------------------------------------------
+# The mesh, assembly and checks work on one dof array per generation; these
+# loops walk the edges one by one, as a plain transcription of the formulas.
+
+def edge_dofs_loop(tree, gen_local):
+    """Per-edge dof numbering: each edge takes fresh dofs for its nodes after
+    the first, which it shares with its parent's last node (or the root)."""
+    edge_dofs, dof_t, counter = {}, [0.0], 1
+    for e in tree.edges():
+        local = gen_local[e.j]
+        dofs = np.empty(len(local), dtype=int)
+        dofs[0] = 0 if e.j == 0 else edge_dofs[e.parent(tree.k)][-1]
+        for i in range(1, len(local)):
+            dofs[i] = counter
+            dof_t.append(tree.t_shell[e.j] + local[i])
+            counter += 1
+        edge_dofs[e] = dofs
+    return edge_dofs, np.array(dof_t)
+
+
+def assemble_1d_loop(tree, mesh, rho_a, rho_b, W=None, dirichlet_root=True):
+    """Per-edge assembly: element matrices recomputed on every edge."""
+    rows, cols, kv, mv = [], [], [], []
+    for e, dofs in mesh.edge_dofs.items():
+        local = mesh.gen_local[e.j]
+        t0 = tree.t_shell[e.j]
+        a, b = local[:-1], local[1:]
+        hs = b - a
+        mids = t0 + 0.5 * (a + b)
+        ra, rb = rho_a(mids), rho_b(mids)
+        k_loc = (ra / hs)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        m_loc = (rb * hs / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+        if W is not None:
+            for gpt in GAUSS2:
+                wv = np.asarray(W(t0 + a + gpt * hs), dtype=float)
+                phi = np.array([1.0 - gpt, gpt])
+                k_loc += (wv * rb * hs * 0.5)[:, None, None] * np.outer(phi, phi)
+        pair = np.stack([dofs[:-1], dofs[1:]], axis=1)
+        for i in range(2):
+            for jj in range(2):
+                rows.append(pair[:, i])
+                cols.append(pair[:, jj])
+                kv.append(k_loc[:, i, jj])
+                mv.append(m_loc[:, i, jj])
+    n = mesh.n_dofs
+    idx = (np.concatenate(rows), np.concatenate(cols))
+    K = sp.coo_matrix((np.concatenate(kv), idx), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((np.concatenate(mv), idx), shape=(n, n)).tocsr()
+    if dirichlet_root:
+        return K[1:, 1:].tocsr(), M[1:, 1:].tocsr()
+    return K, M
+
+
+def kirchhoff_residuals_loop(tree, mesh, rho_a, u):
+    res = []
+    for e in tree.interior_vertices():
+        local = mesh.gen_local[e.j]
+        dofs = mesh.edge_dofs[e]
+        h_in = local[-1] - local[-2]
+        mid_in = tree.t_shell[e.j] + local[-1] - 0.5 * h_in
+        total = float(rho_a(mid_in)) * (u[dofs[-2]] - u[dofs[-1]]) / h_in
+        for pos in range(tree.k):
+            child = e.child(tree.k, pos)
+            clocal = mesh.gen_local[child.j]
+            h_out = clocal[1] - clocal[0]
+            mid_out = tree.t_shell[child.j] + 0.5 * h_out
+            total += (float(rho_a(mid_out))
+                      * (u[mesh.edge_dofs[child][1]] - u[dofs[-1]]) / h_out)
+        res.append(abs(total))
+    return np.array(res)
+
+
+def tail_bound_loop(tree, mesh, rho_a, rho_b, u, j):
+    mass = energy = 0.0
+    for e, dofs in mesh.edge_dofs.items():
+        local = mesh.gen_local[e.j]
+        hs = np.diff(local)
+        mids = tree.t_shell[e.j] + local[:-1] + 0.5 * hs
+        u0, u1 = u[dofs[:-1]], u[dofs[1:]]
+        if e.j > j:
+            mass += float(np.sum(rho_b(mids) * hs / 3.0 * (u0 ** 2 + u0 * u1 + u1 ** 2)))
+        energy += float(np.sum(rho_a(mids) * (u1 - u0) ** 2 / hs))
+    return 0.0 if energy == 0.0 else mass / energy
+
+
+def hardy_loop(tree, rho, nodes, u, n_quad=4):
+    R = tree.radius
+    gauss, gw = np.polynomial.legendre.leggauss(n_quad)
+    num = den = 0.0
+    for a, b, ua, ub in zip(nodes[:-1], nodes[1:], u[:-1], u[1:]):
+        h = b - a
+        x = a + 0.5 * h * (gauss + 1.0)
+        uu = ua + (ub - ua) * (x - a) / h
+        g = np.array([tree.counting_function(min(t, R * (1 - 1e-15))) for t in x],
+                     dtype=float)
+        num += 0.5 * h * float(np.dot(gw, rho(x) * g / (R * (R - x)) * uu ** 2))
+        den += float(rho(a + h / 2)
+                     * tree.counting_function(min(a + h / 2, R * (1 - 1e-15)))
+                     * (ub - ua) ** 2 / h)
+    return 0.0 if den == 0.0 else num / den
+
+
+def assert_same_csr(A, B):
+    A, B = A.tocsr(), B.tocsr()
+    A.sort_indices()
+    B.sort_indices()
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data, B.data)
+
+
+LOOP_TREES = [TreeSpec(k=1, J=3), TreeSpec(k=2, delta=0.6, J=3),
+              TreeSpec(k=3, delta=0.4, J=2)]
+
+
+@pytest.mark.parametrize("spec", LOOP_TREES, ids=lambda s: f"k{s.k}")
+@pytest.mark.parametrize("profile", ["rho_star", "rho_Q"])
+@pytest.mark.parametrize("cosine", [False, True], ids=["W0", "Wcos"])
+@pytest.mark.parametrize("dirichlet_root", [True, False])
+def test_assembly_equals_per_edge_loop(spec, profile, cosine, dirichlet_root):
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    rho_a = rs if profile == "rho_star" else build_rho_Q(tree, unit_constants(2.5), 0.1)
+    mesh = build_mesh_1d(tree, h=0.04, breakpoints=rho_a.breakpoints)
+    edge_dofs, dof_t = edge_dofs_loop(tree, mesh.gen_local)
+    assert list(mesh.edge_dofs) == list(edge_dofs)
+    assert all(np.array_equal(mesh.edge_dofs[e], d) for e, d in edge_dofs.items())
+    assert mesh.n_dofs == len(dof_t)
+    assert np.array_equal(mesh.dof_t, dof_t)
+    W = PotentialProfile("cosine", (1.0, 2.0)) if cosine else None
+    system = assemble_1d(tree, mesh, rho_a, rs, W, dirichlet_root=dirichlet_root)
+    K, M = assemble_1d_loop(tree, mesh, rho_a, rs, W, dirichlet_root)
+    assert_same_csr(system.K, K)
+    assert_same_csr(system.M, M)
+
+
+def test_assembly_equals_per_edge_loop_on_matched_mesh():
+    tree = build_tree(TreeSpec(k=2, J=2))
+    tmesh = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, h=0.03, n_cross=3))
+    mesh = matched_mesh_1d(tmesh).mesh
+    edge_dofs, _ = edge_dofs_loop(tree, mesh.gen_local)
+    assert all(np.array_equal(mesh.edge_dofs[e], d) for e, d in edge_dofs.items())
+    rs = rho_star_profile(tree)
+    W = PotentialProfile("cosine", (1.0, 1.0))
+    system = assemble_1d(tree, mesh, rs, rs, W)
+    K, M = assemble_1d_loop(tree, mesh, rs, rs, W)
+    assert_same_csr(system.K, K)
+    assert_same_csr(system.M, M)
+
+
+def test_edge_dofs_view_is_read_only():
+    tree = build_tree(TreeSpec(k=2, J=2))
+    mesh = build_mesh_1d(tree, h=0.1)
+    assert len(mesh.edge_dofs) == tree.edge_count()
+    assert EdgeId(3, 0) not in mesh.edge_dofs
+    with pytest.raises(ValueError):
+        mesh.edge_dofs[EdgeId(1, 1)][0] = 7
+
+
+@pytest.mark.parametrize("spec", LOOP_TREES, ids=lambda s: f"k{s.k}")
+def test_checks_equal_per_edge_loops(spec):
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    rq = build_rho_Q(tree, unit_constants(2.5), 0.1)
+    mesh = build_mesh_1d(tree, h=0.04, breakpoints=rq.breakpoints)
+    rng = np.random.default_rng(5)
+    nodes = np.linspace(0.0, tree.radius, 301)
+    for _ in range(5):
+        u = rng.standard_normal(mesh.n_dofs)
+        assert np.allclose(kirchhoff_residuals(tree, mesh, rq, u),
+                           kirchhoff_residuals_loop(tree, mesh, rq, u),
+                           rtol=1e-13, atol=0.0)
+        for j in range(tree.J + 1):
+            assert tail_bound_check(tree, mesh, rq, rs, u, j) == pytest.approx(
+                tail_bound_loop(tree, mesh, rq, rs, u, j), rel=1e-13, abs=0.0)
+        f = rng.standard_normal(301)
+        f[-30:] = 0.0
+        for rho in (rs, rq):
+            assert hardy_inequality_check(tree, rho, nodes, f) == pytest.approx(
+                hardy_loop(tree, rho, nodes, f), rel=1e-13)
+
+
+# -- scale ----------------------------------------------------------------------
+
+def test_decomposition_equals_direct_at_J14():
+    # eigenvalues of the deep components reach 1e7, where an absolute residual
+    # gate sits below roundoff
+    tree = build_tree(TreeSpec(k=2, J=14))
+    rs = rho_star_profile(tree)
+    mesh = build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints)
+    system = assemble_1d(tree, mesh, rs, rs)
+    direct = smallest_eigenpairs(system.K, system.M, 8, with_vectors=False)
+    dec = radial_decomposition_spectrum(tree, mesh, rs, rs, None, 8)
+    vals = dec.expanded_values(8)
+    assert len(vals) == 8
+    assert np.allclose(vals, direct.values, rtol=1e-8, atol=0.0)
+
+
+def test_mesh_and_assembly_at_node_budget_edge():
+    spec = TreeSpec(k=2, J=17)
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    mesh = build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints)
+    n_local = [len(local) for local in mesh.gen_local]
+    assert mesh.n_dofs == 1 + sum(2 ** j * (n - 1) for j, n in enumerate(n_local))
+    assert mesh.n_dofs == len(mesh.dof_t) == 262_789
+    assert np.all(mesh.gen_dofs[0][:, 0] == 0)
+    for j in range(1, spec.J + 1):
+        parents = mesh.gen_dofs[j - 1][np.arange(2 ** j) // 2, -1]
+        assert np.array_equal(mesh.gen_dofs[j][:, 0], parents)
+    system = assemble_1d(tree, mesh, rs, rs)
+    assert system.n_full == mesh.n_dofs
+    assert (system.K != system.K.T).nnz == 0
