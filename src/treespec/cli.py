@@ -12,22 +12,22 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .connector import analyze_connector
 from .convergence import (
     ExperimentConfig,
     eigenfunction_projection_experiment,
     rayleigh_bound_check,
+    reference_connector,
     sandwich_experiment,
     weight_convergence_experiment,
 )
 from .eigensolver import smallest_eigenpairs
-from .fem_2d import GeometrySpec2D, assemble_2d, build_geometry_2d
+from .fem_2d import assemble_2d, build_geometry_2d
 from .operator_1d import (
     assemble_1d,
     build_mesh_1d,
@@ -42,32 +42,53 @@ SUBCOMMANDS = ("spectrum1d", "decompose", "spectrum2d", "sandwich",
                "converge-weights", "project", "check-discreteness",
                "connector-constants")
 
-_SCHEMA = {
-    "tree": {"k": int, "l0": float, "r": float, "delta": float, "N": int,
-             "omega": float, "J": int},
-    "weights": {"zone_factor": float},
-    "potential": {"kind": str, "params": list},
-    "geometry": {"eps_list": list, "c": float, "h": float, "n_cross": int},
-    "experiment": {"m": int, "n_list": list, "h_1d": float,
-                   "rayleigh_samples": int},
-    "output_dir": str,
-    "seed": int,
-    "threads": int,
+# config key path -> (dataclass, field); the key takes the field's type and
+# default, and a tuple field is a JSON list
+_FIELDS = {
+    **{f"tree.{f.name}": (TreeSpec, f.name) for f in fields(TreeSpec)},
+    "weights.zone_factor": (ExperimentConfig, "zone_factor"),
+    "potential.kind": (ExperimentConfig, "potential"),
+    "potential.params": (ExperimentConfig, "potential_params"),
+    "geometry.eps_list": (ExperimentConfig, "eps_list"),
+    "geometry.c": (ExperimentConfig, "apex_c"),
+    "geometry.h": (ExperimentConfig, "h_2d"),
+    "geometry.n_cross": (ExperimentConfig, "n_cross"),
+    "experiment.m": (ExperimentConfig, "m"),
+    "experiment.n_list": (ExperimentConfig, "n_list"),
+    "experiment.h_1d": (ExperimentConfig, "h_1d"),
 }
 
-_DEFAULTS = {
-    "tree": {"k": 2, "l0": 1.0, "r": 0.5, "delta": 0.6, "N": 2,
-             "omega": 1.0, "J": 2},
-    "weights": {"zone_factor": 1.1},
-    "potential": {"kind": "zero", "params": [1.0, 1.0]},
-    "geometry": {"eps_list": [0.2, 0.1, 0.05], "c": 0.3, "h": 0.03,
-                 "n_cross": 3},
-    "experiment": {"m": 4, "n_list": [4, 8, 16, 32], "h_1d": 0.01,
-                   "rayleigh_samples": 0},
-    "output_dir": ".",
-    "seed": None,
-    "threads": None,
+# keys read by the CLI itself: path -> (type, default)
+_CLI_ONLY = {
+    "experiment.rayleigh_samples": (int, 0),
+    "output_dir": (str, "."),
+    "seed": (int, None),
+    "threads": (int, None),
 }
+
+
+def _field_schema(owner, name):
+    """(type, default) of a dataclass field as a config key."""
+    f = next(f for f in fields(owner) if f.name == name)
+    if f.type is tuple:
+        return list, list(f.default)
+    return f.type, f.default
+
+
+def _schema_and_defaults():
+    """Nested key types and defaults of the whole config, in table order."""
+    schema, defaults = {}, {}
+    entries = {**{path: _field_schema(*field) for path, field in _FIELDS.items()},
+               **_CLI_ONLY}
+    for path, (want, default) in entries.items():
+        block, _, key = path.rpartition(".")
+        types = schema.setdefault(block, {}) if block else schema
+        values = defaults.setdefault(block, {}) if block else defaults
+        types[key], values[key] = want, default
+    return schema, defaults
+
+
+_SCHEMA, _DEFAULTS = _schema_and_defaults()
 
 
 class ConfigError(ValueError):
@@ -80,26 +101,18 @@ class RunConfig:
 
     @property
     def tree_spec(self) -> TreeSpec:
-        t = self.data["tree"]
-        return TreeSpec(k=t["k"], l0=t["l0"], r=t["r"], delta=t["delta"],
-                        N=t["N"], omega=t["omega"], J=t["J"])
+        return self.experiment_config().tree
 
     def experiment_config(self) -> ExperimentConfig:
-        d = self.data
-        return ExperimentConfig(
-            tree=self.tree_spec,
-            eps_list=tuple(d["geometry"]["eps_list"]),
-            n_list=tuple(d["experiment"]["n_list"]),
-            m=d["experiment"]["m"],
-            h_1d=d["experiment"]["h_1d"],
-            h_2d=d["geometry"]["h"],
-            n_cross=d["geometry"]["n_cross"],
-            apex_c=d["geometry"]["c"],
-            zone_factor=d["weights"]["zone_factor"],
-            potential=d["potential"]["kind"],
-            potential_params=tuple(d["potential"]["params"]),
-            seed=d["seed"] if d["seed"] is not None else 0,
-        )
+        kw = {TreeSpec: {}, ExperimentConfig: {}}
+        for path, (owner, name) in _FIELDS.items():
+            block, key = path.split(".")
+            value = self.data[block][key]
+            kw[owner][name] = tuple(value) if isinstance(value, list) else value
+        seed = self.data["seed"]
+        return ExperimentConfig(tree=TreeSpec(**kw[TreeSpec]),
+                                seed=0 if seed is None else seed,
+                                **kw[ExperimentConfig])
 
     def config_hash(self) -> str:
         canon = json.dumps(self.data, sort_keys=True)
@@ -109,24 +122,17 @@ class RunConfig:
         return json.dumps(self.data, sort_keys=True, indent=2)
 
 
+# schema type -> (accepted JSON types, name in error messages); bools are
+# never numbers
+_ACCEPTS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            str: (str, "a string"), list: (list, "a list")}
+
+
 def _coerce(value, want, path):
-    if want is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if want is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if want is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    if want is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
-        return value
-    raise ConfigError(f"{path}: unsupported schema type")
+    accepted, what = _ACCEPTS[want]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    return float(value) if want is float else value
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -276,8 +282,7 @@ def run_spectrum2d(cfg: RunConfig, out: Path, dump_mesh: bool = False) -> int:
     rows = []
     first = None
     for i_eps, eps in enumerate(ecfg.eps_list):
-        tm = build_geometry_2d(tree, GeometrySpec2D(
-            eps=eps, c=ecfg.apex_c, h=ecfg.h_2d, n_cross=ecfg.n_cross))
+        tm = build_geometry_2d(tree, ecfg.geometry(eps))
         system = assemble_2d(tm, W=ecfg.w2d())
         spec = smallest_eigenpairs(system.K, system.M, ecfg.m)
         if first is None:
@@ -414,11 +419,7 @@ def run_check_discreteness(cfg: RunConfig, out: Path) -> int:
 
 
 def run_connector_constants(cfg: RunConfig, out: Path) -> int:
-    t = cfg.tree_spec
-    g = cfg.data["geometry"]
-    domain, mesh, _, forms, consts = analyze_connector(
-        t.delta, c=g["c"], k=min(t.k, 2), omega=t.omega, N=t.N,
-        h=0.05, section_intervals=12)
+    domain, mesh, _, forms, consts = reference_connector(cfg.experiment_config())
     payload = {
         "constants": consts.as_dict(),
         "matrices": {

@@ -74,6 +74,14 @@ class SkeletonStar:
         return SkeletonStar(lengths, weights)
 
 
+def affine_partition(k: int, sig):
+    """(own, foreign) values of the affine partition of unity on a star of
+    k+1 arms, at relative position sig in [0, 1] from the center along an arm:
+    the function of that arm, and each function of the other k arms."""
+    cv = 1.0 / (k + 1)
+    return cv + (1 - cv) * sig, cv * (1 - sig)
+
+
 @dataclass(frozen=True)
 class PartitionOfUnity1D:
     """Affine partition on a star: psi_e has value 1/(k+1) at the center,
@@ -87,10 +95,8 @@ class PartitionOfUnity1D:
 
     def value(self, e: int, arm: int, s: float) -> float:
         """psi_(e) at arclength s from the center along the given arm."""
-        L = self.star.arm_lengths[arm]
-        end = 1.0 if arm == e else 0.0
-        t = s / L
-        return self.center_value * (1.0 - t) + end * t
+        own, foreign = affine_partition(self.star.k, s / self.star.arm_lengths[arm])
+        return own if arm == e else foreign
 
     def slope(self, e: int, arm: int) -> float:
         L = self.star.arm_lengths[arm]
@@ -138,6 +144,13 @@ def skeleton_form_matrices(star: SkeletonStar,
     return Abar, Bbar
 
 
+def _arm_coefficients(star: SkeletonStar):
+    """Per-arm coefficients (w, c, s) of the minimized star energies: w for
+    gamma = 0, the cosh and sinh terms c and s for gamma = 1."""
+    L, a = star.arm_lengths, star.arm_weights
+    return a / L, a * np.cosh(L) / np.sinh(L), a / np.sinh(L)
+
+
 def skeleton_minimized_forms(star: SkeletonStar):
     """Energy forms of the gamma=0 and gamma=1 minimizers with prescribed
     endpoint values.
@@ -147,11 +160,8 @@ def skeleton_minimized_forms(star: SkeletonStar):
     cosh/sinh combination.  Both minimized energies are exact quadratic forms
     in the endpoint vector, returned as (E0bar, E1bar).
     """
-    w = star.arm_weights / star.arm_lengths
+    w, c, s = _arm_coefficients(star)
     E0 = np.diag(w) - np.outer(w, w) / w.sum()
-
-    c = star.arm_weights * np.cosh(star.arm_lengths) / np.sinh(star.arm_lengths)
-    s = star.arm_weights / np.sinh(star.arm_lengths)
     E1 = np.diag(c) - np.outer(s, s) / c.sum()
     return E0, E1
 
@@ -160,13 +170,11 @@ def skeleton_minimizer(star: SkeletonStar, f: np.ndarray, gamma: int):
     """Minimizer of the star energy with endpoint values f; returns the center
     value and the minimized energy."""
     f = np.asarray(f, float)
+    w, c, s = _arm_coefficients(star)
     if gamma == 0:
-        w = star.arm_weights / star.arm_lengths
         hv = float(w @ f / w.sum())
         energy = float(w @ (f - hv) ** 2)
     elif gamma == 1:
-        c = star.arm_weights * np.cosh(star.arm_lengths) / np.sinh(star.arm_lengths)
-        s = star.arm_weights / np.sinh(star.arm_lengths)
         hv = float(s @ f / c.sum())
         energy = float(c @ f ** 2 - (s @ f) ** 2 / c.sum())
     else:

@@ -47,18 +47,29 @@ class ExperimentError(RuntimeError):
     """An experiment could not produce a meaningful result."""
 
 
+def _pole_denominator(direction: str, x: float, c: float, eps: float) -> float:
+    """1 - c eps x for the "Q" bounds, 1 - sqrt(eps) - c eps x for "P"."""
+    head = 1.0 if direction == "Q" else 1.0 - math.sqrt(eps)
+    return head - c * eps * x
+
+
+def _bound_transform(direction: str, x: float, a: float, c: float,
+                     eps: float) -> float:
+    """(1 + a eps) x over the pole denominator, +inf past the pole."""
+    denom = _pole_denominator(direction, x, c, eps)
+    if denom <= 0:
+        return math.inf
+    return (1.0 + a * eps) * x / denom
+
+
 def phi_Q(x: float, c: float, eps: float) -> float:
     """Upper-bound transform (1 + c eps) x / (1 - c eps x), +inf past the pole."""
-    if x >= 1.0 / (c * eps):
-        return math.inf
-    return (1.0 + c * eps) * x / (1.0 - c * eps * x)
+    return _bound_transform("Q", x, c, c, eps)
 
 
 def phi_P(x: float, c: float, eps: float) -> float:
     """Transform (1 + c eps) x / (1 - sqrt(eps) - c eps x), +inf past the pole."""
-    if x >= (1.0 - math.sqrt(eps)) / (c * eps):
-        return math.inf
-    return (1.0 + c * eps) * x / (1.0 - math.sqrt(eps) - c * eps * x)
+    return _bound_transform("P", x, c, c, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +90,12 @@ class ExperimentConfig:
     potential: str = "zero"          # "zero" | "cosine"
     potential_params: tuple = (1.0, 1.0)
     seed: int = 0
+
+    def geometry(self, eps: float, h: float | None = None) -> GeometrySpec2D:
+        """Inflated-tree geometry at width eps, at pitch h_2d unless h is given."""
+        return GeometrySpec2D(eps=eps, c=self.apex_c,
+                              h=self.h_2d if h is None else h,
+                              n_cross=self.n_cross)
 
     def validate(self) -> None:
         self.tree.validate()
@@ -112,16 +129,27 @@ class ExperimentConfig:
         return abs(self.potential_params[0])
 
 
-def _tree(cfg: ExperimentConfig) -> Tree:
-    return build_tree(cfg.tree)
-
-
-def connector_constants(cfg: ExperimentConfig):
-    """Equivalence constants of the reference connector for this tree."""
-    _, _, _, _, consts = analyze_connector(
+def reference_connector(cfg: ExperimentConfig):
+    """:func:`analyze_connector` on the reference connector of this tree,
+    meshed finer than the tube junctions; its constants set the zone weights."""
+    return analyze_connector(
         cfg.tree.delta, c=cfg.apex_c, k=min(cfg.tree.k, 2), omega=cfg.tree.omega,
         N=cfg.tree.N, h=0.05, section_intervals=12)
-    return consts
+
+
+def width_weighted_pair(tree: Tree, cfg: ExperimentConfig, consts,
+                        tm: TreeMesh2D, matched: Matched1D):
+    """Pencils of A_Q^eps and A_P^eps on the matched 1-D mesh: rho* with the
+    zone weights rho_Q / rho_P, and the cross-section average of the 2-D
+    potential."""
+    eps = tm.spec2d.eps
+    zones = tm.zones()
+    rs = rho_star_profile(tree)
+    W2d = cfg.w2d()
+    W1 = None if W2d is None else average_potential_1d(W2d, tree, eps, zones)
+    return tuple(assemble_1d(tree, matched.mesh, rho, rs, W1)
+                 for rho in (build_rho_Q(tree, consts, eps, zones=zones),
+                             build_rho_P(tree, consts, eps, zones=zones)))
 
 
 def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float,
@@ -132,8 +160,7 @@ def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float,
     """
     levels = []
     for h in (cfg.h_2d, 0.5 * cfg.h_2d):
-        tm = build_geometry_2d(tree, GeometrySpec2D(
-            eps=eps, c=cfg.apex_c, h=h, n_cross=cfg.n_cross))
+        tm = build_geometry_2d(tree, cfg.geometry(eps, h))
         system = assemble_2d(tm, W=W2d)
         spec = smallest_eigenpairs(system.K, system.M, m)
         levels.append((tm, system, spec))
@@ -189,7 +216,7 @@ def weight_convergence_experiment(cfg: ExperimentConfig) -> WeightConvergenceRep
     differences reflect the weights alone.
     """
     cfg.validate()
-    tree = _tree(cfg)
+    tree = build_tree(cfg.tree)
     rs = rho_star_profile(tree)
     from .operator_1d import VertexZones
 
@@ -263,16 +290,12 @@ class SandwichReport:
 
 
 def _fit_sandwich_c(eps, mu, lam, nu, bars):
+    """Smallest c on the grid with nu - bar <= phi_Q(mu) and
+    lam <= phi_P(nu + bar) for every mode, or None."""
     for c in C_GRID:
-        ok = True
-        for m in range(len(mu)):
-            if nu[m] - bars[m] > phi_Q(mu[m], c, eps):
-                ok = False
-                break
-            if lam[m] > phi_P(nu[m] + bars[m], c, eps):
-                ok = False
-                break
-        if ok:
+        if all(nu[m] - bars[m] <= phi_Q(mu[m], c, eps)
+               and lam[m] <= phi_P(nu[m] + bars[m], c, eps)
+               for m in range(len(mu))):
             return float(c)
     return None
 
@@ -281,8 +304,8 @@ def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
     """Per eps: mu (A_Q), lambda (A_P), nu (2-D), fitted c and the gap to the
     limit spectrum."""
     cfg.validate()
-    tree = _tree(cfg)
-    consts = connector_constants(cfg)
+    tree = build_tree(cfg.tree)
+    *_, consts = reference_connector(cfg)
     W2d = cfg.w2d()
     limit_spec, _, _ = limit_spectrum_1d(tree, cfg, cfg.m)
 
@@ -291,17 +314,7 @@ def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
     gaps1 = []
     for eps in cfg.eps_list:
         nu, bars, tm, _, _ = richardson_eigenvalues(tree, cfg, eps, cfg.m, W2d=W2d)
-        matched = matched_mesh_1d(tm)
-        zones = tm.zones()
-        rs = rho_star_profile(tree)
-        rq = build_rho_Q(tree, consts, eps, zones=zones)
-        rp = build_rho_P(tree, consts, eps, zones=zones)
-        if W2d is None:
-            W1 = None
-        else:
-            W1 = average_potential_1d(W2d, tree, eps, zones)
-        sysQ = assemble_1d(tree, matched.mesh, rq, rs, W1)
-        sysP = assemble_1d(tree, matched.mesh, rp, rs, W1)
+        sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched_mesh_1d(tm))
         mu = smallest_eigenpairs(sysQ.K, sysQ.M, cfg.m, with_vectors=False).values
         lam = smallest_eigenpairs(sysP.K, sysP.M, cfg.m, with_vectors=False).values
         c_fit = _fit_sandwich_c(eps, mu, lam, nu, bars)
@@ -371,36 +384,33 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
     ingredient of the theorem.
     """
     cfg.validate()
-    tree = _tree(cfg)
+    if which not in ("Q", "P"):
+        raise ExperimentError("which must be 'Q' or 'P'")
+    if len(cfg.eps_list) < 2:
+        raise ExperimentError("a rate fit needs at least two eps values")
+    tree = build_tree(cfg.tree)
     infima = []
     concentration = [] if which == "P" else None
-    consts = connector_constants(cfg) if which == "Q" else None
+    if which == "Q":
+        *_, consts = reference_connector(cfg)
     for eps in cfg.eps_list:
-        tm = build_geometry_2d(tree, GeometrySpec2D(
-            eps=eps, c=cfg.apex_c, h=cfg.h_2d, n_cross=cfg.n_cross))
+        tm = build_geometry_2d(tree, cfg.geometry(eps))
+        matched = matched_mesh_1d(tm)
         if which == "Q":
-            matched = matched_mesh_1d(tm)
-            zones = tm.zones()
-            rq = build_rho_Q(tree, consts, eps, zones=zones)
-            rs = rho_star_profile(tree)
-            W2d = cfg.w2d()
-            W1 = None if W2d is None else average_potential_1d(
-                W2d, tree, eps, zones)
-            system = assemble_1d(tree, matched.mesh, rq, rs, W1,
-                                 dirichlet_root=False)
-            dofs = q_kernel_dofs(tree, matched.mesh, zones)
+            system, _ = width_weighted_pair(tree, cfg, consts, tm, matched)
+            # the zone dofs, in the numbering of the root-eliminated pencil
+            dofs = np.searchsorted(system.free,
+                                   q_kernel_dofs(tree, matched.mesh, tm.zones()))
             Kz = system.K[np.ix_(dofs, dofs)]
             Mz = system.M[np.ix_(dofs, dofs)]
-            vals = smallest_eigenpairs(Kz, Mz, 1, with_vectors=False).values
-            infima.append(float(vals[0]))
-        elif which == "P":
-            matched = matched_mesh_1d(tm)
+        else:
             system = assemble_2d(tm, W=cfg.w2d())
             Z = p_kernel_basis(tm, matched, system.free)
             Kz = (Z.T @ (system.K @ Z)).tocsr()
             Mz = (Z.T @ (system.M @ Z)).tocsr()
-            vals = smallest_eigenpairs(Kz, Mz, 1, with_vectors=False).values
-            infima.append(float(vals[0]))
+        vals = smallest_eigenpairs(Kz, Mz, 1, with_vectors=False).values
+        infima.append(float(vals[0]))
+        if which == "P":
             Mv = tm.connector_triangle_mass()
             free = system.free
             Mv_f = Mv[np.ix_(free, free)].tocsr()
@@ -408,10 +418,6 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
             eta = spla.eigsh(Mv_f, k=1, M=system.K, which="LA",
                              return_eigenvectors=False)[0]
             concentration.append(float(1.0 / eta))
-        else:
-            raise ExperimentError("which must be 'Q' or 'P'")
-    if len(cfg.eps_list) < 2:
-        raise ExperimentError("a rate fit needs at least two eps values")
     slope = float(np.polyfit(np.log(cfg.eps_list), np.log(infima), 1)[0])
     conc_slope = None
     if concentration:
@@ -485,9 +491,9 @@ class RayleighBoundReport:
     samples: int
 
 
-def _smooth_random(rng, K, M, n, passes=20):
-    """Random nodal field smoothed by mass-scaled stiffness relaxation."""
-    x = rng.standard_normal(n)
+def _smooth_random(rng, K, passes=20):
+    """Random nodal field smoothed by Jacobi relaxation of the stiffness."""
+    x = rng.standard_normal(K.shape[0])
     d = K.diagonal()
     d[d == 0] = 1.0
     for _ in range(passes):
@@ -500,25 +506,19 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
     """Fit (a, c) such that the Q- and P-direction Rayleigh bounds hold on
     random functions; returns one report per direction with violation counts."""
     cfg.validate()
-    tree = _tree(cfg)
-    consts = connector_constants(cfg)
+    tree = build_tree(cfg.tree)
+    *_, consts = reference_connector(cfg)
     rng = np.random.default_rng(cfg.seed)
-    tm = build_geometry_2d(tree, GeometrySpec2D(
-        eps=eps, c=cfg.apex_c, h=cfg.h_2d, n_cross=cfg.n_cross))
+    tm = build_geometry_2d(tree, cfg.geometry(eps))
     matched = matched_mesh_1d(tm)
     W2d = cfg.w2d()
-    W1 = None if W2d is None else average_potential_1d(W2d, tree, eps, tm.zones())
-    rs = rho_star_profile(tree)
-    rq = build_rho_Q(tree, consts, eps, zones=tm.zones())
-    rp = build_rho_P(tree, consts, eps, zones=tm.zones())
-    sysQ = assemble_1d(tree, matched.mesh, rq, rs, W1)
-    sysP = assemble_1d(tree, matched.mesh, rp, rs, W1)
+    sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched)
     sys2 = assemble_2d(tm, W=W2d)
     Kg, Mg = _scatter_assembly(tm, W=W2d)
 
     samples_Q = []
     for _ in range(n_samples):
-        f = _smooth_random(rng, sysQ.K, sysQ.M, sysQ.K.shape[0])
+        f = _smooth_random(rng, sysQ.K)
         r1 = float(f @ (sysQ.K @ f)) / float(f @ (sysQ.M @ f))
         f_full = np.zeros(matched.mesh.n_dofs)
         f_full[sysQ.free] = f
@@ -528,7 +528,7 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
 
     samples_P = []
     for _ in range(n_samples):
-        v = _smooth_random(rng, sys2.K, sys2.M, sys2.K.shape[0])
+        v = _smooth_random(rng, sys2.K)
         r2 = float(v @ (sys2.K @ v)) / float(v @ (sys2.M @ v))
         v_full = np.zeros(tm.n_nodes)
         v_full[sys2.free] = v
@@ -538,16 +538,12 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
         samples_P.append((r2, r1))
 
     out = []
-    for direction, samples, bound in (("Q", samples_Q, "Q"), ("P", samples_P, "P")):
+    for direction, samples in (("Q", samples_Q), ("P", samples_P)):
         best = None
         for c in C_GRID:
             a_needed = 0.0
-            feasible = True
             for x, y in samples:
-                if bound == "Q":
-                    denom = 1.0 - c * eps * x
-                else:
-                    denom = 1.0 - math.sqrt(eps) - c * eps * x
+                denom = _pole_denominator(direction, x, c, eps)
                 if denom <= 0:
                     continue   # past the pole: bound is +inf
                 need = (y * denom / x - 1.0) / eps if x > 0 else 0.0
@@ -562,15 +558,8 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
                                            samples=len(samples)))
             continue
         a, c = best
-        viol = 0
-        for x, y in samples:
-            if bound == "Q":
-                denom = 1.0 - c * eps * x
-            else:
-                denom = 1.0 - math.sqrt(eps) - c * eps * x
-            b = math.inf if denom <= 0 else (1.0 + a * eps) * x / denom
-            if y > b * (1 + 1e-12):
-                viol += 1
+        viol = sum(y > _bound_transform(direction, x, a, c, eps) * (1 + 1e-12)
+                   for x, y in samples)
         out.append(RayleighBoundReport(eps=eps, direction=direction,
                                        fitted_a=a, fitted_c=c,
                                        violations=viol, samples=len(samples)))
@@ -628,13 +617,12 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig,
     eps whose projected mode overlaps the limit mode by less than 0.5.
     """
     cfg.validate()
-    tree = _tree(cfg)
+    tree = build_tree(cfg.tree)
     W2d = cfg.w2d()
     rows = []
     tracking_ok = True
     for eps in cfg.eps_list:
-        tm = build_geometry_2d(tree, GeometrySpec2D(
-            eps=eps, c=cfg.apex_c, h=0.5 * cfg.h_2d, n_cross=cfg.n_cross))
+        tm = build_geometry_2d(tree, cfg.geometry(eps, 0.5 * cfg.h_2d))
         system = assemble_2d(tm, W=W2d)
         spec = smallest_eigenpairs(system.K, system.M, mode)
         u = np.zeros(tm.n_nodes)

@@ -22,17 +22,17 @@ import scipy.sparse as sp
 
 from .connector import (
     ConnectorDomain2D,
+    affine_partition,
     canonical_connector,
     harmonic_partition_2d,
     mesh_connector,
 )
 from .mesh2d import (
     Mesh2D,
-    MeshError,
-    mesh_polygon,
-    mesh_quality,
+    eliminate_dirichlet,
     mesh_rectangle,
     polygon_area,
+    scatter_pencil,
     stiffness_and_mass,
 )
 from .operator_1d import AssembledSystem, Mesh1D, VertexZones, build_mesh_1d
@@ -216,12 +216,19 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
 
 
 def _scatter_assembly(tmesh: TreeMesh2D, W=None, only_kind: str | None = None):
-    """Assemble global (K, M) by scattering per-component local matrices."""
-    n = tmesh.n_nodes
-    rows, cols, kv, mv = [], [], [], []
+    """Assemble global (K, M) by scattering local matrices.
+
+    The components of one kind and generation share their local mesh and
+    radial coordinates, so the local pair is assembled once per group and
+    scattered to every copy, in component order.
+    """
+    groups = {}
     for comp in tmesh.components:
-        if only_kind is not None and comp.kind != only_kind:
-            continue
+        if only_kind is None or comp.kind == only_kind:
+            groups.setdefault((comp.kind, comp.key.j), []).append(comp)
+    blocks = []
+    for comps in groups.values():
+        comp = comps[0]
         if W is None:
             potential = None
         else:
@@ -232,17 +239,10 @@ def _scatter_assembly(tmesh: TreeMesh2D, W=None, only_kind: str | None = None):
                 return np.asarray(W(tri_theta, x))
 
         Kl, Ml = stiffness_and_mass(comp.mesh, potential=potential)
-        Kl = Kl.tocoo()
-        Ml = Ml.tocoo()
-        rows.append(comp.gids[Kl.row])
-        cols.append(comp.gids[Kl.col])
-        kv.append(Kl.data)
-        mv.append(Ml.data)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
+        Kl, Ml = Kl.tocoo(), Ml.tocoo()
+        blocks.append((np.stack([c.gids for c in comps]), Kl.row, Kl.col,
+                       Kl.data, Ml.data))
+    return scatter_pencil(tmesh.n_nodes, blocks)
 
 
 def assemble_2d(tmesh: TreeMesh2D, W=None) -> AssembledSystem:
@@ -251,13 +251,9 @@ def assemble_2d(tmesh: TreeMesh2D, W=None) -> AssembledSystem:
     W, when given, is a callable W(theta, s) evaluated per triangle (radial
     potentials depend on theta only; s is the local cross coordinate).
     """
-    K, M = _scatter_assembly(tmesh, W=W)
-    mask = np.ones(tmesh.n_nodes, dtype=bool)
-    mask[tmesh.root_nodes] = False
-    free = np.nonzero(mask)[0]
-    return AssembledSystem(K=K[np.ix_(free, free)].tocsr(),
-                           M=M[np.ix_(free, free)].tocsr(),
-                           free=free, n_full=tmesh.n_nodes, mesh=None)
+    K, M, free = eliminate_dirichlet(*_scatter_assembly(tmesh, W=W),
+                                     tmesh.root_nodes)
+    return AssembledSystem(K=K, M=M, free=free, n_full=tmesh.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +334,8 @@ def p_eps_project(tmesh: TreeMesh2D, matched: Matched1D,
     for dof, row in matched.station_dof_rows.items():
         vals[dof] = float(w @ u_global[row])
     cv = 1.0 / (tree.k + 1)
+    # arm midpoints: own partition halfway between center and endpoint
+    own, foreign = affine_partition(tree.k, 0.5)
     for e, zinfo in matched.zone_dofs.items():
         u_par = float(w @ u_global[tmesh.vertex_info[e]["sections"][0]])
         u_kids = [float(w @ u_global[tmesh.vertex_info[e]["sections"][pos + 1]])
@@ -346,14 +344,10 @@ def p_eps_project(tmesh: TreeMesh2D, matched: Matched1D,
         for pos in range(tree.k):
             vals[matched.p_child_dofs[e][pos]] = u_kids[pos]
         vals[zinfo["vertex"]] = cv * (u_par + sum(u_kids))
-        # arm midpoints: own partition halfway between center and endpoint
-        sig = 0.5
-        vals[zinfo["parent_mid"]] = (u_par * (cv + (1 - cv) * sig)
-                                     + sum(u_kids) * cv * (1 - sig))
+        vals[zinfo["parent_mid"]] = u_par * own + sum(u_kids) * foreign
         for pos in range(tree.k):
             others = u_par + sum(u_kids) - u_kids[pos]
-            vals[zinfo["child_mids"][pos]] = (u_kids[pos] * (cv + (1 - cv) * sig)
-                                              + others * cv * (1 - sig))
+            vals[zinfo["child_mids"][pos]] = u_kids[pos] * own + others * foreign
     return vals
 
 
@@ -361,26 +355,14 @@ def q_eps_lift(tmesh: TreeMesh2D, matched: Matched1D,
                f_dofs: np.ndarray) -> np.ndarray:
     """Constant cross-section extension of a 1-D function, harmonically
     interpolated across the connectors."""
-    tree = tmesh.tree
     u = np.zeros(tmesh.n_nodes)
+    for dof, row in matched.station_dof_rows.items():
+        u[row] = f_dofs[dof]
     for comp in tmesh.components:
-        if comp.kind != "edge":
-            continue
-        _, rows = tmesh.edge_stations[comp.key]
-        dofs = matched.mesh.edge_dofs[comp.key]
-        lo = 2 if comp.key.j >= 1 else 0
-        hi = len(dofs) - 2 if comp.key.j < tree.J else len(dofs)
-        for dof, row in zip(dofs[lo:hi], rows):
-            u[row] = f_dofs[dof]
-    for comp in tmesh.components:
-        if comp.kind != "connector":
-            continue
-        e = comp.key
-        fvec = np.empty(tree.k + 1)
-        fvec[0] = f_dofs[matched.p_parent_dof[e]]
-        for pos in range(tree.k):
-            fvec[pos + 1] = f_dofs[matched.p_child_dofs[e][pos]]
-        u[comp.gids] = tmesh.conn_phi @ fvec
+        if comp.kind == "connector":
+            e = comp.key
+            sections = [matched.p_parent_dof[e], *matched.p_child_dofs[e]]
+            u[comp.gids] = tmesh.conn_phi @ f_dofs[sections]
     return u
 
 

@@ -41,11 +41,7 @@ class Mesh2D:
         return len(self.nodes)
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return 0.5 * np.abs(_signed_area2(self.nodes[self.triangles]))
 
     def area(self) -> float:
         return float(self.triangle_areas().sum())
@@ -80,12 +76,14 @@ def _subdivide(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return a[None, :] * (1 - t) + b[None, :] * t
 
 
+def _signed_area2(p: np.ndarray) -> np.ndarray:
+    """Twice the signed areas of triangles given as (n, 3, 2) vertex arrays."""
+    return ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+
 def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    p = nodes[tris]
-    signed = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
-    flip = signed < 0
+    flip = _signed_area2(nodes[tris]) < 0
     tris = tris.copy()
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return tris
@@ -239,11 +237,7 @@ def _mesh_polygon_once(vertices, h, sections, section_intervals,
         cent = points[simplices].mean(axis=1)
         keep = point_in_polygon(cent, v)
         simplices = simplices[keep]
-        p = points[simplices]
-        areas = 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        areas = 0.5 * np.abs(_signed_area2(points[simplices]))
         return simplices[areas > 1e-14 * polygon_area(v)]
 
     tris = triangulate(nodes)
@@ -287,7 +281,6 @@ def mesh_quality(mesh: Mesh2D) -> tuple[float, float]:
     """Return (minimum angle in degrees, maximum edge length)."""
     p = mesh.nodes[mesh.triangles]
     min_angle = 180.0
-    max_edge = 0.0
     e = [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]
     lengths = [np.linalg.norm(x, axis=1) for x in e]
     max_edge = float(max(l.max() for l in lengths))
@@ -326,20 +319,35 @@ def stiffness_and_mass(mesh: Mesh2D, potential=None):
         w = np.asarray(potential(cent[:, 0], cent[:, 1]), dtype=float)
         Kloc = Kloc + (w * area)[:, None, None] * mass_pattern[None, :, :]
 
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    n = mesh.n_nodes
-    K = sp.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((Mloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    # one copy per triangle, entries (i, j) row-major, values per triangle
+    local = np.arange(3)
+    return scatter_pencil(mesh.n_nodes, [
+        (tris, np.repeat(local, 3), np.tile(local, 3),
+         Kloc.reshape(len(tris), 9), Mloc.reshape(len(tris), 9))])
+
+
+def scatter_pencil(n: int, blocks) -> tuple:
+    """Sum local matrix entries into the n x n CSR pair (K, M).
+
+    Each block is ``(gids, rows, cols, k_vals, m_vals)``: ``gids`` is a
+    ``(copies, n_loc)`` array mapping local to global indices, ``rows`` and
+    ``cols`` are local indices of the entries, and the values are either
+    shared by all copies (shape ``(n_entries,)``) or given per copy (shape
+    ``(copies, n_entries)``).  Entries are laid out copy by copy in block
+    order, which fixes the order in which duplicates are summed.
+    """
+    rows, cols, kv, mv = [], [], [], []
+    for gids, lrows, lcols, k_vals, m_vals in blocks:
+        shape = (len(gids), len(lrows))
+        rows.append(gids[:, lrows].ravel())
+        cols.append(gids[:, lcols].ravel())
+        kv.append(np.broadcast_to(k_vals, shape).ravel())
+        mv.append(np.broadcast_to(m_vals, shape).ravel())
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(n, n)).tocsr()
     return K, M
-
-
-def mass_matrix_subdomain(mesh: Mesh2D, tri_mask: np.ndarray) -> sp.csr_matrix:
-    """Consistent mass matrix assembled over a subset of triangles only."""
-    sub = Mesh2D(mesh.nodes, mesh.triangles[tri_mask], mesh.boundary_edges,
-                 mesh.boundary_tags, {})
-    _, M = stiffness_and_mass(sub)
-    return M
 
 
 def eliminate_dirichlet(K, M, dirichlet_nodes):
@@ -349,11 +357,6 @@ def eliminate_dirichlet(K, M, dirichlet_nodes):
     mask[np.asarray(dirichlet_nodes, dtype=int)] = False
     free = np.nonzero(mask)[0]
     return K[np.ix_(free, free)].tocsr(), M[np.ix_(free, free)].tocsr(), free
-
-
-def polyline_length(mesh: Mesh2D, path: np.ndarray) -> float:
-    pts = mesh.nodes[path]
-    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
 
 
 def section_average_weights(mesh: Mesh2D, path: np.ndarray) -> np.ndarray:

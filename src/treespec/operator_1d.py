@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .connector import affine_partition
 from .eigensolver import Spectrum, merge_spectra, smallest_eigenpairs
+from .mesh2d import scatter_pencil
 from .tree_model import EdgeId, Tree
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -51,13 +53,6 @@ class WeightProfile:
         idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
                       0, len(self.values) - 1)
         return self.values[idx]
-
-    def ratio_constant(self, other: "WeightProfile") -> float:
-        """Two-sided comparison constant c with self/other in [1/c, c]."""
-        pts = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        q = self(mids) / other(mids)
-        return float(max(q.max(), 1.0 / q.min()))
 
 
 def rho_star_profile(tree: Tree) -> WeightProfile:
@@ -122,24 +117,24 @@ def zone_modified_profile(tree: Tree, base: WeightProfile, factor: float,
     return WeightProfile(pts, vals, equiv_constant=c)
 
 
+def _zone_rho(tree: Tree, factor: float, eps: float,
+              zones: VertexZones | None) -> WeightProfile:
+    if not 0.0 < eps < 1.0:
+        raise Operator1DError(f"eps must be in (0, 1), got {eps}")
+    return zone_modified_profile(tree, rho_star_profile(tree), factor,
+                                 zones or VertexZones(eps))
+
+
 def build_rho_Q(tree: Tree, constants, eps: float,
                 zones: VertexZones | None = None) -> WeightProfile:
     """rho* boosted by max{alpha_A/beta_Abar, alpha_B/beta_Bbar} on vertex zones."""
-    if not 0.0 < eps < 1.0:
-        raise Operator1DError(f"eps must be in (0, 1), got {eps}")
-    zones = zones or VertexZones(eps)
-    return zone_modified_profile(tree, rho_star_profile(tree),
-                                 constants.rho_Q_factor, zones)
+    return _zone_rho(tree, constants.rho_Q_factor, eps, zones)
 
 
 def build_rho_P(tree: Tree, constants, eps: float,
                 zones: VertexZones | None = None) -> WeightProfile:
     """rho* damped by min{beta_A/alpha_Abar, beta_B/alpha_Bbar} on vertex zones."""
-    if not 0.0 < eps < 1.0:
-        raise Operator1DError(f"eps must be in (0, 1), got {eps}")
-    zones = zones or VertexZones(eps)
-    return zone_modified_profile(tree, rho_star_profile(tree),
-                                 constants.rho_P_factor, zones)
+    return _zone_rho(tree, constants.rho_P_factor, eps, zones)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ def build_rho_P(tree: Tree, constants, eps: float,
 class PotentialProfile:
     """Radial potential W(t), either closed form or sampled (linear interp)."""
 
-    kind: str = "constant"          # constant | cosine | polynomial | sampled
+    kind: str = "constant"          # constant | cosine | sampled
     params: tuple = (0.0,)
     nodes: np.ndarray | None = None
     samples: np.ndarray | None = None
@@ -162,23 +157,9 @@ class PotentialProfile:
         if self.kind == "cosine":
             amp, freq = (self.params + (1.0,))[:2]
             return amp * np.cos(freq * t)
-        if self.kind == "polynomial":
-            return np.polyval(self.params, t)
         if self.kind == "sampled":
             return np.interp(t, self.nodes, self.samples)
         raise Operator1DError(f"unknown potential kind {self.kind!r}")
-
-    def bound(self, radius: float) -> float:
-        """Numerical bound C_W for |W| on [0, radius]."""
-        if self.kind == "constant":
-            return abs(self.params[0])
-        if self.kind == "sampled":
-            return float(np.abs(self.samples).max()) if len(self.samples) else 0.0
-        t = np.linspace(0.0, radius, 2001)
-        return float(np.abs(self(t)).max())
-
-
-ZERO_POTENTIAL = PotentialProfile("constant", (0.0,))
 
 
 def average_potential_1d(W2d, tree: Tree, eps: float, zones: VertexZones,
@@ -211,7 +192,6 @@ def average_potential_1d(W2d, tree: Tree, eps: float, zones: VertexZones,
                         tree.t_shell[j + 1], par, chi, j))
 
     k = tree.k
-    cv = 1.0 / (k + 1)
     for i, t in enumerate(grid):
         for lo, hi, t_v, par, chi, j in zone_of:
             if lo <= t <= hi:
@@ -221,14 +201,13 @@ def average_potential_1d(W2d, tree: Tree, eps: float, zones: VertexZones,
                     sig = (t_v - t) / par if par > 0 else 0.0
                     # own psi rises toward p_parent (sig -> 1), each child psi
                     # falls linearly to 0 there
-                    psi_par = cv + (1 - cv) * sig
-                    vals[i] = b_par * psi_par + b_chi * k * cv * (1.0 - sig)
+                    own, foreign = affine_partition(k, sig)
+                    vals[i] = b_par * own + b_chi * k * foreign
                 else:          # on a child arm; the k-1 foreign children match
                     sig = (t - t_v) / chi if chi > 0 else 0.0
-                    psi_own = cv + (1 - cv) * sig
-                    psi_foreign = cv * (1.0 - sig)
-                    vals[i] = (b_chi * psi_own + b_chi * (k - 1) * psi_foreign
-                               + b_par * psi_foreign)
+                    own, foreign = affine_partition(k, sig)
+                    vals[i] = (b_chi * own + b_chi * (k - 1) * foreign
+                               + b_par * foreign)
                 break
         else:
             vals[i] = edge_average(t)
@@ -280,9 +259,6 @@ class Mesh1D:
 
     def __post_init__(self):
         self.edge_dofs = EdgeDofs(self.gen_dofs)
-
-    def edges(self):
-        return self.tree.edges()
 
 
 def build_mesh_1d(tree: Tree, h: float,
@@ -350,9 +326,14 @@ class AssembledSystem:
         return full
 
 
-def _element_rows(t0, local, rho_a, rho_b, W, weight=1.0):
-    """Elementwise K and M contributions for one edge/interval of the mesh,
-    both weights scaled by the constant ``weight``."""
+def _element_block(dofs, t0, local, rho_a, rho_b, W, weight=1.0):
+    """Scatter block of the element matrices of one generation, shared by the
+    copies in the rows of ``dofs``, both weights scaled by ``weight``.
+
+    Each copy's entries run through the (0, 0), (0, 1), (1, 0), (1, 1)
+    positions in turn, elements innermost, so duplicates are summed in the
+    order of a per-edge loop.
+    """
     a, b = local[:-1], local[1:]
     hs = b - a
     mids = t0 + 0.5 * (a + b)
@@ -366,31 +347,10 @@ def _element_rows(t0, local, rho_a, rho_b, W, weight=1.0):
             wv = np.asarray(W(x), dtype=float)
             phi = np.array([1.0 - gpt, gpt])
             k_loc += (wv * rb * hs * 0.5)[:, None, None] * np.outer(phi, phi)
-    return k_loc, m_loc
-
-
-def _scatter(n: int, blocks) -> tuple:
-    """Sum element matrices into the n x n CSR pair (K, M).
-
-    ``blocks`` holds one ``(dofs, k_loc, m_loc)`` triple per generation: the
-    ``(edges, nodes)`` dof array and the element matrices shared by all of its
-    edges.  Entries are laid out edge by edge, each edge's in the order
-    (0, 0), (0, 1), (1, 0), (1, 1), so duplicate entries are summed in the
-    order of a per-edge loop.
-    """
-    rows, cols, kv, mv = [], [], [], []
-    for dofs, k_loc, m_loc in blocks:
-        ends = (dofs[:, :-1], dofs[:, 1:])
-        rows.append(np.stack([ends[0], ends[0], ends[1], ends[1]], axis=1).ravel())
-        cols.append(np.stack([ends[0], ends[1], ends[0], ends[1]], axis=1).ravel())
-        shape = (len(dofs), 4, dofs.shape[1] - 1)
-        kv.append(np.broadcast_to(k_loc.reshape(-1, 4).T, shape).ravel())
-        mv.append(np.broadcast_to(m_loc.reshape(-1, 4).T, shape).ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
+    e = np.arange(len(hs))
+    return (dofs, np.concatenate([e, e, e + 1, e + 1]),
+            np.concatenate([e, e + 1, e, e + 1]),
+            k_loc.reshape(-1, 4).T.ravel(), m_loc.reshape(-1, 4).T.ravel())
 
 
 def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
@@ -403,9 +363,9 @@ def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
     weight breakpoints, so the weight factors are exact per element.
     """
     n = mesh.n_dofs
-    K, M = _scatter(n, [
-        (dofs, *_element_rows(tree.t_shell[j], mesh.gen_local[j],
-                              rho_alpha, rho_beta, W))
+    K, M = scatter_pencil(n, [
+        _element_block(dofs, tree.t_shell[j], mesh.gen_local[j],
+                       rho_alpha, rho_beta, W)
         for j, dofs in enumerate(mesh.gen_dofs)])
     if dirichlet_root:
         free = np.arange(1, n)
@@ -469,12 +429,12 @@ def radial_component_operator(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
     for j in range(vertex_gen, tree.J + 1):
         local = mesh.gen_local[j]
         g_rel = float(tree.k ** (j - vertex_gen))
-        blocks.append((dof + np.arange(len(local))[None, :],
-                       *_element_rows(tree.t_shell[j], local, rho_alpha, rho_beta,
-                                      W, weight=g_rel)))
+        blocks.append(_element_block(dof + np.arange(len(local))[None, :],
+                                     tree.t_shell[j], local, rho_alpha, rho_beta,
+                                     W, weight=g_rel))
         dof += len(local) - 1
     n = dof + 1
-    K, M = _scatter(n, blocks)
+    K, M = scatter_pencil(n, blocks)
     free = np.arange(1, n)   # Dirichlet at t_j
     return AssembledSystem(K=K[1:, 1:].tocsr(), M=M[1:, 1:].tocsr(),
                            free=free, n_full=n)

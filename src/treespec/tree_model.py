@@ -167,10 +167,6 @@ class Tree:
         self._check_generation(j)
         return self.spec.delta ** ((self.spec.N - 1) * j) * self.spec.omega
 
-    def rho_star_at(self, point: TreePoint) -> float:
-        self._check_point(point)
-        return self.rho_star(point.edge.j)
-
     def total_cross_section(self, t: float) -> float:
         """H(t) = g(t) * rho_star(t)."""
         j = self.generation_at(t)

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from treespec.cli import (
+    _CLI_ONLY,
+    _DEFAULTS,
+    _FIELDS,
     ConfigError,
     apply_overrides,
     main,
     parse_config,
     validate_config,
 )
+from treespec.convergence import ExperimentConfig
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -169,3 +174,40 @@ def test_connector_constants_dump(tmp_path):
                                         "E0bar", "E1bar", "E0", "E1"}
     assert payload["constants"]["rho_P_factor"] <= 1.0
     assert payload["constants"]["rho_Q_factor"] >= 1.0
+
+
+GOLDEN_DEFAULTS = {
+    "tree": {"k": 2, "l0": 1.0, "r": 0.5, "delta": 0.6, "N": 2,
+             "omega": 1.0, "J": 2},
+    "weights": {"zone_factor": 1.1},
+    "potential": {"kind": "zero", "params": [1.0, 1.0]},
+    "geometry": {"eps_list": [0.2, 0.1, 0.05], "c": 0.3, "h": 0.03,
+                 "n_cross": 3},
+    "experiment": {"m": 4, "n_list": [4, 8, 16, 32], "h_1d": 0.01,
+                   "rayleigh_samples": 0},
+    "output_dir": ".",
+    "seed": None,
+    "threads": None,
+}
+
+
+def test_default_config_golden():
+    # the hash heads every CSV; it depends only on the key set and defaults
+    cfg = validate_config({})
+    assert cfg.data == GOLDEN_DEFAULTS
+    assert cfg.config_hash() == "10609444833b"
+
+
+def test_config_keys_map_to_dataclass_defaults():
+    paths = set()
+    for block, value in _DEFAULTS.items():
+        paths |= {f"{block}.{k}" for k in value} if isinstance(value, dict) else {block}
+    assert paths == set(_FIELDS) | set(_CLI_ONLY)
+    assert not set(_FIELDS) & set(_CLI_ONLY)
+    for path, (owner, name) in _FIELDS.items():
+        block, key = path.split(".")
+        field = {f.name: f for f in dataclasses.fields(owner)}[name]
+        default = list(field.default) if field.type is tuple else field.default
+        assert _DEFAULTS[block][key] == default, path
+    # the empty config builds the default dataclasses
+    assert validate_config({}).experiment_config() == ExperimentConfig()

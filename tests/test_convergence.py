@@ -167,6 +167,23 @@ def test_connector_concentration_rate(kernel_P):
     assert abs(kernel_P.concentration_slope - (-1.0)) <= 0.3
 
 
+@pytest.mark.parametrize("which, eps_list, match", [
+    ("X", (0.2, 0.1), "which"),
+    ("Q", (0.2,), "two eps"),
+    ("P", (0.2,), "two eps"),
+])
+def test_kernel_gap_rejects_bad_request_before_geometry(monkeypatch, which,
+                                                        eps_list, match):
+    import treespec.convergence as convergence
+
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("geometry built before the request was checked")
+
+    monkeypatch.setattr(convergence, "build_geometry_2d", no_geometry)
+    with pytest.raises(ExperimentError, match=match):
+        kernel_gap_check(ExperimentConfig(eps_list=eps_list), which)
+
+
 def test_nonmember_rejected_by_kernel_filter():
     tree = build_tree(TreeSpec())
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, h=0.05))

@@ -259,3 +259,54 @@ def test_jacobian_grid_matches_analytic_sup():
 def test_jacobian_warns_when_d_exceeds_p():
     with pytest.warns(UserWarning):
         jacobian_assumption_check(r=0.3, d=0.9, c=0.1)
+
+
+# -- assembly against a per-component reference loop ---------------------------
+
+def _per_component_assembly(tmesh, W=None, only_kind=None):
+    """Reference: one local assembly per component, scattered in component
+    order."""
+    import scipy.sparse as sp
+
+    n = tmesh.n_nodes
+    rows, cols, kv, mv = [], [], [], []
+    for comp in tmesh.components:
+        if only_kind is not None and comp.kind != only_kind:
+            continue
+        potential = None
+        if W is not None:
+            def potential(x, y, comp=comp):
+                return np.asarray(W(comp.theta[comp.mesh.triangles].mean(axis=1), x))
+        Kl, Ml = stiffness_and_mass(comp.mesh, potential=potential)
+        Kl, Ml = Kl.tocoo(), Ml.tocoo()
+        rows.append(comp.gids[Kl.row])
+        cols.append(comp.gids[Kl.col])
+        kv.append(Kl.data)
+        mv.append(Ml.data)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return tuple(sp.coo_matrix((np.concatenate(v), (rows, cols)), shape=(n, n)).tocsr()
+                 for v in (kv, mv))
+
+
+@pytest.mark.parametrize("spec, eps, h, n_cross", [
+    (TreeSpec(J=2), 0.2, 0.03, 3),
+    (TreeSpec(J=2), 0.05, 0.03, 3),
+    (TreeSpec(J=3), 0.1, 0.01, 6),
+    (TreeSpec(J=4), 0.1, 0.005, 8),
+    (TreeSpec(k=1, J=3), 0.1, 0.03, 3),
+], ids=["J2-e0.2", "J2-e0.05", "J3-h0.01-n6", "J4-h0.005-n8", "k1-J3"])
+def test_grouped_assembly_equals_per_component_loop(spec, eps, h, n_cross):
+    tm = build_geometry_2d(build_tree(spec), GeometrySpec2D(eps=eps, h=h,
+                                                            n_cross=n_cross))
+
+    def cosine(theta, s):
+        return np.cos(np.asarray(theta))
+
+    for W in (None, cosine):
+        for only_kind in (None, "connector"):
+            got = _scatter_assembly(tm, W=W, only_kind=only_kind)
+            want = _per_component_assembly(tm, W=W, only_kind=only_kind)
+            for A, B in zip(got, want):
+                assert np.array_equal(A.indptr, B.indptr)
+                assert np.array_equal(A.indices, B.indices)
+                assert np.array_equal(A.data, B.data)
