@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .convergence import (
     ExperimentConfig,
+    ExperimentError,
     eigenfunction_projection_experiment,
     rayleigh_bound_check,
     reference_connector,
@@ -168,6 +169,10 @@ def validate_config(raw: dict) -> RunConfig:
     g = data["geometry"]
     if not all(0 < e < 1 for e in g["eps_list"]):
         raise ConfigError("geometry.eps_list: entries must lie in (0, 1)")
+    try:
+        cfg.experiment_config().w_limit()   # rejects a malformed potential
+    except ExperimentError as err:
+        raise ConfigError(str(err)) from err
     if data["experiment"]["rayleigh_samples"] > 0 and data["seed"] is None:
         raise ConfigError("seed: required when a randomized check is requested")
     return cfg
@@ -320,8 +325,7 @@ def _dump_mesh_and_field(tm, system, spec, out: Path, cfg: RunConfig) -> None:
               ["component", "n0", "n1", "n2"], tri_rows, cfg)
     write_csv(out / "mesh_tags.csv",
               ["component", "n0", "n1", "tag"], tag_rows, cfg)
-    u = np.zeros(tm.n_nodes)
-    u[system.free] = spec.vectors[:, 0]
+    u = system.expand(spec.vectors[:, 0])
     write_csv(out / "field_mode1.csv", ["node", "value"],
               [{"node": i, "value": float(v)} for i, v in enumerate(u)], cfg)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .connector import analyze_connector
 from .eigensolver import smallest_eigenpairs
@@ -21,7 +20,6 @@ from .fem_2d import (
     GeometrySpec2D,
     Matched1D,
     TreeMesh2D,
-    _scatter_assembly,
     assemble_2d,
     build_geometry_2d,
     matched_mesh_1d,
@@ -103,30 +101,35 @@ class ExperimentConfig:
             raise ExperimentError("eps_list must be strictly decreasing")
         if list(self.n_list) != sorted(self.n_list):
             raise ExperimentError("n_list must be increasing")
+        self.w_limit()   # rejects a malformed potential
 
-    # potential plumbing: W2d(theta, s), its exact radial limit, and the bound
-    def w2d(self):
-        if self.potential == "zero":
-            return None
-        if self.potential == "cosine":
-            amp, freq = self.potential_params
-
-            def W(theta, s):
-                return amp * np.cos(freq * np.asarray(theta))
-            return W
-        raise ExperimentError(f"unknown potential {self.potential!r}")
-
+    # potential plumbing: the radial potential is the one definition; the
+    # 2-D potential and the bound C_W are read from it
     def w_limit(self) -> PotentialProfile | None:
+        """The radial potential W(theta), None for "zero"; rejects an unknown
+        kind or cosine parameters other than [amp, freq]."""
         if self.potential == "zero":
             return None
-        if self.potential == "cosine":
-            return PotentialProfile("cosine", tuple(self.potential_params))
-        raise ExperimentError(f"unknown potential {self.potential!r}")
+        if self.potential != "cosine":
+            raise ExperimentError(
+                f"potential.kind: unknown kind {self.potential!r}")
+        params = tuple(self.potential_params)
+        if len(params) != 2 or not all(
+                isinstance(p, (int, float)) and not isinstance(p, bool)
+                for p in params):
+            raise ExperimentError(
+                f"potential.params: cosine takes [amp, freq], got {list(params)}")
+        return PotentialProfile("cosine", params)
+
+    def w2d(self):
+        """W(theta, s) on the inflated tree: the radial potential, constant
+        across the section."""
+        W = self.w_limit()
+        return None if W is None else lambda theta, s: W(theta)
 
     def c_w(self) -> float:
-        if self.potential == "zero":
-            return 0.0
-        return abs(self.potential_params[0])
+        W = self.w_limit()
+        return 0.0 if W is None else abs(W.params[0])
 
 
 def reference_connector(cfg: ExperimentConfig):
@@ -152,34 +155,31 @@ def width_weighted_pair(tree: Tree, cfg: ExperimentConfig, consts,
                              build_rho_P(tree, consts, eps, zones=zones)))
 
 
-def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float,
-                           m: int, W2d=None):
-    """2-D eigenvalues at two mesh levels: (extrapolated, error bars, fine level).
+def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float):
+    """The cfg.m smallest 2-D eigenvalues at two mesh levels.
 
-    Returns (values, bars, tmesh_fine, system_fine, vectors_fine).
+    Returns (extrapolated values, error bars, fine-level geometry).
     """
-    levels = []
+    W2d = cfg.w2d()
+    values = []
     for h in (cfg.h_2d, 0.5 * cfg.h_2d):
         tm = build_geometry_2d(tree, cfg.geometry(eps, h))
         system = assemble_2d(tm, W=W2d)
-        spec = smallest_eigenpairs(system.K, system.M, m)
-        levels.append((tm, system, spec))
-    coarse = levels[0][2].values
-    fine = levels[1][2].values
+        values.append(smallest_eigenpairs(system.K, system.M, cfg.m,
+                                          with_vectors=False).values)
+    coarse, fine = values
     extrap = fine + (fine - coarse) / 3.0
     bars = np.abs(fine - coarse) / 3.0 + 1e-12
-    tm, system, spec = levels[1]
-    return extrap, bars, tm, system, spec.vectors
+    return extrap, bars, tm
 
 
-def limit_spectrum_1d(tree: Tree, cfg: ExperimentConfig, m: int,
-                      with_vectors: bool = False):
-    """Spectrum of the limit operator (rho* weights, limit potential)."""
+def limit_spectrum_1d(tree: Tree, cfg: ExperimentConfig):
+    """The cfg.m smallest eigenvalues of the limit operator (rho* weights,
+    limit potential)."""
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=min(cfg.h_1d, 0.01), breakpoints=rs.breakpoints)
     system = assemble_1d(tree, mesh, rs, rs, cfg.w_limit())
-    spec = smallest_eigenpairs(system.K, system.M, m, with_vectors=with_vectors)
-    return spec, system, mesh
+    return smallest_eigenpairs(system.K, system.M, cfg.m, with_vectors=False)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +306,13 @@ def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
     cfg.validate()
     tree = build_tree(cfg.tree)
     *_, consts = reference_connector(cfg)
-    W2d = cfg.w2d()
-    limit_spec, _, _ = limit_spectrum_1d(tree, cfg, cfg.m)
+    limit_spec = limit_spectrum_1d(tree, cfg)
 
     rows = []
     fitted = {}
     gaps1 = []
     for eps in cfg.eps_list:
-        nu, bars, tm, _, _ = richardson_eigenvalues(tree, cfg, eps, cfg.m, W2d=W2d)
+        nu, bars, tm = richardson_eigenvalues(tree, cfg, eps)
         sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched_mesh_1d(tm))
         mu = smallest_eigenpairs(sysQ.K, sysQ.M, cfg.m, with_vectors=False).values
         lam = smallest_eigenpairs(sysP.K, sysP.M, cfg.m, with_vectors=False).values
@@ -411,13 +410,13 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
         vals = smallest_eigenpairs(Kz, Mz, 1, with_vectors=False).values
         infima.append(float(vals[0]))
         if which == "P":
-            Mv = tm.connector_triangle_mass()
             free = system.free
-            Mv_f = Mv[np.ix_(free, free)].tocsr()
-            # largest eta with M_conn u = eta K u gives the concentration 1/eta
-            eta = spla.eigsh(Mv_f, k=1, M=system.K, which="LA",
-                             return_eigenvectors=False)[0]
-            concentration.append(float(1.0 / eta))
+            Mv_f = tm.connector_triangle_mass()[np.ix_(free, free)]
+            # the concentration r = inf uKu / uM_conn u; the SPD pencil
+            # (K, K + M_conn) has the smallest eigenvalue q = r / (1 + r)
+            q = smallest_eigenpairs(system.K, system.K + Mv_f, 1,
+                                    with_vectors=False).values[0]
+            concentration.append(float(q / (1.0 - q)))
     slope = float(np.polyfit(np.log(cfg.eps_list), np.log(infima), 1)[0])
     conc_slope = None
     if concentration:
@@ -511,29 +510,23 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
     rng = np.random.default_rng(cfg.seed)
     tm = build_geometry_2d(tree, cfg.geometry(eps))
     matched = matched_mesh_1d(tm)
-    W2d = cfg.w2d()
     sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched)
-    sys2 = assemble_2d(tm, W=W2d)
-    Kg, Mg = _scatter_assembly(tm, W=W2d)
+    sys2 = assemble_2d(tm, W=cfg.w2d())
 
     samples_Q = []
     for _ in range(n_samples):
         f = _smooth_random(rng, sysQ.K)
         r1 = float(f @ (sysQ.K @ f)) / float(f @ (sysQ.M @ f))
-        f_full = np.zeros(matched.mesh.n_dofs)
-        f_full[sysQ.free] = f
-        u = q_eps_lift(tm, matched, f_full)
-        r2 = float(u @ (Kg @ u)) / float(u @ (Mg @ u))
+        # the lift of a field vanishing at the root vanishes on root_nodes
+        u = q_eps_lift(tm, matched, sysQ.expand(f))[sys2.free]
+        r2 = float(u @ (sys2.K @ u)) / float(u @ (sys2.M @ u))
         samples_Q.append((r1, r2))
 
     samples_P = []
     for _ in range(n_samples):
         v = _smooth_random(rng, sys2.K)
         r2 = float(v @ (sys2.K @ v)) / float(v @ (sys2.M @ v))
-        v_full = np.zeros(tm.n_nodes)
-        v_full[sys2.free] = v
-        pv = p_eps_project(tm, matched, v_full)
-        pf = pv[sysP.free]
+        pf = p_eps_project(tm, matched, sys2.expand(v))[sysP.free]
         r1 = float(pf @ (sysP.K @ pf)) / float(pf @ (sysP.M @ pf))
         samples_P.append((r2, r1))
 
@@ -625,12 +618,10 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig,
         tm = build_geometry_2d(tree, cfg.geometry(eps, 0.5 * cfg.h_2d))
         system = assemble_2d(tm, W=W2d)
         spec = smallest_eigenpairs(system.K, system.M, mode)
-        u = np.zeros(tm.n_nodes)
-        u[system.free] = spec.vectors[:, mode - 1]
-        Kg, Mg = _scatter_assembly(tm, W=W2d)
-        u *= math.sqrt(eps) / math.sqrt(float(u @ (Mg @ u)))
+        u = spec.vectors[:, mode - 1]
+        u = u * (math.sqrt(eps) / math.sqrt(float(u @ (system.M @ u))))
         matched = matched_mesh_1d(tm)
-        pu = p_eps_project(tm, matched, u)
+        pu = p_eps_project(tm, matched, system.expand(u))
 
         rs = rho_star_profile(tree)
         sys1 = assemble_1d(tree, matched.mesh, rs, rs, cfg.w_limit())
@@ -649,9 +640,10 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig,
             tracking_ok = False
         dist = math.sqrt(float((pf - ustar) @ (M1 @ (pf - ustar))))
 
-        uH = u * (math.sqrt(eps) /
-                  math.sqrt(float(u @ (Kg @ u)) + float(u @ (Mg @ u))))
-        holder = vertex_holder_constant(tm, matched, p_eps_project(tm, matched, uH))
+        uH = u * (math.sqrt(eps) / math.sqrt(float(u @ (system.K @ u))
+                                            + float(u @ (system.M @ u))))
+        holder = vertex_holder_constant(tm, matched,
+                                        p_eps_project(tm, matched, system.expand(uH)))
         rows.append(ProjectionRow(eps=eps, lambda_2d=float(spec.values[mode - 1]),
                                   distance=dist, overlap=overlap,
                                   holder_constant=holder))

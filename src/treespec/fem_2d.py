@@ -370,11 +370,9 @@ def q_eps_lift(tmesh: TreeMesh2D, matched: Matched1D,
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def connector_tail_check(tmesh: TreeMesh2D, u_global: np.ndarray,
-                         K: sp.csr_matrix | None = None) -> float:
+def connector_tail_check(tmesh: TreeMesh2D, u_global: np.ndarray) -> float:
     """(integral over connectors of u^2) / (eps * Dirichlet energy)."""
-    if K is None:
-        K, _ = _scatter_assembly(tmesh)
+    K, _ = _scatter_assembly(tmesh)
     Mv = tmesh.connector_triangle_mass()
     num = float(u_global @ (Mv @ u_global))
     den = float(u_global @ (K @ u_global))

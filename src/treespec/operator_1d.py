@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .connector import affine_partition
 from .eigensolver import Spectrum, merge_spectra, smallest_eigenpairs
-from .mesh2d import scatter_pencil
+from .mesh2d import eliminate_dirichlet, scatter_pencil
 from .tree_model import EdgeId, Tree
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -318,9 +318,9 @@ class AssembledSystem:
     M: sp.csr_matrix
     free: np.ndarray           # retained dof indices of the full numbering
     n_full: int
-    mesh: Mesh1D | None = None
 
     def expand(self, u_free: np.ndarray) -> np.ndarray:
+        """The field on the full numbering, zero on the Dirichlet dofs."""
         full = np.zeros(self.n_full)
         full[self.free] = u_free
         return full
@@ -354,32 +354,27 @@ def _element_block(dofs, t0, local, rho_a, rho_b, W, weight=1.0):
 
 
 def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
-                rho_beta: WeightProfile, W: PotentialProfile | None = None,
-                dirichlet_root: bool = True) -> AssembledSystem:
-    """Assemble the width-weighted form over the tree mesh.
+                rho_beta: WeightProfile,
+                W: PotentialProfile | None = None) -> AssembledSystem:
+    """Assemble the width-weighted form over the tree mesh, with the root
+    (dof 0) eliminated as the Dirichlet dof.
 
     K holds integral(rho_a u' v') plus the potential term integral(W rho_b u v)
     via 2-point Gauss; M is the consistent rho_b mass.  Mesh nodes sit on all
     weight breakpoints, so the weight factors are exact per element.
     """
     n = mesh.n_dofs
-    K, M = scatter_pencil(n, [
+    K, M, free = eliminate_dirichlet(*scatter_pencil(n, [
         _element_block(dofs, tree.t_shell[j], mesh.gen_local[j],
                        rho_alpha, rho_beta, W)
-        for j, dofs in enumerate(mesh.gen_dofs)])
-    if dirichlet_root:
-        free = np.arange(1, n)
-        K = K[1:, 1:].tocsr()
-        M = M[1:, 1:].tocsr()
-    else:
-        free = np.arange(n)
-    return AssembledSystem(K=K, M=M, free=free, n_full=n, mesh=mesh)
+        for j, dofs in enumerate(mesh.gen_dofs)]), [0])
+    return AssembledSystem(K=K, M=M, free=free, n_full=n)
 
 
 def spectrum_1d(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
-                W=None, m: int = 6, tol: float = 1e-9) -> Spectrum:
+                W=None, m: int = 6) -> Spectrum:
     system = assemble_1d(tree, mesh, rho_alpha, rho_beta, W)
-    return smallest_eigenpairs(system.K, system.M, m, tol=tol)
+    return smallest_eigenpairs(system.K, system.M, m)
 
 
 def kirchhoff_residuals(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
@@ -434,14 +429,12 @@ def radial_component_operator(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
                                      W, weight=g_rel))
         dof += len(local) - 1
     n = dof + 1
-    K, M = scatter_pencil(n, blocks)
-    free = np.arange(1, n)   # Dirichlet at t_j
-    return AssembledSystem(K=K[1:, 1:].tocsr(), M=M[1:, 1:].tocsr(),
-                           free=free, n_full=n)
+    K, M, free = eliminate_dirichlet(*scatter_pencil(n, blocks), [0])   # at t_j
+    return AssembledSystem(K=K, M=M, free=free, n_full=n)
 
 
 def radial_decomposition_spectrum(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
-                                  W, m: int, tol: float = 1e-9) -> Spectrum:
+                                  W, m: int) -> Spectrum:
     """Merged spectrum of the root component and all vertex components.
 
     Requires radially symmetric weights and potential (shared per-generation
@@ -454,8 +447,7 @@ def radial_decomposition_spectrum(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
             continue
         system = radial_component_operator(tree, mesh, rho_alpha, rho_beta, W, j)
         want = min(m, system.K.shape[0])
-        spec = smallest_eigenpairs(system.K, system.M, want, tol=tol,
-                                   with_vectors=False)
+        spec = smallest_eigenpairs(system.K, system.M, want, with_vectors=False)
         parts.append((spec, mult))
     return merge_spectra(parts, m=m)
 

@@ -152,6 +152,22 @@ def test_missing_file_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("subcommand, overrides, key", [
+    ("check-discreteness", ['potential.kind="bogus"'], "potential.kind"),
+    ("spectrum1d", ['potential.kind="cosine"', "potential.params=[2.0]"],
+     "potential.params"),
+    ("spectrum2d", ['potential.kind="cosine"', "potential.params=[2.0]"],
+     "potential.params"),
+])
+def test_malformed_potential_is_a_config_error(tmp_path, capsys, subcommand,
+                                               overrides, key):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 *sets]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_spectrum2d_mesh_dump(tmp_path):
     cfg = write_cfg(tmp_path, dict(MINIMAL, geometry={"eps_list": [0.2]}))
     out = tmp_path / "out"

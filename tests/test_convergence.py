@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from treespec.convergence import (
     ExperimentConfig,
@@ -17,8 +18,10 @@ from treespec.convergence import (
     vertex_holder_constant,
     weight_convergence_experiment,
 )
+from treespec.eigensolver import DENSE_CUTOFF
 from treespec.fem_2d import (
     GeometrySpec2D,
+    assemble_2d,
     build_geometry_2d,
     matched_mesh_1d,
     p_eps_project,
@@ -165,6 +168,33 @@ def test_kernel_P_dominates_inverse_eps_bound(kernel_P):
 def test_connector_concentration_rate(kernel_P):
     # the eps^-1 ingredient of the theorem, measured directly
     assert abs(kernel_P.concentration_slope - (-1.0)) <= 0.3
+
+
+def test_connector_concentration_above_dense_cutoff():
+    # the ARPACK path: matches the largest eta of M_conn u = eta K u, and is
+    # bitwise repeatable
+    cfg = ExperimentConfig(tree=TreeSpec(J=3), h_2d=0.01, n_cross=6,
+                           eps_list=(0.2, 0.1))
+    report = kernel_gap_check(cfg, "P")
+    assert kernel_gap_check(cfg, "P").connector_concentration == \
+        report.connector_concentration
+    tree = build_tree(cfg.tree)
+    for eps, concentration in zip(cfg.eps_list, report.connector_concentration):
+        tm = build_geometry_2d(tree, cfg.geometry(eps))
+        system = assemble_2d(tm)
+        free = system.free
+        assert len(free) > DENSE_CUTOFF
+        Mv_f = tm.connector_triangle_mass()[np.ix_(free, free)]
+        eta = spla.eigsh(Mv_f, k=1, M=system.K, which="LA", v0=np.ones(len(free)),
+                         return_eigenvectors=False)[0]
+        assert concentration == pytest.approx(1.0 / eta, rel=1e-9, abs=0.0)
+
+
+def test_malformed_potential_rejected():
+    with pytest.raises(ExperimentError, match="potential.kind"):
+        ExperimentConfig(potential="bogus").validate()
+    with pytest.raises(ExperimentError, match="potential.params"):
+        ExperimentConfig(potential="cosine", potential_params=(2.0,)).validate()
 
 
 @pytest.mark.parametrize("which, eps_list, match", [

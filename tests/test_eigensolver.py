@@ -1,14 +1,22 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from treespec.eigensolver import (
+    DENSE_CUTOFF,
     EigensolverError,
     Spectrum,
     cluster_multiplicities,
     merge_spectra,
     smallest_eigenpairs,
 )
+from treespec.operator_1d import assemble_1d, build_mesh_1d, rho_star_profile
+from treespec.tree_model import TreeSpec, build_tree
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "treespec"
 
 
 def interval_mixed_bc(n, L=1.0):
@@ -208,3 +216,34 @@ def test_cluster_multiplicities():
     c = cluster_multiplicities(s)
     assert c.values.tolist() == [1.0, 2.0]
     assert c.multiplicities.tolist() == [2, 1]
+
+
+def test_arpack_solve_is_bitwise_repeatable():
+    # above the dense cutoff the ARPACK start vector is seeded, so the same
+    # pencil gives the same bits on every call
+    tree = build_tree(TreeSpec(k=2, J=11))
+    rs = rho_star_profile(tree)
+    system = assemble_1d(tree, build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints),
+                         rs, rs)
+    assert system.K.shape[0] > DENSE_CUTOFF
+    first, second = (smallest_eigenpairs(system.K, system.M, 4) for _ in range(2))
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+    assert np.array_equal(first.residuals, second.residuals)
+
+
+# sparse or dense generalized eigensolvers; numpy's eigvalsh on the small
+# dense connector forms is not a pencil solve
+PENCIL_SOLVERS = re.compile(
+    r"\beigsh\b|\.eigs\(|\blobpcg\b|scipy\.linalg\.eig"
+    r"|from scipy(\.sparse)?\.linalg import[^\n]*\beig")
+
+
+def test_every_pencil_solve_goes_through_the_eigensolver():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert "eigensolver.py" in sources and "convergence.py" in sources
+    for name, text in sources.items():
+        if name != "eigensolver.py":
+            assert not PENCIL_SOLVERS.search(text), name
+    assert "_scatter_assembly" not in sources["convergence.py"]
+    assert "scipy.sparse.linalg" not in sources["convergence.py"]

@@ -425,8 +425,9 @@ def edge_dofs_loop(tree, gen_local):
     return edge_dofs, np.array(dof_t)
 
 
-def assemble_1d_loop(tree, mesh, rho_a, rho_b, W=None, dirichlet_root=True):
-    """Per-edge assembly: element matrices recomputed on every edge."""
+def assemble_1d_loop(tree, mesh, rho_a, rho_b, W=None):
+    """Per-edge assembly, root eliminated: element matrices recomputed on
+    every edge."""
     rows, cols, kv, mv = [], [], [], []
     for e, dofs in mesh.edge_dofs.items():
         local = mesh.gen_local[e.j]
@@ -453,9 +454,7 @@ def assemble_1d_loop(tree, mesh, rho_a, rho_b, W=None, dirichlet_root=True):
     idx = (np.concatenate(rows), np.concatenate(cols))
     K = sp.coo_matrix((np.concatenate(kv), idx), shape=(n, n)).tocsr()
     M = sp.coo_matrix((np.concatenate(mv), idx), shape=(n, n)).tocsr()
-    if dirichlet_root:
-        return K[1:, 1:].tocsr(), M[1:, 1:].tocsr()
-    return K, M
+    return K[1:, 1:].tocsr(), M[1:, 1:].tocsr()
 
 
 def kirchhoff_residuals_loop(tree, mesh, rho_a, u):
@@ -524,7 +523,7 @@ LOOP_TREES = [TreeSpec(k=1, J=3), TreeSpec(k=2, delta=0.6, J=3),
 @pytest.mark.parametrize("spec", LOOP_TREES, ids=lambda s: f"k{s.k}")
 @pytest.mark.parametrize("profile", ["rho_star", "rho_Q"])
 @pytest.mark.parametrize("cosine", [False, True], ids=["W0", "Wcos"])
-@pytest.mark.parametrize("dirichlet_root", [True, False])
+@pytest.mark.parametrize("dirichlet_root", [True])   # the root is always eliminated
 def test_assembly_equals_per_edge_loop(spec, profile, cosine, dirichlet_root):
     tree = build_tree(spec)
     rs = rho_star_profile(tree)
@@ -536,8 +535,9 @@ def test_assembly_equals_per_edge_loop(spec, profile, cosine, dirichlet_root):
     assert mesh.n_dofs == len(dof_t)
     assert np.array_equal(mesh.dof_t, dof_t)
     W = PotentialProfile("cosine", (1.0, 2.0)) if cosine else None
-    system = assemble_1d(tree, mesh, rho_a, rs, W, dirichlet_root=dirichlet_root)
-    K, M = assemble_1d_loop(tree, mesh, rho_a, rs, W, dirichlet_root)
+    system = assemble_1d(tree, mesh, rho_a, rs, W)
+    assert np.array_equal(system.free, np.arange(int(dirichlet_root), mesh.n_dofs))
+    K, M = assemble_1d_loop(tree, mesh, rho_a, rs, W)
     assert_same_csr(system.K, K)
     assert_same_csr(system.M, M)
 
