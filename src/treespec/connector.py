@@ -286,7 +286,10 @@ def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: Mesh2D) -> np.ndarray
 
     Returns the (n_nodes, k+1) matrix of nodal values.
     """
-    K, _ = stiffness_and_mass(mesh)
+    return _harmonic_partition(domain, mesh, stiffness_and_mass(mesh)[0])
+
+
+def _harmonic_partition(domain: ConnectorDomain2D, mesh: Mesh2D, K) -> np.ndarray:
     labels = [f"S{j}" for j in range(domain.k + 1)]
     section_nodes = [np.asarray(mesh.sections[l]) for l in labels]
     constrained = np.unique(np.concatenate(section_nodes))
@@ -306,7 +309,10 @@ def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: Mesh2D) -> np.ndarray
 
 def connector_form_matrices(mesh: Mesh2D, Phi: np.ndarray):
     """(A, B): Dirichlet and mass forms of the partition fields."""
-    K, M = stiffness_and_mass(mesh)
+    return _partition_forms(*stiffness_and_mass(mesh), Phi)
+
+
+def _partition_forms(K, M, Phi: np.ndarray):
     A = Phi.T @ (K @ Phi)
     B = Phi.T @ (M @ Phi)
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
@@ -321,13 +327,17 @@ def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: Mesh2D,
     nonsingular for both gamma values: for gamma = 0 its kernel would need a
     constant field with all section averages zero, which forces zero.
     """
+    return _constrained_minimizer(domain, mesh, *stiffness_and_mass(mesh), F, gamma)
+
+
+def _constrained_minimizer(domain: ConnectorDomain2D, mesh: Mesh2D, K, M,
+                           F: np.ndarray, gamma: int):
     if gamma not in (0, 1):
         raise ConnectorError("gamma must be 0 or 1")
     F = np.asarray(F, float)
     labels = [f"S{j}" for j in range(domain.k + 1)]
     if len(F) != len(labels):
         raise ConnectorError(f"F must have length {len(labels)}")
-    K, M = stiffness_and_mass(mesh)
     Kg = (K + M) if gamma == 1 else K
     C = sp.vstack([
         sp.csr_matrix(section_average_weights(mesh, mesh.sections[l]))
@@ -350,15 +360,18 @@ def connector_minimized_forms(domain: ConnectorDomain2D, mesh: Mesh2D):
     Assembled from the k+1 unit-vector minimizers; the minimizer depends
     linearly on F, so the minimized energy is exactly quadratic.
     """
-    K, M = stiffness_and_mass(mesh)
+    return _minimized_forms(domain, mesh, *stiffness_and_mass(mesh))
+
+
+def _minimized_forms(domain: ConnectorDomain2D, mesh: Mesh2D, K, M):
     n = domain.k + 1
     fields0 = np.zeros((mesh.n_nodes, n))
     fields1 = np.zeros((mesh.n_nodes, n))
     for j in range(n):
         F = np.zeros(n)
         F[j] = 1.0
-        fields0[:, j], _, _ = constrained_minimizer_2d(domain, mesh, F, gamma=0)
-        fields1[:, j], _, _ = constrained_minimizer_2d(domain, mesh, F, gamma=1)
+        fields0[:, j], _, _ = _constrained_minimizer(domain, mesh, K, M, F, 0)
+        fields1[:, j], _, _ = _constrained_minimizer(domain, mesh, K, M, F, 1)
     E0 = fields0.T @ (K @ fields0)
     E1 = fields1.T @ ((K + M) @ fields1)
     return 0.5 * (E0 + E0.T), 0.5 * (E1 + E1.T)
@@ -459,16 +472,19 @@ def analyze_connector(delta: float, c: float = 0.3, k: int = 2, omega: float = 1
                       N: int = 2, h: float = 0.06, section_intervals: int = 3):
     """Full pipeline: geometry, mesh, partitions, forms and constants.
 
+    The connector pencil is assembled once and shared by the partition, the
+    form matrices and the minimizers.
     Returns (domain, mesh, Phi, FormMatrices, EquivalenceConstants).
     """
     domain = canonical_connector(delta, c=c, k=k, omega=omega)
     mesh = mesh_connector(domain, h=h, section_intervals=section_intervals)
-    Phi = harmonic_partition_2d(domain, mesh)
+    K, M = stiffness_and_mass(mesh)
+    Phi = _harmonic_partition(domain, mesh, K)
     star = domain.skeleton_star(N=N)
     Abar, Bbar = skeleton_form_matrices(star)
-    A, B = connector_form_matrices(mesh, Phi)
+    A, B = _partition_forms(K, M, Phi)
     E0bar, E1bar = skeleton_minimized_forms(star)
-    E0, E1 = connector_minimized_forms(domain, mesh)
+    E0, E1 = _minimized_forms(domain, mesh, K, M)
     forms = FormMatrices(Abar=Abar, A=A, Bbar=Bbar, B=B,
                          E0bar=E0bar, E1bar=E1bar, E0=E0, E1=E1)
     return domain, mesh, Phi, forms, equivalence_constants(forms)

@@ -27,6 +27,7 @@ from .fem_2d import (
     q_eps_lift,
 )
 from .operator_1d import (
+    Operator1DError,
     PotentialProfile,
     assemble_1d,
     average_potential_1d,
@@ -113,13 +114,10 @@ class ExperimentConfig:
         if self.potential != "cosine":
             raise ExperimentError(
                 f"potential.kind: unknown kind {self.potential!r}")
-        params = tuple(self.potential_params)
-        if len(params) != 2 or not all(
-                isinstance(p, (int, float)) and not isinstance(p, bool)
-                for p in params):
-            raise ExperimentError(
-                f"potential.params: cosine takes [amp, freq], got {list(params)}")
-        return PotentialProfile("cosine", params)
+        try:
+            return PotentialProfile("cosine", tuple(self.potential_params))
+        except Operator1DError as err:
+            raise ExperimentError(f"potential.params: {err}") from err
 
     def w2d(self):
         """W(theta, s) on the inflated tree: the radial potential, constant

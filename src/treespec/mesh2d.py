@@ -356,7 +356,13 @@ def eliminate_dirichlet(K, M, dirichlet_nodes):
     mask = np.ones(n, dtype=bool)
     mask[np.asarray(dirichlet_nodes, dtype=int)] = False
     free = np.nonzero(mask)[0]
-    return K[np.ix_(free, free)].tocsr(), M[np.ix_(free, free)].tocsr(), free
+    if len(free) and free[-1] - free[0] + 1 == len(free):
+        # a contiguous free range (only leading or trailing dofs fixed) is a
+        # slice: the same matrices as the fancy index, at about half the cost
+        keep = (slice(free[0], free[-1] + 1),) * 2
+    else:
+        keep = np.ix_(free, free)
+    return K.tocsr()[keep].tocsr(), M.tocsr()[keep].tocsr(), free
 
 
 def section_average_weights(mesh: Mesh2D, path: np.ndarray) -> np.ndarray:

@@ -150,12 +150,19 @@ class PotentialProfile:
     nodes: np.ndarray | None = None
     samples: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind == "cosine" and (len(self.params) != 2 or not all(
+                isinstance(p, (int, float)) and not isinstance(p, bool)
+                for p in self.params)):
+            raise Operator1DError(
+                f"cosine takes [amp, freq], got {list(self.params)}")
+
     def __call__(self, t):
         t = np.asarray(t, float)
         if self.kind == "constant":
             return np.full_like(t, self.params[0], dtype=float)
         if self.kind == "cosine":
-            amp, freq = (self.params + (1.0,))[:2]
+            amp, freq = self.params
             return amp * np.cos(freq * t)
         if self.kind == "sampled":
             return np.interp(t, self.nodes, self.samples)

@@ -304,3 +304,13 @@ def test_constants_all_positive_and_factors_ordered():
     d = consts.as_dict()
     assert all(v > 0 for v in d.values())
     assert consts.rho_P_factor <= 1.0 <= consts.rho_Q_factor
+
+
+def test_analyze_connector_assembles_the_pencil_once(monkeypatch):
+    import treespec.connector as connector
+    calls = []
+    assemble = connector.stiffness_and_mass
+    monkeypatch.setattr(connector, "stiffness_and_mass",
+                        lambda mesh: calls.append(mesh) or assemble(mesh))
+    analyze_connector(0.6, 0.3, h=0.08, section_intervals=6)
+    assert len(calls) == 1

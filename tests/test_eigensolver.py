@@ -9,6 +9,7 @@ from treespec.eigensolver import (
     DENSE_CUTOFF,
     EigensolverError,
     Spectrum,
+    _inertia_below,
     cluster_multiplicities,
     merge_spectra,
     smallest_eigenpairs,
@@ -107,49 +108,140 @@ def test_indefinite_K_negative_shift_retry():
     assert np.allclose(spec.values, exact, rtol=1e-3, atol=1e-3)
 
 
-@pytest.mark.parametrize("n", [256, 2500], ids=["dense", "arpack"])
+@pytest.mark.parametrize("n", [128, 2500], ids=["dense", "arpack"])
 @pytest.mark.parametrize("sk,sm", [(1e8, 1.0), (1e-8, 1.0), (1e8, 1e8), (1.0, 1e-8)])
 def test_converged_pairs_accepted_at_any_scale(n, sk, sm):
+    assert (n <= DENSE_CUTOFF) == (n == 128)
     K, M = interval_mixed_bc(n)
     base = smallest_eigenpairs(K, M, 3)
     scaled = smallest_eigenpairs((sk * K).tocsr(), (sm * M).tocsr(), 3)
     assert np.allclose(scaled.values, base.values * sk / sm, rtol=1e-8, atol=0.0)
 
 
-@pytest.mark.parametrize("sk", [1e-8, 1.0, 1e8])
-def test_stalled_pairs_rejected_at_any_scale(monkeypatch, sk):
-    import scipy.linalg
-    eigh = scipy.linalg.eigh
+# interval sizes on either side of DENSE_CUTOFF, and the solver each reaches
+PATH_SIZES = {"dense": 128, "arpack": 256}
+
+
+def on_both_paths(argnames, grid):
+    """Parametrize over the grid and the two solver paths; a dense case keeps
+    the bare id of its grid point."""
+    cases, ids = [], []
+    for point in grid:
+        base = "-".join(str(v) for v in point)
+        cases += [(*point, "dense"), (*point, "arpack")]
+        ids += [base, f"{base}-arpack"]
+    return pytest.mark.parametrize(f"{argnames},path", cases, ids=ids)
+
+
+def corrupt_solver(monkeypatch, path, corrupt):
+    """Patch the solver of the given path to pass (vals, vecs) through
+    corrupt; return the interval pencil whose size reaches that path."""
+    n = PATH_SIZES[path]
+    assert (n <= DENSE_CUTOFF) == (path == "dense")
+    if path == "dense":
+        import scipy.linalg
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda a, b: corrupt(*eigh(a, b)))
+    else:
+        import scipy.sparse.linalg
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *a, **kw: corrupt(*eigsh(*a, **kw)))
+    return interval_mixed_bc(n)
+
+
+@on_both_paths("sk", [(1e-8,), (1.0,), (1e8,)])
+def test_stalled_pairs_rejected_at_any_scale(monkeypatch, sk, path):
     noise = 1e-4 * np.random.default_rng(1).standard_normal((256, 256))
 
-    def stalled(a, b):
-        vals, vecs = eigh(a, b)
-        return vals, vecs + noise
+    def stalled(vals, vecs):
+        return vals, vecs + noise[:vecs.shape[0], :vecs.shape[1]]
 
-    monkeypatch.setattr(scipy.linalg, "eigh", stalled)
-    K, M = interval_mixed_bc(256)
+    K, M = corrupt_solver(monkeypatch, path, stalled)
     with pytest.raises(EigensolverError, match="backward error"):
         smallest_eigenpairs((sk * K).tocsr(), M, 3)
 
 
-@pytest.mark.parametrize("c", [1e-4, 1e-6])
-@pytest.mark.parametrize("sk", [1e-8, 1.0, 1e8])
-def test_low_frequency_mode_mixing_rejected(monkeypatch, sk, c):
+@on_both_paths("sk,c", [(sk, c) for c in (1e-4, 1e-6) for sk in (1e-8, 1.0, 1e8)])
+def test_low_frequency_mode_mixing_rejected(monkeypatch, sk, c, path):
     # a stalled iteration that returns u1 + c u2: K barely amplifies the
     # error, so only a gate relative to ||Ku|| + |lam| ||Mu|| catches it
-    import scipy.linalg
-    eigh = scipy.linalg.eigh
-
-    def mixed(a, b):
-        vals, vecs = eigh(a, b)
+    def mixed(vals, vecs):
+        first, second = np.argsort(vals)[:2]
         vecs = vecs.copy()
-        vecs[:, 0] += c * vecs[:, 1]
+        vecs[:, first] += c * vecs[:, second]
         return vals, vecs
 
-    monkeypatch.setattr(scipy.linalg, "eigh", mixed)
-    K, M = interval_mixed_bc(256)
+    K, M = corrupt_solver(monkeypatch, path, mixed)
     with pytest.raises(EigensolverError, match="backward error"):
         smallest_eigenpairs((sk * K).tocsr(), M, 3)
+
+
+def test_inertia_count_matches_dense_count():
+    n = 60
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    K = A + A.T                      # indefinite
+    M = B @ B.T + n * np.eye(n)
+    import scipy.linalg
+    dense = scipy.linalg.eigh(K, M, eigvals_only=True)
+    for sigma in np.concatenate([[dense[0] - 1.0, dense[-1] + 1.0],
+                                 0.5 * (dense[:-1] + dense[1:])[::7]]):
+        assert _inertia_below(sp.csr_matrix(K), sp.csr_matrix(M), sigma) == \
+            np.count_nonzero(dense < sigma)
+    Ki, Mi = interval_mixed_bc(200)
+    dense = scipy.linalg.eigh(Ki.toarray(), Mi.toarray(), eigvals_only=True)
+    for sigma in (-1.0, 1.0, 30.0, 1e3, 1e5, 1e6):
+        assert _inertia_below(Ki, Mi, sigma) == np.count_nonzero(dense < sigma)
+
+
+def test_multiple_eigenvalue_below_the_mth_found():
+    # four copies of a 2x2 block with eigenvalues 30 and 32 next to an
+    # interval: the 8 smallest are 2.47, 22.2, 30 (four times), 32, 32.  A
+    # single Krylov space holds one direction of each eigenspace, and the
+    # m + 5 Ritz values of one shift-invert solve miss a copy of 30.
+    K, M = interval_mixed_bc(2400)
+    block = sp.csr_matrix([[31.0, 1.0], [1.0, 31.0]])
+    Kb = sp.block_diag([K] + [block] * 4, format="csr")
+    Mb = sp.block_diag([M] + [sp.identity(2)] * 4, format="csr")
+    assert Kb.shape[0] > DENSE_CUTOFF
+    spec = smallest_eigenpairs(Kb, Mb, 8)
+    import scipy.sparse.linalg
+    low = scipy.sparse.linalg.eigsh(K, 2, M=M, sigma=0.0,
+                                    rng=np.random.default_rng(0))[0]
+    expected = np.concatenate([np.sort(low), [30.0] * 4, [32.0] * 2])
+    assert np.allclose(spec.values, expected, rtol=1e-9, atol=0.0)
+    G = spec.vectors.T @ (Mb @ spec.vectors)
+    assert np.abs(G - np.eye(8)).max() <= 1e-8
+
+
+def test_copies_a_larger_solve_misses_are_found_with_the_rest_locked():
+    # a 4-fold eigenvalue 5 below the 8th: the first solve finds three
+    # copies, and so does a solve from scratch with more Ritz vectors; the
+    # missed copy is found in the complement of the pairs already found
+    d = np.concatenate([[1.0, 2.0, 3.0], [5.0] * 4, np.arange(6.0, 2500.0)])
+    spec = smallest_eigenpairs(sp.diags(d).tocsr(), sp.identity(len(d), format="csr"), 8)
+    assert np.allclose(spec.values, [1, 2, 3, 5, 5, 5, 5, 6], rtol=1e-12, atol=0.0)
+
+
+def test_unrepaired_miss_raises(monkeypatch):
+    # a solver that always drops the lowest pair it finds: the inertia count
+    # sees the miss on every solve, and the call fails instead of returning
+    # the 2nd..(m+1)-th values
+    import scipy.sparse.linalg
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def drop_lowest(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        keep = np.argsort(vals)[1:]
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drop_lowest)
+    K, M = interval_mixed_bc(256)
+    with pytest.raises(EigensolverError, match=r"missed 1 eigenvalue"):
+        smallest_eigenpairs(K, M, 3)
 
 
 def test_neumann_ground_state_accepted():
