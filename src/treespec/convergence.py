@@ -429,49 +429,39 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
 def p_kernel_basis(tmesh: TreeMesh2D, matched: Matched1D,
                    free: np.ndarray) -> sp.csr_matrix:
     """Sparse basis of the discrete ker P^eps inside the free (non-Dirichlet)
-    2-D dofs: all cross-section station averages vanish."""
-    n = tmesh.n_nodes
-    full_to_free = -np.ones(n, dtype=int)
-    full_to_free[free] = np.arange(len(free))
+    2-D dofs: all cross-section station averages vanish.
+
+    Every station row off the Dirichlet root (whose rows are already zero)
+    gets the null space of the trapezoid weights as a block of columns;
+    every other free node gets a unit column.
+    """
+    n_free = len(free)
+    full_to_free = -np.ones(tmesh.n_nodes, dtype=int)
+    full_to_free[free] = np.arange(n_free)
     w = tmesh.cross_average_weights()
-    n_loc = len(w)
     local_null = np.linalg.svd(np.vstack([w]))[2][1:].T   # (n_loc, n_loc - 1)
 
-    constrained = np.zeros(n, dtype=bool)
-    blocks_rows, blocks_cols, blocks_vals = [], [], []
-    col = 0
-    root_set = set(int(r) for r in tmesh.root_nodes)
-    for dof, row in matched.station_dof_rows.items():
-        if int(row[0]) in root_set:
-            continue   # Dirichlet row: already zero
-        constrained[row] = True
-        fr = full_to_free[row]
-        if np.any(fr < 0):
-            raise ExperimentError("station row intersects the Dirichlet set")
-        for jloc in range(n_loc - 1):
-            blocks_rows.extend(fr)
-            blocks_cols.extend([col] * n_loc)
-            blocks_vals.extend(local_null[:, jloc])
-            col += 1
-    unconstrained = [i for i in range(len(free)) if not constrained[free[i]]]
-    blocks_rows.extend(unconstrained)
-    blocks_cols.extend(range(col, col + len(unconstrained)))
-    blocks_vals.extend([1.0] * len(unconstrained))
-    col += len(unconstrained)
-    if col == 0:
+    rows = matched.station_rows
+    fr = full_to_free[rows[~np.isin(rows[:, 0], tmesh.root_nodes)]]
+    if np.any(fr < 0):
+        raise ExperimentError("station row intersects the Dirichlet set")
+    # station s: the local null space, block s of kron(I, local_null),
+    # placed on the free indices of its row
+    on_rows = sp.csr_matrix((np.ones(fr.size), (fr.ravel(), np.arange(fr.size))),
+                            shape=(n_free, fr.size))
+    blocks = on_rows @ sp.kron(sp.identity(len(fr)), local_null)
+    unit = sp.identity(n_free, format="csc")[:, np.setdiff1d(np.arange(n_free), fr)]
+    Z = sp.hstack([blocks, unit]).tocsr()
+    if Z.shape[1] == 0:
         raise ExperimentError("empty kernel after discretization")
-    return sp.coo_matrix((blocks_vals, (blocks_rows, blocks_cols)),
-                         shape=(len(free), col)).tocsr()
+    return Z
 
 
 def p_kernel_residual(tmesh: TreeMesh2D, matched: Matched1D,
                       u_global: np.ndarray) -> float:
     """Max station-average magnitude; zero iff u is in the discrete ker P."""
-    w = tmesh.cross_average_weights()
-    res = 0.0
-    for dof, row in matched.station_dof_rows.items():
-        res = max(res, abs(float(w @ u_global[row])))
-    return res
+    averages = (matched.P @ u_global)[matched.station_dofs]
+    return float(np.abs(averages).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +478,17 @@ class RayleighBoundReport:
     samples: int
 
 
-def _smooth_random(rng, K, passes=20):
-    """Random nodal field smoothed by Jacobi relaxation of the stiffness."""
-    x = rng.standard_normal(K.shape[0])
+def _jacobi_diagonal(K) -> np.ndarray:
+    """Diagonal of the stiffness, zeros replaced by one, for Jacobi sweeps."""
     d = K.diagonal()
     d[d == 0] = 1.0
+    return d
+
+
+def _smooth_random(rng, K, d, passes=20):
+    """Random nodal field smoothed by Jacobi relaxation of the stiffness K
+    with diagonal d."""
+    x = rng.standard_normal(K.shape[0])
     for _ in range(passes):
         x = x - 0.5 * (K @ x) / d
     return x
@@ -511,9 +507,10 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
     sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched)
     sys2 = assemble_2d(tm, W=cfg.w2d())
 
+    dQ, d2 = _jacobi_diagonal(sysQ.K), _jacobi_diagonal(sys2.K)
     samples_Q = []
     for _ in range(n_samples):
-        f = _smooth_random(rng, sysQ.K)
+        f = _smooth_random(rng, sysQ.K, dQ)
         r1 = float(f @ (sysQ.K @ f)) / float(f @ (sysQ.M @ f))
         # the lift of a field vanishing at the root vanishes on root_nodes
         u = q_eps_lift(tm, matched, sysQ.expand(f))[sys2.free]
@@ -522,7 +519,7 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
 
     samples_P = []
     for _ in range(n_samples):
-        v = _smooth_random(rng, sys2.K)
+        v = _smooth_random(rng, sys2.K, d2)
         r2 = float(v @ (sys2.K @ v)) / float(v @ (sys2.M @ v))
         pf = p_eps_project(tm, matched, sys2.expand(v))[sysP.free]
         r1 = float(pf @ (sysP.K @ pf)) / float(pf @ (sysP.M @ pf))
@@ -583,18 +580,13 @@ def vertex_holder_constant(tmesh: TreeMesh2D, matched: Matched1D,
                            pu: np.ndarray) -> float:
     """max over vertices and arm pairs of |P u(p_e) - P u(p_e~)| / sqrt(dist)."""
     tree = tmesh.tree
-    worst = 0.0
-    for e, info in tmesh.vertex_info.items():
-        vals = [pu[matched.p_parent_dof[e]]]
-        arms = [info["arm_parent"]]
-        for pos in range(tree.k):
-            vals.append(pu[matched.p_child_dofs[e][pos]])
-            arms.append(info["arm_child"])
-        for i in range(len(vals)):
-            for jj in range(i + 1, len(vals)):
-                dist = arms[i] + arms[jj]
-                worst = max(worst, abs(vals[i] - vals[jj]) / math.sqrt(dist))
-    return worst
+    gen = np.repeat(np.arange(tree.J), tree.k ** np.arange(tree.J))
+    arms = np.column_stack([tmesh.cut_parent[gen]]
+                           + [tmesh.cut_child[gen]] * tree.k)
+    vals = pu[matched.section_dofs]
+    a, b = np.triu_indices(tree.k + 1, 1)
+    ratio = np.abs(vals[:, a] - vals[:, b]) / np.sqrt(arms[:, a] + arms[:, b])
+    return float(ratio.max(initial=0.0))
 
 
 def eigenfunction_projection_experiment(cfg: ExperimentConfig,

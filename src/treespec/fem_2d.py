@@ -89,7 +89,6 @@ class TreeMesh2D:
     conn_phi: np.ndarray                  # canonical harmonic partition
     conn_mesh_canonical: Mesh2D
     edge_stations: dict                   # EdgeId -> (theta array, rows [n_st, n_cross+1])
-    vertex_info: dict                     # EdgeId -> dict with section node arrays
     cut_parent: np.ndarray                # per generation, axial length cut at edge end
     cut_child: np.ndarray                 # per generation j: cut at start of gen j+1 edges
 
@@ -156,7 +155,6 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
 
     components = []
     counter = 0
-    edge_rows = {}
     edge_stations = {}
 
     def fresh(n):
@@ -171,13 +169,10 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
         theta = tree.t_shell[e.j] + starts[e.j] + mesh.nodes[:, 1]
         comp = Component2D("edge", e, mesh, gids, theta)
         components.append(comp)
-        idx = mesh.axial_index
-        rows = gids[idx.T]                  # (n_axial+1, n_cross+1)
-        edge_rows[e] = rows
+        rows = gids[mesh.axial_index.T]     # (n_axial+1, n_cross+1)
         edge_stations[e] = (
             tree.t_shell[e.j] + starts[e.j] + mesh.axial_positions, rows)
 
-    vertex_info = {}
     for e in tree.interior_vertices():
         j = e.j
         local = conn_mesh.nodes * scale[j]
@@ -185,33 +180,21 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
                       conn_mesh.boundary_tags, conn_mesh.sections)
         gids = np.full(conn_mesh.n_nodes, -1, dtype=int)
         # identify sections with the adjacent tube end rows
-        sec_nodes = {}
-        s0 = conn_mesh.sections["S0"]
-        gids[s0] = edge_rows[e][-1]
-        sec_nodes[0] = gids[s0].copy()
+        gids[conn_mesh.sections["S0"]] = edge_stations[e][1][-1]
         for pos in range(k):
-            child = e.child(k, pos)
-            s = conn_mesh.sections[f"S{pos + 1}"]
-            gids[s] = edge_rows[child][0]
-            sec_nodes[pos + 1] = gids[s].copy()
+            gids[conn_mesh.sections[f"S{pos + 1}"]] = \
+                edge_stations[e.child(k, pos)][1][0]
         interior = gids < 0
         gids[interior] = fresh(int(interior.sum()))
-        t_v = tree.t_shell[j + 1]
-        theta = t_v + (local[:, 1] - canonical.center[1] * scale[j])
+        theta = tree.t_shell[j + 1] + (local[:, 1] - canonical.center[1] * scale[j])
         components.append(Component2D("connector", e, mesh, gids, theta))
-        vertex_info[e] = {
-            "t_v": t_v,
-            "sections": sec_nodes,
-            "arm_parent": cut_parent[j],
-            "arm_child": cut_child[j],
-        }
 
-    root_nodes = edge_rows[EdgeId(0, 0)][0].copy()
+    root_nodes = edge_stations[EdgeId(0, 0)][1][0].copy()
     return TreeMesh2D(tree=tree, spec2d=spec2d, components=components,
                       n_nodes=counter, root_nodes=root_nodes,
                       canonical=canonical, conn_phi=phi,
                       conn_mesh_canonical=conn_mesh,
-                      edge_stations=edge_stations, vertex_info=vertex_info,
+                      edge_stations=edge_stations,
                       cut_parent=cut_parent, cut_child=cut_child)
 
 
@@ -262,62 +245,112 @@ def assemble_2d(tmesh: TreeMesh2D, W=None) -> AssembledSystem:
 
 @dataclass
 class Matched1D:
-    """1-D mesh tied to a 2-D geometry: stations plus vertex-zone nodes."""
+    """1-D mesh tied to a 2-D geometry: stations plus vertex-zone nodes, with
+    the averaging map P (1-D dofs x 2-D nodes) and the lifting map Q (2-D
+    nodes x 1-D dofs).  ``section_dofs`` holds, per vertex of
+    ``tree.interior_vertices()``, the station dof at its parent section and
+    at each child section."""
 
     mesh: Mesh1D
-    station_dof_rows: dict      # 1-D dof -> global 2-D node row (stations)
-    zone_dofs: dict             # vertex EdgeId -> zone dof layout
-    p_parent_dof: dict          # vertex EdgeId -> dof at the parent section
-    p_child_dofs: dict          # vertex EdgeId -> [dof at each child section]
+    station_dofs: np.ndarray    # (n_st,) 1-D dof of each axial station
+    station_rows: np.ndarray    # (n_st, n_cross+1) its global 2-D node row
+    section_dofs: np.ndarray    # (n_vertices, k+1)
+    P: sp.csr_matrix
+    Q: sp.csr_matrix
+
+    @property
+    def station_dof_rows(self) -> dict:
+        """1-D station dof -> global 2-D node row."""
+        return dict(zip(self.station_dofs.tolist(), self.station_rows))
+
+    @property
+    def p_parent_dof(self) -> dict:
+        """Vertex EdgeId -> dof at the parent section."""
+        return dict(zip(self.mesh.tree.interior_vertices(),
+                        self.section_dofs[:, 0].tolist()))
+
+    @property
+    def p_child_dofs(self) -> dict:
+        """Vertex EdgeId -> [dof at each child section]."""
+        return dict(zip(self.mesh.tree.interior_vertices(),
+                        self.section_dofs[:, 1:].tolist()))
 
 
 def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
     """Build the Mesh1D whose nodes are the 2-D axial stations plus, per
-    vertex, one midpoint node on every skeleton arm and the vertex itself."""
+    vertex, one midpoint node on every skeleton arm and the vertex itself,
+    and assemble P_eps and Q_eps on it."""
     tree = tmesh.tree
+    k, J = tree.k, tree.J
     gen_local = []
-    for j in range(tree.J + 1):
+    for j in range(J + 1):
         thetas, _ = tmesh.edge_stations[EdgeId(j, 0)]
         local = list(thetas - tree.t_shell[j])
         if j >= 1:
             a = local[0]
             local = [0.0, 0.5 * a] + local
-        if j < tree.J:
+        if j < J:
             L = tree.edge_length(j)
             b = local[-1]
             local = local + [0.5 * (b + L), L]
         gen_local.append(np.array(local))
     mesh = build_mesh_1d(tree, h=np.inf, gen_local=gen_local)
+    gd, n_dofs, n_nodes = mesh.gen_dofs, mesh.n_dofs, tmesh.n_nodes
 
-    station_dof_rows = {}
-    zone_dofs = {}
-    p_parent_dof = {}
-    p_child_dofs = {}
-    for e in tree.edges():
-        _, rows = tmesh.edge_stations[e]
-        dofs = mesh.edge_dofs[e]
-        lo = 2 if e.j >= 1 else 0
-        hi = len(dofs) - 2 if e.j < tree.J else len(dofs)
-        station_dofs = dofs[lo:hi]
-        for dof, row in zip(station_dofs, rows):
-            station_dof_rows[int(dof)] = row
-    for e in tree.interior_vertices():
-        dofs = mesh.edge_dofs[e]
-        p_parent_dof[e] = int(dofs[-3])
-        parent_mid = int(dofs[-2])
-        vertex = int(dofs[-1])
-        kids_mid, kids_p = [], []
-        for pos in range(tree.k):
-            child = e.child(tree.k, pos)
-            cd = mesh.edge_dofs[child]
-            kids_mid.append(int(cd[1]))
-            kids_p.append(int(cd[2]))
-        p_child_dofs[e] = kids_p
-        zone_dofs[e] = {"parent_mid": parent_mid, "vertex": vertex,
-                        "child_mids": kids_mid}
-    return Matched1D(mesh=mesh, station_dof_rows=station_dof_rows,
-                     zone_dofs=zone_dofs, p_parent_dof=p_parent_dof,
-                     p_child_dofs=p_child_dofs)
+    station_dofs = np.concatenate([
+        d[:, (2 if j >= 1 else 0):(-2 if j < J else None)].ravel()
+        for j, d in enumerate(gd)])
+    station_rows = np.concatenate(
+        [rows for _, rows in tmesh.edge_stations.values()])
+    n_loc = station_rows.shape[1]
+    st_dof, st_node = np.repeat(station_dofs, n_loc), station_rows.ravel()
+
+    def per_vertex(own_cols, child_col):
+        """Per vertex: the closed edge's dofs at own_cols, then each child's
+        dof at child_col."""
+        return np.concatenate([np.empty((0, len(own_cols) + k), dtype=int)] + [
+            np.hstack([gd[j][:, own_cols], gd[j + 1][:, child_col].reshape(-1, k)])
+            for j in range(J)])
+
+    # a closed edge ends in (parent section, parent-arm mid, vertex); a
+    # child edge starts with (vertex, arm mid, section)
+    section_dofs = per_vertex([-3], 2)
+    zone_dofs = per_vertex([-1, -2], 1)      # vertex, parent mid, child mids
+    n_v = len(section_dofs)
+
+    P_st = sp.csr_matrix(
+        (np.tile(tmesh.cross_average_weights(), len(station_dofs)),
+         (st_dof, st_node)), shape=(n_dofs, n_nodes))
+    # zone dofs interpolate the k+1 section averages with the affine
+    # partition at the center and at the arm midpoints
+    own, foreign = affine_partition(k, 0.5)
+    coef = np.vstack([np.full(k + 1, 1.0 / (k + 1)),
+                      foreign + (own - foreign) * np.eye(k + 1)])
+    interp = sp.csr_matrix(
+        (np.tile(coef.ravel(), n_v),
+         (np.repeat(zone_dofs, k + 1),
+          np.repeat(section_dofs, k + 2, axis=0).ravel())),
+        shape=(n_dofs, n_dofs))
+    P = (P_st + interp @ P_st).tocsr()
+
+    # station rows extend constantly; connector nodes, the shared section
+    # nodes included, take the harmonic interpolation of the section values
+    phi = tmesh.conn_phi
+    conn_gids = np.array([c.gids for c in tmesh.components
+                          if c.kind == "connector"],
+                         dtype=int).reshape(n_v, len(phi))
+    in_connector = np.zeros(n_nodes, dtype=bool)
+    in_connector[conn_gids] = True
+    keep = ~in_connector[st_node]
+    Q = sp.csr_matrix(
+        (np.concatenate([np.ones(keep.sum()), np.tile(phi.ravel(), n_v)]),
+         (np.concatenate([st_node[keep], np.repeat(conn_gids, k + 1)]),
+          np.concatenate([st_dof[keep],
+                          np.repeat(section_dofs, len(phi), axis=0).ravel()]))),
+        shape=(n_nodes, n_dofs))
+    return Matched1D(mesh=mesh, station_dofs=station_dofs,
+                     station_rows=station_rows, section_dofs=section_dofs,
+                     P=P, Q=Q)
 
 
 def p_eps_project(tmesh: TreeMesh2D, matched: Matched1D,
@@ -328,42 +361,14 @@ def p_eps_project(tmesh: TreeMesh2D, matched: Matched1D,
     vertex-zone dofs take the affine-partition interpolation of the k+1
     section averages.
     """
-    tree = tmesh.tree
-    w = tmesh.cross_average_weights()
-    vals = np.zeros(matched.mesh.n_dofs)
-    for dof, row in matched.station_dof_rows.items():
-        vals[dof] = float(w @ u_global[row])
-    cv = 1.0 / (tree.k + 1)
-    # arm midpoints: own partition halfway between center and endpoint
-    own, foreign = affine_partition(tree.k, 0.5)
-    for e, zinfo in matched.zone_dofs.items():
-        u_par = float(w @ u_global[tmesh.vertex_info[e]["sections"][0]])
-        u_kids = [float(w @ u_global[tmesh.vertex_info[e]["sections"][pos + 1]])
-                  for pos in range(tree.k)]
-        vals[matched.p_parent_dof[e]] = u_par
-        for pos in range(tree.k):
-            vals[matched.p_child_dofs[e][pos]] = u_kids[pos]
-        vals[zinfo["vertex"]] = cv * (u_par + sum(u_kids))
-        vals[zinfo["parent_mid"]] = u_par * own + sum(u_kids) * foreign
-        for pos in range(tree.k):
-            others = u_par + sum(u_kids) - u_kids[pos]
-            vals[zinfo["child_mids"][pos]] = u_kids[pos] * own + others * foreign
-    return vals
+    return matched.P @ u_global
 
 
 def q_eps_lift(tmesh: TreeMesh2D, matched: Matched1D,
                f_dofs: np.ndarray) -> np.ndarray:
     """Constant cross-section extension of a 1-D function, harmonically
     interpolated across the connectors."""
-    u = np.zeros(tmesh.n_nodes)
-    for dof, row in matched.station_dof_rows.items():
-        u[row] = f_dofs[dof]
-    for comp in tmesh.components:
-        if comp.kind == "connector":
-            e = comp.key
-            sections = [matched.p_parent_dof[e], *matched.p_child_dofs[e]]
-            u[comp.gids] = tmesh.conn_phi @ f_dofs[sections]
-    return u
+    return matched.Q @ f_dofs
 
 
 # ---------------------------------------------------------------------------

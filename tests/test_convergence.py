@@ -254,6 +254,29 @@ def test_rayleigh_bounds_no_violations():
             assert rep.violations == 0
 
 
+# fitted (a, c, violations) per direction, seed 7, 400 samples, pinned from
+# the per-station loop maps: the two maps-rayleigh benchmark configs at eps
+# 0.1, and the default config at eps 0.2, where a is not zero
+RAYLEIGH_PINNED = [
+    ({"tree": TreeSpec(J=3), "h_2d": 0.01, "n_cross": 6, "potential": "cosine"},
+     0.1, {"Q": (0.0, 0.001, 0), "P": (0.0, 0.001, 0)}),
+    ({"tree": TreeSpec(J=4), "h_2d": 0.005, "n_cross": 8},
+     0.1, {"Q": (0.0, 0.001, 0), "P": (0.0, 0.001, 0)}),
+    ({}, 0.2, {"Q": (0.48271885031743067, 0.001, 0), "P": (0.0, 0.001, 0)}),
+]
+
+
+@pytest.mark.parametrize("kw, eps, pinned", RAYLEIGH_PINNED)
+def test_rayleigh_reports_match_pinned_values(kw, eps, pinned):
+    reports = rayleigh_bound_check(ExperimentConfig(seed=7, **kw), eps,
+                                   n_samples=400)
+    assert [r.direction for r in reports] == ["Q", "P"]
+    for rep in reports:
+        a, c, violations = pinned[rep.direction]
+        assert (rep.fitted_c, rep.violations, rep.samples) == (c, violations, 400)
+        assert rep.fitted_a == pytest.approx(a, rel=1e-12, abs=0.0)
+
+
 def test_rayleigh_quotients_closed_form_single_edge():
     # single channel, no connectors: the lift is exact and both quotients
     # coincide (computable in closed form for a linear profile), so the

@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from treespec.connector import affine_partition
 from treespec.eigensolver import smallest_eigenpairs
 from treespec.fem_2d import (
     Geometry2DError,
@@ -121,6 +125,131 @@ def test_fem_second_order_convergence():
 
 
 # -- P and Q maps -------------------------------------------------------------
+
+def _loop_layout(tmesh, mesh):
+    """Reference dof layout of the matched mesh, read edge by edge:
+    (station dof -> node row, vertex -> zone dofs, parent dofs, child dofs)."""
+    tree = tmesh.tree
+    station_dof_rows, zone_dofs, p_parent_dof, p_child_dofs = {}, {}, {}, {}
+    for e in tree.edges():
+        _, rows = tmesh.edge_stations[e]
+        dofs = mesh.edge_dofs[e]
+        lo = 2 if e.j >= 1 else 0
+        hi = len(dofs) - 2 if e.j < tree.J else len(dofs)
+        for dof, row in zip(dofs[lo:hi], rows):
+            station_dof_rows[int(dof)] = row
+    for e in tree.interior_vertices():
+        dofs = mesh.edge_dofs[e]
+        p_parent_dof[e] = int(dofs[-3])
+        kids = [mesh.edge_dofs[e.child(tree.k, pos)] for pos in range(tree.k)]
+        p_child_dofs[e] = [int(cd[2]) for cd in kids]
+        zone_dofs[e] = {"parent_mid": int(dofs[-2]), "vertex": int(dofs[-1]),
+                        "child_mids": [int(cd[1]) for cd in kids]}
+    return station_dof_rows, zone_dofs, p_parent_dof, p_child_dofs
+
+
+def _p_eps_loop(tmesh, mesh, u_global):
+    """Reference averaging map, one station and one vertex at a time."""
+    tree = tmesh.tree
+    station_dof_rows, zone_dofs, p_parent_dof, p_child_dofs = _loop_layout(tmesh, mesh)
+    w = tmesh.cross_average_weights()
+    vals = np.zeros(mesh.n_dofs)
+    for dof, row in station_dof_rows.items():
+        vals[dof] = float(w @ u_global[row])
+    cv = 1.0 / (tree.k + 1)
+    own, foreign = affine_partition(tree.k, 0.5)
+    connectors = {c.key: c.gids for c in tmesh.components if c.kind == "connector"}
+    sections = tmesh.conn_mesh_canonical.sections
+    for e, zinfo in zone_dofs.items():
+        u_par = float(w @ u_global[connectors[e][sections["S0"]]])
+        u_kids = [float(w @ u_global[connectors[e][sections[f"S{pos + 1}"]]])
+                  for pos in range(tree.k)]
+        vals[p_parent_dof[e]] = u_par
+        for pos in range(tree.k):
+            vals[p_child_dofs[e][pos]] = u_kids[pos]
+        vals[zinfo["vertex"]] = cv * (u_par + sum(u_kids))
+        vals[zinfo["parent_mid"]] = u_par * own + sum(u_kids) * foreign
+        for pos in range(tree.k):
+            others = u_par + sum(u_kids) - u_kids[pos]
+            vals[zinfo["child_mids"][pos]] = u_kids[pos] * own + others * foreign
+    return vals
+
+
+def _q_eps_loop(tmesh, mesh, f_dofs):
+    """Reference lifting map: station rows first, then every connector."""
+    station_dof_rows, _, p_parent_dof, p_child_dofs = _loop_layout(tmesh, mesh)
+    u = np.zeros(tmesh.n_nodes)
+    for dof, row in station_dof_rows.items():
+        u[row] = f_dofs[dof]
+    for comp in tmesh.components:
+        if comp.kind == "connector":
+            e = comp.key
+            sections = [p_parent_dof[e], *p_child_dofs[e]]
+            u[comp.gids] = tmesh.conn_phi @ f_dofs[sections]
+    return u
+
+
+# the two maps-rayleigh benchmark geometries, a k = 1 tree and a lone tube
+OPERATOR_CASES = {
+    "J3-h0.01-n6": (TreeSpec(J=3), GeometrySpec2D(eps=0.1, h=0.01, n_cross=6)),
+    "J4-h0.005-n8": (TreeSpec(J=4), GeometrySpec2D(eps=0.1, h=0.005, n_cross=8)),
+    "k1-J3": (TreeSpec(k=1, J=3), GeometrySpec2D(eps=0.1, h=0.02)),
+    "k1-J0": (TreeSpec(k=1, J=0), GeometrySpec2D(eps=0.1, h=0.02)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(OPERATOR_CASES))
+def matched_case(request):
+    spec, spec2d = OPERATOR_CASES[request.param]
+    tm = build_geometry_2d(build_tree(spec), spec2d)
+    return tm, matched_mesh_1d(tm)
+
+
+def test_p_and_q_operators_equal_the_loops(matched_case):
+    tm, matched = matched_case
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u = rng.standard_normal(tm.n_nodes)
+        f = rng.standard_normal(matched.mesh.n_dofs)
+        assert np.abs(p_eps_project(tm, matched, u)
+                      - _p_eps_loop(tm, matched.mesh, u)).max() <= 1e-14
+        assert np.abs(q_eps_lift(tm, matched, f)
+                      - _q_eps_loop(tm, matched.mesh, f)).max() <= 1e-14
+
+
+def test_p_after_q_is_the_identity_on_stations_and_a_projection(matched_case):
+    # Q reads the station dofs only and P rebuilds them exactly; the zone
+    # rows of P Q interpolate the section dofs, so P Q is idempotent
+    tm, matched = matched_case
+    PQ = (matched.P @ matched.Q).toarray()
+    eye = np.eye(matched.mesh.n_dofs)
+    assert np.abs(PQ - eye)[matched.station_dofs].max() <= 1e-13
+    assert np.abs(PQ @ PQ - PQ).max() <= 1e-13
+
+
+def test_matched_mesh_keeps_the_benchmark_round_trip_contract():
+    # perfbench/workloads.py reads these mappings to pick the dofs its P/Q
+    # round trips check; an empty or reordered mapping would pass silently
+    tm = build_geometry_2d(build_tree(TreeSpec(J=2)), GeometrySpec2D(eps=0.2, h=0.05))
+    matched = matched_mesh_1d(tm)
+    station_dof_rows, _, p_parent_dof, p_child_dofs = _loop_layout(tm, matched.mesh)
+    stations = np.fromiter(matched.station_dof_rows, dtype=int)
+    assert stations.tolist() == list(station_dof_rows)
+    for dof, row in matched.station_dof_rows.items():
+        assert np.array_equal(row, station_dof_rows[dof])
+    assert matched.p_parent_dof == p_parent_dof
+    assert matched.p_child_dofs == p_child_dofs
+    sections = np.concatenate([
+        np.fromiter(matched.p_parent_dof.values(), dtype=int),
+        np.ravel(list(matched.p_child_dofs.values())).astype(int)])
+    assert len(sections) == 3 * len(p_parent_dof) and np.isin(sections, stations).all()
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads._round_trips({"tree": TreeSpec(J=2), "h_2d": 0.05}, seed=1)
+
 
 def test_p_eps_preserves_constants(tmesh):
     matched = matched_mesh_1d(tmesh)
