@@ -15,7 +15,8 @@ interpolation on connectors).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -247,16 +248,17 @@ def assemble_2d(tmesh: TreeMesh2D, W=None) -> AssembledSystem:
 class Matched1D:
     """1-D mesh tied to a 2-D geometry: stations plus vertex-zone nodes, with
     the averaging map P (1-D dofs x 2-D nodes) and the lifting map Q (2-D
-    nodes x 1-D dofs).  ``section_dofs`` holds, per vertex of
-    ``tree.interior_vertices()``, the station dof at its parent section and
-    at each child section."""
+    nodes x 1-D dofs), each assembled on first use.  ``section_dofs`` holds,
+    per vertex of ``tree.interior_vertices()``, the station dof at its parent
+    section and at each child section; ``zone_dofs`` the vertex dof, the
+    parent-arm midpoint and each child-arm midpoint."""
 
     mesh: Mesh1D
+    tmesh: TreeMesh2D = field(repr=False)
     station_dofs: np.ndarray    # (n_st,) 1-D dof of each axial station
     station_rows: np.ndarray    # (n_st, n_cross+1) its global 2-D node row
     section_dofs: np.ndarray    # (n_vertices, k+1)
-    P: sp.csr_matrix
-    Q: sp.csr_matrix
+    zone_dofs: np.ndarray       # (n_vertices, k+2)
 
     @property
     def station_dof_rows(self) -> dict:
@@ -275,11 +277,57 @@ class Matched1D:
         return dict(zip(self.mesh.tree.interior_vertices(),
                         self.section_dofs[:, 1:].tolist()))
 
+    def _station_pairs(self):
+        """(1-D dof, 2-D node) of every station node, row by row."""
+        n_loc = self.station_rows.shape[1]
+        return np.repeat(self.station_dofs, n_loc), self.station_rows.ravel()
+
+    @cached_property
+    def P(self) -> sp.csr_matrix:
+        """Averaging map: the trapezoid average of each station row, and the
+        affine-partition interpolation of the k+1 section averages at the
+        vertex center and at the arm midpoints."""
+        tmesh, k, n_dofs = self.tmesh, self.mesh.tree.k, self.mesh.n_dofs
+        st_dof, st_node = self._station_pairs()
+        P_st = sp.csr_matrix(
+            (np.tile(tmesh.cross_average_weights(), len(self.station_dofs)),
+             (st_dof, st_node)), shape=(n_dofs, tmesh.n_nodes))
+        own, foreign = affine_partition(k, 0.5)
+        coef = np.vstack([np.full(k + 1, 1.0 / (k + 1)),
+                          foreign + (own - foreign) * np.eye(k + 1)])
+        interp = sp.csr_matrix(
+            (np.tile(coef.ravel(), len(self.section_dofs)),
+             (np.repeat(self.zone_dofs, k + 1),
+              np.repeat(self.section_dofs, k + 2, axis=0).ravel())),
+            shape=(n_dofs, n_dofs))
+        return (P_st + interp @ P_st).tocsr()
+
+    @cached_property
+    def Q(self) -> sp.csr_matrix:
+        """Lifting map: station rows extend constantly; connector nodes, the
+        shared section nodes included, take the harmonic interpolation of
+        the section values."""
+        tmesh, k = self.tmesh, self.mesh.tree.k
+        st_dof, st_node = self._station_pairs()
+        phi, n_v = tmesh.conn_phi, len(self.section_dofs)
+        conn_gids = np.array([c.gids for c in tmesh.components
+                              if c.kind == "connector"],
+                             dtype=int).reshape(n_v, len(phi))
+        in_connector = np.zeros(tmesh.n_nodes, dtype=bool)
+        in_connector[conn_gids] = True
+        keep = ~in_connector[st_node]
+        return sp.csr_matrix(
+            (np.concatenate([np.ones(keep.sum()), np.tile(phi.ravel(), n_v)]),
+             (np.concatenate([st_node[keep], np.repeat(conn_gids, k + 1)]),
+              np.concatenate([st_dof[keep], np.repeat(
+                  self.section_dofs, len(phi), axis=0).ravel()]))),
+            shape=(tmesh.n_nodes, self.mesh.n_dofs))
+
 
 def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
     """Build the Mesh1D whose nodes are the 2-D axial stations plus, per
-    vertex, one midpoint node on every skeleton arm and the vertex itself,
-    and assemble P_eps and Q_eps on it."""
+    vertex, one midpoint node on every skeleton arm and the vertex itself;
+    P_eps and Q_eps are assembled on it when first read."""
     tree = tmesh.tree
     k, J = tree.k, tree.J
     gen_local = []
@@ -295,15 +343,7 @@ def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
             local = local + [0.5 * (b + L), L]
         gen_local.append(np.array(local))
     mesh = build_mesh_1d(tree, h=np.inf, gen_local=gen_local)
-    gd, n_dofs, n_nodes = mesh.gen_dofs, mesh.n_dofs, tmesh.n_nodes
-
-    station_dofs = np.concatenate([
-        d[:, (2 if j >= 1 else 0):(-2 if j < J else None)].ravel()
-        for j, d in enumerate(gd)])
-    station_rows = np.concatenate(
-        [rows for _, rows in tmesh.edge_stations.values()])
-    n_loc = station_rows.shape[1]
-    st_dof, st_node = np.repeat(station_dofs, n_loc), station_rows.ravel()
+    gd = mesh.gen_dofs
 
     def per_vertex(own_cols, child_col):
         """Per vertex: the closed edge's dofs at own_cols, then each child's
@@ -314,43 +354,15 @@ def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
 
     # a closed edge ends in (parent section, parent-arm mid, vertex); a
     # child edge starts with (vertex, arm mid, section)
-    section_dofs = per_vertex([-3], 2)
-    zone_dofs = per_vertex([-1, -2], 1)      # vertex, parent mid, child mids
-    n_v = len(section_dofs)
-
-    P_st = sp.csr_matrix(
-        (np.tile(tmesh.cross_average_weights(), len(station_dofs)),
-         (st_dof, st_node)), shape=(n_dofs, n_nodes))
-    # zone dofs interpolate the k+1 section averages with the affine
-    # partition at the center and at the arm midpoints
-    own, foreign = affine_partition(k, 0.5)
-    coef = np.vstack([np.full(k + 1, 1.0 / (k + 1)),
-                      foreign + (own - foreign) * np.eye(k + 1)])
-    interp = sp.csr_matrix(
-        (np.tile(coef.ravel(), n_v),
-         (np.repeat(zone_dofs, k + 1),
-          np.repeat(section_dofs, k + 2, axis=0).ravel())),
-        shape=(n_dofs, n_dofs))
-    P = (P_st + interp @ P_st).tocsr()
-
-    # station rows extend constantly; connector nodes, the shared section
-    # nodes included, take the harmonic interpolation of the section values
-    phi = tmesh.conn_phi
-    conn_gids = np.array([c.gids for c in tmesh.components
-                          if c.kind == "connector"],
-                         dtype=int).reshape(n_v, len(phi))
-    in_connector = np.zeros(n_nodes, dtype=bool)
-    in_connector[conn_gids] = True
-    keep = ~in_connector[st_node]
-    Q = sp.csr_matrix(
-        (np.concatenate([np.ones(keep.sum()), np.tile(phi.ravel(), n_v)]),
-         (np.concatenate([st_node[keep], np.repeat(conn_gids, k + 1)]),
-          np.concatenate([st_dof[keep],
-                          np.repeat(section_dofs, len(phi), axis=0).ravel()]))),
-        shape=(n_nodes, n_dofs))
-    return Matched1D(mesh=mesh, station_dofs=station_dofs,
-                     station_rows=station_rows, section_dofs=section_dofs,
-                     P=P, Q=Q)
+    return Matched1D(
+        mesh=mesh, tmesh=tmesh,
+        station_dofs=np.concatenate([
+            d[:, (2 if j >= 1 else 0):(-2 if j < J else None)].ravel()
+            for j, d in enumerate(gd)]),
+        station_rows=np.concatenate(
+            [rows for _, rows in tmesh.edge_stations.values()]),
+        section_dofs=per_vertex([-3], 2),
+        zone_dofs=per_vertex([-1, -2], 1))
 
 
 def p_eps_project(tmesh: TreeMesh2D, matched: Matched1D,

@@ -327,8 +327,9 @@ class AssembledSystem:
     n_full: int
 
     def expand(self, u_free: np.ndarray) -> np.ndarray:
-        """The field on the full numbering, zero on the Dirichlet dofs."""
-        full = np.zeros(self.n_full)
+        """The field on the full numbering, zero on the Dirichlet dofs; a
+        (n_free, b) column block expands column by column."""
+        full = np.zeros((self.n_full,) + u_free.shape[1:])
         full[self.free] = u_free
         return full
 

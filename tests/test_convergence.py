@@ -5,8 +5,13 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from treespec.convergence import (
+    C_GRID,
     ExperimentConfig,
     ExperimentError,
+    _bound_transform,
+    _pole_denominator,
+    _rayleigh_report,
+    _rayleigh_samples,
     eigenfunction_projection_experiment,
     kernel_gap_check,
     p_kernel_basis,
@@ -14,9 +19,11 @@ from treespec.convergence import (
     phi_P,
     phi_Q,
     rayleigh_bound_check,
+    reference_connector,
     sandwich_experiment,
     vertex_holder_constant,
     weight_convergence_experiment,
+    width_weighted_pair,
 )
 from treespec.eigensolver import DENSE_CUTOFF
 from treespec.fem_2d import (
@@ -25,6 +32,7 @@ from treespec.fem_2d import (
     build_geometry_2d,
     matched_mesh_1d,
     p_eps_project,
+    q_eps_lift,
 )
 from treespec.tree_model import TreeSpec, build_tree
 
@@ -275,6 +283,116 @@ def test_rayleigh_reports_match_pinned_values(kw, eps, pinned):
         a, c, violations = pinned[rep.direction]
         assert (rep.fitted_c, rep.violations, rep.samples) == (c, violations, 400)
         assert rep.fitted_a == pytest.approx(a, rel=1e-12, abs=0.0)
+
+
+# the per-sample smoothing and scalar fit that the blocked sampler and the
+# vectorised fit replaced, kept as references
+
+def _smooth_random(rng, K, d, passes=20):
+    x = rng.standard_normal(K.shape[0])
+    for _ in range(passes):
+        x = x - 0.5 * (K @ x) / d
+    return x
+
+
+def _rayleigh_samples_loop(rng, n_samples, tm, matched, sysQ, sysP, sys2):
+    def quotient(system, x):
+        return float(x @ (system.K @ x)) / float(x @ (system.M @ x))
+
+    def jacobi_diagonal(K):
+        d = K.diagonal()
+        d[d == 0] = 1.0
+        return d
+
+    dQ, d2 = jacobi_diagonal(sysQ.K), jacobi_diagonal(sys2.K)
+    samples_Q = []
+    for _ in range(n_samples):
+        f = _smooth_random(rng, sysQ.K, dQ)
+        u = q_eps_lift(tm, matched, sysQ.expand(f))[sys2.free]
+        samples_Q.append((quotient(sysQ, f), quotient(sys2, u)))
+    samples_P = []
+    for _ in range(n_samples):
+        v = _smooth_random(rng, sys2.K, d2)
+        pf = p_eps_project(tm, matched, sys2.expand(v))[sysP.free]
+        samples_P.append((quotient(sys2, v), quotient(sysP, pf)))
+    return samples_Q, samples_P
+
+
+def _rayleigh_fit_loop(direction, samples, eps):
+    """(fitted a, fitted c, violations) from the per-sample C_GRID loop."""
+    best = None
+    for c in C_GRID:
+        a_needed = 0.0
+        for x, y in samples:
+            denom = _pole_denominator(direction, x, c, eps)
+            if denom <= 0:
+                continue   # past the pole: bound is +inf
+            need = (y * denom / x - 1.0) / eps if x > 0 else 0.0
+            a_needed = max(a_needed, need)
+        if a_needed <= C_GRID[-1]:
+            best = (float(a_needed), float(c))
+            break
+    if best is None:
+        return math.nan, math.nan, len(samples)
+    a, c = best
+    viol = sum(y > _bound_transform(direction, x, a, c, eps) * (1 + 1e-12)
+               for x, y in samples)
+    return a, c, viol
+
+
+@pytest.mark.parametrize("kw", [RAYLEIGH_PINNED[0][0], RAYLEIGH_PINNED[1][0]],
+                         ids=["J3-cosine", "J4"])
+def test_blocked_rayleigh_samples_match_per_sample_loop(kw):
+    cfg = ExperimentConfig(**kw)
+    tree = build_tree(cfg.tree)
+    *_, consts = reference_connector(cfg)
+    tm = build_geometry_2d(tree, cfg.geometry(0.1))
+    matched = matched_mesh_1d(tm)
+    sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched)
+    sys2 = assemble_2d(tm, W=cfg.w2d())
+    # 37 is not a multiple of the block width, 5 is below it
+    for n in (37, 5):
+        blocked = _rayleigh_samples(np.random.default_rng(11), n, tm, matched,
+                                    sysQ, sysP, sys2)
+        loop = _rayleigh_samples_loop(np.random.default_rng(11), n, tm, matched,
+                                      sysQ, sysP, sys2)
+        for got, want in zip(blocked, loop):
+            assert got.shape == (n, 2)
+            np.testing.assert_allclose(got, np.array(want), rtol=1e-13, atol=0.0)
+
+
+def _synthetic_samples(case):
+    rng = np.random.default_rng(4)
+    x = rng.uniform(1.0, 50.0, 40)
+    samples = np.column_stack([x, x * rng.uniform(0.9, 1.05, 40)])
+    extra = {
+        # a = 1989 at c = 0.001: the fit lands near c = 5
+        "past-first-grid-point": [(1.0, 200.0)],
+        # the pole never reaches x = 1e-3 on the grid, and a stays ~9e6
+        "no-fit": [(1e-3, 1e3)],
+        # past the pole from the first grid value on, and x <= 0
+        "past-the-pole": [(2e4, 3e4), (0.0, 5.0), (-1.0, 2.0)],
+    }[case]
+    return np.vstack([samples, extra])
+
+
+@pytest.mark.parametrize("case", ["past-first-grid-point", "no-fit",
+                                  "past-the-pole"])
+@pytest.mark.parametrize("direction", ["Q", "P"])
+def test_vectorised_rayleigh_fit_matches_scalar_loop(case, direction):
+    eps = 0.1
+    samples = _synthetic_samples(case)
+    rep = _rayleigh_report(direction, samples, eps)
+    a, c, viol = _rayleigh_fit_loop(direction, samples.tolist(), eps)
+    assert (rep.fitted_a.hex(), rep.fitted_c.hex()) == (a.hex(), c.hex())
+    assert (rep.violations, rep.samples) == (viol, len(samples))
+    if case == "past-first-grid-point":
+        assert rep.fitted_c > C_GRID[0] and rep.violations == 0
+    elif case == "no-fit":
+        assert math.isnan(rep.fitted_c) and rep.violations == len(samples)
+    else:
+        assert (_pole_denominator(direction, samples[:, 0], rep.fitted_c,
+                                  eps) <= 0).any()
 
 
 def test_rayleigh_quotients_closed_form_single_edge():

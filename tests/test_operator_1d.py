@@ -143,6 +143,19 @@ def test_K_symmetric_M_spd():
     cholesky(sys_.M.toarray())
 
 
+def test_expand_takes_column_blocks():
+    tree = build_tree(TreeSpec(k=2, J=2))
+    rs = rho_star_profile(tree)
+    sys_ = assemble_1d(tree, build_mesh_1d(tree, h=0.05), rs, rs)
+    block = np.random.default_rng(3).standard_normal((len(sys_.free), 5))
+    full = sys_.expand(block)
+    assert full.shape == (sys_.n_full, 5)
+    for j in range(5):
+        assert np.array_equal(full[:, j], sys_.expand(block[:, j]))
+    dirichlet = np.setdiff1d(np.arange(sys_.n_full), sys_.free)
+    assert len(dirichlet) > 0 and not full[dirichlet].any()
+
+
 @pytest.mark.parametrize("params", [(2.0,), (1.0, 2.0, 3.0), (True, 1.0), ("1", 2.0)])
 def test_cosine_potential_takes_amp_and_freq(params):
     # the rule of ExperimentConfig.w_limit: no default fills a missing frequency
