@@ -12,7 +12,7 @@ operators.
 Arm 0 is always the parent arm.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 import scipy.linalg
@@ -466,6 +466,25 @@ def equivalence_constants(forms: FormMatrices, kernel_tol: float = 1e-8) -> Equi
         beta_A=float(restricted_eigenvalues(forms.E0).min()),
         beta_B=float(np.linalg.eigvalsh(forms.E1).min()),
     )
+
+
+def read_only(*objects) -> tuple:
+    """Mark every numpy array the objects hold read-only, through dataclass
+    attributes, dict values, tuples and lists; return the objects.
+
+    A memoized connector result is handed to every caller with the same key,
+    so a write into one of its arrays must fail instead of reaching the next.
+    """
+    for obj in objects:
+        if isinstance(obj, np.ndarray):
+            obj.setflags(write=False)
+        elif isinstance(obj, (tuple, list)):
+            read_only(*obj)
+        elif isinstance(obj, dict):
+            read_only(*obj.values())
+        elif is_dataclass(obj):
+            read_only(*vars(obj).values())
+    return objects
 
 
 def analyze_connector(delta: float, c: float = 0.3, k: int = 2, omega: float = 1.0,

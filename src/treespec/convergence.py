@@ -10,11 +10,12 @@ levels and assertions consume the gap minus the bar.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .connector import analyze_connector
+from .connector import analyze_connector, read_only
 from .eigensolver import smallest_eigenpairs
 from .fem_2d import (
     GeometrySpec2D,
@@ -40,6 +41,7 @@ from .operator_1d import (
 from .tree_model import Tree, TreeSpec, build_tree
 
 C_GRID = np.logspace(-3.0, 3.0, 64 * 6 + 1)
+_REFERENCE_CACHE_SIZE = 4    # reference connector keys kept per process
 
 
 class ExperimentError(RuntimeError):
@@ -133,10 +135,18 @@ class ExperimentConfig:
 
 def reference_connector(cfg: ExperimentConfig):
     """:func:`analyze_connector` on the reference connector of this tree,
-    meshed finer than the tube junctions; its constants set the zone weights."""
-    return analyze_connector(
-        cfg.tree.delta, c=cfg.apex_c, k=min(cfg.tree.k, 2), omega=cfg.tree.omega,
-        N=cfg.tree.N, h=0.05, section_intervals=12)
+    meshed finer than the tube junctions; its constants set the zone weights.
+
+    The result is computed once per (delta, apex_c, k, omega, N) and shared:
+    its arrays are read-only."""
+    return _reference_connector(cfg.tree.delta, cfg.apex_c, min(cfg.tree.k, 2),
+                                cfg.tree.omega, cfg.tree.N)
+
+
+@lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
+def _reference_connector(delta, c, k, omega, N):
+    return read_only(*analyze_connector(delta, c=c, k=k, omega=omega, N=N,
+                                        h=0.05, section_intervals=12))
 
 
 def width_weighted_pair(tree: Tree, cfg: ExperimentConfig, consts,

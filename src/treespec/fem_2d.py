@@ -16,7 +16,7 @@ interpolation on connectors).
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +27,7 @@ from .connector import (
     canonical_connector,
     harmonic_partition_2d,
     mesh_connector,
+    read_only,
 )
 from .mesh2d import (
     Mesh2D,
@@ -41,6 +42,7 @@ from .tree_model import EdgeId, Tree
 
 ASPECT_CAP = 2.5          # axial over cross spacing in the tube meshes
 MIN_FEATURE = 1e-6
+_CANONICAL_CACHE_SIZE = 8  # canonical connector keys kept per process
 
 
 class Geometry2DError(ValueError):
@@ -113,18 +115,29 @@ class TreeMesh2D:
         return _scatter_assembly(self, only_kind="connector")[1]
 
 
+@lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
+def _canonical_connector_mesh(delta: float, c: float, k: int, n_cross: int):
+    """(canonical connector, its mesh, its harmonic partition), computed once
+    per key and shared read-only by every geometry built on that key."""
+    canonical = canonical_connector(delta, c=c, k=k, omega=1.0)
+    conn_mesh = mesh_connector(canonical, h=max(0.08, 0.5 / n_cross),
+                               section_intervals=n_cross)
+    return read_only(canonical, conn_mesh,
+                     harmonic_partition_2d(canonical, conn_mesh))
+
+
 def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
-    """Mesh the inflated tree and set up all interface identifications."""
+    """Mesh the inflated tree and set up all interface identifications.
+
+    The canonical connector, its mesh and ``conn_phi`` are shared, read-only,
+    with every other geometry of the same (delta, c, k, n_cross)."""
     spec2d.validate(tree)
     eps, c, h, n_cross = spec2d.eps, spec2d.c, spec2d.h, spec2d.n_cross
     d = tree.spec.delta
     om = tree.spec.omega
     k = tree.k
 
-    canonical = canonical_connector(d, c=c, k=k, omega=1.0)
-    conn_mesh = mesh_connector(canonical, h=max(0.08, 0.5 / n_cross),
-                               section_intervals=n_cross)
-    phi = harmonic_partition_2d(canonical, conn_mesh)
+    canonical, conn_mesh, phi = _canonical_connector_mesh(d, c, k, n_cross)
 
     scale = np.array([eps * d ** j * om for j in range(tree.J + 1)])
     cut_parent = canonical.arm_lengths[0] * scale       # at end of gen-j edges
@@ -386,17 +399,6 @@ def q_eps_lift(tmesh: TreeMesh2D, matched: Matched1D,
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
-
-def connector_tail_check(tmesh: TreeMesh2D, u_global: np.ndarray) -> float:
-    """(integral over connectors of u^2) / (eps * Dirichlet energy)."""
-    K, _ = _scatter_assembly(tmesh)
-    Mv = tmesh.connector_triangle_mass()
-    num = float(u_global @ (Mv @ u_global))
-    den = float(u_global @ (K @ u_global))
-    if den == 0.0:
-        return 0.0
-    return num / (tmesh.spec2d.eps * den)
-
 
 @dataclass
 class JacobianReport:

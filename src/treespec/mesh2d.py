@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay
 
 NEUMANN = 0
 ROOT_DIRICHLET = 1
@@ -106,31 +105,30 @@ def mesh_rectangle(width: float, length: float, n_cross: int, n_axial: int,
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     idx = np.arange(nodes.shape[0]).reshape(n_cross + 1, n_axial + 1)
 
-    tris = []
-    for i in range(n_cross):
-        for j in range(n_axial):
-            a, b, c, d = idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1]
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    tris = _orient_ccw(nodes, np.array(tris, dtype=int))
+    # two triangles per cell, cells in (cross, axial) order
+    a, b = idx[:-1, :-1], idx[1:, :-1]
+    c, d = idx[1:, 1:], idx[:-1, 1:]
+    tris = np.stack([np.stack([a, b, c], axis=-1),
+                     np.stack([a, c, d], axis=-1)], axis=2).reshape(-1, 3)
+    tris = _orient_ccw(nodes, tris)
 
-    bedges, btags = [], []
-    for i in range(n_cross):
-        bedges.append([idx[i, 0], idx[i + 1, 0]])
-        btags.append(ROOT_DIRICHLET if dirichlet_bottom else NEUMANN)
-        bedges.append([idx[i, n_axial], idx[i + 1, n_axial]])
-        btags.append(NEUMANN)
-    for j in range(n_axial):
-        bedges.append([idx[0, j], idx[0, j + 1]])
-        btags.append(NEUMANN)
-        bedges.append([idx[n_cross, j], idx[n_cross, j + 1]])
-        btags.append(NEUMANN)
+    # the boundary edges interleave two opposite sides interval by interval:
+    # bottom and top per cross interval, then left and right per axial one
+    def interleaved_edges(side_a, side_b):
+        return np.stack([np.stack([s[:-1], s[1:]], axis=-1)
+                         for s in (side_a, side_b)], axis=1).reshape(-1, 2)
+
+    bedges = np.concatenate([interleaved_edges(idx[:, 0], idx[:, n_axial]),
+                             interleaved_edges(idx[0], idx[n_cross])])
+    bottom_tag = ROOT_DIRICHLET if dirichlet_bottom else NEUMANN
+    btags = np.concatenate([np.tile([bottom_tag, NEUMANN], n_cross),
+                            np.full(2 * n_axial, NEUMANN)])
 
     sections = {
         "bottom": idx[:, 0].copy(),
         "top": idx[:, n_axial].copy(),
     }
-    mesh = Mesh2D(nodes, tris, np.array(bedges), np.array(btags), sections)
+    mesh = Mesh2D(nodes, tris, bedges, btags, sections)
     mesh.axial_index = idx  # (cross, axial) grid view for station averaging
     mesh.axial_positions = ys
     return mesh
@@ -164,6 +162,10 @@ def mesh_polygon(vertices: np.ndarray, h: float,
 
 def _mesh_polygon_once(vertices, h, sections, section_intervals,
                        smooth_sweeps) -> Mesh2D:
+    # imported here: scipy.spatial is a tenth of a second of start-up that
+    # only the connector meshes need
+    from scipy.spatial import Delaunay
+
     v = np.asarray(vertices, dtype=float)
     n_poly = len(v)
     if polygon_area(v) <= 0:

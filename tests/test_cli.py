@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +231,14 @@ def test_config_keys_map_to_dataclass_defaults():
         assert _DEFAULTS[block][key] == default, path
     # the empty config builds the default dataclasses
     assert validate_config({}).experiment_config() == ExperimentConfig()
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # start-up cost: only the connector mesher needs Delaunay, on first use
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, treespec.cli; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from treespec import convergence
 from treespec.convergence import (
     C_GRID,
     ExperimentConfig,
@@ -91,6 +92,39 @@ def test_weight_convergence_default_reaches_two_percent():
 def test_eps_list_must_decrease():
     with pytest.raises(ExperimentError):
         ExperimentConfig(eps_list=(0.1, 0.2)).validate()
+
+
+# -- reference connector cache -------------------------------------------------
+
+def test_reference_connector_analysed_once_per_key(monkeypatch):
+    calls = []
+    original = convergence.analyze_connector
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "analyze_connector", counted)
+    convergence._reference_connector.cache_clear()
+    try:
+        cfg = ExperimentConfig()
+        sandwich_experiment(cfg)
+        kernel_gap_check(cfg, "Q")
+        rayleigh_bound_check(cfg, 0.2, n_samples=8)
+        assert len(calls) == 1
+        reference_connector(ExperimentConfig(apex_c=0.4))
+        assert len(calls) == 2
+    finally:
+        convergence._reference_connector.cache_clear()
+
+
+def test_cached_reference_connector_is_read_only():
+    domain, mesh, Phi, forms, _ = reference_connector(ExperimentConfig())
+    for array in (forms.A, forms.E0bar, Phi, mesh.nodes, domain.vertices,
+                  mesh.sections["S1"]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert reference_connector(ExperimentConfig())[3] is forms
 
 
 # -- sandwich -----------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treespec import fem_2d
 from treespec.connector import affine_partition
 from treespec.eigensolver import smallest_eigenpairs
 from treespec.fem_2d import (
@@ -13,7 +14,6 @@ from treespec.fem_2d import (
     assemble_2d,
     build_geometry_2d,
     closed_form_component_areas,
-    connector_tail_check,
     jacobian_assumption_check,
     matched_mesh_1d,
     p_eps_project,
@@ -37,6 +37,44 @@ def test_single_rectangle_when_J_zero():
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, h=0.05))
     assert len(tm.components) == 1
     assert tm.total_area() == pytest.approx(0.1 * 1.0, rel=1e-12)
+
+
+def test_shared_connector_arrays_are_read_only(tmesh):
+    for array in (tmesh.conn_phi, tmesh.conn_mesh_canonical.nodes,
+                  tmesh.canonical.vertices,
+                  tmesh.conn_mesh_canonical.sections["S0"]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def _assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", [BINARY, TreeSpec(k=1, l0=1.0, r=0.5,
+                                                   delta=0.6, N=2, J=3)])
+def test_warm_geometry_equals_cold(spec):
+    tree = build_tree(spec)
+    geometry = GeometrySpec2D(eps=0.2, h=0.05)
+    fem_2d._canonical_connector_mesh.cache_clear()
+    cold = build_geometry_2d(tree, geometry)
+    build_geometry_2d(tree, GeometrySpec2D(eps=0.1, h=0.04))
+    warm = build_geometry_2d(tree, geometry)
+    assert fem_2d._canonical_connector_mesh.cache_info().hits == 2
+    assert warm.n_nodes == cold.n_nodes
+    assert len(warm.components) == len(cold.components)
+    for a, b in zip(warm.components, cold.components):
+        assert (a.kind, a.key) == (b.kind, b.key)
+        for name in ("gids", "theta"):
+            _assert_same_array(getattr(a, name), getattr(b, name))
+        _assert_same_array(a.mesh.nodes, b.mesh.nodes)
+    _assert_same_array(warm.root_nodes, cold.root_nodes)
+    _assert_same_array(warm.conn_phi, cold.conn_phi)
+    sys_warm, sys_cold = assemble_2d(warm), assemble_2d(cold)
+    for A, B in ((sys_warm.K, sys_cold.K), (sys_warm.M, sys_cold.M)):
+        for name in ("data", "indices", "indptr"):
+            _assert_same_array(getattr(A, name), getattr(B, name))
 
 
 def test_area_matches_shoelace_oracle():
@@ -340,14 +378,27 @@ def test_p_energy_bound_random_fields(tmesh):
 
 # -- diagnostics --------------------------------------------------------------
 
+def connector_tail(tm, u_global):
+    """(integral over connectors of u^2) / (eps * Dirichlet energy) from one
+    assembly, for a field u that vanishes on the root section."""
+    sysd = assemble_2d(tm)
+    u = u_global[sysd.free]
+    m_conn = tm.connector_triangle_mass()[sysd.free][:, sysd.free]
+    num = float(u @ (m_conn @ u))
+    den = float(u @ (sysd.K @ u))
+    if den == 0.0:
+        return 0.0
+    return num / (tm.spec2d.eps * den)
+
+
 def test_connector_tail_zero_and_disjoint_fields(tmesh):
-    assert connector_tail_check(tmesh, np.zeros(tmesh.n_nodes)) == 0.0
+    assert connector_tail(tmesh, np.zeros(tmesh.n_nodes)) == 0.0
     # field supported on the generation-0 tube away from its connector end
     u = np.zeros(tmesh.n_nodes)
     comp = tmesh.components[0]
     inside = comp.mesh.nodes[:, 1] < 0.5
     u[comp.gids[inside]] = comp.mesh.nodes[inside, 1]
-    assert connector_tail_check(tmesh, u) == 0.0
+    assert connector_tail(tmesh, u) == 0.0
 
 
 def test_connector_tail_bounded_over_eps():
@@ -359,7 +410,7 @@ def test_connector_tail_bounded_over_eps():
         spec = smallest_eigenpairs(sysd.K, sysd.M, 1)
         u = np.zeros(tm.n_nodes)
         u[sysd.free] = spec.vectors[:, 0]
-        ratios.append(connector_tail_check(tm, u))
+        ratios.append(connector_tail(tm, u))
     assert max(ratios) <= 5.0 * min(r for r in ratios if r > 0)
     assert max(ratios) < 10.0
 

@@ -3,8 +3,11 @@ import pytest
 
 from treespec.eigensolver import smallest_eigenpairs
 from treespec.mesh2d import (
+    NEUMANN,
     ROOT_DIRICHLET,
+    Mesh2D,
     MeshError,
+    _orient_ccw,
     eliminate_dirichlet,
     mesh_polygon,
     mesh_quality,
@@ -111,3 +114,54 @@ def test_thin_rectangle_dirichlet_limit():
 def test_degenerate_rectangle_rejected():
     with pytest.raises(MeshError):
         mesh_rectangle(0.0, 1.0, 2, 2)
+
+
+def _loop_mesh_rectangle(width, length, n_cross, n_axial, dirichlet_bottom=False):
+    """The per-cell and per-edge loop mesher, kept as the reference."""
+    xs = np.linspace(0.0, width, n_cross + 1)
+    ys = np.linspace(0.0, length, n_axial + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    idx = np.arange(nodes.shape[0]).reshape(n_cross + 1, n_axial + 1)
+    tris = []
+    for i in range(n_cross):
+        for j in range(n_axial):
+            a, b, c, d = idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1]
+            tris.append([a, b, c])
+            tris.append([a, c, d])
+    tris = _orient_ccw(nodes, np.array(tris, dtype=int))
+    bedges, btags = [], []
+    for i in range(n_cross):
+        bedges.append([idx[i, 0], idx[i + 1, 0]])
+        btags.append(ROOT_DIRICHLET if dirichlet_bottom else NEUMANN)
+        bedges.append([idx[i, n_axial], idx[i + 1, n_axial]])
+        btags.append(NEUMANN)
+    for j in range(n_axial):
+        bedges.append([idx[0, j], idx[0, j + 1]])
+        btags.append(NEUMANN)
+        bedges.append([idx[n_cross, j], idx[n_cross, j + 1]])
+        btags.append(NEUMANN)
+    sections = {"bottom": idx[:, 0].copy(), "top": idx[:, n_axial].copy()}
+    mesh = Mesh2D(nodes, tris, np.array(bedges), np.array(btags), sections)
+    mesh.axial_index = idx
+    mesh.axial_positions = ys
+    return mesh
+
+
+def _assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dirichlet_bottom", [True, False])
+@pytest.mark.parametrize("n_cross", [2, 3, 8])
+def test_rectangle_mesh_matches_loop_reference(n_cross, dirichlet_bottom):
+    for n_axial in (2, 7):
+        args = (0.3, 1.7, n_cross, n_axial, dirichlet_bottom)
+        mesh, ref = mesh_rectangle(*args), _loop_mesh_rectangle(*args)
+        for name in ("nodes", "triangles", "boundary_edges", "boundary_tags",
+                     "axial_index", "axial_positions"):
+            _assert_same_array(getattr(mesh, name), getattr(ref, name))
+        assert list(mesh.sections) == list(ref.sections)
+        for label in ref.sections:
+            _assert_same_array(mesh.sections[label], ref.sections[label])
