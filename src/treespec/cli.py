@@ -306,19 +306,20 @@ def run_spectrum2d(cfg: RunConfig, out: Path, dump_mesh: bool = False) -> int:
 def _dump_mesh_and_field(tm, system, spec, out: Path, cfg: RunConfig) -> None:
     """Node/triangle/tag CSV triple plus the first eigenfunction field."""
     node_rows, tri_rows, tag_rows = [], [], []
-    for ci, comp in enumerate(tm.components):
-        for loc, gid in enumerate(comp.gids):
+    copies = ((comp, gids) for comp in tm.components for gids in comp.gids)
+    for ci, (comp, gids) in enumerate(copies):
+        for loc, gid in enumerate(gids):
             node_rows.append({"node": int(gid), "component": ci,
                               "x": float(comp.mesh.nodes[loc, 0]),
                               "y": float(comp.mesh.nodes[loc, 1]),
                               "theta": float(comp.theta[loc])})
         for tri in comp.mesh.triangles:
-            g = comp.gids[tri]
+            g = gids[tri]
             tri_rows.append({"component": ci, "n0": int(g[0]),
                              "n1": int(g[1]), "n2": int(g[2])})
         for (a, b), tag in zip(comp.mesh.boundary_edges, comp.mesh.boundary_tags):
-            tag_rows.append({"component": ci, "n0": int(comp.gids[a]),
-                             "n1": int(comp.gids[b]), "tag": int(tag)})
+            tag_rows.append({"component": ci, "n0": int(gids[a]),
+                             "n1": int(gids[b]), "tag": int(tag)})
     write_csv(out / "mesh_nodes.csv",
               ["node", "component", "x", "y", "theta"], node_rows, cfg)
     write_csv(out / "mesh_triangles.csv",

@@ -26,6 +26,8 @@ from .mesh2d import (
     stiffness_and_mass,
 )
 
+KERNEL_TOL = 1e-8   # relative residual at which A-type forms annihilate ones
+
 
 class ConnectorError(ValueError):
     """Invalid connector geometry or violated form-matrix invariant."""
@@ -280,16 +282,13 @@ def mesh_connector(domain: ConnectorDomain2D, h: float = 0.06,
                         section_intervals=section_intervals)
 
 
-def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: Mesh2D) -> np.ndarray:
+def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: Mesh2D, K) -> np.ndarray:
     """Discrete harmonic partition of unity: column e solves the Laplace
     equation with value 1 on S_e, 0 on the other sections, natural elsewhere.
 
-    Returns the (n_nodes, k+1) matrix of nodal values.
+    K is the stiffness matrix of ``mesh``.  Returns the (n_nodes, k+1) matrix
+    of nodal values.
     """
-    return _harmonic_partition(domain, mesh, stiffness_and_mass(mesh)[0])
-
-
-def _harmonic_partition(domain: ConnectorDomain2D, mesh: Mesh2D, K) -> np.ndarray:
     labels = [f"S{j}" for j in range(domain.k + 1)]
     section_nodes = [np.asarray(mesh.sections[l]) for l in labels]
     constrained = np.unique(np.concatenate(section_nodes))
@@ -307,31 +306,24 @@ def _harmonic_partition(domain: ConnectorDomain2D, mesh: Mesh2D, K) -> np.ndarra
     return Phi
 
 
-def connector_form_matrices(mesh: Mesh2D, Phi: np.ndarray):
-    """(A, B): Dirichlet and mass forms of the partition fields."""
-    return _partition_forms(*stiffness_and_mass(mesh), Phi)
-
-
-def _partition_forms(K, M, Phi: np.ndarray):
+def connector_form_matrices(K, M, Phi: np.ndarray):
+    """(A, B): Dirichlet and mass forms of the partition fields, from the
+    connector pencil (K, M)."""
     A = Phi.T @ (K @ Phi)
     B = Phi.T @ (M @ Phi)
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
-def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: Mesh2D,
+def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: Mesh2D, K, M,
                              F: np.ndarray, gamma: int):
     """Minimize integral(|grad g|^2 + gamma |g|^2) subject to prescribed
-    section averages F, via Lagrange multipliers appended to the FEM system.
+    section averages F, via Lagrange multipliers appended to the FEM system
+    built on the pencil (K, M) of ``mesh``.
 
     Returns (field, multipliers kappa, minimized energy).  The saddle system is
     nonsingular for both gamma values: for gamma = 0 its kernel would need a
     constant field with all section averages zero, which forces zero.
     """
-    return _constrained_minimizer(domain, mesh, *stiffness_and_mass(mesh), F, gamma)
-
-
-def _constrained_minimizer(domain: ConnectorDomain2D, mesh: Mesh2D, K, M,
-                           F: np.ndarray, gamma: int):
     if gamma not in (0, 1):
         raise ConnectorError("gamma must be 0 or 1")
     F = np.asarray(F, float)
@@ -354,24 +346,21 @@ def _constrained_minimizer(domain: ConnectorDomain2D, mesh: Mesh2D, K, M,
     return u, kappa, energy
 
 
-def connector_minimized_forms(domain: ConnectorDomain2D, mesh: Mesh2D):
-    """Quadratic forms F -> minimized connector energy for gamma = 0, 1.
+def connector_minimized_forms(domain: ConnectorDomain2D, mesh: Mesh2D, K, M):
+    """Quadratic forms F -> minimized connector energy for gamma = 0, 1, on
+    the pencil (K, M) of ``mesh``.
 
     Assembled from the k+1 unit-vector minimizers; the minimizer depends
     linearly on F, so the minimized energy is exactly quadratic.
     """
-    return _minimized_forms(domain, mesh, *stiffness_and_mass(mesh))
-
-
-def _minimized_forms(domain: ConnectorDomain2D, mesh: Mesh2D, K, M):
     n = domain.k + 1
     fields0 = np.zeros((mesh.n_nodes, n))
     fields1 = np.zeros((mesh.n_nodes, n))
     for j in range(n):
         F = np.zeros(n)
         F[j] = 1.0
-        fields0[:, j], _, _ = _constrained_minimizer(domain, mesh, K, M, F, 0)
-        fields1[:, j], _, _ = _constrained_minimizer(domain, mesh, K, M, F, 1)
+        fields0[:, j], _, _ = constrained_minimizer_2d(domain, mesh, K, M, F, 0)
+        fields1[:, j], _, _ = constrained_minimizer_2d(domain, mesh, K, M, F, 1)
     E0 = fields0.T @ (K @ fields0)
     E1 = fields1.T @ ((K + M) @ fields1)
     return 0.5 * (E0 + E0.T), 0.5 * (E1 + E1.T)
@@ -442,7 +431,7 @@ def two_sided_constant(eigs: np.ndarray, what: str) -> float:
     return max(hi, 1.0 / lo)
 
 
-def equivalence_constants(forms: FormMatrices, kernel_tol: float = 1e-8) -> EquivalenceConstants:
+def equivalence_constants(forms: FormMatrices) -> EquivalenceConstants:
     """Extract all two-sided constants from the assembled form matrices.
 
     alpha constants are the extremal-eigenvalue constants of the partition
@@ -453,7 +442,7 @@ def equivalence_constants(forms: FormMatrices, kernel_tol: float = 1e-8) -> Equi
     for name in ("Abar", "A"):
         Mtx = getattr(forms, name)
         kernel_residual = np.abs(Mtx @ np.ones(Mtx.shape[0])).max()
-        if kernel_residual > kernel_tol * max(1.0, np.abs(Mtx).max()):
+        if kernel_residual > KERNEL_TOL * max(1.0, np.abs(Mtx).max()):
             raise ConnectorError(f"{name} does not annihilate the ones vector "
                                  f"(residual {kernel_residual:.3e})")
     return EquivalenceConstants(
@@ -498,12 +487,12 @@ def analyze_connector(delta: float, c: float = 0.3, k: int = 2, omega: float = 1
     domain = canonical_connector(delta, c=c, k=k, omega=omega)
     mesh = mesh_connector(domain, h=h, section_intervals=section_intervals)
     K, M = stiffness_and_mass(mesh)
-    Phi = _harmonic_partition(domain, mesh, K)
+    Phi = harmonic_partition_2d(domain, mesh, K)
     star = domain.skeleton_star(N=N)
     Abar, Bbar = skeleton_form_matrices(star)
-    A, B = _partition_forms(K, M, Phi)
+    A, B = connector_form_matrices(K, M, Phi)
     E0bar, E1bar = skeleton_minimized_forms(star)
-    E0, E1 = _minimized_forms(domain, mesh, K, M)
+    E0, E1 = connector_minimized_forms(domain, mesh, K, M)
     forms = FormMatrices(Abar=Abar, A=A, Bbar=Bbar, B=B,
                          E0bar=E0bar, E1bar=E1bar, E0=E0, E1=E1)
     return domain, mesh, Phi, forms, equivalence_constants(forms)

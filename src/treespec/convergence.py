@@ -396,6 +396,9 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
         raise ExperimentError("which must be 'Q' or 'P'")
     if len(cfg.eps_list) < 2:
         raise ExperimentError("a rate fit needs at least two eps values")
+    if cfg.tree.J < 1:
+        raise ExperimentError("the kernel gap needs a branching vertex: "
+                              f"tree.J must be >= 1, got {cfg.tree.J}")
     tree = build_tree(cfg.tree)
     infima = []
     concentration = [] if which == "P" else None

@@ -38,11 +38,12 @@ from .mesh2d import (
     stiffness_and_mass,
 )
 from .operator_1d import AssembledSystem, Mesh1D, VertexZones, build_mesh_1d
-from .tree_model import EdgeId, Tree
+from .tree_model import Tree
 
 ASPECT_CAP = 2.5          # axial over cross spacing in the tube meshes
 MIN_FEATURE = 1e-6
 _CANONICAL_CACHE_SIZE = 8  # canonical connector keys kept per process
+JACOBIAN_J_MAX = 60       # generations of the analytic Jacobian sup
 
 
 class Geometry2DError(ValueError):
@@ -72,16 +73,27 @@ class GeometrySpec2D:
 
 @dataclass
 class Component2D:
+    """The k**j congruent copies of one kind and generation, sharing a local
+    mesh and its radial coordinates; copy i is edge (j, i), or the vertex
+    closing it."""
+
     kind: str                 # "edge" or "connector"
-    key: EdgeId               # the edge, or the edge closed by the vertex
+    j: int                    # generation of the edges, or of the edges closed
     mesh: Mesh2D
-    gids: np.ndarray          # local node index -> global dof
-    theta: np.ndarray         # radial coordinate per local node
+    gids: np.ndarray          # (k**j, n_loc) global dof of each copy's local nodes
+    theta: np.ndarray         # (n_loc,) radial coordinate per local node
 
 
 @dataclass
 class TreeMesh2D:
-    """Glued chart-wise mesh of the inflated tree with P/Q bookkeeping."""
+    """Glued chart-wise mesh of the inflated tree with P/Q bookkeeping.
+
+    ``components`` holds the edge blocks of generations 0..J, then the
+    connector blocks of generations 0..J-1.  ``stations[j]`` is the pair
+    (theta (n_st,), rows (k**j, n_st, n_cross+1)): the radial coordinate of
+    each axial station of the generation-j tubes, and its global node row on
+    every copy.
+    """
 
     tree: Tree
     spec2d: GeometrySpec2D
@@ -91,7 +103,7 @@ class TreeMesh2D:
     canonical: ConnectorDomain2D
     conn_phi: np.ndarray                  # canonical harmonic partition
     conn_mesh_canonical: Mesh2D
-    edge_stations: dict                   # EdgeId -> (theta array, rows [n_st, n_cross+1])
+    stations: list
     cut_parent: np.ndarray                # per generation, axial length cut at edge end
     cut_child: np.ndarray                 # per generation j: cut at start of gen j+1 edges
 
@@ -108,7 +120,7 @@ class TreeMesh2D:
         return w / n
 
     def total_area(self) -> float:
-        return float(sum(c.mesh.area() for c in self.components))
+        return float(sum(len(c.gids) * c.mesh.area() for c in self.components))
 
     def connector_triangle_mass(self) -> sp.csr_matrix:
         """Global mass matrix restricted to the connector components."""
@@ -122,8 +134,9 @@ def _canonical_connector_mesh(delta: float, c: float, k: int, n_cross: int):
     canonical = canonical_connector(delta, c=c, k=k, omega=1.0)
     conn_mesh = mesh_connector(canonical, h=max(0.08, 0.5 / n_cross),
                                section_intervals=n_cross)
+    K = stiffness_and_mass(conn_mesh)[0]
     return read_only(canonical, conn_mesh,
-                     harmonic_partition_2d(canonical, conn_mesh))
+                     harmonic_partition_2d(canonical, conn_mesh, K))
 
 
 def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
@@ -167,65 +180,58 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
             mesh_rectangle(w, axial_len, n_cross, n_axial,
                            dirichlet_bottom=(j == 0)))
 
-    components = []
+    # all edges, generation-major, then all vertices: every copy numbers its
+    # own nodes consecutively, so a block of copies takes one arange
     counter = 0
-    edge_stations = {}
 
-    def fresh(n):
+    def fresh(copies, n):
         nonlocal counter
-        out = np.arange(counter, counter + n)
-        counter += n
+        out = np.arange(counter, counter + copies * n).reshape(copies, n)
+        counter += copies * n
         return out
 
-    for e in tree.edges():
-        mesh = rect_meshes[e.j]
-        gids = fresh(mesh.n_nodes)
-        theta = tree.t_shell[e.j] + starts[e.j] + mesh.nodes[:, 1]
-        comp = Component2D("edge", e, mesh, gids, theta)
-        components.append(comp)
-        rows = gids[mesh.axial_index.T]     # (n_axial+1, n_cross+1)
-        edge_stations[e] = (
-            tree.t_shell[e.j] + starts[e.j] + mesh.axial_positions, rows)
+    components, stations = [], []
+    for j, mesh in enumerate(rect_meshes):
+        gids = fresh(k ** j, mesh.n_nodes)
+        t0 = tree.t_shell[j] + starts[j]
+        components.append(Component2D("edge", j, mesh, gids, t0 + mesh.nodes[:, 1]))
+        stations.append((t0 + mesh.axial_positions, gids[:, mesh.axial_index.T]))
 
-    for e in tree.interior_vertices():
-        j = e.j
+    for j in range(tree.J):
         local = conn_mesh.nodes * scale[j]
         mesh = Mesh2D(local, conn_mesh.triangles, conn_mesh.boundary_edges,
                       conn_mesh.boundary_tags, conn_mesh.sections)
-        gids = np.full(conn_mesh.n_nodes, -1, dtype=int)
+        gids = np.full((k ** j, conn_mesh.n_nodes), -1, dtype=int)
         # identify sections with the adjacent tube end rows
-        gids[conn_mesh.sections["S0"]] = edge_stations[e][1][-1]
+        gids[:, conn_mesh.sections["S0"]] = stations[j][1][:, -1]
+        child_rows = stations[j + 1][1][:, 0].reshape(k ** j, k, -1)
         for pos in range(k):
-            gids[conn_mesh.sections[f"S{pos + 1}"]] = \
-                edge_stations[e.child(k, pos)][1][0]
-        interior = gids < 0
-        gids[interior] = fresh(int(interior.sum()))
+            gids[:, conn_mesh.sections[f"S{pos + 1}"]] = child_rows[:, pos]
+        interior = gids[0] < 0
+        gids[:, interior] = fresh(k ** j, int(interior.sum()))
         theta = tree.t_shell[j + 1] + (local[:, 1] - canonical.center[1] * scale[j])
-        components.append(Component2D("connector", e, mesh, gids, theta))
+        components.append(Component2D("connector", j, mesh, gids, theta))
 
-    root_nodes = edge_stations[EdgeId(0, 0)][1][0].copy()
+    root_nodes = stations[0][1][0, 0].copy()
     return TreeMesh2D(tree=tree, spec2d=spec2d, components=components,
                       n_nodes=counter, root_nodes=root_nodes,
                       canonical=canonical, conn_phi=phi,
                       conn_mesh_canonical=conn_mesh,
-                      edge_stations=edge_stations,
+                      stations=stations,
                       cut_parent=cut_parent, cut_child=cut_child)
 
 
 def _scatter_assembly(tmesh: TreeMesh2D, W=None, only_kind: str | None = None):
     """Assemble global (K, M) by scattering local matrices.
 
-    The components of one kind and generation share their local mesh and
-    radial coordinates, so the local pair is assembled once per group and
-    scattered to every copy, in component order.
+    The copies of a component share their local mesh and radial coordinates,
+    so the local pair is assembled once per component and scattered to every
+    copy, in component order.
     """
-    groups = {}
-    for comp in tmesh.components:
-        if only_kind is None or comp.kind == only_kind:
-            groups.setdefault((comp.kind, comp.key.j), []).append(comp)
     blocks = []
-    for comps in groups.values():
-        comp = comps[0]
+    for comp in tmesh.components:
+        if only_kind is not None and comp.kind != only_kind:
+            continue
         if W is None:
             potential = None
         else:
@@ -237,8 +243,7 @@ def _scatter_assembly(tmesh: TreeMesh2D, W=None, only_kind: str | None = None):
 
         Kl, Ml = stiffness_and_mass(comp.mesh, potential=potential)
         Kl, Ml = Kl.tocoo(), Ml.tocoo()
-        blocks.append((np.stack([c.gids for c in comps]), Kl.row, Kl.col,
-                       Kl.data, Ml.data))
+        blocks.append((comp.gids, Kl.row, Kl.col, Kl.data, Ml.data))
     return scatter_pencil(tmesh.n_nodes, blocks)
 
 
@@ -323,9 +328,8 @@ class Matched1D:
         tmesh, k = self.tmesh, self.mesh.tree.k
         st_dof, st_node = self._station_pairs()
         phi, n_v = tmesh.conn_phi, len(self.section_dofs)
-        conn_gids = np.array([c.gids for c in tmesh.components
-                              if c.kind == "connector"],
-                             dtype=int).reshape(n_v, len(phi))
+        conn_gids = np.concatenate([np.empty((0, len(phi)), dtype=int)] + [
+            c.gids for c in tmesh.components if c.kind == "connector"])
         in_connector = np.zeros(tmesh.n_nodes, dtype=bool)
         in_connector[conn_gids] = True
         keep = ~in_connector[st_node]
@@ -345,7 +349,7 @@ def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
     k, J = tree.k, tree.J
     gen_local = []
     for j in range(J + 1):
-        thetas, _ = tmesh.edge_stations[EdgeId(j, 0)]
+        thetas, _ = tmesh.stations[j]
         local = list(thetas - tree.t_shell[j])
         if j >= 1:
             a = local[0]
@@ -373,7 +377,7 @@ def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
             d[:, (2 if j >= 1 else 0):(-2 if j < J else None)].ravel()
             for j, d in enumerate(gd)]),
         station_rows=np.concatenate(
-            [rows for _, rows in tmesh.edge_stations.values()]),
+            [rows.reshape(-1, rows.shape[-1]) for _, rows in tmesh.stations]),
         section_dofs=per_vertex([-3], 2),
         zone_dofs=per_vertex([-1, -2], 1))
 
@@ -414,7 +418,7 @@ class JacobianReport:
 
 
 def jacobian_assumption_check(r: float, d: float, c: float,
-                              j_max: int = 60, grid: int = 64) -> JacobianReport:
+                              grid: int = 64) -> JacobianReport:
     """Straightened-tree diffeomorphism audit for the pentagon example.
 
     The generation-j quadrangle maps to a (2^-j) x (p^j) reference box via
@@ -427,7 +431,7 @@ def jacobian_assumption_check(r: float, d: float, c: float,
         warnings.warn(f"d = {d} exceeds p = {p:.4f}; the sufficient condition "
                       "for the derivative bound is violated", stacklevel=2)
 
-    js = np.arange(j_max + 1)
+    js = np.arange(JACOBIAN_J_MAX + 1)
     # dx2/dtheta is affine in s, extremal at s = 0 and s = 2^-j
     at_s0 = (r ** js + c * d ** js) / p ** js
     at_s1 = (r / p) ** js
@@ -435,7 +439,7 @@ def jacobian_assumption_check(r: float, d: float, c: float,
 
     grid_sup = 0.0
     positive = True
-    for j in range(min(j_max, 12) + 1):
+    for j in range(13):       # sampled on generations 0..12
         s = np.linspace(0.0, 2.0 ** (-j), grid)
         der = (r ** j + c * d ** j - c * 2 ** j * d ** j * s) / p ** j
         grid_sup = max(grid_sup, float(der.max()))

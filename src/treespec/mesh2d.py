@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 NEUMANN = 0
 ROOT_DIRICHLET = 1
+SMOOTH_SWEEPS = 4   # Laplacian smoothing passes of the polygon mesher
 
 
 class MeshError(RuntimeError):
@@ -136,8 +137,7 @@ def mesh_rectangle(width: float, length: float, n_cross: int, n_axial: int,
 
 def mesh_polygon(vertices: np.ndarray, h: float,
                  sections: dict | None = None,
-                 section_intervals: int = 3,
-                 smooth_sweeps: int = 4) -> Mesh2D:
+                 section_intervals: int = 3) -> Mesh2D:
     """Delaunay mesh of a convex polygon with sections resolved on the boundary.
 
     sections maps a label to (edge_index, t0, t1): the sub-segment of boundary
@@ -149,7 +149,7 @@ def mesh_polygon(vertices: np.ndarray, h: float,
     best = None
     for factor in (1.0, 0.85, 1.2, 0.7, 1.45, 0.55):
         mesh = _mesh_polygon_once(vertices, h * factor, sections,
-                                  section_intervals, smooth_sweeps)
+                                  section_intervals)
         angle = mesh_quality(mesh)[0]
         if angle >= 20.0:
             return mesh
@@ -160,8 +160,7 @@ def mesh_polygon(vertices: np.ndarray, h: float,
         f"at pitch factor {best[1]}); increase h or simplify the polygon")
 
 
-def _mesh_polygon_once(vertices, h, sections, section_intervals,
-                       smooth_sweeps) -> Mesh2D:
+def _mesh_polygon_once(vertices, h, sections, section_intervals) -> Mesh2D:
     # imported here: scipy.spatial is a tenth of a second of start-up that
     # only the connector meshes need
     from scipy.spatial import Delaunay
@@ -243,7 +242,7 @@ def _mesh_polygon_once(vertices, h, sections, section_intervals,
         return simplices[areas > 1e-14 * polygon_area(v)]
 
     tris = triangulate(nodes)
-    for _ in range(smooth_sweeps):
+    for _ in range(SMOOTH_SWEEPS):
         nodes = _smooth_interior(nodes, tris, n_bnd)
         tris = triangulate(nodes)
     tris = _orient_ccw(nodes, tris)
@@ -336,8 +335,11 @@ def scatter_pencil(n: int, blocks) -> tuple:
     ``cols`` are local indices of the entries, and the values are either
     shared by all copies (shape ``(n_entries,)``) or given per copy (shape
     ``(copies, n_entries)``).  Entries are laid out copy by copy in block
-    order, which fixes the order in which duplicates are summed.
+    order, which fixes the order in which duplicates are summed.  No blocks
+    give the all-zero pencil.
     """
+    if not blocks:
+        return sp.csr_matrix((n, n)), sp.csr_matrix((n, n))
     rows, cols, kv, mv = [], [], [], []
     for gids, lrows, lcols, k_vals, m_vals in blocks:
         shape = (len(gids), len(lrows))

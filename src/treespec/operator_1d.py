@@ -9,8 +9,7 @@ operators on [t_v, R), one per vertex generation plus the root component.
 """
 
 import warnings
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,9 +17,10 @@ import scipy.sparse as sp
 from .connector import affine_partition
 from .eigensolver import Spectrum, merge_spectra, smallest_eigenpairs
 from .mesh2d import eliminate_dirichlet, scatter_pencil
-from .tree_model import EdgeId, Tree
+from .tree_model import Tree
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+HARDY_QUAD = 4      # Gauss-Legendre points per element of the Hardy numerator
 
 
 class Operator1DError(ValueError):
@@ -225,27 +225,6 @@ def average_potential_1d(W2d, tree: Tree, eps: float, zones: VertexZones,
 # 1-D tree meshes
 # ---------------------------------------------------------------------------
 
-class EdgeDofs(Mapping):
-    """Read-only ``EdgeId -> dof row`` view over the per-generation dof arrays."""
-
-    def __init__(self, gen_dofs: list):
-        self._gen_dofs = gen_dofs
-
-    def __getitem__(self, e: EdgeId) -> np.ndarray:
-        if not (0 <= e.j < len(self._gen_dofs)
-                and 0 <= e.index < len(self._gen_dofs[e.j])):
-            raise KeyError(e)
-        return self._gen_dofs[e.j][e.index]
-
-    def __iter__(self):
-        for j, dofs in enumerate(self._gen_dofs):
-            for i in range(len(dofs)):
-                yield EdgeId(j, i)
-
-    def __len__(self) -> int:
-        return sum(len(dofs) for dofs in self._gen_dofs)
-
-
 @dataclass
 class Mesh1D:
     """Conforming P1 mesh on the truncated tree.
@@ -262,10 +241,6 @@ class Mesh1D:
     gen_dofs: list             # (k**j, n_j) global dof array per generation
     n_dofs: int
     dof_t: np.ndarray          # distance from root per dof
-    edge_dofs: EdgeDofs = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.edge_dofs = EdgeDofs(self.gen_dofs)
 
 
 def build_mesh_1d(tree: Tree, h: float,
@@ -531,8 +506,7 @@ def tail_bound_check(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
 
 
 def hardy_inequality_check(tree: Tree, rho: WeightProfile,
-                           nodes: np.ndarray, u: np.ndarray,
-                           n_quad: int = 4) -> float:
+                           nodes: np.ndarray, u: np.ndarray) -> float:
     """Radial Hardy quotient: int p |u|^2 over int rho g |u'|^2 on [0, R).
 
     p(t) = rho(t) g(t) / (R (R - t)); u is piecewise linear on ``nodes`` and
@@ -543,7 +517,7 @@ def hardy_inequality_check(tree: Tree, rho: WeightProfile,
     if near_end.any() and np.abs(np.asarray(u)[near_end]).max() > 1e-9:
         warnings.warn("field does not vanish near the tree radius; "
                       "Hardy integral may blow up", stacklevel=2)
-    gauss, gw = np.polynomial.legendre.leggauss(n_quad)
+    gauss, gw = np.polynomial.legendre.leggauss(HARDY_QUAD)
     nodes = np.asarray(nodes, dtype=float)
     u = np.asarray(u, dtype=float)
 

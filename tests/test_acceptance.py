@@ -200,7 +200,7 @@ def test_criterion_7_property_suites():
     for delta in (0.5, 0.6, 0.8):
         dom = canonical_connector(delta, 0.3)
         mesh = mesh_connector(dom, h=0.08, section_intervals=6)
-        Phi = harmonic_partition_2d(dom, mesh)
+        Phi = harmonic_partition_2d(dom, mesh, stiffness_and_mass(mesh)[0])
         if np.abs(Phi.sum(axis=1) - 1.0).max() > 1e-10:
             viol += 1
     details.append(f"partition sums: {viol} violations")
@@ -247,7 +247,7 @@ def test_criterion_7_property_suites():
 
     # (d) tail bounds, 1-D and 2-D, fields vanishing at root and tips
     mesh1 = build_mesh_1d(tree, h=0.05)
-    tips1 = [mesh1.edge_dofs[e][-1] for e in tree.edges() if e.j == tree.J]
+    tips1 = [mesh1.gen_dofs[e.j][e.index][-1] for e in tree.edges() if e.j == tree.J]
     viol = 0
     for i in range(1000):
         u = rng.standard_normal(mesh1.n_dofs)
@@ -259,21 +259,22 @@ def test_criterion_7_property_suites():
             viol += 1
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, h=0.05))
     Kg, _ = _scatter_assembly(tm)
-    tips2 = np.concatenate([tm.edge_stations[e][1][-1]
+    tips2 = np.concatenate([tm.stations[e.j][1][e.index][-1]
                             for e in tree.edges() if e.j == tree.J])
     beyond = {}
     for j in (0, 1):
         rows, cols, vals = [], [], []
         for comp in tm.components:
-            inc = (comp.kind == "edge" and comp.key.j > j) or (
-                comp.kind == "connector" and comp.key.j >= j)
+            inc = (comp.kind == "edge" and comp.j > j) or (
+                comp.kind == "connector" and comp.j >= j)
             if not inc:
                 continue
             _, Ml = stiffness_and_mass(comp.mesh)
             Ml = Ml.tocoo()
-            rows.append(comp.gids[Ml.row])
-            cols.append(comp.gids[Ml.col])
-            vals.append(Ml.data)
+            for gids in comp.gids:
+                rows.append(gids[Ml.row])
+                cols.append(gids[Ml.col])
+                vals.append(Ml.data)
         beyond[j] = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(tm.n_nodes, tm.n_nodes)).tocsr()

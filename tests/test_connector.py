@@ -20,7 +20,7 @@ from treespec.connector import (
     skeleton_minimizer,
     two_sided_constant,
 )
-from treespec.mesh2d import mesh_polygon
+from treespec.mesh2d import mesh_polygon, stiffness_and_mass
 
 
 def unit_star(k=2):
@@ -170,14 +170,14 @@ def test_rectangle_connector_superposition():
     dom = ConnectorDomain2D(verts, sections, np.array([1.0, 1.0]),
                             np.array([0.5, 0.4]), np.array([0.4, 0.4]),
                             k=1, delta=0.5, c=0.3)
-    Phi = harmonic_partition_2d(dom, mesh)
+    Phi = harmonic_partition_2d(dom, mesh, stiffness_and_mass(mesh)[0])
     assert np.abs(Phi.sum(axis=1) - 1.0).max() < 1e-10
 
 
 def test_harmonic_partition_pentagon():
     dom = canonical_connector(0.6, 0.3)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
-    Phi = harmonic_partition_2d(dom, mesh)
+    Phi = harmonic_partition_2d(dom, mesh, stiffness_and_mass(mesh)[0])
     assert np.abs(Phi.sum(axis=1) - 1.0).max() < 1e-10
     assert Phi.min() >= -1e-6 and Phi.max() <= 1.0 + 1e-6
     # reflection symmetry: phi_1 mirrored in x equals phi_2
@@ -195,15 +195,17 @@ def test_harmonic_partition_pentagon():
 def test_connector_form_matrix_invariants():
     dom = canonical_connector(0.6, 0.3)
     mesh = mesh_connector(dom, h=0.06, section_intervals=8)
-    Phi = harmonic_partition_2d(dom, mesh)
-    A, B = connector_form_matrices(mesh, Phi)
+    K, M = stiffness_and_mass(mesh)
+    Phi = harmonic_partition_2d(dom, mesh, K)
+    A, B = connector_form_matrices(K, M, Phi)
     assert np.abs(A @ np.ones(3)).max() <= 1e-8 * np.abs(A).max()
     assert np.all(B > 0)
     assert np.linalg.eigvalsh(B).min() > 0
     # B stays uniformly positive definite under refinement
     mesh2 = mesh_connector(dom, h=0.03, section_intervals=16)
-    Phi2 = harmonic_partition_2d(dom, mesh2)
-    _, B2 = connector_form_matrices(mesh2, Phi2)
+    K2, M2 = stiffness_and_mass(mesh2)
+    Phi2 = harmonic_partition_2d(dom, mesh2, K2)
+    _, B2 = connector_form_matrices(K2, M2, Phi2)
     lo1 = np.linalg.eigvalsh(B).min()
     lo2 = np.linalg.eigvalsh(B2).min()
     assert lo2 > 0.5 * lo1
@@ -212,7 +214,8 @@ def test_connector_form_matrix_invariants():
 def test_constrained_minimizer_constant_data():
     dom = canonical_connector(0.6, 0.3)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
-    u, kappa, energy = constrained_minimizer_2d(dom, mesh, [2.0, 2.0, 2.0], gamma=0)
+    u, kappa, energy = constrained_minimizer_2d(dom, mesh, *stiffness_and_mass(mesh),
+                                                [2.0, 2.0, 2.0], gamma=0)
     assert np.abs(u - 2.0).max() < 1e-9
     assert abs(energy) < 1e-12
     assert np.abs(kappa).max() < 1e-9
@@ -221,23 +224,25 @@ def test_constrained_minimizer_constant_data():
 def test_constrained_minimizer_bilinearity():
     dom = canonical_connector(0.6, 0.3)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
-    E0, E1 = connector_minimized_forms(dom, mesh)
+    K, M = stiffness_and_mass(mesh)
+    E0, E1 = connector_minimized_forms(dom, mesh, K, M)
     rng = np.random.default_rng(4)
     for gamma, E in ((0, E0), (1, E1)):
         for _ in range(4):
             F = rng.standard_normal(3)
-            _, _, energy = constrained_minimizer_2d(dom, mesh, F, gamma=gamma)
+            _, _, energy = constrained_minimizer_2d(dom, mesh, K, M, F, gamma=gamma)
             assert energy == pytest.approx(F @ E @ F, rel=1e-9, abs=1e-11)
 
 
 def test_constrained_gamma1_dominates_gamma0():
     dom = canonical_connector(0.6, 0.3)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
+    K, M = stiffness_and_mass(mesh)
     rng = np.random.default_rng(8)
     for _ in range(5):
         F = rng.standard_normal(3)
-        _, _, e0 = constrained_minimizer_2d(dom, mesh, F, gamma=0)
-        _, _, e1 = constrained_minimizer_2d(dom, mesh, F, gamma=1)
+        _, _, e0 = constrained_minimizer_2d(dom, mesh, K, M, F, gamma=0)
+        _, _, e1 = constrained_minimizer_2d(dom, mesh, K, M, F, gamma=1)
         assert e1 >= e0 - 1e-12
 
 
@@ -250,11 +255,12 @@ def test_connector_gamma0_energy_scale_invariant_2d():
     scaled.vertices = dom.vertices * 0.5
     mesh_s = mesh_polygon(scaled.vertices, 0.04, sections=scaled.sections,
                           section_intervals=6)
+    pencil, pencil_s = stiffness_and_mass(mesh), stiffness_and_mass(mesh_s)
     rng = np.random.default_rng(3)
     for _ in range(3):
         F = rng.standard_normal(3)
-        _, _, e1 = constrained_minimizer_2d(dom, mesh, F, gamma=0)
-        _, _, e2 = constrained_minimizer_2d(scaled, mesh_s, F, gamma=0)
+        _, _, e1 = constrained_minimizer_2d(dom, mesh, *pencil, F, gamma=0)
+        _, _, e2 = constrained_minimizer_2d(scaled, mesh_s, *pencil_s, F, gamma=0)
         assert e2 == pytest.approx(e1, rel=0.05)
 
 

@@ -256,6 +256,14 @@ def test_kernel_gap_rejects_bad_request_before_geometry(monkeypatch, which,
         kernel_gap_check(ExperimentConfig(eps_list=eps_list), which)
 
 
+@pytest.mark.parametrize("which", ["Q", "P"])
+def test_kernel_gap_needs_a_branching_vertex(which):
+    # a lone tube has no connector: both sides name the key instead of
+    # failing inside the discretization
+    with pytest.raises(ExperimentError, match=r"tree\.J must be >= 1, got 0"):
+        kernel_gap_check(ExperimentConfig(tree=TreeSpec(J=0)), which)
+
+
 def test_nonmember_rejected_by_kernel_filter():
     tree = build_tree(TreeSpec())
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, h=0.05))
@@ -266,7 +274,7 @@ def test_nonmember_rejected_by_kernel_filter():
     comp = tm.components[0]
     v = np.zeros(tm.n_nodes)
     w = comp.mesh.nodes[:, 0].max()
-    v[comp.gids] = np.sin(2 * np.pi * comp.mesh.nodes[:, 0] / w)
+    v[comp.gids[0]] = np.sin(2 * np.pi * comp.mesh.nodes[:, 0] / w)
     weights = tm.cross_average_weights()
     xs = np.linspace(0, w, len(weights))
     discrete_avg = weights @ np.sin(2 * np.pi * xs / w)

@@ -20,7 +20,7 @@ from treespec.fem_2d import (
     q_eps_lift,
 )
 from treespec.mesh2d import ROOT_DIRICHLET, eliminate_dirichlet, mesh_quality, mesh_rectangle, stiffness_and_mass
-from treespec.tree_model import TreeSpec, build_tree
+from treespec.tree_model import EdgeId, TreeSpec, build_tree
 
 BINARY = TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, N=2, J=2)
 
@@ -37,6 +37,7 @@ def test_single_rectangle_when_J_zero():
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, h=0.05))
     assert len(tm.components) == 1
     assert tm.total_area() == pytest.approx(0.1 * 1.0, rel=1e-12)
+    assert tm.connector_triangle_mass().nnz == 0
 
 
 def test_shared_connector_arrays_are_read_only(tmesh):
@@ -65,7 +66,7 @@ def test_warm_geometry_equals_cold(spec):
     assert warm.n_nodes == cold.n_nodes
     assert len(warm.components) == len(cold.components)
     for a, b in zip(warm.components, cold.components):
-        assert (a.kind, a.key) == (b.kind, b.key)
+        assert (a.kind, a.j) == (b.kind, b.j)
         for name in ("gids", "theta"):
             _assert_same_array(getattr(a, name), getattr(b, name))
         _assert_same_array(a.mesh.nodes, b.mesh.nodes)
@@ -118,13 +119,9 @@ def test_geometry_validation_errors():
 def test_interfaces_identified_once(tmesh):
     # every global dof appears in at most one edge and one connector copy;
     # total node count is consistent with the shared-interface bookkeeping
-    seen = {}
-    for comp in tmesh.components:
-        for g in comp.gids:
-            seen[g] = seen.get(g, 0) + 1
-    counts = np.array(list(seen.values()))
+    counts = np.bincount(np.concatenate([c.gids.ravel() for c in tmesh.components]))
     assert counts.max() <= 2
-    assert len(seen) == tmesh.n_nodes
+    assert np.count_nonzero(counts) == tmesh.n_nodes
 
 
 # -- assembly -----------------------------------------------------------------
@@ -170,16 +167,17 @@ def _loop_layout(tmesh, mesh):
     tree = tmesh.tree
     station_dof_rows, zone_dofs, p_parent_dof, p_child_dofs = {}, {}, {}, {}
     for e in tree.edges():
-        _, rows = tmesh.edge_stations[e]
-        dofs = mesh.edge_dofs[e]
+        rows = tmesh.stations[e.j][1][e.index]
+        dofs = mesh.gen_dofs[e.j][e.index]
         lo = 2 if e.j >= 1 else 0
         hi = len(dofs) - 2 if e.j < tree.J else len(dofs)
         for dof, row in zip(dofs[lo:hi], rows):
             station_dof_rows[int(dof)] = row
     for e in tree.interior_vertices():
-        dofs = mesh.edge_dofs[e]
+        dofs = mesh.gen_dofs[e.j][e.index]
         p_parent_dof[e] = int(dofs[-3])
-        kids = [mesh.edge_dofs[e.child(tree.k, pos)] for pos in range(tree.k)]
+        kids = [mesh.gen_dofs[e.j + 1][e.child(tree.k, pos).index]
+                for pos in range(tree.k)]
         p_child_dofs[e] = [int(cd[2]) for cd in kids]
         zone_dofs[e] = {"parent_mid": int(dofs[-2]), "vertex": int(dofs[-1]),
                         "child_mids": [int(cd[1]) for cd in kids]}
@@ -196,7 +194,8 @@ def _p_eps_loop(tmesh, mesh, u_global):
         vals[dof] = float(w @ u_global[row])
     cv = 1.0 / (tree.k + 1)
     own, foreign = affine_partition(tree.k, 0.5)
-    connectors = {c.key: c.gids for c in tmesh.components if c.kind == "connector"}
+    connectors = {EdgeId(c.j, i): gids for c in tmesh.components
+                  if c.kind == "connector" for i, gids in enumerate(c.gids)}
     sections = tmesh.conn_mesh_canonical.sections
     for e, zinfo in zone_dofs.items():
         u_par = float(w @ u_global[connectors[e][sections["S0"]]])
@@ -221,9 +220,10 @@ def _q_eps_loop(tmesh, mesh, f_dofs):
         u[row] = f_dofs[dof]
     for comp in tmesh.components:
         if comp.kind == "connector":
-            e = comp.key
-            sections = [p_parent_dof[e], *p_child_dofs[e]]
-            u[comp.gids] = tmesh.conn_phi @ f_dofs[sections]
+            for i, gids in enumerate(comp.gids):
+                e = EdgeId(comp.j, i)
+                sections = [p_parent_dof[e], *p_child_dofs[e]]
+                u[gids] = tmesh.conn_phi @ f_dofs[sections]
     return u
 
 
@@ -253,6 +253,70 @@ def test_p_and_q_operators_equal_the_loops(matched_case):
                       - _p_eps_loop(tm, matched.mesh, u)).max() <= 1e-14
         assert np.abs(q_eps_lift(tm, matched, f)
                       - _q_eps_loop(tm, matched.mesh, f)).max() <= 1e-14
+
+
+def _per_edge_layout(tm):
+    """Reference node numbering, one edge and then one vertex at a time: every
+    copy takes fresh global numbers for its own nodes, and a connector takes
+    its section nodes from the end rows of the adjacent tubes.  Returns
+    (edge -> (gids, theta), vertex -> (gids, theta), edge -> (station theta,
+    station rows), root_nodes, n_nodes)."""
+    tree, k, spec2d = tm.tree, tm.tree.k, tm.spec2d
+    rect = {c.j: c.mesh for c in tm.components if c.kind == "edge"}
+    conn = tm.conn_mesh_canonical
+    counter = 0
+
+    def fresh(n):
+        nonlocal counter
+        out = np.arange(counter, counter + n)
+        counter += n
+        return out
+
+    edges, vertices, stations = {}, {}, {}
+    for e in tree.edges():
+        mesh = rect[e.j]
+        start = tm.cut_child[e.j - 1] if e.j >= 1 else 0.0
+        gids = fresh(mesh.n_nodes)
+        edges[e] = (gids, tree.t_shell[e.j] + start + mesh.nodes[:, 1])
+        stations[e] = (tree.t_shell[e.j] + start + mesh.axial_positions,
+                       gids[mesh.axial_index.T])
+    for e in tree.interior_vertices():
+        scale = spec2d.eps * tree.spec.delta ** e.j * tree.spec.omega
+        local = conn.nodes * scale
+        gids = np.full(conn.n_nodes, -1, dtype=int)
+        gids[conn.sections["S0"]] = stations[e][1][-1]
+        for pos in range(k):
+            gids[conn.sections[f"S{pos + 1}"]] = stations[e.child(k, pos)][1][0]
+        interior = gids < 0
+        gids[interior] = fresh(int(interior.sum()))
+        vertices[e] = (gids, tree.t_shell[e.j + 1]
+                       + (local[:, 1] - tm.canonical.center[1] * scale))
+    return edges, vertices, stations, stations[EdgeId(0, 0)][1][0].copy(), counter
+
+
+def test_blocks_equal_the_per_edge_layout(matched_case):
+    tm, _ = matched_case
+    tree = tm.tree
+    edges, vertices, stations, root_nodes, n_nodes = _per_edge_layout(tm)
+    assert tm.n_nodes == n_nodes
+    _assert_same_array(tm.root_nodes, root_nodes)
+    assert [(c.kind, c.j) for c in tm.components] == (
+        [("edge", j) for j in range(tree.J + 1)]
+        + [("connector", j) for j in range(tree.J)])
+    for comp in tm.components:
+        reference = edges if comp.kind == "edge" else vertices
+        assert comp.gids.shape == (tree.k ** comp.j, comp.mesh.n_nodes)
+        for i, gids in enumerate(comp.gids):
+            want_gids, want_theta = reference[EdgeId(comp.j, i)]
+            _assert_same_array(gids, want_gids)
+            _assert_same_array(comp.theta, want_theta)
+    assert len(tm.stations) == tree.J + 1
+    for j, (theta, rows) in enumerate(tm.stations):
+        assert len(rows) == tree.k ** j
+        for i, row in enumerate(rows):
+            want_theta, want_rows = stations[EdgeId(j, i)]
+            _assert_same_array(theta, want_theta)
+            _assert_same_array(row, want_rows)
 
 
 def test_p_after_q_is_the_identity_on_stations_and_a_projection(matched_case):
@@ -397,7 +461,7 @@ def test_connector_tail_zero_and_disjoint_fields(tmesh):
     u = np.zeros(tmesh.n_nodes)
     comp = tmesh.components[0]
     inside = comp.mesh.nodes[:, 1] < 0.5
-    u[comp.gids[inside]] = comp.mesh.nodes[inside, 1]
+    u[comp.gids[0][inside]] = comp.mesh.nodes[inside, 1]
     assert connector_tail(tmesh, u) == 0.0
 
 
@@ -444,8 +508,8 @@ def test_jacobian_warns_when_d_exceeds_p():
 # -- assembly against a per-component reference loop ---------------------------
 
 def _per_component_assembly(tmesh, W=None, only_kind=None):
-    """Reference: one local assembly per component, scattered in component
-    order."""
+    """Reference: one local assembly per copy of every component, scattered
+    copy by copy in component order."""
     import scipy.sparse as sp
 
     n = tmesh.n_nodes
@@ -457,12 +521,13 @@ def _per_component_assembly(tmesh, W=None, only_kind=None):
         if W is not None:
             def potential(x, y, comp=comp):
                 return np.asarray(W(comp.theta[comp.mesh.triangles].mean(axis=1), x))
-        Kl, Ml = stiffness_and_mass(comp.mesh, potential=potential)
-        Kl, Ml = Kl.tocoo(), Ml.tocoo()
-        rows.append(comp.gids[Kl.row])
-        cols.append(comp.gids[Kl.col])
-        kv.append(Kl.data)
-        mv.append(Ml.data)
+        for gids in comp.gids:
+            Kl, Ml = stiffness_and_mass(comp.mesh, potential=potential)
+            Kl, Ml = Kl.tocoo(), Ml.tocoo()
+            rows.append(gids[Kl.row])
+            cols.append(gids[Kl.col])
+            kv.append(Kl.data)
+            mv.append(Ml.data)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     return tuple(sp.coo_matrix((np.concatenate(v), (rows, cols)), shape=(n, n)).tocsr()
                  for v in (kv, mv))

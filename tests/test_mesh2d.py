@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from treespec.eigensolver import smallest_eigenpairs
 from treespec.mesh2d import (
@@ -14,6 +15,7 @@ from treespec.mesh2d import (
     mesh_rectangle,
     point_in_polygon,
     polygon_area,
+    scatter_pencil,
     section_average_weights,
     stiffness_and_mass,
 )
@@ -165,3 +167,10 @@ def test_rectangle_mesh_matches_loop_reference(n_cross, dirichlet_bottom):
         assert list(mesh.sections) == list(ref.sections)
         for label in ref.sections:
             _assert_same_array(mesh.sections[label], ref.sections[label])
+
+
+def test_scatter_of_no_blocks_is_the_zero_pencil():
+    K, M = scatter_pencil(5, [])
+    for A in (K, M):
+        assert sp.isspmatrix_csr(A)
+        assert A.shape == (5, 5) and A.nnz == 0

@@ -25,7 +25,7 @@ from treespec.operator_1d import (
     tail_bound_check,
     zone_modified_profile,
 )
-from treespec.tree_model import EdgeId, TreeSpec, build_tree
+from treespec.tree_model import TreeSpec, build_tree
 
 
 def single_edge_tree(l0=1.0):
@@ -365,7 +365,7 @@ def test_tail_bound_field_supported_inside():
     u = np.zeros(mesh.n_dofs)
     # nonzero only on generation-0 interior nodes
     e0 = next(iter(tree.edges()))
-    u[mesh.edge_dofs[e0][1:-1]] = 1.0
+    u[mesh.gen_dofs[e0.j][e0.index][1:-1]] = 1.0
     assert tail_bound_check(tree, mesh, rs, rs, u, 1) == 0.0
 
 
@@ -373,7 +373,7 @@ def test_tail_bound_random_fields_bounded():
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=2))
     mesh = build_mesh_1d(tree, h=0.05)
     rs = rho_star_profile(tree)
-    tips = [mesh.edge_dofs[e][-1] for e in tree.edges() if e.j == tree.J]
+    tips = [mesh.gen_dofs[e.j][e.index][-1] for e in tree.edges() if e.j == tree.J]
     rng = np.random.default_rng(42)
     for j in (0, 1):
         bound = tree.tail_radius(j, truncated=True) ** 2  # c = 1, C = 1
@@ -451,7 +451,8 @@ def assemble_1d_loop(tree, mesh, rho_a, rho_b, W=None):
     """Per-edge assembly, root eliminated: element matrices recomputed on
     every edge."""
     rows, cols, kv, mv = [], [], [], []
-    for e, dofs in mesh.edge_dofs.items():
+    for e in tree.edges():
+        dofs = mesh.gen_dofs[e.j][e.index]
         local = mesh.gen_local[e.j]
         t0 = tree.t_shell[e.j]
         a, b = local[:-1], local[1:]
@@ -483,7 +484,7 @@ def kirchhoff_residuals_loop(tree, mesh, rho_a, u):
     res = []
     for e in tree.interior_vertices():
         local = mesh.gen_local[e.j]
-        dofs = mesh.edge_dofs[e]
+        dofs = mesh.gen_dofs[e.j][e.index]
         h_in = local[-1] - local[-2]
         mid_in = tree.t_shell[e.j] + local[-1] - 0.5 * h_in
         total = float(rho_a(mid_in)) * (u[dofs[-2]] - u[dofs[-1]]) / h_in
@@ -493,14 +494,15 @@ def kirchhoff_residuals_loop(tree, mesh, rho_a, u):
             h_out = clocal[1] - clocal[0]
             mid_out = tree.t_shell[child.j] + 0.5 * h_out
             total += (float(rho_a(mid_out))
-                      * (u[mesh.edge_dofs[child][1]] - u[dofs[-1]]) / h_out)
+                      * (u[mesh.gen_dofs[child.j][child.index][1]] - u[dofs[-1]]) / h_out)
         res.append(abs(total))
     return np.array(res)
 
 
 def tail_bound_loop(tree, mesh, rho_a, rho_b, u, j):
     mass = energy = 0.0
-    for e, dofs in mesh.edge_dofs.items():
+    for e in tree.edges():
+        dofs = mesh.gen_dofs[e.j][e.index]
         local = mesh.gen_local[e.j]
         hs = np.diff(local)
         mids = tree.t_shell[e.j] + local[:-1] + 0.5 * hs
@@ -552,8 +554,8 @@ def test_assembly_equals_per_edge_loop(spec, profile, cosine, dirichlet_root):
     rho_a = rs if profile == "rho_star" else build_rho_Q(tree, unit_constants(2.5), 0.1)
     mesh = build_mesh_1d(tree, h=0.04, breakpoints=rho_a.breakpoints)
     edge_dofs, dof_t = edge_dofs_loop(tree, mesh.gen_local)
-    assert list(mesh.edge_dofs) == list(edge_dofs)
-    assert all(np.array_equal(mesh.edge_dofs[e], d) for e, d in edge_dofs.items())
+    assert sum(len(dofs) for dofs in mesh.gen_dofs) == len(edge_dofs)
+    assert all(np.array_equal(mesh.gen_dofs[e.j][e.index], d) for e, d in edge_dofs.items())
     assert mesh.n_dofs == len(dof_t)
     assert np.array_equal(mesh.dof_t, dof_t)
     W = PotentialProfile("cosine", (1.0, 2.0)) if cosine else None
@@ -569,7 +571,7 @@ def test_assembly_equals_per_edge_loop_on_matched_mesh():
     tmesh = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, h=0.03, n_cross=3))
     mesh = matched_mesh_1d(tmesh).mesh
     edge_dofs, _ = edge_dofs_loop(tree, mesh.gen_local)
-    assert all(np.array_equal(mesh.edge_dofs[e], d) for e, d in edge_dofs.items())
+    assert all(np.array_equal(mesh.gen_dofs[e.j][e.index], d) for e, d in edge_dofs.items())
     rs = rho_star_profile(tree)
     W = PotentialProfile("cosine", (1.0, 1.0))
     system = assemble_1d(tree, mesh, rs, rs, W)
@@ -578,13 +580,13 @@ def test_assembly_equals_per_edge_loop_on_matched_mesh():
     assert_same_csr(system.M, M)
 
 
-def test_edge_dofs_view_is_read_only():
+def test_gen_dofs_are_read_only():
     tree = build_tree(TreeSpec(k=2, J=2))
     mesh = build_mesh_1d(tree, h=0.1)
-    assert len(mesh.edge_dofs) == tree.edge_count()
-    assert EdgeId(3, 0) not in mesh.edge_dofs
+    assert sum(len(dofs) for dofs in mesh.gen_dofs) == tree.edge_count()
+    assert len(mesh.gen_dofs) == tree.J + 1
     with pytest.raises(ValueError):
-        mesh.edge_dofs[EdgeId(1, 1)][0] = 7
+        mesh.gen_dofs[1][1][0] = 7
 
 
 @pytest.mark.parametrize("spec", LOOP_TREES, ids=lambda s: f"k{s.k}")
