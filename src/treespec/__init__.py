@@ -36,11 +36,11 @@ from .operator_1d import (
     rho_star_profile,
     spectrum_1d,
 )
-from .tree_model import EdgeId, Tree, TreePoint, TreeSpec, build_tree
+from .tree_model import EdgeId, Tree, TreeSpec, build_tree
 
 __all__ = [
     "__version__",
-    "TreeSpec", "Tree", "EdgeId", "TreePoint", "build_tree",
+    "TreeSpec", "Tree", "EdgeId", "build_tree",
     "SkeletonStar", "EquivalenceConstants", "analyze_connector",
     "WeightProfile", "PotentialProfile", "rho_star_profile",
     "build_rho_Q", "build_rho_P", "build_mesh_1d", "assemble_1d",

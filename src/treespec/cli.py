@@ -10,7 +10,6 @@ fails.
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -37,7 +36,7 @@ from .operator_1d import (
     rho_star_profile,
     spectrum_1d,
 )
-from .tree_model import TreeSpec, build_tree
+from .tree_model import TreeModelError, TreeSpec, build_tree
 
 SUBCOMMANDS = ("spectrum1d", "decompose", "spectrum2d", "sandwich",
                "converge-weights", "project", "check-discreteness",
@@ -163,14 +162,9 @@ def validate_config(raw: dict) -> RunConfig:
 
     cfg = RunConfig(data)
     try:
-        cfg.tree_spec.validate()
-    except ValueError as err:
+        cfg.experiment_config().validate()
+    except TreeModelError as err:
         raise ConfigError(f"tree: {err}") from err
-    g = data["geometry"]
-    if not all(0 < e < 1 for e in g["eps_list"]):
-        raise ConfigError("geometry.eps_list: entries must lie in (0, 1)")
-    try:
-        cfg.experiment_config().w_limit()   # rejects a malformed potential
     except ExperimentError as err:
         raise ConfigError(str(err)) from err
     if data["experiment"]["rayleigh_samples"] > 0 and data["seed"] is None:
@@ -178,17 +172,20 @@ def validate_config(raw: dict) -> RunConfig:
     return cfg
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path, overrides=()) -> RunConfig:
+    """Load a JSON config file, apply ``--set`` overrides, and validate it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"not valid JSON: {err}") from err
-    return validate_config(raw)
+    return validate_config(apply_overrides(raw, overrides))
 
 
-def apply_overrides(raw: dict, overrides: list) -> dict:
+def apply_overrides(raw: dict, overrides) -> dict:
     """Apply --set key.path=value pairs onto the raw config dict."""
+    if not isinstance(raw, dict):
+        raise ConfigError("top level: expected an object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set {item}: expected key=value")
@@ -199,7 +196,10 @@ def apply_overrides(raw: dict, overrides: list) -> dict:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: {part} is not an object")
-        node[parts[-1]] = json.loads(value)
+        try:
+            node[parts[-1]] = json.loads(value)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"--set {key}: not valid JSON: {err}") from err
     return raw
 
 
@@ -233,8 +233,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 def _spectrum_rows(spec):
     rows = []
-    for i, (lam, mult) in enumerate(zip(spec.values, spec.multiplicities)):
-        res = spec.residuals[i] if spec.residuals is not None else math.nan
+    for i, (lam, mult, res) in enumerate(zip(spec.values, spec.multiplicities,
+                                             spec.residuals)):
         rows.append({"index": i + 1, "lambda": float(lam),
                      "multiplicity": int(mult), "residual": float(res)})
     return rows
@@ -470,11 +470,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw = apply_overrides(raw, args.overrides)
-        cfg = validate_config(raw)
-    except (OSError, json.JSONDecodeError, ConfigError) as err:
+        cfg = parse_config(args.config, args.overrides)
+    except (OSError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

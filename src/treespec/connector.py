@@ -41,8 +41,7 @@ class ConnectorError(ValueError):
 class SkeletonStar:
     """Star of k+1 arms around a vertex; arm 0 is the parent arm.
 
-    Arm lengths default to 1 (canonical scale); arm weights carry the
-    piecewise-constant weight of the incident edges.
+    Arm weights carry the piecewise-constant weight of the incident edges.
     """
 
     arm_lengths: np.ndarray
@@ -65,15 +64,14 @@ class SkeletonStar:
         return SkeletonStar(self.arm_lengths * factor, self.arm_weights)
 
     @staticmethod
-    def regular(k: int, delta: float, N: int = 2, omega: float = 1.0,
-                arm_lengths=None) -> "SkeletonStar":
+    def regular(k: int, delta: float, N: int, omega: float,
+                arm_lengths) -> "SkeletonStar":
         """Star of a regular-tree vertex: parent weight 1, children delta**(N-1),
         times the cross-section measure (the common delta**((N-1) gen) factor of
         the local rho* is divided out)."""
-        lengths = np.ones(k + 1) if arm_lengths is None else np.asarray(arm_lengths)
         weights = np.full(k + 1, delta ** (N - 1) * omega)
         weights[0] = omega
-        return SkeletonStar(lengths, weights)
+        return SkeletonStar(arm_lengths, weights)
 
 
 def affine_partition(k: int, sig):
@@ -122,12 +120,10 @@ def _affine_product_integral(L, a0, aL, b0, bL):
     return L / 6.0 * (2 * a0 * b0 + a0 * bL + aL * b0 + 2 * aL * bL)
 
 
-def skeleton_form_matrices(star: SkeletonStar,
-                           partition: PartitionOfUnity1D | None = None):
+def skeleton_form_matrices(star: SkeletonStar):
     """Exact (Abar, Bbar): weighted Dirichlet and mass forms of the affine
     partition functions on the star."""
-    if partition is None:
-        partition = build_partition_1d(star)
+    partition = build_partition_1d(star)
     n = star.k + 1
     Abar = np.zeros((n, n))
     Bbar = np.zeros((n, n))

@@ -30,6 +30,7 @@ from .fem_2d import (
 from .operator_1d import (
     Operator1DError,
     PotentialProfile,
+    VertexZones,
     assemble_1d,
     average_potential_1d,
     build_mesh_1d,
@@ -55,13 +56,13 @@ def _pole_denominator(direction: str, x, c: float, eps: float):
     return head - c * eps * x
 
 
-def _bound_transform(direction: str, x: float, a: float, c: float,
-                     eps: float) -> float:
-    """(1 + a eps) x over the pole denominator, +inf past the pole."""
+def _bound_transform(direction: str, x, a, c, eps: float):
+    """(1 + a eps) x over the pole denominator, +inf where the denominator
+    is <= 0; elementwise over the broadcast of x, a and c."""
     denom = _pole_denominator(direction, x, c, eps)
-    if denom <= 0:
-        return math.inf
-    return (1.0 + a * eps) * x / denom
+    out = np.full(np.shape(denom), math.inf)
+    np.divide((1.0 + a * eps) * x, denom, out=out, where=denom > 0)
+    return out[()]
 
 
 def phi_Q(x: float, c: float, eps: float) -> float:
@@ -100,11 +101,15 @@ class ExperimentConfig:
                               n_cross=self.n_cross)
 
     def validate(self) -> None:
+        """Reject a tree spec, width list, weight-sequence list or potential
+        outside the supported domain; messages name the config key."""
         self.tree.validate()
+        if not all(0 < e < 1 for e in self.eps_list):
+            raise ExperimentError("geometry.eps_list: entries must lie in (0, 1)")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ExperimentError("eps_list must be strictly decreasing")
+            raise ExperimentError("geometry.eps_list: entries must be strictly decreasing")
         if list(self.n_list) != sorted(self.n_list):
-            raise ExperimentError("n_list must be increasing")
+            raise ExperimentError("experiment.n_list: entries must be increasing")
         self.w_limit()   # rejects a malformed potential
 
     # potential plumbing: the radial potential is the one definition; the
@@ -155,7 +160,7 @@ def width_weighted_pair(tree: Tree, cfg: ExperimentConfig, consts,
     zone weights rho_Q / rho_P, and the cross-section average of the 2-D
     potential."""
     eps = tm.spec2d.eps
-    zones = tm.zones()
+    zones = tm.zones
     rs = rho_star_profile(tree)
     W2d = cfg.w2d()
     W1 = None if W2d is None else average_potential_1d(W2d, tree, eps, zones)
@@ -227,8 +232,6 @@ def weight_convergence_experiment(cfg: ExperimentConfig) -> WeightConvergenceRep
     cfg.validate()
     tree = build_tree(cfg.tree)
     rs = rho_star_profile(tree)
-    from .operator_1d import VertexZones
-
     profiles = []
     all_bps = [rs.breakpoints]
     for n in cfg.n_list:
@@ -301,12 +304,10 @@ class SandwichReport:
 def _fit_sandwich_c(eps, mu, lam, nu, bars):
     """Smallest c on the grid with nu - bar <= phi_Q(mu) and
     lam <= phi_P(nu + bar) for every mode, or None."""
-    for c in C_GRID:
-        if all(nu[m] - bars[m] <= phi_Q(mu[m], c, eps)
-               and lam[m] <= phi_P(nu[m] + bars[m], c, eps)
-               for m in range(len(mu))):
-            return float(c)
-    return None
+    c = C_GRID[:, None]
+    fits = ((nu - bars <= _bound_transform("Q", mu, c, c, eps))
+            & (lam <= _bound_transform("P", nu + bars, c, c, eps))).all(axis=1)
+    return float(C_GRID[fits.argmax()]) if fits.any() else None
 
 
 def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
@@ -368,17 +369,13 @@ class KernelGapReport:
 
 def q_kernel_dofs(tree: Tree, mesh, zones) -> np.ndarray:
     """1-D dofs strictly inside the vertex zones (the support of ker Q^eps)."""
-    sel = []
-    for j in range(tree.J):
-        par, chi = zones.reaches(tree, j)
-        t_v = tree.t_shell[j + 1]
-        lo, hi = t_v - par, t_v + chi
-        inside = (mesh.dof_t > lo + 1e-12) & (mesh.dof_t < hi - 1e-12)
-        sel.append(np.nonzero(inside)[0])
-    if not sel or not len(np.concatenate(sel)):
+    lo, _, hi = zones.bounds(tree)
+    t = mesh.dof_t[:, None]
+    dofs = np.nonzero(((t > lo + 1e-12) & (t < hi - 1e-12)).any(axis=1))[0]
+    if not len(dofs):
         raise ExperimentError("no interior zone dofs after discretization; "
                               "refine the 1-D mesh")
-    return np.unique(np.concatenate(sel))
+    return dofs
 
 
 def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
@@ -411,7 +408,7 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
             system, _ = width_weighted_pair(tree, cfg, consts, tm, matched)
             # the zone dofs, in the numbering of the root-eliminated pencil
             dofs = np.searchsorted(system.free,
-                                   q_kernel_dofs(tree, matched.mesh, tm.zones()))
+                                   q_kernel_dofs(tree, matched.mesh, tm.zones))
             Kz = system.K[np.ix_(dofs, dofs)]
             Mz = system.M[np.ix_(dofs, dofs)]
         else:
@@ -562,9 +559,7 @@ def _rayleigh_report(direction: str, samples: np.ndarray,
                                    fitted_a=math.nan, fitted_c=math.nan,
                                    violations=n, samples=n)
     a, c = float(a_needed), float(c)
-    denom = _pole_denominator(direction, x, c, eps)
-    bound = np.full(n, math.inf)
-    np.divide((1.0 + a * eps) * x, denom, out=bound, where=denom > 0)
+    bound = _bound_transform(direction, x, a, c, eps)
     viol = int(np.count_nonzero(y > bound * (1 + 1e-12)))
     return RayleighBoundReport(eps=eps, direction=direction, fitted_a=a,
                                fitted_c=c, violations=viol, samples=n)
@@ -610,7 +605,6 @@ class ProjectionRow:
 
 @dataclass
 class ProjectionReport:
-    mode: int
     rows: list
     distances_decreasing: bool
     final_distance: float
@@ -622,17 +616,16 @@ def vertex_holder_constant(tmesh: TreeMesh2D, matched: Matched1D,
     """max over vertices and arm pairs of |P u(p_e) - P u(p_e~)| / sqrt(dist)."""
     tree = tmesh.tree
     gen = np.repeat(np.arange(tree.J), tree.k ** np.arange(tree.J))
-    arms = np.column_stack([tmesh.cut_parent[gen]]
-                           + [tmesh.cut_child[gen]] * tree.k)
+    par, chi = tmesh.zones.reaches(tree)
+    arms = np.column_stack([par[gen]] + [chi[gen]] * tree.k)
     vals = pu[matched.section_dofs]
     a, b = np.triu_indices(tree.k + 1, 1)
     ratio = np.abs(vals[:, a] - vals[:, b]) / np.sqrt(arms[:, a] + arms[:, b])
     return float(ratio.max(initial=0.0))
 
 
-def eigenfunction_projection_experiment(cfg: ExperimentConfig,
-                                        mode: int = 1) -> ProjectionReport:
-    """Distance between P^eps u_eps and the limit eigenfunction of
+def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionReport:
+    """Distance between P^eps u_eps and the first limit eigenfunction of
     -(rho* u')'/rho* across the eps list.
 
     The 2-D eigenfunction is normalized to ||u||_L2 = eps^((N-1)/2); the limit
@@ -648,16 +641,16 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig,
     for eps in cfg.eps_list:
         tm = build_geometry_2d(tree, cfg.geometry(eps, 0.5 * cfg.h_2d))
         system = assemble_2d(tm, W=W2d)
-        spec = smallest_eigenpairs(system.K, system.M, mode)
-        u = spec.vectors[:, mode - 1]
+        spec = smallest_eigenpairs(system.K, system.M, 1)
+        u = spec.vectors[:, 0]
         u = u * (math.sqrt(eps) / math.sqrt(float(u @ (system.M @ u))))
         matched = matched_mesh_1d(tm)
         pu = p_eps_project(tm, matched, system.expand(u))
 
         rs = rho_star_profile(tree)
         sys1 = assemble_1d(tree, matched.mesh, rs, rs, cfg.w_limit())
-        lspec = smallest_eigenpairs(sys1.K, sys1.M, mode)
-        ustar = lspec.vectors[:, mode - 1]
+        lspec = smallest_eigenpairs(sys1.K, sys1.M, 1)
+        ustar = lspec.vectors[:, 0]
         M1 = sys1.M
         ustar = ustar / math.sqrt(float(ustar @ (M1 @ ustar)))
         pf = pu[sys1.free]
@@ -675,7 +668,7 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig,
                                             + float(u @ (system.M @ u))))
         holder = vertex_holder_constant(tm, matched,
                                         p_eps_project(tm, matched, system.expand(uH)))
-        rows.append(ProjectionRow(eps=eps, lambda_2d=float(spec.values[mode - 1]),
+        rows.append(ProjectionRow(eps=eps, lambda_2d=float(spec.values[0]),
                                   distance=dist, overlap=overlap,
                                   holder_constant=holder))
     dists = [r.distance for r in rows]
@@ -683,6 +676,6 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig,
     if not decreasing and tracking_ok:
         warnings.warn("projection distances are not monotone although mode "
                       "tracking is consistent (subsequence caveat)", stacklevel=2)
-    return ProjectionReport(mode=mode, rows=rows,
+    return ProjectionReport(rows=rows,
                             distances_decreasing=decreasing,
                             final_distance=dists[-1], tracking_ok=tracking_ok)

@@ -12,7 +12,6 @@ recomputed residual; the solve fails when a pair's backward error exceeds the
 tolerance.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,32 +256,24 @@ def _scale_estimate(K, M) -> float:
 
 
 def merge_spectra(parts: list[tuple[Spectrum, int]], m: int | None = None) -> Spectrum:
-    """K-way merge of sorted spectra, multiplying multiplicities.
+    """Merge of sorted spectra, multiplying multiplicities.
 
     ``parts`` is a list of (spectrum, multiplicity) pairs; the result keeps
-    values sorted and is invariant under permutation of the inputs.  Entries
-    whose multiplicity is zero are dropped.
+    values sorted, equal values in input order, and its values are invariant
+    under permutation of the inputs.  Entries whose multiplicity is zero are
+    dropped.  With ``m`` the merge stops at the first value whose cumulative
+    multiplicity reaches m.
     """
-    heap = []
-    for which, (spec, mult) in enumerate(parts):
-        if mult == 0 or len(spec) == 0:
-            continue
-        if np.any(np.diff(spec.values) < 0):
-            raise EigensolverError("merge_spectra requires sorted inputs")
-        heap.append((spec.values[0], which, 0, mult))
-    heapq.heapify(heap)
-
-    values, mults = [], []
-    while heap:
-        val, which, pos, mult = heapq.heappop(heap)
-        spec = parts[which][0]
-        values.append(val)
-        mults.append(mult * int(spec.multiplicities[pos]))
-        if pos + 1 < len(spec):
-            heapq.heappush(heap, (spec.values[pos + 1], which, pos + 1, mult))
-        if m is not None and sum(mults) >= m:
-            break
-    return Spectrum(values=np.array(values), multiplicities=np.array(mults, dtype=int))
+    parts = [(spec, mult) for spec, mult in parts if mult != 0 and len(spec)]
+    if any(np.any(np.diff(spec.values) < 0) for spec, _ in parts):
+        raise EigensolverError("merge_spectra requires sorted inputs")
+    values = np.concatenate([np.empty(0)] + [spec.values for spec, _ in parts])
+    mults = np.concatenate([np.empty(0, dtype=int)]
+                           + [mult * spec.multiplicities for spec, mult in parts])
+    order = np.argsort(values, kind="stable")
+    if m is not None:
+        order = order[:np.searchsorted(np.cumsum(mults[order]), m) + 1]
+    return Spectrum(values=values[order], multiplicities=mults[order])
 
 
 def cluster_multiplicities(spec: Spectrum, tol: float = _CLUSTER_TOL) -> Spectrum:

@@ -104,14 +104,7 @@ class TreeMesh2D:
     conn_phi: np.ndarray                  # canonical harmonic partition
     conn_mesh_canonical: Mesh2D
     stations: list
-    cut_parent: np.ndarray                # per generation, axial length cut at edge end
-    cut_child: np.ndarray                 # per generation j: cut at start of gen j+1 edges
-
-    def zones(self) -> VertexZones:
-        om = self.tree.spec.omega
-        return VertexZones(self.spec2d.eps,
-                           parent_arm=float(self.canonical.arm_lengths[0]) * om,
-                           child_arm=float(self.canonical.arm_lengths[1]) * om)
+    zones: VertexZones                    # the connector skeletons on the 1-D tree
 
     def cross_average_weights(self) -> np.ndarray:
         n = self.spec2d.n_cross
@@ -153,17 +146,14 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
     canonical, conn_mesh, phi = _canonical_connector_mesh(d, c, k, n_cross)
 
     scale = np.array([eps * d ** j * om for j in range(tree.J + 1)])
-    cut_parent = canonical.arm_lengths[0] * scale       # at end of gen-j edges
-    cut_child = canonical.arm_lengths[1] * scale        # at start of gen-(j+1) edges
-
-    # axial extents of the edge rectangles
-    starts = np.zeros(tree.J + 1)
-    ends = np.array([tree.edge_length(j) for j in range(tree.J + 1)])
+    zones = VertexZones(eps, parent_arm=float(canonical.arm_lengths[0]) * om,
+                        child_arm=float(canonical.arm_lengths[1]) * om)
+    # the edge rectangles run between the connector cuts: the child reach at
+    # the start of generation j >= 1, the parent reach at the end of j < J
+    par, chi = zones.reaches(tree)
+    starts = np.concatenate([[0.0], chi])
+    ends = tree.edge_lengths - np.append(par, 0.0)
     for j in range(tree.J + 1):
-        if j >= 1:
-            starts[j] = cut_child[j - 1]
-        if j < tree.J:
-            ends[j] -= cut_parent[j]
         if ends[j] - starts[j] <= max(h * 0.1, MIN_FEATURE):
             raise Geometry2DError(
                 f"connector cuts consume the generation-{j} edge "
@@ -171,8 +161,7 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
 
     # one local rectangle mesh per generation, shared by all its edges
     rect_meshes = []
-    for j in range(tree.J + 1):
-        w = eps * d ** j * om
+    for j, w in enumerate(scale):
         axial_len = ends[j] - starts[j]
         spacing = min(h, ASPECT_CAP * w / n_cross)
         n_axial = max(2, int(np.ceil(axial_len / spacing)))
@@ -217,8 +206,7 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
                       n_nodes=counter, root_nodes=root_nodes,
                       canonical=canonical, conn_phi=phi,
                       conn_mesh_canonical=conn_mesh,
-                      stations=stations,
-                      cut_parent=cut_parent, cut_child=cut_child)
+                      stations=stations, zones=zones)
 
 
 def _scatter_assembly(tmesh: TreeMesh2D, W=None, only_kind: str | None = None):

@@ -21,6 +21,8 @@ from .tree_model import Tree
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 HARDY_QUAD = 4      # Gauss-Legendre points per element of the Hardy numerator
+AVERAGE_CROSS_POINTS = 16    # Gauss-Legendre points across a tube section
+AVERAGE_AXIAL_POINTS = 400   # uniform axial samples of an averaged potential
 
 
 class Operator1DError(ValueError):
@@ -73,32 +75,35 @@ class VertexZones:
     parent_arm: float = 1.0
     child_arm: float = 1.0
 
-    def reaches(self, tree: Tree, j: int) -> tuple[float, float]:
-        scale = self.eps * tree.spec.delta ** j
+    def reaches(self, tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+        """(parent, child) arm reach of the zone of every vertex generation j < J."""
+        scale = self.eps * np.array([tree.spec.delta ** j for j in range(tree.J)])
         return scale * self.parent_arm, scale * self.child_arm
+
+    def bounds(self, tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, t_v, hi): the zone of vertex generation j spans [lo[j], hi[j]]
+        around the vertex at distance t_v[j] from the root."""
+        par, chi = self.reaches(tree)
+        t_v = tree.t_shell[1:-1]
+        return t_v - par, t_v, t_v + chi
 
 
 def zone_breakpoints(tree: Tree, zones: VertexZones) -> np.ndarray:
     """All zone boundaries, validated against overlap within the edges."""
-    pts = []
-    for j in range(tree.J):
-        par, chi = zones.reaches(tree, j)
-        t_v = tree.t_shell[j + 1]
-        if par >= tree.edge_length(j):
-            raise Operator1DError(
-                f"vertex zone (parent reach {par:.4g}) overlaps generation {j} edge; "
-                "reduce eps")
-        if j >= 1:
-            _, chi_prev = zones.reaches(tree, j - 1)
-            if chi_prev + par >= tree.edge_length(j):
-                raise Operator1DError(
-                    f"vertex zones collide inside generation {j} edges; reduce eps")
-        if chi >= tree.edge_length(j + 1):
-            raise Operator1DError(
-                f"vertex zone (child reach {chi:.4g}) overlaps generation {j + 1} edge; "
-                "reduce eps")
-        pts.extend([t_v - par, t_v + chi])
-    return np.array(sorted(pts))
+    par, chi = zones.reaches(tree)
+    L = tree.edge_lengths
+    chi_prev = np.concatenate([[0.0], chi[:-1]])
+    # per vertex generation, in the order checked: the parent reach, the
+    # zones of both ends of the closed edge, the child reach
+    bad = np.column_stack([par >= L[:-1], chi_prev + par >= L[:-1], chi >= L[1:]])
+    if bad.any():
+        j, which = np.argwhere(bad)[0]
+        problem = (f"vertex zone (parent reach {par[j]:.4g}) overlaps generation {j} edge",
+                   f"vertex zones collide inside generation {j} edges",
+                   f"vertex zone (child reach {chi[j]:.4g}) overlaps generation {j + 1} edge")
+        raise Operator1DError(f"{problem[which]}; reduce eps")
+    lo, _, hi = zones.bounds(tree)
+    return np.sort(np.concatenate([lo, hi]))
 
 
 def zone_modified_profile(tree: Tree, base: WeightProfile, factor: float,
@@ -107,12 +112,9 @@ def zone_modified_profile(tree: Tree, base: WeightProfile, factor: float,
     pts = np.unique(np.concatenate([
         base.breakpoints, zone_breakpoints(tree, zones)]))
     mids = 0.5 * (pts[:-1] + pts[1:])
-    vals = base(mids).astype(float).copy()
-    for j in range(tree.J):
-        par, chi = zones.reaches(tree, j)
-        t_v = tree.t_shell[j + 1]
-        inside = (mids > t_v - par) & (mids < t_v + chi)
-        vals[inside] *= factor
+    vals = base(mids).astype(float)
+    lo, _, hi = zones.bounds(tree)
+    vals[((mids[:, None] > lo) & (mids[:, None] < hi)).any(axis=1)] *= factor
     c = max(factor, 1.0 / factor) * base.equiv_constant
     return WeightProfile(pts, vals, equiv_constant=c)
 
@@ -169,8 +171,8 @@ class PotentialProfile:
         raise Operator1DError(f"unknown potential kind {self.kind!r}")
 
 
-def average_potential_1d(W2d, tree: Tree, eps: float, zones: VertexZones,
-                         n_cross: int = 16, n_axial: int = 400) -> PotentialProfile:
+def average_potential_1d(W2d, tree: Tree, eps: float,
+                         zones: VertexZones) -> PotentialProfile:
     """Cross-section average of a 2-D potential W(theta, s) over the inflated tree.
 
     On the edge skeletons the value is the transverse average over the local
@@ -178,46 +180,35 @@ def average_potential_1d(W2d, tree: Tree, eps: float, zones: VertexZones,
     affine-partition interpolation of the endpoint averages of the incident
     arms, which keeps the result inside [min, max] of those averages.
     """
-    gauss, gw = np.polynomial.legendre.leggauss(n_cross)
+    gauss, gw = np.polynomial.legendre.leggauss(AVERAGE_CROSS_POINTS)
+    widths = np.array([eps * tree.spec.delta ** j * tree.spec.omega
+                       for j in range(tree.J + 1)])
 
     def edge_average(t):
-        j = tree.generation_at(min(t, tree.radius * (1 - 1e-12)))
-        w = eps * tree.spec.delta ** j * tree.spec.omega
-        s = 0.5 * w * (gauss + 1.0)
-        vals_s = np.broadcast_to(np.asarray(W2d(t, s), float), s.shape)
-        return float(np.dot(gw, vals_s) / 2.0)
+        """Gauss average of W2d across the tube section at each distance in t."""
+        j = tree.generations_at(np.minimum(t, tree.radius * (1 - 1e-12)))
+        s = 0.5 * widths[j][:, None] * (gauss + 1.0)
+        vals = np.broadcast_to(np.asarray(W2d(t[:, None], s), float), s.shape)
+        return np.vecdot(np.ascontiguousarray(vals), gw) / 2.0
 
-    bps = list(zone_breakpoints(tree, zones)) + list(tree.t_shell)
+    lo, t_v, hi = zones.bounds(tree)
     grid = np.unique(np.concatenate([
-        np.linspace(0.0, tree.radius, n_axial), np.array(bps)]))
-    vals = np.empty_like(grid)
-
-    zone_of = []
-    for j in range(tree.J):
-        par, chi = zones.reaches(tree, j)
-        zone_of.append((tree.t_shell[j + 1] - par, tree.t_shell[j + 1] + chi,
-                        tree.t_shell[j + 1], par, chi, j))
-
+        np.linspace(0.0, tree.radius, AVERAGE_AXIAL_POINTS),
+        zone_breakpoints(tree, zones), tree.t_shell]))
+    vals = edge_average(grid)
+    b_par, b_chi = edge_average(lo), edge_average(hi)
+    par, chi = zones.reaches(tree)
     k = tree.k
-    for i, t in enumerate(grid):
-        for lo, hi, t_v, par, chi, j in zone_of:
-            if lo <= t <= hi:
-                b_par = edge_average(lo)
-                b_chi = edge_average(hi)
-                if t <= t_v:   # on the parent arm
-                    sig = (t_v - t) / par if par > 0 else 0.0
-                    # own psi rises toward p_parent (sig -> 1), each child psi
-                    # falls linearly to 0 there
-                    own, foreign = affine_partition(k, sig)
-                    vals[i] = b_par * own + b_chi * k * foreign
-                else:          # on a child arm; the k-1 foreign children match
-                    sig = (t - t_v) / chi if chi > 0 else 0.0
-                    own, foreign = affine_partition(k, sig)
-                    vals[i] = (b_chi * own + b_chi * (k - 1) * foreign
-                               + b_par * foreign)
-                break
-        else:
-            vals[i] = edge_average(t)
+    for j in range(tree.J):
+        # on the parent arm the own psi rises toward p_parent (sig -> 1) and
+        # each child psi falls linearly to 0 there
+        on = (grid >= lo[j]) & (grid <= t_v[j])
+        own, foreign = affine_partition(k, (t_v[j] - grid[on]) / par[j])
+        vals[on] = b_par[j] * own + b_chi[j] * k * foreign
+        # on a child arm the k-1 foreign children match
+        on = (grid > t_v[j]) & (grid <= hi[j])
+        own, foreign = affine_partition(k, (grid[on] - t_v[j]) / chi[j])
+        vals[on] = b_chi[j] * own + b_chi[j] * (k - 1) * foreign + b_par[j] * foreign
     return PotentialProfile("sampled", nodes=grid, samples=vals)
 
 

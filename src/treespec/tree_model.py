@@ -75,24 +75,6 @@ class EdgeId:
     j: int
     index: int
 
-    def parent(self, k: int) -> "EdgeId":
-        if self.j == 0:
-            raise TreeModelError("generation-0 edge has no parent")
-        return EdgeId(self.j - 1, self.index // k)
-
-    def child(self, k: int, position: int) -> "EdgeId":
-        if not 0 <= position < k:
-            raise TreeModelError(f"child position must be in [0, {k}), got {position}")
-        return EdgeId(self.j + 1, self.index * k + position)
-
-
-@dataclass(frozen=True)
-class TreePoint:
-    """Point on the tree: an edge plus arclength from the edge start."""
-
-    edge: EdgeId
-    s: float
-
 
 class Tree:
     """Truncated regular metric tree built from a :class:`TreeSpec`.
@@ -121,22 +103,9 @@ class Tree:
     def J(self) -> int:
         return self.spec.J
 
-    def edge_count(self, j: int | None = None) -> int:
-        """Number of edges at generation ``j``, or in the whole truncated tree."""
-        if j is not None:
-            self._check_generation(j)
-            return self.spec.k ** j
-        return sum(self.spec.k ** i for i in range(self.spec.J + 1))
-
     def edge_length(self, j: int) -> float:
         self._check_generation(j)
         return float(self.edge_lengths[j])
-
-    def edges(self):
-        """Iterate all edge ids, generation-major."""
-        for j in range(self.spec.J + 1):
-            for i in range(self.spec.k ** j):
-                yield EdgeId(j, i)
 
     def interior_vertices(self):
         """Iterate branching vertices, labeled by the edge they close."""
@@ -154,23 +123,14 @@ class Tree:
         j = np.searchsorted(self.t_shell, t, side="right") - 1
         return np.minimum(j, self.spec.J)
 
-    def generation_at(self, t: float) -> int:
-        """Generation of the shell containing distance ``t`` (right-continuous)."""
-        return int(self.generations_at(t))
-
     def counting_function(self, t: float) -> int:
         """Number of edges meeting the sphere of radius ``t`` around the root."""
-        return self.spec.k ** self.generation_at(t)
+        return self.spec.k ** int(self.generations_at(t))
 
     def rho_star(self, j: int) -> float:
         """Canonical weight delta**((N-1)*gen) * |Omega| on a generation-j edge."""
         self._check_generation(j)
         return self.spec.delta ** ((self.spec.N - 1) * j) * self.spec.omega
-
-    def total_cross_section(self, t: float) -> float:
-        """H(t) = g(t) * rho_star(t)."""
-        j = self.generation_at(t)
-        return self.spec.k ** j * self.rho_star(j)
 
     def tail_radius(self, j: int, truncated: bool = False) -> float:
         """Radius of the maximal connected subtree strictly beyond generation ``j``.
@@ -178,40 +138,15 @@ class Tree:
         With ``truncated=False`` the geometric tail of the infinite tree is
         returned; otherwise the sum stops at generation J.
         """
-        if not 0 <= j <= self.spec.J:
-            raise TreeModelError(f"generation {j} outside [0, {self.spec.J}]")
+        self._check_generation(j)
         r, l0 = self.spec.r, self.spec.l0
         if truncated:
             return l0 * (r ** (j + 1) - r ** (self.spec.J + 1)) / (1.0 - r)
         return l0 * r ** (j + 1) / (1.0 - r)
 
-    def distance_from_root(self, point: TreePoint) -> float:
-        self._check_point(point)
-        return float(self.t_shell[point.edge.j] + point.s)
-
-    def point_at(self, t: float, branch: int = 0) -> TreePoint:
-        """Tree point on branch ``branch`` of the shell containing distance ``t``."""
-        j = self.generation_at(t)
-        if not 0 <= branch < self.spec.k ** j:
-            raise TreeModelError(f"branch {branch} outside generation {j}")
-        return TreePoint(EdgeId(j, branch), t - float(self.t_shell[j]))
-
-    def total_length(self) -> float:
-        """Sum of all edge lengths of the truncated tree."""
-        k = self.spec.k
-        return float(sum(k ** j * self.edge_lengths[j] for j in range(self.spec.J + 1)))
-
     def _check_generation(self, j: int) -> None:
         if not 0 <= j <= self.spec.J:
             raise TreeModelError(f"generation {j} outside [0, {self.spec.J}]")
-
-    def _check_point(self, point: TreePoint) -> None:
-        e = point.edge
-        self._check_generation(e.j)
-        if not 0 <= e.index < self.spec.k ** e.j:
-            raise TreeModelError(f"edge index {e.index} outside generation {e.j}")
-        if not 0.0 <= point.s <= self.edge_length(e.j) + 1e-12:
-            raise TreeModelError(f"arclength {point.s} outside edge of generation {e.j}")
 
 
 def build_tree(spec: TreeSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> Tree:

@@ -247,7 +247,7 @@ def test_criterion_7_property_suites():
 
     # (d) tail bounds, 1-D and 2-D, fields vanishing at root and tips
     mesh1 = build_mesh_1d(tree, h=0.05)
-    tips1 = [mesh1.gen_dofs[e.j][e.index][-1] for e in tree.edges() if e.j == tree.J]
+    tips1 = mesh1.gen_dofs[tree.J][:, -1]
     viol = 0
     for i in range(1000):
         u = rng.standard_normal(mesh1.n_dofs)
@@ -259,8 +259,7 @@ def test_criterion_7_property_suites():
             viol += 1
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, h=0.05))
     Kg, _ = _scatter_assembly(tm)
-    tips2 = np.concatenate([tm.stations[e.j][1][e.index][-1]
-                            for e in tree.edges() if e.j == tree.J])
+    tips2 = tm.stations[tree.J][1][:, -1]
     beyond = {}
     for j in (0, 1):
         rows, cols, vals = [], [], []
@@ -296,9 +295,9 @@ def test_criterion_7_property_suites():
     eps = 0.2
     matched = matched_mesh_1d(tm)
     W2d = lambda t, s: np.cos(t)
-    W1 = average_potential_1d(W2d, tree, eps, tm.zones())
-    rq = build_rho_Q(tree, consts, eps, zones=tm.zones())
-    rp = build_rho_P(tree, consts, eps, zones=tm.zones())
+    W1 = average_potential_1d(W2d, tree, eps, tm.zones)
+    rq = build_rho_Q(tree, consts, eps, zones=tm.zones)
+    rp = build_rho_P(tree, consts, eps, zones=tm.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rs)
     sysP = assemble_1d(tree, matched.mesh, rp, rs)
     sys_rs = assemble_1d(tree, matched.mesh, rs, rs)

@@ -12,6 +12,7 @@ from treespec.cli import (
     _CLI_ONLY,
     _DEFAULTS,
     _FIELDS,
+    SUBCOMMANDS,
     ConfigError,
     apply_overrides,
     main,
@@ -170,6 +171,38 @@ def test_malformed_potential_is_a_config_error(tmp_path, capsys, subcommand,
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"),
                  *sets]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@pytest.mark.parametrize("payload, key", [
+    ({"geometry": {"eps_list": [0.1, 0.2]}}, "geometry.eps_list"),
+    ({"geometry": {"eps_list": [0.2, 1.5]}}, "geometry.eps_list"),
+    ({"experiment": {"n_list": [8, 4]}}, "experiment.n_list"),
+], ids=["eps-ascending", "eps-out-of-range", "n-descending"])
+def test_bad_config_domain_exits_2_on_every_subcommand(tmp_path, capsys, subcommand,
+                                                       payload, key):
+    # rejected at load time, before any subcommand runs
+    cfg = write_cfg(tmp_path, dict(MINIMAL, **payload))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [[], ["--set", "seed=1"], ["--set", "tree.k=3"]])
+def test_non_object_config_is_a_config_error(tmp_path, capsys, overrides):
+    cfg = write_cfg(tmp_path, [1, 2])
+    assert main(["spectrum1d", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 *overrides]) == 2
+    assert "top level: expected an object" in capsys.readouterr().err
+
+
+def test_set_override_with_bad_json_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["spectrum1d", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--set", "tree.delta=zero"]) == 2
+    assert "--set tree.delta" in capsys.readouterr().err
 
 
 def test_spectrum2d_mesh_dump(tmp_path):

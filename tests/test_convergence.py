@@ -64,6 +64,54 @@ def test_phi_monotone_in_c():
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+def test_bound_transform_is_the_scalar_transform_elementwise():
+    x = np.array([-1.0, 0.0, 0.5, 3.0, 9.99, 10.0, 40.0])
+    c = np.array([[0.01], [1.0], [3.0]])
+    for direction in ("Q", "P"):
+        got = _bound_transform(direction, x, 0.7, c, 0.1)
+        want = [[_scalar_bound(direction, xi, 0.7, ci, 0.1) for xi in x]
+                for ci in c[:, 0]]
+        assert got.shape == (3, len(x))
+        assert got.tolist() == want
+        assert isinstance(phi_Q(3.0, 1.0, 0.1), float)
+
+
+def _fit_sandwich_loop(eps, mu, lam, nu, bars):
+    """Smallest grid c for which every mode satisfies both bounds, or None."""
+    for c in C_GRID:
+        if all(nu[m] - bars[m] <= _scalar_bound("Q", mu[m], c, c, eps)
+               and lam[m] <= _scalar_bound("P", nu[m] + bars[m], c, c, eps)
+               for m in range(len(mu))):
+            return float(c)
+    return None
+
+
+@pytest.mark.parametrize("case", ["first-grid-point", "inside-the-grid",
+                                  "past-the-pole", "no-fit"])
+def test_vectorised_sandwich_fit_matches_scalar_loop(case):
+    eps = 0.1
+    mu = np.sort(np.random.default_rng(2).uniform(1.0, 40.0, 6))
+    nu, lam, bars = {
+        "first-grid-point": (mu, mu, np.full(6, 1e-12)),
+        # the upper bound needs c of order one at the lowest mode
+        "inside-the-grid": (1.05 * mu, 0.98 * mu, 0.01 * mu),
+        # only c past the pole of the highest modes fits the lower bound
+        "past-the-pole": (mu, 1.8 * mu, np.zeros(6)),
+        # no c bounds nu above a negative mu
+        "no-fit": (mu, mu, np.zeros(6)),
+    }[case]
+    if case == "no-fit":
+        mu = np.concatenate([[-1.0], mu[1:]])
+    fitted = convergence._fit_sandwich_c(eps, mu, lam, nu, bars)
+    assert fitted == _fit_sandwich_loop(eps, mu, lam, nu, bars)
+    if case == "no-fit":
+        assert fitted is None
+    elif case == "first-grid-point":
+        assert fitted == C_GRID[0]
+    else:
+        assert C_GRID[0] < fitted <= C_GRID[-1]
+
+
 # -- weight convergence -------------------------------------------------------
 
 def test_factor_one_zones_give_identical_spectrum():
@@ -360,6 +408,12 @@ def _rayleigh_samples_loop(rng, n_samples, tm, matched, sysQ, sysP, sys2):
     return samples_Q, samples_P
 
 
+def _scalar_bound(direction, x, a, c, eps):
+    """The bound transform of one sample, +inf past the pole."""
+    denom = _pole_denominator(direction, x, c, eps)
+    return math.inf if denom <= 0 else (1.0 + a * eps) * x / denom
+
+
 def _rayleigh_fit_loop(direction, samples, eps):
     """(fitted a, fitted c, violations) from the per-sample C_GRID loop."""
     best = None
@@ -377,7 +431,7 @@ def _rayleigh_fit_loop(direction, samples, eps):
     if best is None:
         return math.nan, math.nan, len(samples)
     a, c = best
-    viol = sum(y > _bound_transform(direction, x, a, c, eps) * (1 + 1e-12)
+    viol = sum(y > _scalar_bound(direction, x, a, c, eps) * (1 + 1e-12)
                for x, y in samples)
     return a, c, viol
 
@@ -477,7 +531,7 @@ def test_lifted_ground_state_dominates_2d_eigenvalue():
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, h=0.03))
     matched = matched_mesh_1d(tm)
     _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.05, section_intervals=12)
-    rq = build_rho_Q(tree, consts, eps, zones=tm.zones())
+    rq = build_rho_Q(tree, consts, eps, zones=tm.zones)
     rs = rho_star_profile(tree)
     sysQ = assemble_1d(tree, matched.mesh, rq, rs)
     specQ = smallest_eigenpairs(sysQ.K, sysQ.M, 1)

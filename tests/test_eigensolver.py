@@ -1,3 +1,4 @@
+import heapq
 import re
 from pathlib import Path
 
@@ -296,6 +297,60 @@ def test_merge_permutation_invariant():
         perm = list(np.random.default_rng(0).permutation(len(parts)))
         shuffled = merge_spectra([parts[i] for i in perm])
         assert np.array_equal(ref.expanded_values(), shuffled.expanded_values())
+
+
+def _merge_heap_loop(parts, m=None):
+    """Reference k-way merge: pop the smallest (value, part, position) until
+    the multiplicities reach m."""
+    heap = [(spec.values[0], which, 0, mult) for which, (spec, mult) in enumerate(parts)
+            if mult != 0 and len(spec)]
+    heapq.heapify(heap)
+    values, mults = [], []
+    while heap:
+        val, which, pos, mult = heapq.heappop(heap)
+        spec = parts[which][0]
+        values.append(val)
+        mults.append(mult * int(spec.multiplicities[pos]))
+        if pos + 1 < len(spec):
+            heapq.heappush(heap, (spec.values[pos + 1], which, pos + 1, mult))
+        if m is not None and sum(mults) >= m:
+            break
+    return values, mults
+
+
+def test_merge_ties_keep_input_order_and_cut_at_m():
+    parts = [(make_spec([1.0, 2.0, 5.0], [1, 3, 1]), 1),
+             (make_spec([2.0, 3.0], [2, 1]), 2),
+             (make_spec([0.5, 2.0]), 1)]
+    merged = merge_spectra(parts)
+    assert merged.values.tolist() == [0.5, 1.0, 2.0, 2.0, 2.0, 3.0, 5.0]
+    assert merged.multiplicities.tolist() == [1, 1, 3, 4, 1, 2, 1]
+    # the cut keeps the first value whose cumulative multiplicity reaches m
+    cut = merge_spectra(parts, m=5)
+    assert cut.values.tolist() == [0.5, 1.0, 2.0]
+    assert cut.multiplicities.tolist() == [1, 1, 3]
+    # reversed inputs reverse the order of the tied values only
+    rev = merge_spectra(parts[::-1], m=5)
+    assert rev.values.tolist() == [0.5, 1.0, 2.0, 2.0]
+    assert rev.multiplicities.tolist() == [1, 1, 1, 4]
+    assert np.array_equal(cut.expanded_values(5), rev.expanded_values(5))
+
+
+def test_merge_equals_the_heap_merge_with_ties():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.integers(1, 5)):
+            vals = np.sort(rng.integers(0, 6, size=rng.integers(0, 5)) * 0.5)
+            parts.append((make_spec(vals, rng.integers(1, 3, size=len(vals))),
+                          int(rng.integers(0, 3))))
+        for perm in (np.arange(len(parts)), rng.permutation(len(parts))):
+            permuted = [parts[i] for i in perm]
+            for m in (None, 0, 1, int(rng.integers(1, 12))):
+                merged = merge_spectra(permuted, m=m)
+                values, mults = _merge_heap_loop(permuted, m=m)
+                assert merged.values.tolist() == values
+                assert merged.multiplicities.tolist() == mults
 
 
 def test_merge_drops_zero_multiplicity():

@@ -25,6 +25,11 @@ from treespec.tree_model import EdgeId, TreeSpec, build_tree
 BINARY = TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, N=2, J=2)
 
 
+def edges(tree):
+    """Every edge id of the tree, generation-major."""
+    return [EdgeId(j, i) for j in range(tree.J + 1) for i in range(tree.k ** j)]
+
+
 @pytest.fixture(scope="module")
 def tmesh():
     return build_geometry_2d(build_tree(BINARY), GeometrySpec2D(eps=0.2, h=0.05))
@@ -166,7 +171,7 @@ def _loop_layout(tmesh, mesh):
     (station dof -> node row, vertex -> zone dofs, parent dofs, child dofs)."""
     tree = tmesh.tree
     station_dof_rows, zone_dofs, p_parent_dof, p_child_dofs = {}, {}, {}, {}
-    for e in tree.edges():
+    for e in edges(tree):
         rows = tmesh.stations[e.j][1][e.index]
         dofs = mesh.gen_dofs[e.j][e.index]
         lo = 2 if e.j >= 1 else 0
@@ -176,7 +181,7 @@ def _loop_layout(tmesh, mesh):
     for e in tree.interior_vertices():
         dofs = mesh.gen_dofs[e.j][e.index]
         p_parent_dof[e] = int(dofs[-3])
-        kids = [mesh.gen_dofs[e.j + 1][e.child(tree.k, pos).index]
+        kids = [mesh.gen_dofs[e.j + 1][e.index * tree.k + pos]
                 for pos in range(tree.k)]
         p_child_dofs[e] = [int(cd[2]) for cd in kids]
         zone_dofs[e] = {"parent_mid": int(dofs[-2]), "vertex": int(dofs[-1]),
@@ -272,12 +277,13 @@ def _per_edge_layout(tm):
         counter += n
         return out
 
-    edges, vertices, stations = {}, {}, {}
-    for e in tree.edges():
+    _, chi = tm.zones.reaches(tree)
+    by_edge, vertices, stations = {}, {}, {}
+    for e in edges(tree):
         mesh = rect[e.j]
-        start = tm.cut_child[e.j - 1] if e.j >= 1 else 0.0
+        start = chi[e.j - 1] if e.j >= 1 else 0.0
         gids = fresh(mesh.n_nodes)
-        edges[e] = (gids, tree.t_shell[e.j] + start + mesh.nodes[:, 1])
+        by_edge[e] = (gids, tree.t_shell[e.j] + start + mesh.nodes[:, 1])
         stations[e] = (tree.t_shell[e.j] + start + mesh.axial_positions,
                        gids[mesh.axial_index.T])
     for e in tree.interior_vertices():
@@ -286,25 +292,26 @@ def _per_edge_layout(tm):
         gids = np.full(conn.n_nodes, -1, dtype=int)
         gids[conn.sections["S0"]] = stations[e][1][-1]
         for pos in range(k):
-            gids[conn.sections[f"S{pos + 1}"]] = stations[e.child(k, pos)][1][0]
+            gids[conn.sections[f"S{pos + 1}"]] = stations[
+                EdgeId(e.j + 1, e.index * k + pos)][1][0]
         interior = gids < 0
         gids[interior] = fresh(int(interior.sum()))
         vertices[e] = (gids, tree.t_shell[e.j + 1]
                        + (local[:, 1] - tm.canonical.center[1] * scale))
-    return edges, vertices, stations, stations[EdgeId(0, 0)][1][0].copy(), counter
+    return by_edge, vertices, stations, stations[EdgeId(0, 0)][1][0].copy(), counter
 
 
 def test_blocks_equal_the_per_edge_layout(matched_case):
     tm, _ = matched_case
     tree = tm.tree
-    edges, vertices, stations, root_nodes, n_nodes = _per_edge_layout(tm)
+    by_edge, vertices, stations, root_nodes, n_nodes = _per_edge_layout(tm)
     assert tm.n_nodes == n_nodes
     _assert_same_array(tm.root_nodes, root_nodes)
     assert [(c.kind, c.j) for c in tm.components] == (
         [("edge", j) for j in range(tree.J + 1)]
         + [("connector", j) for j in range(tree.J)])
     for comp in tm.components:
-        reference = edges if comp.kind == "edge" else vertices
+        reference = by_edge if comp.kind == "edge" else vertices
         assert comp.gids.shape == (tree.k ** comp.j, comp.mesh.n_nodes)
         for i, gids in enumerate(comp.gids):
             want_gids, want_theta = reference[EdgeId(comp.j, i)]
@@ -406,7 +413,7 @@ def test_q_energy_bound_random_fields(tmesh):
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
     _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.06, section_intervals=10)
-    rq = build_rho_Q(tree, consts, eps, zones=tmesh.zones())
+    rq = build_rho_Q(tree, consts, eps, zones=tmesh.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rho_star_profile(tree))
     Kg, _ = _scatter_assembly(tmesh)
     rng = np.random.default_rng(21)
@@ -427,7 +434,7 @@ def test_p_energy_bound_random_fields(tmesh):
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
     _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.06, section_intervals=10)
-    rp = build_rho_P(tree, consts, eps, zones=tmesh.zones())
+    rp = build_rho_P(tree, consts, eps, zones=tmesh.zones)
     sysP = assemble_1d(tree, matched.mesh, rp, rho_star_profile(tree))
     Kg, _ = _scatter_assembly(tmesh)
     rng = np.random.default_rng(22)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from treespec.connector import EquivalenceConstants
+from treespec.connector import EquivalenceConstants, affine_partition
 from treespec.eigensolver import smallest_eigenpairs
 from treespec.fem_2d import GeometrySpec2D, build_geometry_2d, matched_mesh_1d
 from treespec.operator_1d import (
@@ -23,9 +23,10 @@ from treespec.operator_1d import (
     rho_star_profile,
     spectrum_1d,
     tail_bound_check,
+    zone_breakpoints,
     zone_modified_profile,
 )
-from treespec.tree_model import TreeSpec, build_tree
+from treespec.tree_model import EdgeId, TreeSpec, build_tree
 
 
 def single_edge_tree(l0=1.0):
@@ -68,6 +69,18 @@ def test_zone_factor_applied_inside_zone_only():
     assert prof(t_v - 0.5 * reach) == pytest.approx(2.5 * 0.6)
     assert prof(t_v + 0.5 * reach) == pytest.approx(2.5 * 0.36)
     assert prof(t_v - 2.0 * reach) == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("zones, match", [
+    (VertexZones(1.1), r"parent reach 1\.1\) overlaps generation 0 edge"),
+    (VertexZones(0.4, parent_arm=0.9), "zones collide inside generation 1 edges"),
+    (VertexZones(0.6, parent_arm=0.1), r"child reach 0\.6\) overlaps generation 1 edge"),
+], ids=["parent-reach", "collision", "child-reach"])
+def test_overlapping_zones_rejected(zones, match):
+    # edge lengths 1, 0.5, 0.25
+    tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=2))
+    with pytest.raises(Operator1DError, match=match):
+        zone_breakpoints(tree, zones)
 
 
 def test_zone_measure_proportional_to_eps():
@@ -340,8 +353,8 @@ def test_average_vertex_zone_convex_combination():
     prof = average_potential_1d(lambda t, s: t * np.ones_like(s), tree,
                                 eps=0.2, zones=zones)
     t_v = tree.t_shell[1]
-    par, chi = zones.reaches(tree, 0)
-    b = [t_v - par, t_v + chi]
+    par, chi = zones.reaches(tree)
+    b = [t_v - par[0], t_v + chi[0]]
     zone_t = np.linspace(b[0], b[1], 50)
     vals = prof(zone_t)
     assert np.all(vals >= min(b) - 1e-9)
@@ -364,8 +377,7 @@ def test_tail_bound_field_supported_inside():
     rs = rho_star_profile(tree)
     u = np.zeros(mesh.n_dofs)
     # nonzero only on generation-0 interior nodes
-    e0 = next(iter(tree.edges()))
-    u[mesh.gen_dofs[e0.j][e0.index][1:-1]] = 1.0
+    u[mesh.gen_dofs[0][0][1:-1]] = 1.0
     assert tail_bound_check(tree, mesh, rs, rs, u, 1) == 0.0
 
 
@@ -373,7 +385,7 @@ def test_tail_bound_random_fields_bounded():
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=2))
     mesh = build_mesh_1d(tree, h=0.05)
     rs = rho_star_profile(tree)
-    tips = [mesh.gen_dofs[e.j][e.index][-1] for e in tree.edges() if e.j == tree.J]
+    tips = mesh.gen_dofs[tree.J][:, -1]
     rng = np.random.default_rng(42)
     for j in (0, 1):
         bound = tree.tail_radius(j, truncated=True) ** 2  # c = 1, C = 1
@@ -431,14 +443,19 @@ def test_hardy_warns_when_supported_near_radius():
 # The mesh, assembly and checks work on one dof array per generation; these
 # loops walk the edges one by one, as a plain transcription of the formulas.
 
+def edges(tree):
+    """Every edge id of the tree, generation-major."""
+    return [EdgeId(j, i) for j in range(tree.J + 1) for i in range(tree.k ** j)]
+
+
 def edge_dofs_loop(tree, gen_local):
     """Per-edge dof numbering: each edge takes fresh dofs for its nodes after
     the first, which it shares with its parent's last node (or the root)."""
     edge_dofs, dof_t, counter = {}, [0.0], 1
-    for e in tree.edges():
+    for e in edges(tree):
         local = gen_local[e.j]
         dofs = np.empty(len(local), dtype=int)
-        dofs[0] = 0 if e.j == 0 else edge_dofs[e.parent(tree.k)][-1]
+        dofs[0] = 0 if e.j == 0 else edge_dofs[EdgeId(e.j - 1, e.index // tree.k)][-1]
         for i in range(1, len(local)):
             dofs[i] = counter
             dof_t.append(tree.t_shell[e.j] + local[i])
@@ -451,7 +468,7 @@ def assemble_1d_loop(tree, mesh, rho_a, rho_b, W=None):
     """Per-edge assembly, root eliminated: element matrices recomputed on
     every edge."""
     rows, cols, kv, mv = [], [], [], []
-    for e in tree.edges():
+    for e in edges(tree):
         dofs = mesh.gen_dofs[e.j][e.index]
         local = mesh.gen_local[e.j]
         t0 = tree.t_shell[e.j]
@@ -489,7 +506,7 @@ def kirchhoff_residuals_loop(tree, mesh, rho_a, u):
         mid_in = tree.t_shell[e.j] + local[-1] - 0.5 * h_in
         total = float(rho_a(mid_in)) * (u[dofs[-2]] - u[dofs[-1]]) / h_in
         for pos in range(tree.k):
-            child = e.child(tree.k, pos)
+            child = EdgeId(e.j + 1, e.index * tree.k + pos)
             clocal = mesh.gen_local[child.j]
             h_out = clocal[1] - clocal[0]
             mid_out = tree.t_shell[child.j] + 0.5 * h_out
@@ -501,7 +518,7 @@ def kirchhoff_residuals_loop(tree, mesh, rho_a, u):
 
 def tail_bound_loop(tree, mesh, rho_a, rho_b, u, j):
     mass = energy = 0.0
-    for e in tree.edges():
+    for e in edges(tree):
         dofs = mesh.gen_dofs[e.j][e.index]
         local = mesh.gen_local[e.j]
         hs = np.diff(local)
@@ -528,6 +545,58 @@ def hardy_loop(tree, rho, nodes, u, n_quad=4):
                      * tree.counting_function(min(a + h / 2, R * (1 - 1e-15)))
                      * (ub - ua) ** 2 / h)
     return 0.0 if den == 0.0 else num / den
+
+
+def zone_reach_loop(tree, zones, j):
+    """(parent, child) reach of the generation-j vertex zone."""
+    scale = zones.eps * tree.spec.delta ** j
+    return scale * zones.parent_arm, scale * zones.child_arm
+
+
+def zone_profile_loop(tree, base, factor, zones):
+    """Zone-modified weight, one vertex zone at a time."""
+    pts = np.unique(np.concatenate([base.breakpoints, zone_breakpoints(tree, zones)]))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    vals = base(mids).astype(float)
+    for j in range(tree.J):
+        par, chi = zone_reach_loop(tree, zones, j)
+        t_v = tree.t_shell[j + 1]
+        vals[(mids > t_v - par) & (mids < t_v + chi)] *= factor
+    return pts, vals
+
+
+def average_potential_loop(W2d, tree, eps, zones, n_cross=16, n_axial=400):
+    """Averaged potential, one grid point at a time: the Gauss average across
+    the tube section, or inside a zone the affine-partition blend of the
+    averages at the zone ends."""
+    gauss, gw = np.polynomial.legendre.leggauss(n_cross)
+
+    def edge_average(t):
+        j = int(tree.generations_at(min(t, tree.radius * (1 - 1e-12))))
+        w = eps * tree.spec.delta ** j * tree.spec.omega
+        s = 0.5 * w * (gauss + 1.0)
+        vals_s = np.broadcast_to(np.asarray(W2d(t, s), float), s.shape)
+        return float(np.dot(gw, vals_s) / 2.0)
+
+    grid = np.unique(np.concatenate([np.linspace(0.0, tree.radius, n_axial),
+                                     zone_breakpoints(tree, zones), tree.t_shell]))
+    vals = np.empty_like(grid)
+    k = tree.k
+    for i, t in enumerate(grid):
+        vals[i] = edge_average(t)
+        for j in range(tree.J):
+            par, chi = zone_reach_loop(tree, zones, j)
+            t_v = tree.t_shell[j + 1]
+            lo, hi = t_v - par, t_v + chi
+            if lo <= t <= hi:
+                b_par, b_chi = edge_average(lo), edge_average(hi)
+                if t <= t_v:
+                    own, foreign = affine_partition(k, (t_v - t) / par)
+                    vals[i] = b_par * own + b_chi * k * foreign
+                else:
+                    own, foreign = affine_partition(k, (t - t_v) / chi)
+                    vals[i] = b_chi * own + b_chi * (k - 1) * foreign + b_par * foreign
+    return grid, vals
 
 
 def assert_same_csr(A, B):
@@ -583,10 +652,37 @@ def test_assembly_equals_per_edge_loop_on_matched_mesh():
 def test_gen_dofs_are_read_only():
     tree = build_tree(TreeSpec(k=2, J=2))
     mesh = build_mesh_1d(tree, h=0.1)
-    assert sum(len(dofs) for dofs in mesh.gen_dofs) == tree.edge_count()
+    assert sum(len(dofs) for dofs in mesh.gen_dofs) == len(edges(tree))
     assert len(mesh.gen_dofs) == tree.J + 1
     with pytest.raises(ValueError):
         mesh.gen_dofs[1][1][0] = 7
+
+
+@pytest.mark.parametrize("spec", LOOP_TREES + [TreeSpec(k=2, J=2, omega=0.7)],
+                         ids=lambda s: f"k{s.k}-omega{s.omega}")
+def test_zone_arrays_equal_per_vertex_loops(spec):
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    potentials = (lambda t, s: np.cos(3 * t) + s ** 2, lambda t, s: np.cos(t),
+                  lambda t, s: s)
+    for eps in (0.2, 0.05):
+        zones = VertexZones(eps, parent_arm=1.3, child_arm=0.8)
+        par, chi = zones.reaches(tree)
+        lo, t_v, hi = zones.bounds(tree)
+        for j in range(tree.J):
+            assert (par[j], chi[j]) == zone_reach_loop(tree, zones, j)
+            assert (lo[j], t_v[j], hi[j]) == (tree.t_shell[j + 1] - par[j],
+                                              tree.t_shell[j + 1],
+                                              tree.t_shell[j + 1] + chi[j])
+        prof = zone_modified_profile(tree, rs, 1.7, zones)
+        pts, vals = zone_profile_loop(tree, rs, 1.7, zones)
+        assert np.array_equal(prof.breakpoints, pts)
+        assert np.array_equal(prof.values, vals)
+        for W2d in potentials:
+            avg = average_potential_1d(W2d, tree, eps, zones)
+            grid, vals = average_potential_loop(W2d, tree, eps, zones)
+            assert np.array_equal(avg.nodes, grid)
+            assert np.array_equal(avg.samples, vals)
 
 
 @pytest.mark.parametrize("spec", LOOP_TREES, ids=lambda s: f"k{s.k}")

@@ -1,0 +1,99 @@
+"""Every public function and method of ``treespec`` has a caller: some ``src``
+module other than the package ``__init__`` names it, or the benchmark does
+(its ``_TRACED`` strings count).  The rest are oracles that only tests need,
+pinned below with the test that needs each, so an API nobody calls fails here
+instead of lingering."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "treespec"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+# qualified name -> the test whose claim needs it
+TEST_ORACLES = {
+    "cli.RunConfig.serialize": "test_cli.py::test_config_round_trip",
+    "connector.SkeletonStar.scaled":
+        "test_connector.py::test_skeleton_gamma0_energy_scales_inverse_delta",
+    "connector.project_off_ones": "test_acceptance.py::test_criterion_7_property_suites",
+    "connector.skeleton_kirchhoff_residual":
+        "test_connector.py::test_skeleton_kirchhoff_at_minimizer",
+    "convergence.p_kernel_residual":
+        "test_convergence.py::test_nonmember_rejected_by_kernel_filter",
+    "fem_2d.TreeMesh2D.total_area": "test_fem_2d.py::test_area_matches_shoelace_oracle",
+    "fem_2d.closed_form_component_areas":
+        "test_fem_2d.py::test_area_matches_shoelace_oracle",
+    "fem_2d.jacobian_assumption_check": "test_fem_2d.py::test_jacobian_check_within_bound",
+    "operator_1d.kirchhoff_residuals":
+        "test_operator_1d.py::test_kirchhoff_residual_first_order_in_h",
+    "operator_1d.tail_bound_check": "test_acceptance.py::test_criterion_7_property_suites",
+    "tree_model.Tree.tail_radius": "test_acceptance.py::test_criterion_7_property_suites",
+}
+
+
+def public_defs(source: str, module: str) -> dict:
+    """Qualified name -> bare name of every public module-level function and
+    public method of a public class."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            defs[f"{module}.{node.name}"] = node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    defs[f"{module}.{node.name}.{sub.name}"] = sub.name
+    return defs
+
+
+def referenced_names(source: str, strings: bool = False) -> set:
+    """Names a source reads or imports; with ``strings``, also the dotted
+    parts of its string constants."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def uncalled(sources: dict, bench_sources: list) -> set:
+    """Qualified public names no source of ``sources`` (module -> text) and
+    no benchmark source refers to."""
+    used = set().union(*(referenced_names(s) for s in sources.values()),
+                       *(referenced_names(s, strings=True) for s in bench_sources))
+    return {qual for module, source in sources.items()
+            for qual, name in public_defs(source, module).items() if name not in used}
+
+
+def test_checker_flags_an_uncalled_function():
+    sources = {
+        "a": "def used():\n    pass\n\ndef dead():\n    pass\n\n"
+             "class C:\n    def m(self):\n        return used()\n"
+             "    def traced(self):\n        pass\n    def _private(self):\n        pass\n",
+        "b": "from .a import C\n\ndef caller(c: C):\n    return c.m()\n",
+    }
+    bench = ['TRACED = (("treespec.a", "C.traced"),)\n']
+    assert uncalled(sources, bench) == {"a.dead", "b.caller"}
+
+
+def test_every_public_function_has_a_caller_or_a_pinned_oracle():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert uncalled(sources, [p.read_text() for p in BENCH]) == set(TEST_ORACLES)
+
+
+@pytest.mark.parametrize("qualified", sorted(TEST_ORACLES))
+def test_pinned_oracle_is_used_by_its_test(qualified):
+    filename, _, test = TEST_ORACLES[qualified].partition("::")
+    source = (ROOT / "tests" / filename).read_text()
+    body = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == test)
+    assert qualified.rpartition(".")[2] in referenced_names(ast.unparse(body))

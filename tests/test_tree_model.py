@@ -2,30 +2,34 @@ import numpy as np
 import pytest
 
 from treespec.tree_model import (
-    EdgeId,
     ResourceBudgetError,
     TreeModelError,
-    TreePoint,
     TreeSpec,
     build_tree,
 )
 
 
+def edge_count(tree):
+    """Edges of the truncated tree: the counting function summed over the
+    shells, each shell holding the edges of one generation."""
+    return sum(tree.counting_function(t) for t in tree.t_shell[:-1])
+
+
 def test_binary_tree_edge_count_and_radius():
     tree = build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=2))
-    assert tree.edge_count() == 7
+    assert edge_count(tree) == 7
     assert tree.radius == pytest.approx(0.875)
 
 
 def test_path_graph_degenerate_case():
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, J=3))
-    assert tree.edge_count() == 4
+    assert edge_count(tree) == 4
     assert tree.radius == pytest.approx(1.875)
 
 
 def test_ternary_tree_edge_count():
     tree = build_tree(TreeSpec(k=3, l0=1.0, r=0.4, J=2))
-    assert tree.edge_count() == 13
+    assert edge_count(tree) == 13
 
 
 @pytest.mark.parametrize("bad", [
@@ -83,21 +87,6 @@ def test_rho_star_strictly_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_total_cross_section():
-    tree = build_tree(TreeSpec(k=2, N=2, delta=0.6, l0=0.5, r=0.5, J=2, omega=1.0))
-    # inside generation-j shell: (k * delta^(N-1))^j * omega
-    assert tree.total_cross_section(0.25) == pytest.approx(1.0)
-    assert tree.total_cross_section(0.6) == pytest.approx(1.2)
-    assert tree.total_cross_section(0.8) == pytest.approx(1.44)
-    # volume-preserving branching: k * delta^(N-1) = 1
-    tree2 = build_tree(TreeSpec(k=2, N=2, delta=0.5, l0=0.5, r=0.5, J=3))
-    for t in (0.1, 0.6, 0.8, 0.9):
-        assert tree2.total_cross_section(t) == pytest.approx(1.0)
-    # k = 1: g is identically one
-    tree1 = build_tree(TreeSpec(k=1, N=2, delta=0.7, l0=1.0, r=0.5, J=3))
-    assert tree1.total_cross_section(1.6) == pytest.approx(0.7 ** 2)
-
-
 def test_tail_radius():
     tree = build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=2))
     assert tree.tail_radius(0) == pytest.approx(0.5)
@@ -111,31 +100,9 @@ def test_length_diverges_radius_bounded():
     lengths, radii = [], []
     for J in range(1, 12):
         tree = build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=J))
-        lengths.append(tree.total_length())
+        lengths.append(float(np.sum(tree.k ** np.arange(J + 1) * tree.edge_lengths)))
         radii.append(tree.radius)
     assert all(a < b for a, b in zip(lengths, lengths[1:]))
     assert lengths[-1] > 5.0
     assert all(r <= 1.0 for r in radii)
     assert build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=1)).infinite_radius == pytest.approx(1.0)
-
-
-def test_parent_child_round_trip():
-    k = 3
-    tree = build_tree(TreeSpec(k=k, J=3, l0=1.0, r=0.4))
-    for e in tree.edges():
-        if e.j == 0:
-            continue
-        parent = e.parent(k)
-        position = e.index - parent.index * k
-        assert parent.child(k, position) == e
-
-
-def test_point_distance_and_location():
-    tree = build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=2))
-    p = TreePoint(EdgeId(1, 1), 0.1)
-    assert tree.distance_from_root(p) == pytest.approx(0.6)
-    q = tree.point_at(0.6, branch=1)
-    assert q.edge == EdgeId(1, 1)
-    assert q.s == pytest.approx(0.1)
-    with pytest.raises(TreeModelError):
-        tree.point_at(0.6, branch=5)
