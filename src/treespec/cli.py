@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .convergence import (
+    FINE_PITCH,
     ExperimentConfig,
     ExperimentError,
     eigenfunction_projection_experiment,
@@ -27,14 +28,17 @@ from .convergence import (
     weight_convergence_experiment,
 )
 from .eigensolver import smallest_eigenpairs
-from .fem_2d import assemble_2d, build_geometry_2d
+from .fem_2d import Geometry2DError, assemble_2d, build_geometry_2d
 from .operator_1d import (
+    Operator1DError,
+    VertexZones,
     assemble_1d,
     build_mesh_1d,
     discreteness_condition_check,
     radial_decomposition_spectrum,
     rho_star_profile,
     spectrum_1d,
+    zone_breakpoints,
 )
 from .tree_model import TreeModelError, TreeSpec, build_tree
 
@@ -63,8 +67,10 @@ _CLI_ONLY = {
     "experiment.rayleigh_samples": (int, 0),
     "output_dir": (str, "."),
     "seed": (int, None),
-    "threads": (int, None),
 }
+
+# subcommand -> the coarsest 2-D pitch it meshes at, over geometry.h
+_GEOMETRY_PITCH = {"spectrum2d": 1.0, "sandwich": 1.0, "project": FINE_PITCH}
 
 
 def _field_schema(owner, name):
@@ -132,6 +138,8 @@ def _coerce(value, want, path):
     accepted, what = _ACCEPTS[want]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    for i, item in enumerate(value if want is list else ()):   # lists hold numbers
+        _coerce(item, float, f"{path}[{i}]")
     return float(value) if want is float else value
 
 
@@ -180,6 +188,28 @@ def parse_config(path, overrides=()) -> RunConfig:
         except json.JSONDecodeError as err:
             raise ConfigError(f"not valid JSON: {err}") from err
     return validate_config(apply_overrides(raw, overrides))
+
+
+def check_feasible(cfg: RunConfig, subcommand: str) -> None:
+    """Reject a tree on which ``subcommand`` cannot build its geometries: the
+    2-D ones at its coarsest pitch, or the 1-D weight zones of width 1/n."""
+    ecfg = cfg.experiment_config()
+    tree = build_tree(ecfg.tree)
+    where = f"tree.k = {tree.k}, tree.J = {tree.J} with"
+    if subcommand == "converge-weights":
+        for i, n in enumerate(ecfg.n_list):
+            try:
+                zone_breakpoints(tree, VertexZones(1.0 / n))
+            except Operator1DError as err:
+                raise ConfigError(f"{where} experiment.n_list[{i}] = {n}: {err}") from err
+    if subcommand in _GEOMETRY_PITCH:
+        h = _GEOMETRY_PITCH[subcommand] * ecfg.h_2d
+        for i, eps in enumerate(ecfg.eps_list):
+            try:
+                ecfg.geometry(eps, h).validate(tree)
+            except Geometry2DError as err:
+                raise ConfigError(f"{where} geometry.eps_list[{i}] = {eps} "
+                                  f"at pitch {h:.6g}: {err}") from err
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -471,6 +501,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config, args.overrides)
+        check_feasible(cfg, args.subcommand)
     except (OSError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

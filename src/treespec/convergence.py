@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .connector import analyze_connector, read_only
+from .connector import ConnectorError, analyze_connector, canonical_connector, read_only
 from .eigensolver import smallest_eigenpairs
 from .fem_2d import (
     GeometrySpec2D,
@@ -42,6 +42,7 @@ from .operator_1d import (
 from .tree_model import Tree, TreeSpec, build_tree
 
 C_GRID = np.logspace(-3.0, 3.0, 64 * 6 + 1)
+FINE_PITCH = 0.5             # the fine 2-D mesh pitch, as a multiple of h_2d
 _REFERENCE_CACHE_SIZE = 4    # reference connector keys kept per process
 
 
@@ -101,15 +102,24 @@ class ExperimentConfig:
                               n_cross=self.n_cross)
 
     def validate(self) -> None:
-        """Reject a tree spec, width list, weight-sequence list or potential
-        outside the supported domain; messages name the config key."""
+        """Reject a config value outside the supported domain; messages name
+        the config key."""
         self.tree.validate()
         if not all(0 < e < 1 for e in self.eps_list):
             raise ExperimentError("geometry.eps_list: entries must lie in (0, 1)")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ExperimentError("geometry.eps_list: entries must be strictly decreasing")
-        if list(self.n_list) != sorted(self.n_list):
-            raise ExperimentError("experiment.n_list: entries must be increasing")
+        if list(self.n_list) != sorted(self.n_list) or not all(n > 0 for n in self.n_list):
+            raise ExperimentError("experiment.n_list: entries must be positive and increasing")
+        for key, value, low in (("experiment.h_1d", self.h_1d, 0), ("geometry.h", self.h_2d, 0),
+                                ("weights.zone_factor", self.zone_factor, 0),
+                                ("experiment.m", self.m, 0), ("geometry.n_cross", self.n_cross, 1)):
+            if not value > low:
+                raise ExperimentError(f"{key}: must be > {low}, got {value}")
+        try:
+            canonical_connector(self.tree.delta, c=self.apex_c, k=min(self.tree.k, 2))
+        except ConnectorError as err:
+            raise ExperimentError(f"geometry.c: {err}") from err
         self.w_limit()   # rejects a malformed potential
 
     # potential plumbing: the radial potential is the one definition; the
@@ -159,14 +169,13 @@ def width_weighted_pair(tree: Tree, cfg: ExperimentConfig, consts,
     """Pencils of A_Q^eps and A_P^eps on the matched 1-D mesh: rho* with the
     zone weights rho_Q / rho_P, and the cross-section average of the 2-D
     potential."""
-    eps = tm.spec2d.eps
     zones = tm.zones
     rs = rho_star_profile(tree)
     W2d = cfg.w2d()
-    W1 = None if W2d is None else average_potential_1d(W2d, tree, eps, zones)
+    W1 = None if W2d is None else average_potential_1d(W2d, tree, zones)
     return tuple(assemble_1d(tree, matched.mesh, rho, rs, W1)
-                 for rho in (build_rho_Q(tree, consts, eps, zones=zones),
-                             build_rho_P(tree, consts, eps, zones=zones)))
+                 for rho in (build_rho_Q(tree, consts, zones),
+                             build_rho_P(tree, consts, zones)))
 
 
 def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float):
@@ -176,7 +185,7 @@ def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float):
     """
     W2d = cfg.w2d()
     values = []
-    for h in (cfg.h_2d, 0.5 * cfg.h_2d):
+    for h in (cfg.h_2d, FINE_PITCH * cfg.h_2d):
         tm = build_geometry_2d(tree, cfg.geometry(eps, h))
         system = assemble_2d(tm, W=W2d)
         values.append(smallest_eigenpairs(system.K, system.M, cfg.m,
@@ -639,7 +648,7 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionRepo
     rows = []
     tracking_ok = True
     for eps in cfg.eps_list:
-        tm = build_geometry_2d(tree, cfg.geometry(eps, 0.5 * cfg.h_2d))
+        tm = build_geometry_2d(tree, cfg.geometry(eps, FINE_PITCH * cfg.h_2d))
         system = assemble_2d(tm, W=W2d)
         spec = smallest_eigenpairs(system.K, system.M, 1)
         u = spec.vectors[:, 0]

@@ -59,16 +59,32 @@ class GeometrySpec2D:
     h: float = 0.05
     n_cross: int = 3
 
-    def validate(self, tree: Tree) -> None:
+    def zones(self, tree: Tree) -> VertexZones:
+        """The connector skeletons: canonical arm lengths times |Omega|."""
+        arms = canonical_connector(tree.spec.delta, self.c, tree.k).arm_lengths * tree.spec.omega
+        return VertexZones(self.eps, parent_arm=float(arms[0]), child_arm=float(arms[1]))
+
+    def validate(self, tree: Tree) -> VertexZones:
+        """Check that this geometry can be built on ``tree`` and return its
+        zones; every rule of the 2-D geometry is here."""
         if tree.spec.k not in (1, 2) or tree.spec.N != 2:
             raise Geometry2DError("2-D geometry supports k in {1, 2} and N = 2")
         if not 0 < self.eps < 1:
             raise Geometry2DError(f"eps must be in (0, 1), got {self.eps}")
         if self.n_cross < 2:
             raise Geometry2DError("need at least 2 cross intervals")
-        if self.eps * tree.spec.delta ** tree.J * tree.spec.omega < MIN_FEATURE:
+        zones = self.zones(tree)
+        if zones.widths(tree)[-1] < MIN_FEATURE:
             raise Geometry2DError("deepest tube width below minimum feature size; "
                                   "reduce J or increase eps")
+        start, end = zones.cuts(tree)     # the edge rectangles run in between
+        short = end - start <= max(self.h * 0.1, MIN_FEATURE)
+        if short.any():
+            j = int(short.argmax())
+            raise Geometry2DError(
+                f"connector cuts consume the generation-{j} edge "
+                f"(remaining {end[j] - start[j]:.3g}); reduce eps or c")
+        return zones
 
 
 @dataclass
@@ -137,31 +153,17 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
 
     The canonical connector, its mesh and ``conn_phi`` are shared, read-only,
     with every other geometry of the same (delta, c, k, n_cross)."""
-    spec2d.validate(tree)
-    eps, c, h, n_cross = spec2d.eps, spec2d.c, spec2d.h, spec2d.n_cross
-    d = tree.spec.delta
-    om = tree.spec.omega
-    k = tree.k
+    zones = spec2d.validate(tree)
+    h, n_cross, k = spec2d.h, spec2d.n_cross, tree.k
 
-    canonical, conn_mesh, phi = _canonical_connector_mesh(d, c, k, n_cross)
-
-    scale = np.array([eps * d ** j * om for j in range(tree.J + 1)])
-    zones = VertexZones(eps, parent_arm=float(canonical.arm_lengths[0]) * om,
-                        child_arm=float(canonical.arm_lengths[1]) * om)
-    # the edge rectangles run between the connector cuts: the child reach at
-    # the start of generation j >= 1, the parent reach at the end of j < J
-    par, chi = zones.reaches(tree)
-    starts = np.concatenate([[0.0], chi])
-    ends = tree.edge_lengths - np.append(par, 0.0)
-    for j in range(tree.J + 1):
-        if ends[j] - starts[j] <= max(h * 0.1, MIN_FEATURE):
-            raise Geometry2DError(
-                f"connector cuts consume the generation-{j} edge "
-                f"(remaining {ends[j] - starts[j]:.3g}); reduce eps or c")
+    canonical, conn_mesh, phi = _canonical_connector_mesh(
+        tree.spec.delta, spec2d.c, k, n_cross)
+    widths = zones.widths(tree)
+    starts, ends = zones.cuts(tree)
 
     # one local rectangle mesh per generation, shared by all its edges
     rect_meshes = []
-    for j, w in enumerate(scale):
+    for j, w in enumerate(widths):
         axial_len = ends[j] - starts[j]
         spacing = min(h, ASPECT_CAP * w / n_cross)
         n_axial = max(2, int(np.ceil(axial_len / spacing)))
@@ -187,7 +189,7 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
         stations.append((t0 + mesh.axial_positions, gids[:, mesh.axial_index.T]))
 
     for j in range(tree.J):
-        local = conn_mesh.nodes * scale[j]
+        local = conn_mesh.nodes * widths[j]
         mesh = Mesh2D(local, conn_mesh.triangles, conn_mesh.boundary_edges,
                       conn_mesh.boundary_tags, conn_mesh.sections)
         gids = np.full((k ** j, conn_mesh.n_nodes), -1, dtype=int)
@@ -198,7 +200,7 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
             gids[:, conn_mesh.sections[f"S{pos + 1}"]] = child_rows[:, pos]
         interior = gids[0] < 0
         gids[:, interior] = fresh(k ** j, int(interior.sum()))
-        theta = tree.t_shell[j + 1] + (local[:, 1] - canonical.center[1] * scale[j])
+        theta = tree.t_shell[j + 1] + (local[:, 1] - canonical.center[1] * widths[j])
         components.append(Component2D("connector", j, mesh, gids, theta))
 
     root_nodes = stations[0][1][0, 0].copy()
@@ -343,7 +345,7 @@ def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
             a = local[0]
             local = [0.0, 0.5 * a] + local
         if j < J:
-            L = tree.edge_length(j)
+            L = tree.edge_lengths[j]
             b = local[-1]
             local = local + [0.5 * (b + L), L]
         gen_local.append(np.array(local))
@@ -451,7 +453,7 @@ def closed_form_component_areas(tree: Tree, spec2d: GeometrySpec2D) -> float:
     total = 0.0
     for j in range(tree.J + 1):
         start = canonical.arm_lengths[1] * eps * d ** (j - 1) * om if j >= 1 else 0.0
-        end = tree.edge_length(j)
+        end = tree.edge_lengths[j]
         if j < tree.J:
             end -= canonical.arm_lengths[0] * eps * d ** j * om
         total += tree.k ** j * (eps * d ** j * om) * (end - start)

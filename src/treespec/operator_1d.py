@@ -65,19 +65,29 @@ def rho_star_profile(tree: Tree) -> WeightProfile:
 
 @dataclass(frozen=True)
 class VertexZones:
-    """Zone geometry on the 1-D skeleton around each branching vertex.
+    """Per-generation width and zone table of the inflated tree.
 
-    The vertex closing a generation-j edge carries a zone of radius
-    eps * delta**j times the canonical arm length on each incident arm.
+    Generation j has the section width eps * delta**j * |Omega|, and the
+    vertex closing a generation-j edge a zone of radius eps * delta**j times
+    the arm length on each incident arm (1 on the bare skeleton).
     """
 
     eps: float
     parent_arm: float = 1.0
     child_arm: float = 1.0
 
+    def _scale(self, tree: Tree) -> np.ndarray:
+        """eps * delta**j for j <= J, by Python ** per generation: numpy's
+        integer power is 1 ulp off at 0.6**4."""
+        return self.eps * np.array([tree.spec.delta ** j for j in range(tree.J + 1)])
+
+    def widths(self, tree: Tree) -> np.ndarray:
+        """Section width eps * delta**j * |Omega| of every generation j <= J."""
+        return self._scale(tree) * tree.spec.omega
+
     def reaches(self, tree: Tree) -> tuple[np.ndarray, np.ndarray]:
         """(parent, child) arm reach of the zone of every vertex generation j < J."""
-        scale = self.eps * np.array([tree.spec.delta ** j for j in range(tree.J)])
+        scale = self._scale(tree)[:-1]
         return scale * self.parent_arm, scale * self.child_arm
 
     def bounds(self, tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,9 +97,17 @@ class VertexZones:
         t_v = tree.t_shell[1:-1]
         return t_v - par, t_v, t_v + chi
 
+    def cuts(self, tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+        """(start, end) in edge-local distance of the part of every
+        generation-j edge, j <= J, outside the zones at its two ends."""
+        par, chi = self.reaches(tree)
+        return np.concatenate([[0.0], chi]), tree.edge_lengths - np.append(par, 0.0)
+
 
 def zone_breakpoints(tree: Tree, zones: VertexZones) -> np.ndarray:
     """All zone boundaries, validated against overlap within the edges."""
+    if not zones.eps > 0:
+        raise Operator1DError(f"zone width eps must be positive, got {zones.eps}")
     par, chi = zones.reaches(tree)
     L = tree.edge_lengths
     chi_prev = np.concatenate([[0.0], chi[:-1]])
@@ -119,24 +137,14 @@ def zone_modified_profile(tree: Tree, base: WeightProfile, factor: float,
     return WeightProfile(pts, vals, equiv_constant=c)
 
 
-def _zone_rho(tree: Tree, factor: float, eps: float,
-              zones: VertexZones | None) -> WeightProfile:
-    if not 0.0 < eps < 1.0:
-        raise Operator1DError(f"eps must be in (0, 1), got {eps}")
-    return zone_modified_profile(tree, rho_star_profile(tree), factor,
-                                 zones or VertexZones(eps))
-
-
-def build_rho_Q(tree: Tree, constants, eps: float,
-                zones: VertexZones | None = None) -> WeightProfile:
+def build_rho_Q(tree: Tree, constants, zones: VertexZones) -> WeightProfile:
     """rho* boosted by max{alpha_A/beta_Abar, alpha_B/beta_Bbar} on vertex zones."""
-    return _zone_rho(tree, constants.rho_Q_factor, eps, zones)
+    return zone_modified_profile(tree, rho_star_profile(tree), constants.rho_Q_factor, zones)
 
 
-def build_rho_P(tree: Tree, constants, eps: float,
-                zones: VertexZones | None = None) -> WeightProfile:
+def build_rho_P(tree: Tree, constants, zones: VertexZones) -> WeightProfile:
     """rho* damped by min{beta_A/alpha_Abar, beta_B/alpha_Bbar} on vertex zones."""
-    return _zone_rho(tree, constants.rho_P_factor, eps, zones)
+    return zone_modified_profile(tree, rho_star_profile(tree), constants.rho_P_factor, zones)
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +179,16 @@ class PotentialProfile:
         raise Operator1DError(f"unknown potential kind {self.kind!r}")
 
 
-def average_potential_1d(W2d, tree: Tree, eps: float,
-                         zones: VertexZones) -> PotentialProfile:
+def average_potential_1d(W2d, tree: Tree, zones: VertexZones) -> PotentialProfile:
     """Cross-section average of a 2-D potential W(theta, s) over the inflated tree.
 
     On the edge skeletons the value is the transverse average over the local
-    tube width eps * delta**gen * |Omega|; on the vertex skeletons it is the
+    tube width ``zones.widths``; on the vertex skeletons it is the
     affine-partition interpolation of the endpoint averages of the incident
     arms, which keeps the result inside [min, max] of those averages.
     """
     gauss, gw = np.polynomial.legendre.leggauss(AVERAGE_CROSS_POINTS)
-    widths = np.array([eps * tree.spec.delta ** j * tree.spec.omega
-                       for j in range(tree.J + 1)])
+    widths = zones.widths(tree)
 
     def edge_average(t):
         """Gauss average of W2d across the tube section at each distance in t."""

@@ -103,10 +103,6 @@ class Tree:
     def J(self) -> int:
         return self.spec.J
 
-    def edge_length(self, j: int) -> float:
-        self._check_generation(j)
-        return float(self.edge_lengths[j])
-
     def interior_vertices(self):
         """Iterate branching vertices, labeled by the edge they close."""
         for j in range(self.spec.J):

@@ -295,9 +295,9 @@ def test_criterion_7_property_suites():
     eps = 0.2
     matched = matched_mesh_1d(tm)
     W2d = lambda t, s: np.cos(t)
-    W1 = average_potential_1d(W2d, tree, eps, tm.zones)
-    rq = build_rho_Q(tree, consts, eps, zones=tm.zones)
-    rp = build_rho_P(tree, consts, eps, zones=tm.zones)
+    W1 = average_potential_1d(W2d, tree, tm.zones)
+    rq = build_rho_Q(tree, consts, tm.zones)
+    rp = build_rho_P(tree, consts, tm.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rs)
     sysP = assemble_1d(tree, matched.mesh, rp, rs)
     sys_rs = assemble_1d(tree, matched.mesh, rs, rs)

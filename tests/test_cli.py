@@ -15,11 +15,14 @@ from treespec.cli import (
     SUBCOMMANDS,
     ConfigError,
     apply_overrides,
+    check_feasible,
     main,
     parse_config,
     validate_config,
 )
 from treespec.convergence import ExperimentConfig
+from treespec.fem_2d import Geometry2DError, build_geometry_2d
+from treespec.tree_model import TreeSpec, build_tree
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -62,6 +65,8 @@ def test_type_errors_carry_path():
         validate_config({"tree": {"k": "two"}})
     with pytest.raises(ConfigError, match="geometry.eps_list"):
         validate_config({"geometry": {"eps_list": 0.1}})
+    with pytest.raises(ConfigError, match=r"experiment.n_list\[1\]: expected a number"):
+        validate_config({"experiment": {"n_list": [4, "8"]}})
 
 
 def test_config_round_trip():
@@ -178,7 +183,18 @@ def test_malformed_potential_is_a_config_error(tmp_path, capsys, subcommand,
     ({"geometry": {"eps_list": [0.1, 0.2]}}, "geometry.eps_list"),
     ({"geometry": {"eps_list": [0.2, 1.5]}}, "geometry.eps_list"),
     ({"experiment": {"n_list": [8, 4]}}, "experiment.n_list"),
-], ids=["eps-ascending", "eps-out-of-range", "n-descending"])
+    ({"experiment": {"n_list": [0, 8]}}, "experiment.n_list"),
+    ({"experiment": {"n_list": [-4, 8]}}, "experiment.n_list"),
+    ({"experiment": {"h_1d": -1}}, "experiment.h_1d"),
+    ({"experiment": {"h_1d": 0}}, "experiment.h_1d"),
+    ({"experiment": {"m": 0}}, "experiment.m"),
+    ({"geometry": {"h": -1}}, "geometry.h"),
+    ({"geometry": {"n_cross": 1}}, "geometry.n_cross"),
+    ({"geometry": {"c": 5}}, "geometry.c"),
+    ({"weights": {"zone_factor": -1}}, "weights.zone_factor"),
+], ids=["eps-ascending", "eps-out-of-range", "n-descending", "n-zero", "n-negative",
+        "h1d-negative", "h1d-zero", "m-zero", "h2d-negative", "n-cross-one", "c-five",
+        "zone-factor-negative"])
 def test_bad_config_domain_exits_2_on_every_subcommand(tmp_path, capsys, subcommand,
                                                        payload, key):
     # rejected at load time, before any subcommand runs
@@ -188,6 +204,70 @@ def test_bad_config_domain_exits_2_on_every_subcommand(tmp_path, capsys, subcomm
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not out.exists()
+
+
+def test_apex_check_reads_the_binary_connector_for_wider_trees(tmp_path):
+    # the geometry.c range comes from the connector of min(k, 2), so a
+    # ternary tree still runs the 1-D subcommands
+    cfg = write_cfg(tmp_path, {"tree": {"k": 3}})
+    assert main(["spectrum1d", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_deep_tree_rejected_at_load_only_where_a_geometry_is_built(tmp_path, capsys):
+    # J = 14: the default tubes eps delta**j outgrow the edges r**j with depth
+    cfg = write_cfg(tmp_path, {"tree": {"J": 14}})
+    for sub in SUBCOMMANDS:
+        out = tmp_path / sub
+        code = main([sub, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if sub in ("spectrum2d", "sandwich", "project", "converge-weights"):
+            assert code == 2, sub
+            assert err.startswith("config error: tree.") and "tree.J = 14" in err
+            key = "experiment.n_list[0]" if sub == "converge-weights" else "geometry.eps_list[0]"
+            assert key in err, err
+            assert not out.exists()
+        else:
+            assert code == 0, (sub, err)
+
+
+def test_feasibility_is_checked_at_the_pitch_the_subcommand_meshes_at(tmp_path, capsys):
+    # J = 8, eps 0.2: the connector cuts leave too short an edge at h but
+    # not at the h/2 that project meshes at
+    cfg = write_cfg(tmp_path, {"tree": {"J": 8}, "geometry": {"eps_list": [0.2]}})
+    for sub in ("spectrum2d", "sandwich"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)]) == 2
+        err = capsys.readouterr().err
+        assert "tree.J = 8" in err and "geometry.eps_list[0] = 0.2" in err
+    assert main(["project", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+
+
+def test_weight_zones_rejected_at_load(tmp_path, capsys):
+    # J = 4: zones of width 1/4 collide inside the generation-3 edges
+    cfg = write_cfg(tmp_path, {"tree": {"J": 4}})
+    assert main(["converge-weights", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "tree.J = 4" in err and "experiment.n_list[0] = 4" in err
+    assert "vertex zones collide inside generation 3 edges" in err
+
+
+@pytest.mark.parametrize("J", range(11))
+def test_load_verdict_equals_build_verdict(J):
+    # spectrum2d meshes at geometry.h, project at geometry.h / 2; a rejected
+    # geometry fails to build, an accepted one builds (the feasible J <= 10
+    # geometries number at most 33k nodes)
+    tree = build_tree(TreeSpec(J=J))
+    ecfg = ExperimentConfig()
+    for sub, h in (("spectrum2d", 0.03), ("project", 0.015)):
+        for eps in ecfg.eps_list:
+            cfg = validate_config({"tree": {"J": J}, "geometry": {"eps_list": [eps]}})
+            try:
+                check_feasible(cfg, sub)
+            except ConfigError:
+                with pytest.raises(Geometry2DError):
+                    build_geometry_2d(tree, ecfg.geometry(eps, h))
+            else:
+                build_geometry_2d(tree, ecfg.geometry(eps, h))
 
 
 @pytest.mark.parametrize("overrides", [[], ["--set", "seed=1"], ["--set", "tree.k=3"]])
@@ -240,7 +320,6 @@ GOLDEN_DEFAULTS = {
                    "rayleigh_samples": 0},
     "output_dir": ".",
     "seed": None,
-    "threads": None,
 }
 
 
@@ -248,7 +327,7 @@ def test_default_config_golden():
     # the hash heads every CSV; it depends only on the key set and defaults
     cfg = validate_config({})
     assert cfg.data == GOLDEN_DEFAULTS
-    assert cfg.config_hash() == "10609444833b"
+    assert cfg.config_hash() == "d8c61a352e81"
 
 
 def test_config_keys_map_to_dataclass_defaults():

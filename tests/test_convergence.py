@@ -531,7 +531,7 @@ def test_lifted_ground_state_dominates_2d_eigenvalue():
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, h=0.03))
     matched = matched_mesh_1d(tm)
     _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.05, section_intervals=12)
-    rq = build_rho_Q(tree, consts, eps, zones=tm.zones)
+    rq = build_rho_Q(tree, consts, tm.zones)
     rs = rho_star_profile(tree)
     sysQ = assemble_1d(tree, matched.mesh, rq, rs)
     specQ = smallest_eigenpairs(sysQ.K, sysQ.M, 1)

@@ -413,7 +413,7 @@ def test_q_energy_bound_random_fields(tmesh):
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
     _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.06, section_intervals=10)
-    rq = build_rho_Q(tree, consts, eps, zones=tmesh.zones)
+    rq = build_rho_Q(tree, consts, tmesh.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rho_star_profile(tree))
     Kg, _ = _scatter_assembly(tmesh)
     rng = np.random.default_rng(21)
@@ -434,7 +434,7 @@ def test_p_energy_bound_random_fields(tmesh):
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
     _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.06, section_intervals=10)
-    rp = build_rho_P(tree, consts, eps, zones=tmesh.zones)
+    rp = build_rho_P(tree, consts, tmesh.zones)
     sysP = assemble_1d(tree, matched.mesh, rp, rho_star_profile(tree))
     Kg, _ = _scatter_assembly(tmesh)
     rng = np.random.default_rng(22)

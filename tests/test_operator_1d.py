@@ -54,7 +54,7 @@ def test_rho_star_profile_values():
 def test_factor_one_zone_profile_is_identity():
     tree = build_tree(TreeSpec(k=2, J=2))
     rs = rho_star_profile(tree)
-    prof = build_rho_Q(tree, unit_constants(q=1.0), eps=0.1)
+    prof = build_rho_Q(tree, unit_constants(q=1.0), VertexZones(0.1))
     t = np.linspace(0, tree.radius * 0.999, 500)
     assert np.allclose(prof(t), rs(t))
 
@@ -75,7 +75,8 @@ def test_zone_factor_applied_inside_zone_only():
     (VertexZones(1.1), r"parent reach 1\.1\) overlaps generation 0 edge"),
     (VertexZones(0.4, parent_arm=0.9), "zones collide inside generation 1 edges"),
     (VertexZones(0.6, parent_arm=0.1), r"child reach 0\.6\) overlaps generation 1 edge"),
-], ids=["parent-reach", "collision", "child-reach"])
+    (VertexZones(-0.1), "zone width eps must be positive"),
+], ids=["parent-reach", "collision", "child-reach", "negative-width"])
 def test_overlapping_zones_rejected(zones, match):
     # edge lengths 1, 0.5, 0.25
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=2))
@@ -103,8 +104,8 @@ def test_zone_measure_proportional_to_eps():
 def test_rho_P_below_rho_star_below_rho_Q():
     tree = build_tree(TreeSpec(k=2, J=2))
     consts = unit_constants(q=3.0, p=0.25)
-    rq = build_rho_Q(tree, consts, eps=0.15)
-    rp = build_rho_P(tree, consts, eps=0.15)
+    rq = build_rho_Q(tree, consts, VertexZones(0.15))
+    rp = build_rho_P(tree, consts, VertexZones(0.15))
     rs = rho_star_profile(tree)
     t = np.linspace(0, tree.radius * 0.999, 800)
     assert np.all(rp(t) <= rs(t) + 1e-15)
@@ -114,13 +115,13 @@ def test_rho_P_below_rho_star_below_rho_Q():
 def test_zone_overlap_rejected():
     tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=0.9, J=2))
     with pytest.raises(Operator1DError):
-        build_rho_Q(tree, unit_constants(2.0), eps=0.9)
+        build_rho_Q(tree, unit_constants(2.0), VertexZones(0.9))
 
 
 def test_eps_out_of_range_rejected():
     tree = build_tree(TreeSpec(k=2, J=1))
     with pytest.raises(Operator1DError):
-        build_rho_Q(tree, unit_constants(), eps=1.5)
+        build_rho_Q(tree, unit_constants(), VertexZones(1.5))
 
 
 # -- assembly and golden spectra ----------------------------------------------
@@ -182,7 +183,7 @@ def test_rayleigh_monotonicity_in_potential():
     tree = build_tree(TreeSpec(k=2, J=1))
     mesh = build_mesh_1d(tree, h=0.05)
     rs = rho_star_profile(tree)
-    rq = build_rho_Q(tree, unit_constants(2.0), eps=0.1)
+    rq = build_rho_Q(tree, unit_constants(2.0), VertexZones(0.1))
     w0 = PotentialProfile("cosine", (1.0, 1.0))
     w1 = PotentialProfile("sampled", nodes=np.array([0.0, tree.radius]),
                           samples=np.array([0.0, 0.0]))
@@ -274,7 +275,7 @@ def test_deepest_component_is_plain_interval_operator():
     rs = rho_star_profile(tree)
     sys_J = radial_component_operator(tree, mesh, rs, rs, None, 2)
     spec = smallest_eigenpairs(sys_J.K, sys_J.M, 2, with_vectors=False)
-    L = tree.edge_length(2)
+    L = tree.edge_lengths[2]
     exact = [((2 * m - 1) * np.pi / (2 * L)) ** 2 for m in (1, 2)]
     assert np.allclose(spec.values, exact, rtol=1e-3)
 
@@ -321,7 +322,7 @@ def test_discreteness_classifier(delta, holds, boundary):
 def test_average_constant_potential():
     tree = build_tree(TreeSpec(k=2, delta=0.6, J=2))
     prof = average_potential_1d(lambda t, s: 3.0 * np.ones_like(s), tree,
-                                eps=0.1, zones=VertexZones(0.1))
+                                zones=VertexZones(0.1))
     t = np.linspace(0, tree.radius * 0.99, 300)
     assert np.allclose(prof(t), 3.0)
 
@@ -330,7 +331,7 @@ def test_average_theta_potential_exact_on_edges():
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=1))
     zones = VertexZones(0.1)
     prof = average_potential_1d(lambda t, s: t * np.ones_like(s), tree,
-                                eps=0.1, zones=zones)
+                                zones=zones)
     # stations outside the single vertex zone at t_1 = 1.0, reach 0.1
     for t in (0.3, 0.7, 1.2, 1.4):
         assert prof(t) == pytest.approx(t, abs=1e-9)
@@ -339,7 +340,7 @@ def test_average_theta_potential_exact_on_edges():
 def test_average_s_dependent_potential():
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=1))
     eps = 0.1
-    prof = average_potential_1d(lambda t, s: s, tree, eps=eps,
+    prof = average_potential_1d(lambda t, s: s, tree,
                                 zones=VertexZones(eps))
     # on the generation-0 edge the tube width is eps, average of s is eps/2
     assert prof(0.4) == pytest.approx(eps / 2, rel=1e-9)
@@ -351,7 +352,7 @@ def test_average_vertex_zone_convex_combination():
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=1))
     zones = VertexZones(0.2)
     prof = average_potential_1d(lambda t, s: t * np.ones_like(s), tree,
-                                eps=0.2, zones=zones)
+                                zones=zones)
     t_v = tree.t_shell[1]
     par, chi = zones.reaches(tree)
     b = [t_v - par[0], t_v + chi[0]]
@@ -620,7 +621,7 @@ LOOP_TREES = [TreeSpec(k=1, J=3), TreeSpec(k=2, delta=0.6, J=3),
 def test_assembly_equals_per_edge_loop(spec, profile, cosine, dirichlet_root):
     tree = build_tree(spec)
     rs = rho_star_profile(tree)
-    rho_a = rs if profile == "rho_star" else build_rho_Q(tree, unit_constants(2.5), 0.1)
+    rho_a = rs if profile == "rho_star" else build_rho_Q(tree, unit_constants(2.5), VertexZones(0.1))
     mesh = build_mesh_1d(tree, h=0.04, breakpoints=rho_a.breakpoints)
     edge_dofs, dof_t = edge_dofs_loop(tree, mesh.gen_local)
     assert sum(len(dofs) for dofs in mesh.gen_dofs) == len(edge_dofs)
@@ -679,7 +680,7 @@ def test_zone_arrays_equal_per_vertex_loops(spec):
         assert np.array_equal(prof.breakpoints, pts)
         assert np.array_equal(prof.values, vals)
         for W2d in potentials:
-            avg = average_potential_1d(W2d, tree, eps, zones)
+            avg = average_potential_1d(W2d, tree, zones)
             grid, vals = average_potential_loop(W2d, tree, eps, zones)
             assert np.array_equal(avg.nodes, grid)
             assert np.array_equal(avg.samples, vals)
@@ -689,7 +690,7 @@ def test_zone_arrays_equal_per_vertex_loops(spec):
 def test_checks_equal_per_edge_loops(spec):
     tree = build_tree(spec)
     rs = rho_star_profile(tree)
-    rq = build_rho_Q(tree, unit_constants(2.5), 0.1)
+    rq = build_rho_Q(tree, unit_constants(2.5), VertexZones(0.1))
     mesh = build_mesh_1d(tree, h=0.04, breakpoints=rq.breakpoints)
     rng = np.random.default_rng(5)
     nodes = np.linspace(0.0, tree.radius, 301)
