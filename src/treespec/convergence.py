@@ -105,6 +105,10 @@ class ExperimentConfig:
         """Reject a config value outside the supported domain; messages name
         the config key."""
         self.tree.validate()
+        for key, values in (("geometry.eps_list", self.eps_list),
+                            ("experiment.n_list", self.n_list)):
+            if len(values) == 0:
+                raise ExperimentError(f"{key}: must not be empty")
         if not all(0 < e < 1 for e in self.eps_list):
             raise ExperimentError("geometry.eps_list: entries must lie in (0, 1)")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):

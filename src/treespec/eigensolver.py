@@ -2,7 +2,8 @@
 
 Small systems go through a dense direct solve; larger ones use ARPACK in
 shift-invert mode around sigma = 0 (retrying with a negative shift when the
-stiffness matrix is indefinite at the origin).  Shift-invert Lanczos can miss
+stiffness matrix cannot be factored at the origin), applying one LDL^T
+factorization of K - sigma M per shift.  Shift-invert Lanczos can miss
 copies of a multiple eigenvalue, so every ARPACK result is certified by a
 Sylvester inertia count: the number of eigenvalues below a shift just under
 the cluster that holds the m-th Ritz value is read off an LDL^T factorization
@@ -79,18 +80,16 @@ def _residuals(K, M, vals, vecs) -> tuple:
     allowance = RESIDUAL_ROUNDOFF * np.finfo(float).eps
     k_norm = spla.norm(K, 1)
     m_norm = spla.norm(M, 1)
-    res = np.empty(len(vals))
-    backward = np.empty(len(vals))
-    for i, lam in enumerate(vals):
-        u = vecs[:, i]
-        Ku = K @ u
-        Mu = M @ u
-        num = np.linalg.norm(Ku - lam * Mu)
-        den = np.linalg.norm(Mu)
-        excess = num - allowance * (k_norm + abs(lam) * m_norm) * np.linalg.norm(u)
-        scale = np.linalg.norm(Ku) + abs(lam) * den
-        res[i] = num / den if den > 0 else np.inf
-        backward[i] = 0.0 if excess <= 0 else (excess / scale if scale > 0 else np.inf)
+    lam = np.abs(vals)
+    KV, MV = K @ vecs, M @ vecs
+    num = np.linalg.norm(KV - MV * vals, axis=0)
+    den = np.linalg.norm(MV, axis=0)
+    excess = num - allowance * (k_norm + lam * m_norm) * np.linalg.norm(vecs, axis=0)
+    scale = np.linalg.norm(KV, axis=0) + lam * den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = np.where(den > 0, num / den, np.inf)
+        backward = np.where(excess <= 0, 0.0,
+                            np.where(scale > 0, excess / scale, np.inf))
     return res, backward
 
 
@@ -156,13 +155,16 @@ def _certified_shift_invert(K, M, m: int, tol: float):
     while any eigenvalue missed below it does.  A Krylov space holds one
     direction of each eigenspace, so a larger solve can miss the same copies
     again; the repeat instead locks the pairs found and searches the
-    M-orthogonal complement of their vectors for the missed ones.
+    M-orthogonal complement of their vectors for the missed ones.  The
+    factor of K - sigma M at each shift tried is kept for the whole call, so
+    a repeat solves with the factor of the first.
     """
     n = K.shape[0]
     vals, vecs = np.empty(0), np.empty((n, 0))
+    factors = {}
     k = m + GUARD_VECTORS
     for _ in range(_SOLVE_ATTEMPTS):
-        more_vals, more_vecs = _shift_invert(K, M, min(k, n - 2), tol, vecs)
+        more_vals, more_vecs = _shift_invert(K, M, min(k, n - 2), tol, vecs, factors)
         vals = np.concatenate([vals, more_vals])
         vecs = np.hstack([vecs, more_vecs])
         order = np.argsort(vals)
@@ -182,15 +184,18 @@ def _certified_shift_invert(K, M, m: int, tol: float):
         f"after {_SOLVE_ATTEMPTS} solves")
 
 
-def _shift_invert(K, M, k: int, tol: float, locked: np.ndarray):
+def _shift_invert(K, M, k: int, tol: float, locked: np.ndarray, factors: dict):
     """k pairs nearest the origin whose vectors are M-orthogonal to the
     columns of locked, which are M-orthonormal eigenvectors; retried at
-    negative shifts."""
+    negative shifts.  factors maps each shift factored so far to its LDL^T
+    factor of K - sigma M and gains the ones factored here."""
     last_err = None
     for sigma in (0.0, -0.1 * _scale_estimate(K, M), -_scale_estimate(K, M)):
         try:
+            if sigma not in factors:
+                factors[sigma] = _ldl(K - sigma * M)
             vals, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
-                                    OPinv=_locked_inverse(K, M, sigma, locked),
+                                    OPinv=_shift_inverse(factors[sigma], M, locked),
                                     tol=tol, rng=np.random.default_rng(0))
         except (RuntimeError, spla.ArpackError, ValueError) as err:  # retry shifted
             last_err = err
@@ -199,21 +204,32 @@ def _shift_invert(K, M, k: int, tol: float, locked: np.ndarray):
     raise EigensolverError(f"shift-invert iteration failed: {last_err}")
 
 
-def _locked_inverse(K, M, sigma: float, locked: np.ndarray):
-    """(K - sigma M)^-1 followed by the M-orthogonal projection off the
-    locked vectors, or None (ARPACK factors K - sigma M itself) when no
-    vector is locked.  The locked pairs become eigenvalues 0 of the operator
-    ARPACK iterates on, out of reach of a search for the largest."""
-    if locked.shape[1] == 0:
-        return None
-    lu = spla.splu((K - sigma * M).tocsc())
+def _shift_inverse(lu, M, locked: np.ndarray):
+    """The solve with lu, the factor of K - sigma M, followed by the
+    M-orthogonal projection off the locked vectors when there are any.  The
+    locked pairs become eigenvalues 0 of the operator ARPACK iterates on, out
+    of reach of a search for the largest."""
     MV = M @ locked
 
     def apply(x):
         y = lu.solve(np.asarray(x, dtype=float).ravel())
-        return y - locked @ (MV.T @ y)
+        return y - locked @ (MV.T @ y) if locked.shape[1] else y
 
-    return spla.LinearOperator(K.shape, matvec=apply, dtype=float)
+    return spla.LinearOperator(M.shape, matvec=apply, dtype=float)
+
+
+def _ldl(A):
+    """LDL^T factorization of the symmetric matrix A, as a SuperLU object.
+
+    SuperLU in symmetric mode with a minimum-degree ordering of A + A^T and
+    diagonal pivots only gives U = D L^T when it permutes rows and columns
+    alike, which is checked.  On a tree pencil the factor has no fill.
+    """
+    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolverError("the LDL^T factorization pivoted off the diagonal")
+    return lu
 
 
 def _count_shift(vals: np.ndarray, m: int):
@@ -233,19 +249,12 @@ def _inertia_below(K, M, sigma: float) -> int:
     """Number of eigenvalues of K u = lambda M u below sigma.
 
     By Sylvester's law of inertia it is the number of negative pivots of an
-    LDL^T factorization of K - sigma M.  SuperLU in symmetric mode with
-    diagonal pivots only gives one (U = D L^T) when it permutes rows and
-    columns alike, which is checked.
+    LDL^T factorization of K - sigma M.
     """
     try:
-        lu = spla.splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as err:   # exactly singular: sigma is an eigenvalue
+        lu = _ldl(K - sigma * M)
+    except RuntimeError as err:   # exactly singular (sigma is an eigenvalue) or pivoted
         raise EigensolverError(f"inertia count at {sigma:.6g}: {err}") from err
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise EigensolverError(
-            f"inertia count at {sigma:.6g}: the factorization pivoted off "
-            "the diagonal")
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 

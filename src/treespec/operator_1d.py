@@ -21,6 +21,7 @@ from .tree_model import Tree
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 HARDY_QUAD = 4      # Gauss-Legendre points per element of the Hardy numerator
+_HARDY_NODES, _HARDY_WEIGHTS = np.polynomial.legendre.leggauss(HARDY_QUAD)
 AVERAGE_CROSS_POINTS = 16    # Gauss-Legendre points across a tube section
 AVERAGE_AXIAL_POINTS = 400   # uniform axial samples of an averaged potential
 
@@ -514,7 +515,6 @@ def hardy_inequality_check(tree: Tree, rho: WeightProfile,
     if near_end.any() and np.abs(np.asarray(u)[near_end]).max() > 1e-9:
         warnings.warn("field does not vanish near the tree radius; "
                       "Hardy integral may blow up", stacklevel=2)
-    gauss, gw = np.polynomial.legendre.leggauss(HARDY_QUAD)
     nodes = np.asarray(nodes, dtype=float)
     u = np.asarray(u, dtype=float)
 
@@ -525,10 +525,10 @@ def hardy_inequality_check(tree: Tree, rho: WeightProfile,
     h = np.diff(nodes)[:, None]
     if np.any(h <= 0):
         raise Operator1DError("nodes must be strictly increasing")
-    x = a + 0.5 * h * (gauss + 1.0)
+    x = a + 0.5 * h * (_HARDY_NODES + 1.0)
     uu = ua + du * (x - a) / h
     p = rho(x) * g(x) / (R * (R - x))
-    num = float(np.sum(0.5 * h[:, 0] * ((p * uu ** 2) @ gw)))
+    num = float(np.sum(0.5 * h[:, 0] * ((p * uu ** 2) @ _HARDY_WEIGHTS)))
     mid = a + h / 2
     den = float(np.sum(rho(mid) * g(mid) * du ** 2 / h))
     if den == 0.0:

@@ -192,9 +192,11 @@ def test_malformed_potential_is_a_config_error(tmp_path, capsys, subcommand,
     ({"geometry": {"n_cross": 1}}, "geometry.n_cross"),
     ({"geometry": {"c": 5}}, "geometry.c"),
     ({"weights": {"zone_factor": -1}}, "weights.zone_factor"),
+    ({"geometry": {"eps_list": []}}, "geometry.eps_list"),
+    ({"experiment": {"n_list": []}}, "experiment.n_list"),
 ], ids=["eps-ascending", "eps-out-of-range", "n-descending", "n-zero", "n-negative",
         "h1d-negative", "h1d-zero", "m-zero", "h2d-negative", "n-cross-one", "c-five",
-        "zone-factor-negative"])
+        "zone-factor-negative", "eps-empty", "n-empty"])
 def test_bad_config_domain_exits_2_on_every_subcommand(tmp_path, capsys, subcommand,
                                                        payload, key):
     # rejected at load time, before any subcommand runs

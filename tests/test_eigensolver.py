@@ -1,4 +1,5 @@
 import heapq
+import importlib
 import re
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from treespec.eigensolver import (
     EigensolverError,
     Spectrum,
     _inertia_below,
+    _residuals,
+    RESIDUAL_ROUNDOFF,
     cluster_multiplicities,
     merge_spectra,
     smallest_eigenpairs,
@@ -177,6 +180,87 @@ def test_low_frequency_mode_mixing_rejected(monkeypatch, sk, c, path):
     K, M = corrupt_solver(monkeypatch, path, mixed)
     with pytest.raises(EigensolverError, match="backward error"):
         smallest_eigenpairs((sk * K).tocsr(), M, 3)
+
+
+def residuals_per_column(K, M, vals, vecs):
+    """Reference: the residual and backward error of _residuals, one pair at
+    a time."""
+    allowance = RESIDUAL_ROUNDOFF * np.finfo(float).eps
+    k_norm = abs(K).sum(axis=0).max()
+    m_norm = abs(M).sum(axis=0).max()
+    res, backward = np.empty(len(vals)), np.empty(len(vals))
+    for i, lam in enumerate(vals):
+        u = vecs[:, i]
+        Ku, Mu = K @ u, M @ u
+        num = np.linalg.norm(Ku - lam * Mu)
+        den = np.linalg.norm(Mu)
+        excess = num - allowance * (k_norm + abs(lam) * m_norm) * np.linalg.norm(u)
+        scale = np.linalg.norm(Ku) + abs(lam) * den
+        res[i] = num / den if den > 0 else np.inf
+        backward[i] = 0.0 if excess <= 0 else (excess / scale if scale > 0 else np.inf)
+    return res, backward
+
+
+def test_residuals_equal_the_per_column_formula():
+    K, M = interval_mixed_bc(300)
+    spec = smallest_eigenpairs(K, M, 6)
+    noise = 1e-6 * np.random.default_rng(2).standard_normal(spec.vectors.shape)
+    # converged pairs (backward error 0), perturbed ones, a zero vector
+    # (residual and backward error undefined: inf and 0) and a shifted value
+    vecs = np.hstack([spec.vectors, spec.vectors + noise, np.zeros((300, 1)),
+                      spec.vectors[:, :1]])
+    vals = np.concatenate([spec.values, spec.values, [1.0], [-spec.values[0]]])
+    res, backward = _residuals(K, M, vals, vecs)
+    ref_res, ref_backward = residuals_per_column(K, M, vals, vecs)
+    assert np.all(backward[:6] == 0) and np.all(backward[6:12] > 0)
+    assert np.array_equal(np.isinf(res), np.isinf(ref_res)) and np.isinf(res[12])
+    assert backward[12] == 0 and backward[13] > 0
+    finite = np.isfinite(ref_res)
+    np.testing.assert_allclose(res[finite], ref_res[finite], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(backward, ref_backward, rtol=1e-14, atol=0)
+
+
+def count_factorizations(monkeypatch) -> dict:
+    """Count the sparse LU factorizations of the solver and of ARPACK, and
+    record the OPinv that every eigsh call receives."""
+    import scipy.sparse.linalg
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    seen = {"splu": 0, "OPinv": []}
+    splu, eigsh = scipy.sparse.linalg.splu, scipy.sparse.linalg.eigsh
+
+    def counted_splu(*args, **kwargs):
+        seen["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def recorded_eigsh(*args, **kwargs):
+        seen["OPinv"].append(kwargs.get("OPinv"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    monkeypatch.setattr(arpack, "splu", counted_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded_eigsh)
+    return seen
+
+
+def test_one_factor_per_shift_and_one_per_count(monkeypatch):
+    # a certified solve with no miss: one factor of K - sigma M for ARPACK
+    # and one for the inertia count
+    seen = count_factorizations(monkeypatch)
+    K, M = interval_mixed_bc(2500)
+    smallest_eigenpairs(K, M, 3)
+    assert seen["splu"] == 2
+    assert len(seen["OPinv"]) == 1 and seen["OPinv"][0] is not None
+
+
+def test_repair_solve_reuses_the_factor_of_its_shift(monkeypatch):
+    # the locked repair of the 4-fold eigenvalue below solves with the
+    # factor of the first solve; only the second inertia count factors anew
+    seen = count_factorizations(monkeypatch)
+    d = np.concatenate([[1.0, 2.0, 3.0], [5.0] * 4, np.arange(6.0, 2500.0)])
+    smallest_eigenpairs(sp.diags(d).tocsr(), sp.identity(len(d), format="csr"), 8)
+    assert len(seen["OPinv"]) == 2
+    assert all(op is not None for op in seen["OPinv"])
+    assert seen["splu"] <= 3
 
 
 def test_inertia_count_matches_dense_count():

@@ -35,3 +35,34 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def functions_reading(source: str, name: str) -> list:
+    """The innermost enclosing function of each place ``source`` reads
+    ``name`` as a bare name or an attribute, ``<module>`` outside any."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name.rpartition(".")[2] == name):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_the_function_that_reads_a_name():
+    source = ("from a import f\nimport a.f\n"
+              "def g():\n    def h():\n        return a.f(1)\n    return f\n")
+    assert functions_reading(source, "f") == ["<module>", "<module>", "h", "g"]
+
+
+def test_eigensolver_factors_in_one_function():
+    # one factorization helper: every shift-invert solve and inertia count
+    # reads the same kind of factor
+    assert functions_reading((SRC / "eigensolver.py").read_text(), "splu") == ["_ldl"]
