@@ -34,7 +34,6 @@ from .operator_1d import (
     discreteness_condition_check,
     radial_decomposition_spectrum,
     rho_star_profile,
-    spectrum_1d,
 )
 from .tree_model import EdgeId, Tree, TreeSpec, build_tree
 
@@ -44,7 +43,7 @@ __all__ = [
     "SkeletonStar", "EquivalenceConstants", "analyze_connector",
     "WeightProfile", "PotentialProfile", "rho_star_profile",
     "build_rho_Q", "build_rho_P", "build_mesh_1d", "assemble_1d",
-    "spectrum_1d", "radial_decomposition_spectrum",
+    "radial_decomposition_spectrum",
     "discreteness_condition_check",
     "Spectrum", "smallest_eigenpairs", "merge_spectra",
     "GeometrySpec2D", "build_geometry_2d", "assemble_2d",

@@ -37,14 +37,9 @@ from .operator_1d import (
     discreteness_condition_check,
     radial_decomposition_spectrum,
     rho_star_profile,
-    spectrum_1d,
     zone_breakpoints,
 )
 from .tree_model import TreeModelError, TreeSpec, build_tree
-
-SUBCOMMANDS = ("spectrum1d", "decompose", "spectrum2d", "sandwich",
-               "converge-weights", "project", "check-discreteness",
-               "connector-constants")
 
 # config key path -> (dataclass, field); the key takes the field's type and
 # default, and a tuple field is a JSON list
@@ -101,24 +96,25 @@ class ConfigError(ValueError):
     """Schema violation; the message names the offending key path."""
 
 
+def _experiment_config(data: dict) -> ExperimentConfig:
+    kw = {TreeSpec: {}, ExperimentConfig: {}}
+    for path, (owner, name) in _FIELDS.items():
+        block, key = path.split(".")
+        value = data[block][key]
+        kw[owner][name] = tuple(value) if isinstance(value, list) else value
+    seed = data["seed"]
+    return ExperimentConfig(tree=TreeSpec(**kw[TreeSpec]),
+                            seed=0 if seed is None else seed,
+                            **kw[ExperimentConfig])
+
+
 @dataclass
 class RunConfig:
+    """A validated config: the filled-in JSON data and the ExperimentConfig
+    built from it, once per run."""
+
     data: dict
-
-    @property
-    def tree_spec(self) -> TreeSpec:
-        return self.experiment_config().tree
-
-    def experiment_config(self) -> ExperimentConfig:
-        kw = {TreeSpec: {}, ExperimentConfig: {}}
-        for path, (owner, name) in _FIELDS.items():
-            block, key = path.split(".")
-            value = self.data[block][key]
-            kw[owner][name] = tuple(value) if isinstance(value, list) else value
-        seed = self.data["seed"]
-        return ExperimentConfig(tree=TreeSpec(**kw[TreeSpec]),
-                                seed=0 if seed is None else seed,
-                                **kw[ExperimentConfig])
+    experiment: ExperimentConfig
 
     def config_hash(self) -> str:
         canon = json.dumps(self.data, sort_keys=True)
@@ -168,16 +164,16 @@ def validate_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
 
-    cfg = RunConfig(data)
+    experiment = _experiment_config(data)
     try:
-        cfg.experiment_config().validate()
+        experiment.validate()
     except TreeModelError as err:
         raise ConfigError(f"tree: {err}") from err
     except ExperimentError as err:
         raise ConfigError(str(err)) from err
     if data["experiment"]["rayleigh_samples"] > 0 and data["seed"] is None:
         raise ConfigError("seed: required when a randomized check is requested")
-    return cfg
+    return RunConfig(data, experiment)
 
 
 def parse_config(path, overrides=()) -> RunConfig:
@@ -193,7 +189,7 @@ def parse_config(path, overrides=()) -> RunConfig:
 def check_feasible(cfg: RunConfig, subcommand: str) -> None:
     """Reject a tree on which ``subcommand`` cannot build its geometries: the
     2-D ones at its coarsest pitch, or the 1-D weight zones of width 1/n."""
-    ecfg = cfg.experiment_config()
+    ecfg = cfg.experiment
     tree = build_tree(ecfg.tree)
     where = f"tree.k = {tree.k}, tree.J = {tree.J} with"
     if subcommand == "converge-weights":
@@ -271,11 +267,12 @@ def _spectrum_rows(spec):
 
 
 def run_spectrum1d(cfg: RunConfig, out: Path) -> int:
-    ecfg = cfg.experiment_config()
-    tree = build_tree(cfg.tree_spec)
+    ecfg = cfg.experiment
+    tree = build_tree(ecfg.tree)
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=ecfg.h_1d, breakpoints=rs.breakpoints)
-    spec = spectrum_1d(tree, mesh, rs, rs, W=ecfg.w_limit(), m=ecfg.m)
+    system = assemble_1d(tree, mesh, rs, rs, ecfg.w_limit())
+    spec = smallest_eigenpairs(system.K, system.M, ecfg.m)
     write_csv(out / "spectrum1d.csv",
               ["index", "lambda", "multiplicity", "residual"],
               _spectrum_rows(spec), cfg)
@@ -285,8 +282,8 @@ def run_spectrum1d(cfg: RunConfig, out: Path) -> int:
 
 
 def run_decompose(cfg: RunConfig, out: Path) -> int:
-    ecfg = cfg.experiment_config()
-    tree = build_tree(cfg.tree_spec)
+    ecfg = cfg.experiment
+    tree = build_tree(ecfg.tree)
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=ecfg.h_1d, breakpoints=rs.breakpoints)
     W = ecfg.w_limit()
@@ -312,8 +309,8 @@ def run_decompose(cfg: RunConfig, out: Path) -> int:
 
 
 def run_spectrum2d(cfg: RunConfig, out: Path, dump_mesh: bool = False) -> int:
-    ecfg = cfg.experiment_config()
-    tree = build_tree(cfg.tree_spec)
+    ecfg = cfg.experiment
+    tree = build_tree(ecfg.tree)
     rows = []
     first = None
     for i_eps, eps in enumerate(ecfg.eps_list):
@@ -362,7 +359,7 @@ def _dump_mesh_and_field(tm, system, spec, out: Path, cfg: RunConfig) -> None:
 
 
 def run_sandwich(cfg: RunConfig, out: Path) -> int:
-    ecfg = cfg.experiment_config()
+    ecfg = cfg.experiment
     report = sandwich_experiment(ecfg)
     rows = [{"eps": r.eps, "m": r.m, "mu": r.mu, "lambda": r.lam, "nu": r.nu,
              "nu_bar": r.nu_bar, "phi_Q_mu": r.phi_Q_mu, "phi_P_nu": r.phi_P_nu,
@@ -398,7 +395,7 @@ def run_sandwich(cfg: RunConfig, out: Path) -> int:
 
 
 def run_converge_weights(cfg: RunConfig, out: Path) -> int:
-    ecfg = cfg.experiment_config()
+    ecfg = cfg.experiment
     report = weight_convergence_experiment(ecfg)
     write_csv(out / "converge_weights.csv",
               ["n", "m", "lambda_n", "lambda_limit", "gap"],
@@ -417,7 +414,7 @@ def run_converge_weights(cfg: RunConfig, out: Path) -> int:
 
 
 def run_project(cfg: RunConfig, out: Path) -> int:
-    ecfg = cfg.experiment_config()
+    ecfg = cfg.experiment
     report = eigenfunction_projection_experiment(ecfg)
     rows = [{"eps": r.eps, "lambda_2d": r.lambda_2d, "distance": r.distance,
              "overlap": r.overlap, "holder_constant": r.holder_constant}
@@ -437,7 +434,7 @@ def run_project(cfg: RunConfig, out: Path) -> int:
 
 
 def run_check_discreteness(cfg: RunConfig, out: Path) -> int:
-    tree = build_tree(cfg.tree_spec)
+    tree = build_tree(cfg.experiment.tree)
     report = discreteness_condition_check(tree, rho_star_profile(tree))
     write_json(out / "discreteness.json", {
         "holds": report.holds,
@@ -454,7 +451,7 @@ def run_check_discreteness(cfg: RunConfig, out: Path) -> int:
 
 
 def run_connector_constants(cfg: RunConfig, out: Path) -> int:
-    domain, mesh, _, forms, consts = reference_connector(cfg.experiment_config())
+    domain, mesh, _, forms, consts = reference_connector(cfg.experiment)
     payload = {
         "constants": consts.as_dict(),
         "matrices": {
@@ -483,6 +480,7 @@ _RUNNERS = {
     "check-discreteness": run_check_discreteness,
     "connector-constants": run_connector_constants,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def main(argv=None) -> int:

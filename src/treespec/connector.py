@@ -77,35 +77,11 @@ class SkeletonStar:
 def affine_partition(k: int, sig):
     """(own, foreign) values of the affine partition of unity on a star of
     k+1 arms, at relative position sig in [0, 1] from the center along an arm:
-    the function of that arm, and each function of the other k arms."""
+    the function of that arm, and each function of the other k arms.  Every
+    function is 1/(k+1) at the center, 1 at its own endpoint and 0 at the
+    others."""
     cv = 1.0 / (k + 1)
     return cv + (1 - cv) * sig, cv * (1 - sig)
-
-
-@dataclass(frozen=True)
-class PartitionOfUnity1D:
-    """Affine partition on a star: psi_e has value 1/(k+1) at the center,
-    1 at its own endpoint and 0 at the others."""
-
-    star: SkeletonStar
-
-    @property
-    def center_value(self) -> float:
-        return 1.0 / (self.star.k + 1)
-
-    def value(self, e: int, arm: int, s: float) -> float:
-        """psi_(e) at arclength s from the center along the given arm."""
-        own, foreign = affine_partition(self.star.k, s / self.star.arm_lengths[arm])
-        return own if arm == e else foreign
-
-    def slope(self, e: int, arm: int) -> float:
-        L = self.star.arm_lengths[arm]
-        end = 1.0 if arm == e else 0.0
-        return (end - self.center_value) / L
-
-
-def build_partition_1d(star: SkeletonStar) -> PartitionOfUnity1D:
-    return PartitionOfUnity1D(star)
 
 
 def project_off_ones(f: np.ndarray) -> np.ndarray:
@@ -122,24 +98,18 @@ def _affine_product_integral(L, a0, aL, b0, bL):
 
 def skeleton_form_matrices(star: SkeletonStar):
     """Exact (Abar, Bbar): weighted Dirichlet and mass forms of the affine
-    partition functions on the star."""
-    partition = build_partition_1d(star)
-    n = star.k + 1
-    Abar = np.zeros((n, n))
-    Bbar = np.zeros((n, n))
-    cv = partition.center_value
-    for arm in range(n):
-        L = star.arm_lengths[arm]
-        w = star.arm_weights[arm]
-        for l in range(n):
-            sl = partition.slope(l, arm)
-            el = 1.0 if arm == l else 0.0
-            for m in range(n):
-                sm = partition.slope(m, arm)
-                em = 1.0 if arm == m else 0.0
-                Abar[l, m] += w * sl * sm * L
-                Bbar[l, m] += w * _affine_product_integral(L, cv, el, cv, em)
-    return Abar, Bbar
+    partition functions on the star, summed over the arms.
+
+    On arm a, function l runs affinely from its center value to the end
+    value eye[a, l]."""
+    cv, _ = affine_partition(star.k, 0.0)
+    end = np.eye(star.k + 1)                            # [arm, function]
+    L = star.arm_lengths[:, None, None]
+    w = star.arm_weights[:, None, None]
+    slope = (end - cv) / star.arm_lengths[:, None]
+    Abar = w * slope[:, :, None] * slope[:, None, :] * L
+    Bbar = w * _affine_product_integral(L, cv, end[:, :, None], cv, end[:, None, :])
+    return Abar.sum(axis=0), Bbar.sum(axis=0)
 
 
 def _arm_coefficients(star: SkeletonStar):
@@ -204,14 +174,14 @@ class ConnectorDomain2D:
     delta: float
     c: float
 
-    def skeleton_star(self, N: int = 2) -> SkeletonStar:
+    def skeleton_star(self, N: int) -> SkeletonStar:
         return SkeletonStar.regular(self.k, self.delta, N=N,
                                     omega=float(self.section_lengths[0]),
                                     arm_lengths=self.arm_lengths)
 
 
-def canonical_connector(delta: float, c: float = 0.3, k: int = 2,
-                        omega: float = 1.0) -> ConnectorDomain2D:
+def canonical_connector(delta: float, c: float, k: int,
+                        omega: float) -> ConnectorDomain2D:
     """Reference connector at unit scale (parent section width omega).
 
     For k = 2 this is the pentagon built from a mirrored quadrangle pair: a
@@ -264,8 +234,8 @@ def canonical_connector(delta: float, c: float = 0.3, k: int = 2,
                              arm_lengths, k, delta, c)
 
 
-def mesh_connector(domain: ConnectorDomain2D, h: float = 0.06,
-                   section_intervals: int = 3) -> Mesh2D:
+def mesh_connector(domain: ConnectorDomain2D, h: float,
+                   section_intervals: int) -> Mesh2D:
     """Mesh the connector with every section resolved into the given number of
     uniform intervals (matching the tube cross subdivisions).
 
@@ -472,8 +442,8 @@ def read_only(*objects) -> tuple:
     return objects
 
 
-def analyze_connector(delta: float, c: float = 0.3, k: int = 2, omega: float = 1.0,
-                      N: int = 2, h: float = 0.06, section_intervals: int = 3):
+def analyze_connector(delta: float, c: float, k: int, omega: float,
+                      N: int, h: float, section_intervals: int):
     """Full pipeline: geometry, mesh, partitions, forms and constants.
 
     The connector pencil is assembled once and shared by the partition, the

@@ -121,7 +121,8 @@ class ExperimentConfig:
             if not value > low:
                 raise ExperimentError(f"{key}: must be > {low}, got {value}")
         try:
-            canonical_connector(self.tree.delta, c=self.apex_c, k=min(self.tree.k, 2))
+            canonical_connector(self.tree.delta, c=self.apex_c, k=min(self.tree.k, 2),
+                                omega=1.0)
         except ConnectorError as err:
             raise ExperimentError(f"geometry.c: {err}") from err
         self.w_limit()   # rejects a malformed potential
@@ -202,9 +203,9 @@ def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float):
 
 def limit_spectrum_1d(tree: Tree, cfg: ExperimentConfig):
     """The cfg.m smallest eigenvalues of the limit operator (rho* weights,
-    limit potential)."""
+    limit potential) on a mesh of pitch cfg.h_1d."""
     rs = rho_star_profile(tree)
-    mesh = build_mesh_1d(tree, h=min(cfg.h_1d, 0.01), breakpoints=rs.breakpoints)
+    mesh = build_mesh_1d(tree, h=cfg.h_1d, breakpoints=rs.breakpoints)
     system = assemble_1d(tree, mesh, rs, rs, cfg.w_limit())
     return smallest_eigenpairs(system.K, system.M, cfg.m, with_vectors=False)
 
@@ -376,8 +377,8 @@ class KernelGapReport:
     eps_list: tuple
     infima: list
     slope: float
-    connector_concentration: list | None = None
-    concentration_slope: float | None = None
+    connector_concentration: list | None   # None for "Q"
+    concentration_slope: float | None
 
 
 def q_kernel_dofs(tree: Tree, mesh, zones) -> np.ndarray:
@@ -579,7 +580,7 @@ def _rayleigh_report(direction: str, samples: np.ndarray,
 
 
 def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
-                         n_samples: int = 200) -> list:
+                         n_samples: int) -> list:
     """Fit (a, c) such that the Q- and P-direction Rayleigh bounds hold on
     random functions; returns one report per direction with violation counts.
 

@@ -25,6 +25,9 @@ import scipy.sparse.linalg as spla
 # interval and 2-D tree pencils (m = 4 and 8); at n = 800 it is 20-45x faster.
 DENSE_CUTOFF = 170
 GUARD_VECTORS = 5
+# ARPACK convergence tolerance; a pair whose backward error exceeds 100 times
+# it fails the solve.
+ARPACK_TOL = 1e-9
 # Two sorted eigenvalues belong to one cluster when they differ by at most
 # this times max(1, |first value of the cluster|).
 _CLUSTER_TOL = 1e-8
@@ -103,8 +106,7 @@ def _m_orthonormalize(M, vecs: np.ndarray) -> np.ndarray:
     return vecs @ (Q / np.sqrt(w)) @ Q.T
 
 
-def smallest_eigenpairs(K, M, m: int, tol: float = 1e-9,
-                        with_vectors: bool = True) -> Spectrum:
+def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     """Return the m smallest eigenpairs of K u = lambda M u.
 
     K must be symmetric and M symmetric positive definite.  For dimensions up
@@ -129,11 +131,11 @@ def smallest_eigenpairs(K, M, m: int, tol: float = 1e-9,
         vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         vals, vecs = vals[:m], vecs[:, :m]
     else:
-        vals, vecs = _certified_shift_invert(K, M, m, tol)
+        vals, vecs = _certified_shift_invert(K, M, m)
 
     vecs = _m_orthonormalize(M, vecs)
     res, backward = _residuals(K, M, vals, vecs)
-    if np.any(backward > max(tol, 1e-12) * 100):
+    if np.any(backward > ARPACK_TOL * 100):
         # a backward error far above the request means the iteration silently
         # stalled; unlike the residual it is invariant under scaling K or M
         raise EigensolverError(
@@ -147,7 +149,7 @@ def smallest_eigenpairs(K, M, m: int, tol: float = 1e-9,
     )
 
 
-def _certified_shift_invert(K, M, m: int, tol: float):
+def _certified_shift_invert(K, M, m: int):
     """The m smallest pairs from ARPACK, checked by an inertia count.
 
     The count is taken below the cluster that holds the m-th Ritz value: a
@@ -164,7 +166,7 @@ def _certified_shift_invert(K, M, m: int, tol: float):
     factors = {}
     k = m + GUARD_VECTORS
     for _ in range(_SOLVE_ATTEMPTS):
-        more_vals, more_vecs = _shift_invert(K, M, min(k, n - 2), tol, vecs, factors)
+        more_vals, more_vecs = _shift_invert(K, M, min(k, n - 2), vecs, factors)
         vals = np.concatenate([vals, more_vals])
         vecs = np.hstack([vecs, more_vecs])
         order = np.argsort(vals)
@@ -184,7 +186,7 @@ def _certified_shift_invert(K, M, m: int, tol: float):
         f"after {_SOLVE_ATTEMPTS} solves")
 
 
-def _shift_invert(K, M, k: int, tol: float, locked: np.ndarray, factors: dict):
+def _shift_invert(K, M, k: int, locked: np.ndarray, factors: dict):
     """k pairs nearest the origin whose vectors are M-orthogonal to the
     columns of locked, which are M-orthonormal eigenvectors; retried at
     negative shifts.  factors maps each shift factored so far to its LDL^T
@@ -196,7 +198,7 @@ def _shift_invert(K, M, k: int, tol: float, locked: np.ndarray, factors: dict):
                 factors[sigma] = _ldl(K - sigma * M)
             vals, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
                                     OPinv=_shift_inverse(factors[sigma], M, locked),
-                                    tol=tol, rng=np.random.default_rng(0))
+                                    tol=ARPACK_TOL, rng=np.random.default_rng(0))
         except (RuntimeError, spla.ArpackError, ValueError) as err:  # retry shifted
             last_err = err
             continue
@@ -285,17 +287,17 @@ def merge_spectra(parts: list[tuple[Spectrum, int]], m: int | None = None) -> Sp
     return Spectrum(values=values[order], multiplicities=mults[order])
 
 
-def cluster_multiplicities(spec: Spectrum, tol: float = _CLUSTER_TOL) -> Spectrum:
+def cluster_multiplicities(spec: Spectrum) -> Spectrum:
     """Group near-equal eigenvalues into explicit multiplicities.
 
-    Two consecutive values belong to one cluster when they differ by less than
-    tol * max(1, |value|).
+    Two consecutive values belong to one cluster when they differ by at most
+    _CLUSTER_TOL * max(1, |first value of the cluster|).
     """
     if len(spec) == 0:
         return spec
     values, mults = [spec.values[0]], [int(spec.multiplicities[0])]
     for v, c in zip(spec.values[1:], spec.multiplicities[1:]):
-        if abs(v - values[-1]) <= tol * max(1.0, abs(values[-1])):
+        if abs(v - values[-1]) <= _CLUSTER_TOL * max(1.0, abs(values[-1])):
             mults[-1] += int(c)
         else:
             values.append(v)

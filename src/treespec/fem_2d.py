@@ -44,6 +44,7 @@ ASPECT_CAP = 2.5          # axial over cross spacing in the tube meshes
 MIN_FEATURE = 1e-6
 _CANONICAL_CACHE_SIZE = 8  # canonical connector keys kept per process
 JACOBIAN_J_MAX = 60       # generations of the analytic Jacobian sup
+JACOBIAN_GRID = 64        # samples per generation of the sampled Jacobian sup
 
 
 class Geometry2DError(ValueError):
@@ -55,13 +56,14 @@ class GeometrySpec2D:
     """Parameters of the inflated binary tree (k = 2, N = 2 only)."""
 
     eps: float
-    c: float = 0.3
-    h: float = 0.05
-    n_cross: int = 3
+    c: float
+    h: float
+    n_cross: int
 
     def zones(self, tree: Tree) -> VertexZones:
         """The connector skeletons: canonical arm lengths times |Omega|."""
-        arms = canonical_connector(tree.spec.delta, self.c, tree.k).arm_lengths * tree.spec.omega
+        arms = canonical_connector(tree.spec.delta, self.c, tree.k,
+                                   omega=1.0).arm_lengths * tree.spec.omega
         return VertexZones(self.eps, parent_arm=float(arms[0]), child_arm=float(arms[1]))
 
     def validate(self, tree: Tree) -> VertexZones:
@@ -301,7 +303,7 @@ class Matched1D:
             (np.tile(tmesh.cross_average_weights(), len(self.station_dofs)),
              (st_dof, st_node)), shape=(n_dofs, tmesh.n_nodes))
         own, foreign = affine_partition(k, 0.5)
-        coef = np.vstack([np.full(k + 1, 1.0 / (k + 1)),
+        coef = np.vstack([np.full(k + 1, affine_partition(k, 0.0)[0]),
                           foreign + (own - foreign) * np.eye(k + 1)])
         interp = sp.csr_matrix(
             (np.tile(coef.ravel(), len(self.section_dofs)),
@@ -407,8 +409,7 @@ class JacobianReport:
     grid_sup: float
 
 
-def jacobian_assumption_check(r: float, d: float, c: float,
-                              grid: int = 64) -> JacobianReport:
+def jacobian_assumption_check(r: float, d: float, c: float) -> JacobianReport:
     """Straightened-tree diffeomorphism audit for the pentagon example.
 
     The generation-j quadrangle maps to a (2^-j) x (p^j) reference box via
@@ -430,7 +431,7 @@ def jacobian_assumption_check(r: float, d: float, c: float,
     grid_sup = 0.0
     positive = True
     for j in range(13):       # sampled on generations 0..12
-        s = np.linspace(0.0, 2.0 ** (-j), grid)
+        s = np.linspace(0.0, 2.0 ** (-j), JACOBIAN_GRID)
         der = (r ** j + c * d ** j - c * 2 ** j * d ** j * s) / p ** j
         grid_sup = max(grid_sup, float(der.max()))
         positive = positive and bool((der > 0).all())

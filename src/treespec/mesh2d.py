@@ -8,7 +8,7 @@ polygons (used for the vertex connectors).  Both return the same
 resolved as mesh edges.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +34,7 @@ class Mesh2D:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    sections: dict = field(default_factory=dict)
+    sections: dict
 
     @property
     def n_nodes(self) -> int:
@@ -137,14 +137,14 @@ def mesh_rectangle(width: float, length: float, n_cross: int, n_axial: int,
 
 def mesh_polygon(vertices: np.ndarray, h: float,
                  sections: dict | None = None,
-                 section_intervals: int = 3) -> Mesh2D:
+                 section_intervals: int | None = None) -> Mesh2D:
     """Delaunay mesh of a convex polygon with sections resolved on the boundary.
 
     sections maps a label to (edge_index, t0, t1): the sub-segment of boundary
     edge edge_index between relative arclengths t0 and t1.  Each section is
-    subdivided into exactly section_intervals uniform pieces; the remaining
-    boundary is subdivided at pitch h.  The interior pitch is retried around h
-    until the 20-degree quality gate passes.
+    subdivided into exactly section_intervals uniform pieces, a count required
+    with sections; the remaining boundary is subdivided at pitch h.  The
+    interior pitch is retried around h until the 20-degree quality gate passes.
     """
     best = None
     for factor in (1.0, 0.85, 1.2, 0.7, 1.45, 0.55):

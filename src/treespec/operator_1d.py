@@ -40,7 +40,6 @@ class WeightProfile:
 
     breakpoints: np.ndarray
     values: np.ndarray
-    equiv_constant: float = 1.0   # two-sided constant against the base profile
 
     def __post_init__(self):
         self.breakpoints = np.asarray(self.breakpoints, float)
@@ -134,8 +133,7 @@ def zone_modified_profile(tree: Tree, base: WeightProfile, factor: float,
     vals = base(mids).astype(float)
     lo, _, hi = zones.bounds(tree)
     vals[((mids[:, None] > lo) & (mids[:, None] < hi)).any(axis=1)] *= factor
-    c = max(factor, 1.0 / factor) * base.equiv_constant
-    return WeightProfile(pts, vals, equiv_constant=c)
+    return WeightProfile(pts, vals)
 
 
 def build_rho_Q(tree: Tree, constants, zones: VertexZones) -> WeightProfile:
@@ -156,8 +154,8 @@ def build_rho_P(tree: Tree, constants, zones: VertexZones) -> WeightProfile:
 class PotentialProfile:
     """Radial potential W(t), either closed form or sampled (linear interp)."""
 
-    kind: str = "constant"          # constant | cosine | sampled
-    params: tuple = (0.0,)
+    kind: str                       # cosine | sampled
+    params: tuple = ()
     nodes: np.ndarray | None = None
     samples: np.ndarray | None = None
 
@@ -170,8 +168,6 @@ class PotentialProfile:
 
     def __call__(self, t):
         t = np.asarray(t, float)
-        if self.kind == "constant":
-            return np.full_like(t, self.params[0], dtype=float)
         if self.kind == "cosine":
             amp, freq = self.params
             return amp * np.cos(freq * t)
@@ -350,12 +346,6 @@ def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
                        rho_alpha, rho_beta, W)
         for j, dofs in enumerate(mesh.gen_dofs)]), [0])
     return AssembledSystem(K=K, M=M, free=free, n_full=n)
-
-
-def spectrum_1d(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
-                W=None, m: int = 6) -> Spectrum:
-    system = assemble_1d(tree, mesh, rho_alpha, rho_beta, W)
-    return smallest_eigenpairs(system.K, system.M, m)
 
 
 def kirchhoff_residuals(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,

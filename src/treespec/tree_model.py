@@ -47,7 +47,7 @@ class TreeSpec:
     omega: float = 1.0
     J: int = 2
 
-    def validate(self, node_budget: int = DEFAULT_NODE_BUDGET) -> None:
+    def validate(self) -> None:
         if self.k < 1:
             raise TreeModelError(f"branching k must be >= 1, got {self.k}")
         if not self.l0 > 0:
@@ -62,9 +62,9 @@ class TreeSpec:
             raise TreeModelError(f"cross-section measure must be positive, got {self.omega}")
         if self.J < 0:
             raise TreeModelError(f"max generation J must be >= 0, got {self.J}")
-        if self.k ** self.J > node_budget:
+        if self.k ** self.J > DEFAULT_NODE_BUDGET:
             raise ResourceBudgetError(
-                f"k**J = {self.k}**{self.J} exceeds node budget {node_budget}"
+                f"k**J = {self.k}**{self.J} exceeds node budget {DEFAULT_NODE_BUDGET}"
             )
 
 
@@ -85,8 +85,8 @@ class Tree:
     right-continuous at the shells.
     """
 
-    def __init__(self, spec: TreeSpec, node_budget: int = DEFAULT_NODE_BUDGET):
-        spec.validate(node_budget)
+    def __init__(self, spec: TreeSpec):
+        spec.validate()
         self.spec = spec
         j = np.arange(spec.J + 2)
         # t_shell[j] = distance from root to the start of generation j.
@@ -145,6 +145,6 @@ class Tree:
             raise TreeModelError(f"generation {j} outside [0, {self.spec.J}]")
 
 
-def build_tree(spec: TreeSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> Tree:
+def build_tree(spec: TreeSpec) -> Tree:
     """Build the truncated tree, validating the spec against the node budget."""
-    return Tree(spec, node_budget=node_budget)
+    return Tree(spec)

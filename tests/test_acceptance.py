@@ -96,8 +96,8 @@ def test_criterion_2_decomposition_oracle():
                 rel = np.abs(vals - direct.values[:len(vals)]) / np.abs(
                     direct.values[:len(vals)])
                 worst = max(worst, float(rel.max()))
-                dc = cluster_multiplicities(direct, tol=1e-8)
-                mc = cluster_multiplicities(dec, tol=1e-8)
+                dc = cluster_multiplicities(direct)
+                mc = cluster_multiplicities(dec)
                 nm = min(len(dc), len(mc)) - 1  # last cluster may be cut by m
                 assert np.array_equal(dc.multiplicities[:nm],
                                       mc.multiplicities[:nm])
@@ -184,21 +184,21 @@ def test_criterion_7_property_suites():
 
     # (a) partition-of-unity sums: 1000 random stars/sample points for psi,
     # and the discrete harmonic partitions of three connector geometries
-    from treespec.connector import SkeletonStar, build_partition_1d, \
+    from treespec.connector import SkeletonStar, affine_partition, \
         canonical_connector, harmonic_partition_2d, mesh_connector
     viol = 0
     for _ in range(1000):
         k = int(rng.integers(1, 5))
         star = SkeletonStar(rng.uniform(0.3, 1.5, k + 1),
                             rng.uniform(0.2, 2.0, k + 1))
-        part = build_partition_1d(star)
         arm = int(rng.integers(0, k + 1))
         s = rng.uniform(0, star.arm_lengths[arm])
-        total = sum(part.value(e, arm, s) for e in range(k + 1))
+        own, foreign = affine_partition(k, s / star.arm_lengths[arm])
+        total = own + k * foreign
         if abs(total - 1.0) > 1e-10:
             viol += 1
     for delta in (0.5, 0.6, 0.8):
-        dom = canonical_connector(delta, 0.3)
+        dom = canonical_connector(delta, 0.3, k=2, omega=1.0)
         mesh = mesh_connector(dom, h=0.08, section_intervals=6)
         Phi = harmonic_partition_2d(dom, mesh, stiffness_and_mass(mesh)[0])
         if np.abs(Phi.sum(axis=1) - 1.0).max() > 1e-10:
@@ -207,8 +207,8 @@ def test_criterion_7_property_suites():
     suite_a = viol == 0
 
     # (b) form-matrix invariants and the two-sided alpha inequalities
-    _, _, _, forms, consts = analyze_connector(0.6, 0.3, h=0.06,
-                                               section_intervals=10)
+    _, _, _, forms, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                               h=0.06, section_intervals=10)
     viol = 0
     if np.abs(forms.Abar @ np.ones(3)).max() > 1e-12:
         viol += 1
@@ -257,7 +257,7 @@ def test_criterion_7_property_suites():
         bound = tree.tail_radius(j, truncated=True) ** 2
         if tail_bound_check(tree, mesh1, rs, rs, u, j) > bound:
             viol += 1
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, h=0.05))
+    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
     Kg, _ = _scatter_assembly(tm)
     tips2 = tm.stations[tree.J][1][:, -1]
     beyond = {}

@@ -344,7 +344,7 @@ def test_config_keys_map_to_dataclass_defaults():
         default = list(field.default) if field.type is tuple else field.default
         assert _DEFAULTS[block][key] == default, path
     # the empty config builds the default dataclasses
-    assert validate_config({}).experiment_config() == ExperimentConfig()
+    assert validate_config({}).experiment == ExperimentConfig()
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():

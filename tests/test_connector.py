@@ -4,8 +4,8 @@ import pytest
 from treespec.connector import (
     ConnectorError,
     SkeletonStar,
+    affine_partition,
     analyze_connector,
-    build_partition_1d,
     canonical_connector,
     connector_form_matrices,
     connector_minimized_forms,
@@ -48,37 +48,32 @@ def test_project_off_ones_orthogonality():
 # -- 1-D partition and forms --------------------------------------------------
 
 def test_partition_center_value_and_endpoints():
-    part = build_partition_1d(unit_star(2))
-    assert part.center_value == pytest.approx(1 / 3)
-    assert part.value(0, 0, 1.0) == pytest.approx(1.0)
-    assert part.value(0, 1, 1.0) == pytest.approx(0.0)
+    own, foreign = affine_partition(2, 0.0)
+    assert own == pytest.approx(1 / 3) and foreign == pytest.approx(1 / 3)
+    own, foreign = affine_partition(2, 1.0)
+    assert own == pytest.approx(1.0)
+    assert foreign == pytest.approx(0.0)
 
 
 def test_partition_k1_two_arm_interpolation():
-    part = build_partition_1d(unit_star(1))
-    assert part.value(0, 0, 0.0) == pytest.approx(0.5)
-    assert part.value(0, 0, 1.0) == pytest.approx(1.0)
-    assert part.value(0, 1, 1.0) == pytest.approx(0.0)
-    assert part.value(0, 1, 0.5) == pytest.approx(0.25)
+    assert affine_partition(1, 0.0)[0] == pytest.approx(0.5)
+    assert affine_partition(1, 1.0)[0] == pytest.approx(1.0)
+    assert affine_partition(1, 1.0)[1] == pytest.approx(0.0)
+    assert affine_partition(1, 0.5)[1] == pytest.approx(0.25)
 
 
 def test_partition_sums_to_one_pointwise():
+    # on every arm: the arm's own function plus the k foreign ones
     for k in (1, 2, 3):
-        star = SkeletonStar(np.linspace(0.7, 1.3, k + 1), np.linspace(0.5, 2.0, k + 1))
-        part = build_partition_1d(star)
-        for arm in range(k + 1):
-            s = np.linspace(0, star.arm_lengths[arm], 100)
-            total = sum(np.array([part.value(e, arm, si) for si in s])
-                        for e in range(k + 1))
-            assert np.abs(total - 1.0).max() < 1e-14
+        arm_lengths = np.linspace(0.7, 1.3, k + 1)
+        for L in arm_lengths:
+            own, foreign = affine_partition(k, np.linspace(0, L, 100) / L)
+            assert np.abs(own + k * foreign - 1.0).max() < 1e-14
 
 
 def test_partition_nonnegative():
-    part = build_partition_1d(unit_star(4))
-    for e in range(5):
-        for arm in range(5):
-            vals = [part.value(e, arm, s) for s in np.linspace(0, 1, 20)]
-            assert min(vals) >= 0.0
+    own, foreign = affine_partition(4, np.linspace(0, 1, 20))
+    assert min(own.min(), foreign.min()) >= 0.0
 
 
 def test_skeleton_forms_k2_reference_values():
@@ -145,7 +140,7 @@ def test_gamma1_energy_dominates_gamma0():
 # -- 2-D connector geometry, partition, forms ---------------------------------
 
 def test_canonical_connector_section_lengths():
-    dom = canonical_connector(0.6, 0.3)
+    dom = canonical_connector(0.6, 0.3, k=2, omega=1.0)
     assert dom.section_lengths[0] == pytest.approx(1.0)
     assert dom.section_lengths[1] == pytest.approx(0.6)
     assert dom.section_lengths[2] == pytest.approx(0.6)
@@ -153,11 +148,11 @@ def test_canonical_connector_section_lengths():
 
 def test_canonical_connector_rejects_bad_params():
     with pytest.raises(ConnectorError):
-        canonical_connector(1.2, 0.3)
+        canonical_connector(1.2, 0.3, k=2, omega=1.0)
     with pytest.raises(ConnectorError):
-        canonical_connector(0.6, 5.0)
+        canonical_connector(0.6, 5.0, k=2, omega=1.0)
     with pytest.raises(ConnectorError):
-        canonical_connector(0.6, 0.3, k=4)
+        canonical_connector(0.6, 0.3, k=4, omega=1.0)
 
 
 def test_rectangle_connector_superposition():
@@ -175,7 +170,7 @@ def test_rectangle_connector_superposition():
 
 
 def test_harmonic_partition_pentagon():
-    dom = canonical_connector(0.6, 0.3)
+    dom = canonical_connector(0.6, 0.3, k=2, omega=1.0)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
     Phi = harmonic_partition_2d(dom, mesh, stiffness_and_mass(mesh)[0])
     assert np.abs(Phi.sum(axis=1) - 1.0).max() < 1e-10
@@ -193,7 +188,7 @@ def test_harmonic_partition_pentagon():
 
 
 def test_connector_form_matrix_invariants():
-    dom = canonical_connector(0.6, 0.3)
+    dom = canonical_connector(0.6, 0.3, k=2, omega=1.0)
     mesh = mesh_connector(dom, h=0.06, section_intervals=8)
     K, M = stiffness_and_mass(mesh)
     Phi = harmonic_partition_2d(dom, mesh, K)
@@ -212,7 +207,7 @@ def test_connector_form_matrix_invariants():
 
 
 def test_constrained_minimizer_constant_data():
-    dom = canonical_connector(0.6, 0.3)
+    dom = canonical_connector(0.6, 0.3, k=2, omega=1.0)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
     u, kappa, energy = constrained_minimizer_2d(dom, mesh, *stiffness_and_mass(mesh),
                                                 [2.0, 2.0, 2.0], gamma=0)
@@ -222,7 +217,7 @@ def test_constrained_minimizer_constant_data():
 
 
 def test_constrained_minimizer_bilinearity():
-    dom = canonical_connector(0.6, 0.3)
+    dom = canonical_connector(0.6, 0.3, k=2, omega=1.0)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
     K, M = stiffness_and_mass(mesh)
     E0, E1 = connector_minimized_forms(dom, mesh, K, M)
@@ -235,7 +230,7 @@ def test_constrained_minimizer_bilinearity():
 
 
 def test_constrained_gamma1_dominates_gamma0():
-    dom = canonical_connector(0.6, 0.3)
+    dom = canonical_connector(0.6, 0.3, k=2, omega=1.0)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
     K, M = stiffness_and_mass(mesh)
     rng = np.random.default_rng(8)
@@ -249,9 +244,9 @@ def test_constrained_gamma1_dominates_gamma0():
 def test_connector_gamma0_energy_scale_invariant_2d():
     # N = 2: the Dirichlet energy of the constrained minimizer is invariant
     # under isotropic scaling of the connector
-    dom = canonical_connector(0.6, 0.3)
+    dom = canonical_connector(0.6, 0.3, k=2, omega=1.0)
     mesh = mesh_connector(dom, h=0.08, section_intervals=6)
-    scaled = canonical_connector(0.6, 0.3)
+    scaled = canonical_connector(0.6, 0.3, k=2, omega=1.0)
     scaled.vertices = dom.vertices * 0.5
     mesh_s = mesh_polygon(scaled.vertices, 0.04, sections=scaled.sections,
                           section_intervals=6)
@@ -286,8 +281,8 @@ def test_two_sided_constant_rejects_semidefinite():
 
 
 def test_sandwich_inequalities_hold_for_random_vectors():
-    _, _, _, forms, consts = analyze_connector(0.6, 0.3, h=0.06,
-                                               section_intervals=10)
+    _, _, _, forms, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                               h=0.06, section_intervals=10)
     rng = np.random.default_rng(17)
     for _ in range(10_000):
         f = rng.standard_normal(3)
@@ -306,7 +301,8 @@ def test_sandwich_inequalities_hold_for_random_vectors():
 
 
 def test_constants_all_positive_and_factors_ordered():
-    _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.08, section_intervals=6)
+    _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                           h=0.08, section_intervals=6)
     d = consts.as_dict()
     assert all(v > 0 for v in d.values())
     assert consts.rho_P_factor <= 1.0 <= consts.rho_Q_factor
@@ -318,5 +314,6 @@ def test_analyze_connector_assembles_the_pencil_once(monkeypatch):
     assemble = connector.stiffness_and_mass
     monkeypatch.setattr(connector, "stiffness_and_mass",
                         lambda mesh: calls.append(mesh) or assemble(mesh))
-    analyze_connector(0.6, 0.3, h=0.08, section_intervals=6)
+    analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                      h=0.08, section_intervals=6)
     assert len(calls) == 1

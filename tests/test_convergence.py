@@ -15,6 +15,7 @@ from treespec.convergence import (
     _rayleigh_samples,
     eigenfunction_projection_experiment,
     kernel_gap_check,
+    limit_spectrum_1d,
     p_kernel_basis,
     p_kernel_residual,
     phi_P,
@@ -26,7 +27,7 @@ from treespec.convergence import (
     weight_convergence_experiment,
     width_weighted_pair,
 )
-from treespec.eigensolver import DENSE_CUTOFF
+from treespec.eigensolver import DENSE_CUTOFF, smallest_eigenpairs
 from treespec.fem_2d import (
     GeometrySpec2D,
     assemble_2d,
@@ -35,6 +36,7 @@ from treespec.fem_2d import (
     p_eps_project,
     q_eps_lift,
 )
+from treespec.operator_1d import assemble_1d, build_mesh_1d, rho_star_profile
 from treespec.tree_model import TreeSpec, build_tree
 
 
@@ -213,6 +215,18 @@ def test_projection_with_cosine_potential():
     assert rep.final_distance <= 0.05
 
 
+def test_limit_spectrum_uses_h_1d_as_given():
+    # the limit spectrum of the sandwich is solved at experiment.h_1d, also
+    # on meshes coarser than 0.01
+    cfg = ExperimentConfig(h_1d=0.02)
+    tree = build_tree(cfg.tree)
+    rs = rho_star_profile(tree)
+    mesh = build_mesh_1d(tree, h=0.02, breakpoints=rs.breakpoints)
+    system = assemble_1d(tree, mesh, rs, rs)
+    want = smallest_eigenpairs(system.K, system.M, cfg.m, with_vectors=False)
+    assert np.array_equal(limit_spectrum_1d(tree, cfg).values, want.values)
+
+
 def test_sandwich_degenerate_single_channel():
     cfg = ExperimentConfig(tree=TreeSpec(k=1, l0=1.0, r=0.5, delta=0.6, J=1),
                            m=3, eps_list=(0.2, 0.1))
@@ -314,7 +328,7 @@ def test_kernel_gap_needs_a_branching_vertex(which):
 
 def test_nonmember_rejected_by_kernel_filter():
     tree = build_tree(TreeSpec())
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, h=0.05))
+    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
     matched = matched_mesh_1d(tm)
     u = np.ones(tm.n_nodes)
     assert p_kernel_residual(tm, matched, u) > 0.5
@@ -331,7 +345,7 @@ def test_nonmember_rejected_by_kernel_filter():
 
 def test_p_kernel_basis_annihilates_averages():
     tree = build_tree(TreeSpec())
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, h=0.05))
+    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
     matched = matched_mesh_1d(tm)
     from treespec.fem_2d import assemble_2d
     system = assemble_2d(tm)
@@ -500,7 +514,7 @@ def test_rayleigh_quotients_closed_form_single_edge():
 
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, delta=0.6, J=0))
     eps = 0.1
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, h=0.02))
+    tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, c=0.3, h=0.02, n_cross=3))
     matched = matched_mesh_1d(tm)
     rs = rho_star_profile(tree)
     sys1 = assemble_1d(tree, matched.mesh, rs, rs)
@@ -528,9 +542,10 @@ def test_lifted_ground_state_dominates_2d_eigenvalue():
 
     tree = build_tree(TreeSpec())
     eps = 0.1
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, h=0.03))
+    tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, c=0.3, h=0.03, n_cross=3))
     matched = matched_mesh_1d(tm)
-    _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.05, section_intervals=12)
+    _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                           h=0.05, section_intervals=12)
     rq = build_rho_Q(tree, consts, tm.zones)
     rs = rho_star_profile(tree)
     sysQ = assemble_1d(tree, matched.mesh, rq, rs)
@@ -588,7 +603,7 @@ def test_projection_single_channel_converges_to_sine():
 
 def test_holder_constant_linear_in_field():
     tree = build_tree(TreeSpec())
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, h=0.05))
+    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
     matched = matched_mesh_1d(tm)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(tm.n_nodes)

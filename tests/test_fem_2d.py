@@ -32,14 +32,14 @@ def edges(tree):
 
 @pytest.fixture(scope="module")
 def tmesh():
-    return build_geometry_2d(build_tree(BINARY), GeometrySpec2D(eps=0.2, h=0.05))
+    return build_geometry_2d(build_tree(BINARY), GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
 
 
 # -- geometry -----------------------------------------------------------------
 
 def test_single_rectangle_when_J_zero():
     tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, J=0))
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, h=0.05))
+    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, c=0.3, h=0.05, n_cross=3))
     assert len(tm.components) == 1
     assert tm.total_area() == pytest.approx(0.1 * 1.0, rel=1e-12)
     assert tm.connector_triangle_mass().nnz == 0
@@ -62,10 +62,10 @@ def _assert_same_array(a, b):
                                                    delta=0.6, N=2, J=3)])
 def test_warm_geometry_equals_cold(spec):
     tree = build_tree(spec)
-    geometry = GeometrySpec2D(eps=0.2, h=0.05)
+    geometry = GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3)
     fem_2d._canonical_connector_mesh.cache_clear()
     cold = build_geometry_2d(tree, geometry)
-    build_geometry_2d(tree, GeometrySpec2D(eps=0.1, h=0.04))
+    build_geometry_2d(tree, GeometrySpec2D(eps=0.1, c=0.3, h=0.04, n_cross=3))
     warm = build_geometry_2d(tree, geometry)
     assert fem_2d._canonical_connector_mesh.cache_info().hits == 2
     assert warm.n_nodes == cold.n_nodes
@@ -86,7 +86,7 @@ def test_warm_geometry_equals_cold(spec):
 def test_area_matches_shoelace_oracle():
     for J in (1, 2):
         tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, J=J))
-        spec = GeometrySpec2D(eps=0.2, h=0.05)
+        spec = GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3)
         tm = build_geometry_2d(tree, spec)
         assert tm.total_area() == pytest.approx(
             closed_form_component_areas(tree, spec), rel=1e-10)
@@ -94,7 +94,7 @@ def test_area_matches_shoelace_oracle():
 
 def test_area_increments_grow_when_rd_large():
     # r d > 1/2 makes the generation contributions grow without bound
-    spec = GeometrySpec2D(eps=0.1, h=0.05)
+    spec = GeometrySpec2D(eps=0.1, c=0.3, h=0.05, n_cross=3)
     areas = []
     for J in range(1, 5):
         tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.9, delta=0.6, J=J))
@@ -112,13 +112,14 @@ def test_component_mesh_quality(tmesh):
 def test_geometry_validation_errors():
     tree = build_tree(BINARY)
     with pytest.raises(Geometry2DError):
-        build_geometry_2d(tree, GeometrySpec2D(eps=1.5))
+        build_geometry_2d(tree, GeometrySpec2D(eps=1.5, c=0.3, h=0.05, n_cross=3))
     with pytest.raises(Geometry2DError):
-        build_geometry_2d(build_tree(TreeSpec(k=3, J=1)), GeometrySpec2D(eps=0.1))
+        build_geometry_2d(build_tree(TreeSpec(k=3, J=1)),
+                          GeometrySpec2D(eps=0.1, c=0.3, h=0.05, n_cross=3))
     # cuts consuming an edge: huge eps against short deep edges
     with pytest.raises(Geometry2DError):
         build_geometry_2d(build_tree(TreeSpec(k=2, l0=0.2, r=0.3, delta=0.9, J=2)),
-                          GeometrySpec2D(eps=0.9))
+                          GeometrySpec2D(eps=0.9, c=0.3, h=0.05, n_cross=3))
 
 
 def test_interfaces_identified_once(tmesh):
@@ -133,7 +134,7 @@ def test_interfaces_identified_once(tmesh):
 
 def test_k1_J0_matches_interval_spectrum():
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, delta=0.6, J=0))
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.05, h=0.02))
+    tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.05, c=0.3, h=0.02, n_cross=3))
     sysd = assemble_2d(tm)
     spec = smallest_eigenpairs(sysd.K, sysd.M, 2, with_vectors=False)
     assert spec.values[0] == pytest.approx((np.pi / 2) ** 2, rel=0.01)
@@ -234,10 +235,10 @@ def _q_eps_loop(tmesh, mesh, f_dofs):
 
 # the two maps-rayleigh benchmark geometries, a k = 1 tree and a lone tube
 OPERATOR_CASES = {
-    "J3-h0.01-n6": (TreeSpec(J=3), GeometrySpec2D(eps=0.1, h=0.01, n_cross=6)),
-    "J4-h0.005-n8": (TreeSpec(J=4), GeometrySpec2D(eps=0.1, h=0.005, n_cross=8)),
-    "k1-J3": (TreeSpec(k=1, J=3), GeometrySpec2D(eps=0.1, h=0.02)),
-    "k1-J0": (TreeSpec(k=1, J=0), GeometrySpec2D(eps=0.1, h=0.02)),
+    "J3-h0.01-n6": (TreeSpec(J=3), GeometrySpec2D(eps=0.1, c=0.3, h=0.01, n_cross=6)),
+    "J4-h0.005-n8": (TreeSpec(J=4), GeometrySpec2D(eps=0.1, c=0.3, h=0.005, n_cross=8)),
+    "k1-J3": (TreeSpec(k=1, J=3), GeometrySpec2D(eps=0.1, c=0.3, h=0.02, n_cross=3)),
+    "k1-J0": (TreeSpec(k=1, J=0), GeometrySpec2D(eps=0.1, c=0.3, h=0.02, n_cross=3)),
 }
 
 
@@ -339,7 +340,8 @@ def test_p_after_q_is_the_identity_on_stations_and_a_projection(matched_case):
 def test_matched_mesh_keeps_the_benchmark_round_trip_contract():
     # perfbench/workloads.py reads these mappings to pick the dofs its P/Q
     # round trips check; an empty or reordered mapping would pass silently
-    tm = build_geometry_2d(build_tree(TreeSpec(J=2)), GeometrySpec2D(eps=0.2, h=0.05))
+    tm = build_geometry_2d(build_tree(TreeSpec(J=2)),
+                           GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
     matched = matched_mesh_1d(tm)
     station_dof_rows, _, p_parent_dof, p_child_dofs = _loop_layout(tm, matched.mesh)
     stations = np.fromiter(matched.station_dof_rows, dtype=int)
@@ -412,7 +414,8 @@ def test_q_energy_bound_random_fields(tmesh):
     tree = tmesh.tree
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
-    _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.06, section_intervals=10)
+    _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                           h=0.06, section_intervals=10)
     rq = build_rho_Q(tree, consts, tmesh.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rho_star_profile(tree))
     Kg, _ = _scatter_assembly(tmesh)
@@ -433,7 +436,8 @@ def test_p_energy_bound_random_fields(tmesh):
     tree = tmesh.tree
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
-    _, _, _, _, consts = analyze_connector(0.6, 0.3, h=0.06, section_intervals=10)
+    _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                           h=0.06, section_intervals=10)
     rp = build_rho_P(tree, consts, tmesh.zones)
     sysP = assemble_1d(tree, matched.mesh, rp, rho_star_profile(tree))
     Kg, _ = _scatter_assembly(tmesh)
@@ -476,7 +480,7 @@ def test_connector_tail_bounded_over_eps():
     tree = build_tree(BINARY)
     ratios = []
     for eps in (0.2, 0.1, 0.05):
-        tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, h=0.04))
+        tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, c=0.3, h=0.04, n_cross=3))
         sysd = assemble_2d(tm)
         spec = smallest_eigenpairs(sysd.K, sysd.M, 1)
         u = np.zeros(tm.n_nodes)
@@ -502,7 +506,7 @@ def test_jacobian_check_c_zero_monomial_bound():
 
 
 def test_jacobian_grid_matches_analytic_sup():
-    rep = jacobian_assumption_check(r=0.5, d=0.6, c=0.3, grid=501)
+    rep = jacobian_assumption_check(r=0.5, d=0.6, c=0.3)
     assert rep.grid_sup <= rep.sup_derivative + 1e-12
     assert rep.grid_sup == pytest.approx(rep.sup_derivative, abs=1e-12)
 
@@ -548,8 +552,8 @@ def _per_component_assembly(tmesh, W=None, only_kind=None):
     (TreeSpec(k=1, J=3), 0.1, 0.03, 3),
 ], ids=["J2-e0.2", "J2-e0.05", "J3-h0.01-n6", "J4-h0.005-n8", "k1-J3"])
 def test_grouped_assembly_equals_per_component_loop(spec, eps, h, n_cross):
-    tm = build_geometry_2d(build_tree(spec), GeometrySpec2D(eps=eps, h=h,
-                                                            n_cross=n_cross))
+    tm = build_geometry_2d(build_tree(spec), GeometrySpec2D(
+        eps=eps, c=0.3, h=h, n_cross=n_cross))
 
     def cosine(theta, s):
         return np.cos(np.asarray(theta))

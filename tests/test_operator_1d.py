@@ -21,12 +21,17 @@ from treespec.operator_1d import (
     kirchhoff_residuals,
     radial_decomposition_spectrum,
     rho_star_profile,
-    spectrum_1d,
     tail_bound_check,
     zone_breakpoints,
     zone_modified_profile,
 )
 from treespec.tree_model import EdgeId, TreeSpec, build_tree
+
+
+def spectrum(tree, mesh, rho_alpha, rho_beta, W, m):
+    """The m smallest eigenpairs of the assembled width-weighted pencil."""
+    system = assemble_1d(tree, mesh, rho_alpha, rho_beta, W)
+    return smallest_eigenpairs(system.K, system.M, m)
 
 
 def single_edge_tree(l0=1.0):
@@ -130,7 +135,7 @@ def test_single_edge_mixed_bc_spectrum():
     tree = single_edge_tree()
     mesh = build_mesh_1d(tree, h=1 / 256)
     rs = rho_star_profile(tree)
-    spec = spectrum_1d(tree, mesh, rs, rs, m=2)
+    spec = spectrum(tree, mesh, rs, rs, None, m=2)
     assert spec.values[0] == pytest.approx((np.pi / 2) ** 2, rel=1e-3)
     assert spec.values[1] == pytest.approx((3 * np.pi / 2) ** 2, rel=1e-3)
 
@@ -139,9 +144,10 @@ def test_constant_potential_exact_shift():
     tree = single_edge_tree()
     mesh = build_mesh_1d(tree, h=1 / 64)
     rs = rho_star_profile(tree)
-    base = spectrum_1d(tree, mesh, rs, rs, m=3)
-    shifted = spectrum_1d(tree, mesh, rs, rs,
-                          W=PotentialProfile("constant", (2.5,)), m=3)
+    base = spectrum(tree, mesh, rs, rs, None, m=3)
+    constant = PotentialProfile("sampled", nodes=np.array([0.0, tree.radius]),
+                                samples=np.array([2.5, 2.5]))
+    shifted = spectrum(tree, mesh, rs, rs, W=constant, m=3)
     assert np.allclose(shifted.values, base.values + 2.5, atol=1e-10)
 
 
@@ -188,11 +194,11 @@ def test_rayleigh_monotonicity_in_potential():
     w1 = PotentialProfile("sampled", nodes=np.array([0.0, tree.radius]),
                           samples=np.array([0.0, 0.0]))
     # W and W + 1: every eigenvalue may only move up
-    s0 = spectrum_1d(tree, mesh, rq, rs, W=w0, m=8)
+    s0 = spectrum(tree, mesh, rq, rs, W=w0, m=8)
     Wplus = PotentialProfile("sampled",
                              nodes=np.linspace(0, tree.radius, 200),
                              samples=w0(np.linspace(0, tree.radius, 200)) + 1.0)
-    s1 = spectrum_1d(tree, mesh, rq, rs, W=Wplus, m=8)
+    s1 = spectrum(tree, mesh, rq, rs, W=Wplus, m=8)
     assert np.all(s1.values >= s0.values - 1e-10)
 
 
@@ -204,12 +210,12 @@ def test_weight_equivalence_envelope():
     zones = VertexZones(0.1)
     r1 = zone_modified_profile(tree, rs, 2.0, zones)
     r2 = zone_modified_profile(tree, rs, 0.5, zones)
-    c = max(r1.equiv_constant, r2.equiv_constant)
+    c = 2.0     # max(f, 1/f) over both zone factors f
     W = PotentialProfile("cosine", (1.0, 1.0))
     C_W = 1.0
     mesh_z = build_mesh_1d(tree, h=0.02, breakpoints=r1.breakpoints)
-    limit = spectrum_1d(tree, mesh_z, rs, rs, W=W, m=10)
-    pert = spectrum_1d(tree, mesh_z, r1, r2, W=W, m=10)
+    limit = spectrum(tree, mesh_z, rs, rs, W=W, m=10)
+    pert = spectrum(tree, mesh_z, r1, r2, W=W, m=10)
     lo = (limit.values - 2 * C_W) / c ** 2
     hi = c ** 2 * (limit.values + 2 * C_W)
     assert np.all(pert.values >= lo - 1e-9)
@@ -247,7 +253,7 @@ def test_decomposition_equals_direct_for_path_graph():
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, J=3))
     mesh = build_mesh_1d(tree, h=0.02)
     rs = rho_star_profile(tree)
-    direct = spectrum_1d(tree, mesh, rs, rs, m=8)
+    direct = spectrum(tree, mesh, rs, rs, None, m=8)
     dec = radial_decomposition_spectrum(tree, mesh, rs, rs, None, 8)
     assert np.allclose(dec.expanded_values(8), direct.values, rtol=1e-12)
 
@@ -638,7 +644,7 @@ def test_assembly_equals_per_edge_loop(spec, profile, cosine, dirichlet_root):
 
 def test_assembly_equals_per_edge_loop_on_matched_mesh():
     tree = build_tree(TreeSpec(k=2, J=2))
-    tmesh = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, h=0.03, n_cross=3))
+    tmesh = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, c=0.3, h=0.03, n_cross=3))
     mesh = matched_mesh_1d(tmesh).mesh
     edge_dofs, _ = edge_dofs_loop(tree, mesh.gen_local)
     assert all(np.array_equal(mesh.gen_dofs[e.j][e.index], d) for e, d in edge_dofs.items())

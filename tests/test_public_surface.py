@@ -2,7 +2,11 @@
 module other than the package ``__init__`` names it, or the benchmark does
 (its ``_TRACED`` strings count).  The rest are oracles that only tests need,
 pinned below with the test that needs each, so an API nobody calls fails here
-instead of lingering."""
+instead of lingering.
+
+Every default value in ``src`` outside the config schema is pinned too, with
+the reason it stays, so a library default cannot restate or contradict the
+schema unnoticed."""
 
 import ast
 from pathlib import Path
@@ -33,6 +37,92 @@ TEST_ORACLES = {
     "operator_1d.tail_bound_check": "test_acceptance.py::test_criterion_7_property_suites",
     "tree_model.Tree.tail_radius": "test_acceptance.py::test_criterion_7_property_suites",
 }
+
+# The config schema: its field defaults are the defaults of the config keys
+# (with cli._CLI_ONLY, a dict and not a signature).
+SCHEMA_CLASSES = {"TreeSpec", "ExperimentConfig"}
+
+# qualified parameter or dataclass field -> why it keeps a default
+ALLOWED_DEFAULTS = {
+    "cli.main.argv": "`argv=None`: read sys.argv, as the console script does",
+    "cli.parse_config.overrides": "`overrides=()`: no --set pairs",
+    "cli.run_spectrum2d.dump_mesh":
+        "`dump_mesh=False`: the runner signature of `_RUNNERS`, no mesh files",
+    "convergence.ExperimentConfig.geometry.h":
+        "`h=None`: the pitch geometry.h; both values are used in `src`",
+    "eigensolver.Spectrum.expanded_values.m": "`m=None`: every value",
+    "eigensolver.Spectrum.residuals":
+        "`residuals=None`: merged and clustered spectra carry none",
+    "eigensolver.Spectrum.vectors": "`vectors=None`: merged and clustered spectra carry none",
+    "eigensolver.merge_spectra.m": "`m=None`: merge every value",
+    "eigensolver.smallest_eigenpairs.with_vectors": "`with_vectors`: both values are used in `src`",
+    "fem_2d._scatter_assembly.W": "`W=None`: no potential; both values are used in `src`",
+    "fem_2d._scatter_assembly.only_kind":
+        "`only_kind=None`: every component; both values are used in `src`",
+    "fem_2d._scatter_assembly.potential.comp": "`comp=comp`: binds the loop's component",
+    "fem_2d.assemble_2d.W": "`W=None`: no potential",
+    "mesh2d.mesh_polygon.section_intervals":
+        "`section_intervals=None`: no sections to subdivide",
+    "mesh2d.mesh_polygon.sections": "`sections=None`: a polygon with no marked sections",
+    "mesh2d.mesh_rectangle.dirichlet_bottom": "`dirichlet_bottom=False`: no Dirichlet end",
+    "mesh2d.stiffness_and_mass.potential":
+        "`potential=None`: no potential; both values are used in `src`",
+    "operator_1d.PotentialProfile.nodes": "`nodes=None`: a closed-form profile has no samples",
+    "operator_1d.PotentialProfile.params": "`params=()`: a sampled profile has no parameters",
+    "operator_1d.PotentialProfile.samples":
+        "`samples=None`: a closed-form profile has no samples",
+    "operator_1d.VertexZones.child_arm":
+        "`child_arm=1.0`: the bare skeleton; both values are used in `src`",
+    "operator_1d.VertexZones.parent_arm":
+        "`parent_arm=1.0`: the bare skeleton; both values are used in `src`",
+    "operator_1d._edge_field_integrals.gen_min":
+        "`gen_min=0`: the whole tree; both values are used in `src`",
+    "operator_1d._element_block.weight":
+        "`weight=1.0`: unscaled weights; both values are used in `src`",
+    "operator_1d.assemble_1d.W": "`W=None`: no potential",
+    "operator_1d.build_mesh_1d.breakpoints":
+        "`breakpoints=None`: no weight breakpoints; both values are used in `src`",
+    "operator_1d.build_mesh_1d.gen_local":
+        "`gen_local=None`: layouts refined at pitch h; both values are used in `src`",
+    "tree_model.Tree.tail_radius.truncated": "`truncated=False`: the infinite tree's tail",
+}
+
+
+def defaults_in(source: str, module: str) -> set:
+    """Qualified names of every parameter with a default, nested functions
+    included, and of every dataclass field with a default outside
+    SCHEMA_CLASSES; ``field(...)`` without ``default`` or ``default_factory``
+    is no default."""
+    found = set()
+
+    def visit(node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.FunctionDef):
+                args = sub.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found.update(f"{prefix}{sub.name}.{a.arg}" for a in with_default)
+                visit(sub, f"{prefix}{sub.name}.")
+            elif isinstance(sub, ast.ClassDef):
+                dataclass = any("dataclass" in ast.unparse(d) for d in sub.decorator_list)
+                if dataclass and sub.name not in SCHEMA_CLASSES:
+                    found.update(f"{prefix}{sub.name}.{st.target.id}" for st in sub.body
+                                 if isinstance(st, ast.AnnAssign) and has_default(st.value))
+                visit(sub, f"{prefix}{sub.name}.")
+            else:
+                visit(sub, prefix)
+
+    visit(ast.parse(source), f"{module}.")
+    return found
+
+
+def has_default(value) -> bool:
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
 
 
 def public_defs(source: str, module: str) -> dict:
@@ -97,3 +187,22 @@ def test_pinned_oracle_is_used_by_its_test(qualified):
     body = next(node for node in ast.parse(source).body
                 if isinstance(node, ast.FunctionDef) and node.name == test)
     assert qualified.rpartition(".")[2] in referenced_names(ast.unparse(body))
+
+
+def test_default_scan_sees_signatures_nested_functions_and_fields():
+    source = ("from dataclasses import dataclass, field\n\n"
+              "def f(a, b=1, *, c=2, d):\n"
+              "    for i in ():\n"
+              "        def g(x, i=i):\n"
+              "            pass\n\n"
+              "@dataclass\nclass D:\n    x: int\n    y: int = 0\n"
+              "    z: list = field(repr=False)\n    w: list = field(default_factory=list)\n"
+              "    def m(self, k=3):\n        pass\n\n"
+              "@dataclass\nclass TreeSpec:\n    k: int = 2\n")
+    assert defaults_in(source, "a") == {"a.f.b", "a.f.c", "a.f.g.i", "a.D.y", "a.D.w",
+                                        "a.D.m.k"}
+
+
+def test_every_default_outside_the_config_schema_is_pinned():
+    found = set().union(*(defaults_in(p.read_text(), p.stem) for p in MODULES))
+    assert found == set(ALLOWED_DEFAULTS)

@@ -48,7 +48,7 @@ def test_invalid_spec_rejected(bad):
 
 def test_node_budget_enforced():
     with pytest.raises(ResourceBudgetError):
-        build_tree(TreeSpec(k=2, J=30), node_budget=1000)
+        build_tree(TreeSpec(k=2, J=30))
 
 
 def test_counting_function_values():
