@@ -308,7 +308,7 @@ def run_decompose(cfg: RunConfig, out: Path) -> int:
     return 0 if ok else 1
 
 
-def run_spectrum2d(cfg: RunConfig, out: Path, dump_mesh: bool = False) -> int:
+def run_spectrum2d(cfg: RunConfig, out: Path, dump_mesh: bool) -> int:
     ecfg = cfg.experiment
     tree = build_tree(ecfg.tree)
     rows = []
@@ -507,9 +507,8 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else Path(cfg.data["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if args.subcommand == "spectrum2d":
-            return run_spectrum2d(cfg, out, dump_mesh=args.dump_mesh)
-        return _RUNNERS[args.subcommand](cfg, out)
+        flags = {"dump_mesh": args.dump_mesh} if args.subcommand == "spectrum2d" else {}
+        return _RUNNERS[args.subcommand](cfg, out, **flags)
     except Exception as err:  # propagate with module context, nonzero exit
         print(f"{args.subcommand} failed: {type(err).__name__}: {err}",
               file=sys.stderr)

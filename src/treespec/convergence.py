@@ -433,8 +433,7 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
         vals = smallest_eigenpairs(Kz, Mz, 1, with_vectors=False).values
         infima.append(float(vals[0]))
         if which == "P":
-            free = system.free
-            Mv_f = tm.connector_triangle_mass()[np.ix_(free, free)]
+            Mv_f = tm.connector_triangle_mass()
             # the concentration r = inf uKu / uM_conn u; the SPD pencil
             # (K, K + M_conn) has the smallest eigenvalue q = r / (1 + r)
             q = smallest_eigenpairs(system.K, system.K + Mv_f, 1,

@@ -31,7 +31,6 @@ from .connector import (
 )
 from .mesh2d import (
     Mesh2D,
-    eliminate_dirichlet,
     mesh_rectangle,
     polygon_area,
     scatter_pencil,
@@ -134,8 +133,9 @@ class TreeMesh2D:
         return float(sum(len(c.gids) * c.mesh.area() for c in self.components))
 
     def connector_triangle_mass(self) -> sp.csr_matrix:
-        """Global mass matrix restricted to the connector components."""
-        return _scatter_assembly(self, only_kind="connector")[1]
+        """Mass matrix of the connector components over the free dofs of
+        ``assemble_2d`` (the root section eliminated)."""
+        return _scatter_assembly(self, None, "connector")[1]
 
 
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
@@ -213,40 +213,53 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
                       stations=stations, zones=zones)
 
 
-def _scatter_assembly(tmesh: TreeMesh2D, W=None, only_kind: str | None = None):
-    """Assemble global (K, M) by scattering local matrices.
+def _scatter_assembly(tmesh: TreeMesh2D, W, only_kind: str | None):
+    """Assemble global (K, M, free) by scattering local matrices, the root
+    section eliminated; ``only_kind`` None takes every component.
 
     The copies of a component share their local mesh and radial coordinates,
     so the local pair is assembled once per component and scattered to every
-    copy, in component order.
+    copy, in component order.  The local pairs of all components come out of
+    one ``stiffness_and_mass`` call on the disjoint union of their meshes:
+    each row of the union holds the entries of one component only, so it
+    sums them as the component's own assembly would.
     """
+    comps = [c for c in tmesh.components if only_kind is None or c.kind == only_kind]
+    if not comps:
+        return scatter_pencil(tmesh.n_nodes, [], tmesh.root_nodes)
+    starts = np.cumsum([0] + [c.mesh.n_nodes for c in comps])
+    union = Mesh2D(np.concatenate([c.mesh.nodes for c in comps]),
+                   np.concatenate([c.mesh.triangles + a for c, a in zip(comps, starts)]),
+                   np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int), {})
+    potential = None
+    if W is not None:
+        # the assembler samples the potential at triangle centroids; the
+        # radial coordinate there is the nodal theta averaged per triangle
+        tri_theta = np.concatenate([c.theta[c.mesh.triangles].mean(axis=1)
+                                    for c in comps])
+
+        def potential(x, y):
+            return np.asarray(W(tri_theta, x))
+
+    Kl, Ml = stiffness_and_mass(union, potential=potential)
     blocks = []
-    for comp in tmesh.components:
-        if only_kind is not None and comp.kind != only_kind:
-            continue
-        if W is None:
-            potential = None
-        else:
-            # the assembler samples the potential at triangle centroids; the
-            # radial coordinate there is the nodal theta averaged per triangle
-            def potential(x, y, comp=comp):
-                tri_theta = comp.theta[comp.mesh.triangles].mean(axis=1)
-                return np.asarray(W(tri_theta, x))
-
-        Kl, Ml = stiffness_and_mass(comp.mesh, potential=potential)
-        Kl, Ml = Kl.tocoo(), Ml.tocoo()
-        blocks.append((comp.gids, Kl.row, Kl.col, Kl.data, Ml.data))
-    return scatter_pencil(tmesh.n_nodes, blocks)
+    for comp, a, b in zip(comps, starts[:-1], starts[1:]):
+        # the component's rows a..b-1; K and M share one pattern
+        ptr = Kl.indptr[a:b + 1]
+        rows = np.repeat(np.arange(b - a), np.diff(ptr))
+        entries = slice(ptr[0], ptr[-1])
+        blocks.append((comp.gids, rows, Kl.indices[entries] - a,
+                       Kl.data[entries], Ml.data[entries]))
+    return scatter_pencil(tmesh.n_nodes, blocks, tmesh.root_nodes)
 
 
-def assemble_2d(tmesh: TreeMesh2D, W=None) -> AssembledSystem:
+def assemble_2d(tmesh: TreeMesh2D, W) -> AssembledSystem:
     """Global stiffness/mass pencil with the root section eliminated.
 
-    W, when given, is a callable W(theta, s) evaluated per triangle (radial
+    W, when not None, is a callable W(theta, s) evaluated per triangle (radial
     potentials depend on theta only; s is the local cross coordinate).
     """
-    K, M, free = eliminate_dirichlet(*_scatter_assembly(tmesh, W=W),
-                                     tmesh.root_nodes)
+    K, M, free = _scatter_assembly(tmesh, W, None)
     return AssembledSystem(K=K, M=M, free=free, n_full=tmesh.n_nodes)
 
 

@@ -299,8 +299,15 @@ def stiffness_and_mass(mesh: Mesh2D, potential=None):
 
     potential, when given, is a callable p(x, y) evaluated at triangle
     centroids; the term integral(W u v) is added to the stiffness matrix.
-    Returns (K, M) as CSR matrices over all nodes (no boundary elimination).
+    Returns (K, M) as CSR matrices over all nodes (no boundary elimination),
+    sharing one sparsity pattern.
     """
+    return scatter_pencil(mesh.n_nodes, [_triangle_block(mesh, potential)], ())[:2]
+
+
+def _triangle_block(mesh: Mesh2D, potential):
+    """Scatter block of the P1 element matrices: one copy per triangle,
+    entries (i, j) row-major, values per triangle."""
     nodes, tris = mesh.nodes, mesh.triangles
     p = nodes[tris]
     x, y = p[..., 0], p[..., 1]
@@ -320,15 +327,14 @@ def stiffness_and_mass(mesh: Mesh2D, potential=None):
         w = np.asarray(potential(cent[:, 0], cent[:, 1]), dtype=float)
         Kloc = Kloc + (w * area)[:, None, None] * mass_pattern[None, :, :]
 
-    # one copy per triangle, entries (i, j) row-major, values per triangle
     local = np.arange(3)
-    return scatter_pencil(mesh.n_nodes, [
-        (tris, np.repeat(local, 3), np.tile(local, 3),
-         Kloc.reshape(len(tris), 9), Mloc.reshape(len(tris), 9))])
+    return (tris, np.repeat(local, 3), np.tile(local, 3),
+            Kloc.reshape(len(tris), 9), Mloc.reshape(len(tris), 9))
 
 
-def scatter_pencil(n: int, blocks) -> tuple:
-    """Sum local matrix entries into the n x n CSR pair (K, M).
+def scatter_pencil(n: int, blocks, fixed) -> tuple:
+    """Sum local matrix entries into the CSR pair (K, M) over the dofs not in
+    ``fixed``; return (K, M, free), ``free`` listing the kept dofs in order.
 
     Each block is ``(gids, rows, cols, k_vals, m_vals)``: ``gids`` is a
     ``(copies, n_loc)`` array mapping local to global indices, ``rows`` and
@@ -337,36 +343,39 @@ def scatter_pencil(n: int, blocks) -> tuple:
     ``(copies, n_entries)``).  Entries are laid out copy by copy in block
     order, which fixes the order in which duplicates are summed.  No blocks
     give the all-zero pencil.
+
+    K and M come out of one COO to CSR conversion of K + iM over all n dofs,
+    so they share one pattern, and scipy sums the real and the imaginary
+    parts of duplicates in the order it would sum each real matrix alone.
+    The fixed rows and columns are dropped from the converted arrays, not
+    from the entries before the conversion: scipy's sort of a row is not
+    stable, so the order in which it sums duplicates depends on the other
+    columns of the row.
     """
-    if not blocks:
-        return sp.csr_matrix((n, n)), sp.csr_matrix((n, n))
-    rows, cols, kv, mv = [], [], [], []
+    keep = np.ones(n, dtype=bool)
+    keep[np.asarray(fixed, dtype=int)] = False
+    free = np.flatnonzero(keep)
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    vals = [np.zeros(0, dtype=complex)]
     for gids, lrows, lcols, k_vals, m_vals in blocks:
-        shape = (len(gids), len(lrows))
         rows.append(gids[:, lrows].ravel())
         cols.append(gids[:, lcols].ravel())
-        kv.append(np.broadcast_to(k_vals, shape).ravel())
-        mv.append(np.broadcast_to(m_vals, shape).ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
-
-
-def eliminate_dirichlet(K, M, dirichlet_nodes):
-    """Remove Dirichlet rows and columns; return (K, M, free index array)."""
-    n = K.shape[0]
-    mask = np.ones(n, dtype=bool)
-    mask[np.asarray(dirichlet_nodes, dtype=int)] = False
-    free = np.nonzero(mask)[0]
-    if len(free) and free[-1] - free[0] + 1 == len(free):
-        # a contiguous free range (only leading or trailing dofs fixed) is a
-        # slice: the same matrices as the fancy index, at about half the cost
-        keep = (slice(free[0], free[-1] + 1),) * 2
-    else:
-        keep = np.ix_(free, free)
-    return K.tocsr()[keep].tocsr(), M.tocsr()[keep].tocsr(), free
+        v = np.empty((len(gids), len(lrows)), dtype=complex)
+        v.real, v.imag = k_vals, m_vals
+        vals.append(v.ravel())
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    indptr, indices, data = A.indptr, A.indices, A.data
+    if len(free) < n:
+        on = np.repeat(keep, np.diff(indptr)) & keep[indices]
+        before = np.concatenate([[0], np.cumsum(on)])   # kept entries ahead of each
+        indptr = np.append(before[indptr[free]], before[-1]).astype(indptr.dtype)
+        indices = (np.cumsum(keep) - 1)[indices[on]].astype(indices.dtype)
+        data = data[on]
+    shape = (len(free), len(free))
+    K = sp.csr_matrix((data.real.copy(), indices, indptr), shape=shape)
+    M = sp.csr_matrix((data.imag.copy(), indices.copy(), indptr.copy()), shape=shape)
+    return K, M, free
 
 
 def section_average_weights(mesh: Mesh2D, path: np.ndarray) -> np.ndarray:

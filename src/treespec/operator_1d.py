@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .connector import affine_partition
 from .eigensolver import Spectrum, merge_spectra, smallest_eigenpairs
-from .mesh2d import eliminate_dirichlet, scatter_pencil
+from .mesh2d import scatter_pencil
 from .tree_model import Tree
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -332,19 +332,20 @@ def _element_block(dofs, t0, local, rho_a, rho_b, W, weight=1.0):
 
 def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
                 rho_beta: WeightProfile,
-                W: PotentialProfile | None = None) -> AssembledSystem:
+                W: PotentialProfile | None) -> AssembledSystem:
     """Assemble the width-weighted form over the tree mesh, with the root
     (dof 0) eliminated as the Dirichlet dof.
 
-    K holds integral(rho_a u' v') plus the potential term integral(W rho_b u v)
-    via 2-point Gauss; M is the consistent rho_b mass.  Mesh nodes sit on all
-    weight breakpoints, so the weight factors are exact per element.
+    K holds integral(rho_a u' v') plus, when W is not None, the potential
+    term integral(W rho_b u v) via 2-point Gauss; M is the consistent rho_b
+    mass.  Mesh nodes sit on all weight breakpoints, so the weight factors
+    are exact per element.
     """
     n = mesh.n_dofs
-    K, M, free = eliminate_dirichlet(*scatter_pencil(n, [
+    K, M, free = scatter_pencil(n, [
         _element_block(dofs, tree.t_shell[j], mesh.gen_local[j],
                        rho_alpha, rho_beta, W)
-        for j, dofs in enumerate(mesh.gen_dofs)]), [0])
+        for j, dofs in enumerate(mesh.gen_dofs)], [0])
     return AssembledSystem(K=K, M=M, free=free, n_full=n)
 
 
@@ -400,7 +401,7 @@ def radial_component_operator(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
                                      W, weight=g_rel))
         dof += len(local) - 1
     n = dof + 1
-    K, M, free = eliminate_dirichlet(*scatter_pencil(n, blocks), [0])   # at t_j
+    K, M, free = scatter_pencil(n, blocks, [0])   # Dirichlet at t_j
     return AssembledSystem(K=K, M=M, free=free, n_full=n)
 
 

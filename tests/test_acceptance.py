@@ -23,7 +23,7 @@ from treespec.convergence import (
 from treespec.eigensolver import cluster_multiplicities, smallest_eigenpairs
 from treespec.fem_2d import (
     GeometrySpec2D,
-    _scatter_assembly,
+    assemble_2d,
     build_geometry_2d,
     matched_mesh_1d,
     p_eps_project,
@@ -60,7 +60,7 @@ def test_criterion_1_analytic_golden_values():
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, delta=0.6, J=0))
     mesh = build_mesh_1d(tree, h=1.0 / 512)
     rs = rho_star_profile(tree)
-    system = assemble_1d(tree, mesh, rs, rs)
+    system = assemble_1d(tree, mesh, rs, rs, None)
     spec = smallest_eigenpairs(system.K, system.M, 5, with_vectors=False)
     exact = np.array([((2 * m - 1) * np.pi / 2) ** 2 for m in range(1, 6)])
     rel_1d = np.abs(spec.values - exact) / exact
@@ -258,7 +258,7 @@ def test_criterion_7_property_suites():
         if tail_bound_check(tree, mesh1, rs, rs, u, j) > bound:
             viol += 1
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
-    Kg, _ = _scatter_assembly(tm)
+    sys2 = assemble_2d(tm, None)
     tips2 = tm.stations[tree.J][1][:, -1]
     beyond = {}
     for j in (0, 1):
@@ -284,7 +284,8 @@ def test_criterion_7_property_suites():
         u[tips2] = 0.0
         j = i % 2
         bound = c_geom ** 2 * tree.tail_radius(j, truncated=True) ** 2
-        ratio = float(u @ (beyond[j] @ u)) / float(u @ (Kg @ u))
+        uf = u[sys2.free]
+        ratio = float(u @ (beyond[j] @ u)) / float(uf @ (sys2.K @ uf))
         if ratio > bound:
             viol += 1
     details.append(f"tail bounds 1-D/2-D: {viol} violations")
@@ -298,21 +299,20 @@ def test_criterion_7_property_suites():
     W1 = average_potential_1d(W2d, tree, tm.zones)
     rq = build_rho_Q(tree, consts, tm.zones)
     rp = build_rho_P(tree, consts, tm.zones)
-    sysQ = assemble_1d(tree, matched.mesh, rq, rs)
-    sysP = assemble_1d(tree, matched.mesh, rp, rs)
-    sys_rs = assemble_1d(tree, matched.mesh, rs, rs)
+    sysQ = assemble_1d(tree, matched.mesh, rq, rs, None)
+    sysP = assemble_1d(tree, matched.mesh, rp, rs, None)
+    sys_rs = assemble_1d(tree, matched.mesh, rs, rs, None)
     sysW = assemble_1d(tree, matched.mesh, rs, rs, W1)
     KW1 = sysW.K - sys_rs.K
-    KgW, Mg = _scatter_assembly(tm, W=W2d)
-    Kg2, _ = _scatter_assembly(tm)
-    W2d_mass = KgW - Kg2
+    sys2W = assemble_2d(tm, W2d)
+    Kg2, Mg, W2d_mass = sys2.K, sys2W.M, sys2W.K - sys2.K
     cap = 1.0
     viol = 0
     for _ in range(500):
         f = rng.standard_normal(matched.mesh.n_dofs)
         f[0] = 0.0
         ff = f[sysQ.free]
-        u = q_eps_lift(tm, matched, f)
+        u = q_eps_lift(tm, matched, f)[sys2.free]      # zero on the root
         en1q = float(ff @ (sysQ.K @ ff))
         en1 = float(ff @ (sys_rs.K @ ff))
         if float(u @ (Kg2 @ u)) > eps * en1q * (1 + 1e-9):
@@ -330,6 +330,7 @@ def test_criterion_7_property_suites():
         v[tm.root_nodes] = 0.0
         pv = p_eps_project(tm, matched, v)
         pf = pv[sysP.free]
+        v = v[sys2.free]
         en2 = float(v @ (Kg2 @ v))
         if eps * float(pf @ (sysP.K @ pf)) > en2 * (1 + 1e-9):
             viol += 1                                    # part 2
@@ -347,7 +348,7 @@ def test_criterion_7_property_suites():
     # (f) Kirchhoff residual O(h) on computed eigenvectors
     def residuals(h):
         mesh = build_mesh_1d(tree, h=h)
-        system = assemble_1d(tree, mesh, rs, rs)
+        system = assemble_1d(tree, mesh, rs, rs, None)
         spec = smallest_eigenpairs(system.K, system.M, 4)
         return np.array([
             kirchhoff_residuals(tree, mesh, rs, system.expand(spec.vectors[:, i])).max()

@@ -222,7 +222,7 @@ def test_limit_spectrum_uses_h_1d_as_given():
     tree = build_tree(cfg.tree)
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=0.02, breakpoints=rs.breakpoints)
-    system = assemble_1d(tree, mesh, rs, rs)
+    system = assemble_1d(tree, mesh, rs, rs, None)
     want = smallest_eigenpairs(system.K, system.M, cfg.m, with_vectors=False)
     assert np.array_equal(limit_spectrum_1d(tree, cfg).values, want.values)
 
@@ -285,10 +285,10 @@ def test_connector_concentration_above_dense_cutoff():
     tree = build_tree(cfg.tree)
     for eps, concentration in zip(cfg.eps_list, report.connector_concentration):
         tm = build_geometry_2d(tree, cfg.geometry(eps))
-        system = assemble_2d(tm)
+        system = assemble_2d(tm, None)
         free = system.free
         assert len(free) > DENSE_CUTOFF
-        Mv_f = tm.connector_triangle_mass()[np.ix_(free, free)]
+        Mv_f = tm.connector_triangle_mass()
         eta = spla.eigsh(Mv_f, k=1, M=system.K, which="LA", v0=np.ones(len(free)),
                          return_eigenvectors=False)[0]
         assert concentration == pytest.approx(1.0 / eta, rel=1e-9, abs=0.0)
@@ -348,7 +348,7 @@ def test_p_kernel_basis_annihilates_averages():
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
     matched = matched_mesh_1d(tm)
     from treespec.fem_2d import assemble_2d
-    system = assemble_2d(tm)
+    system = assemble_2d(tm, None)
     Z = p_kernel_basis(tm, matched, system.free)
     rng = np.random.default_rng(0)
     y = rng.standard_normal(Z.shape[1])
@@ -509,7 +509,7 @@ def test_rayleigh_quotients_closed_form_single_edge():
     # single channel, no connectors: the lift is exact and both quotients
     # coincide (computable in closed form for a linear profile), so the
     # comparison bound holds with any constants
-    from treespec.fem_2d import _scatter_assembly, assemble_2d
+    from treespec.fem_2d import assemble_2d
     from treespec.operator_1d import assemble_1d, rho_star_profile
 
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, delta=0.6, J=0))
@@ -517,14 +517,14 @@ def test_rayleigh_quotients_closed_form_single_edge():
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, c=0.3, h=0.02, n_cross=3))
     matched = matched_mesh_1d(tm)
     rs = rho_star_profile(tree)
-    sys1 = assemble_1d(tree, matched.mesh, rs, rs)
-    Kg, Mg = _scatter_assembly(tm)
+    sys1 = assemble_1d(tree, matched.mesh, rs, rs, None)
+    sys2 = assemble_2d(tm, None)
     from treespec.fem_2d import q_eps_lift
     f = matched.mesh.dof_t.copy()          # linear profile f = theta
     ff = f[sys1.free]
     r1 = float(ff @ (sys1.K @ ff)) / float(ff @ (sys1.M @ ff))
-    u = q_eps_lift(tm, matched, f)
-    r2 = float(u @ (Kg @ u)) / float(u @ (Mg @ u))
+    u = q_eps_lift(tm, matched, f)[sys2.free]      # zero on the root
+    r2 = float(u @ (sys2.K @ u)) / float(u @ (sys2.M @ u))
     # closed form for f = theta on [0, 1]: int f'^2 / int f^2 = 1 / (1/3) = 3
     assert r1 == pytest.approx(3.0, rel=1e-9)
     assert r2 == pytest.approx(r1, rel=1e-12)
@@ -536,7 +536,7 @@ def test_lifted_ground_state_dominates_2d_eigenvalue():
     # of the boosted-weight 1-D operator gives an admissible 2-D trial field,
     # so nu_1 <= R_2D[Q f_1], and R_2D[Q f_1] is controlled by mu_1
     from treespec.connector import analyze_connector
-    from treespec.fem_2d import _scatter_assembly, assemble_2d, q_eps_lift
+    from treespec.fem_2d import assemble_2d, q_eps_lift
     from treespec.operator_1d import assemble_1d, build_rho_Q, rho_star_profile
     from treespec.eigensolver import smallest_eigenpairs
 
@@ -548,14 +548,13 @@ def test_lifted_ground_state_dominates_2d_eigenvalue():
                                            h=0.05, section_intervals=12)
     rq = build_rho_Q(tree, consts, tm.zones)
     rs = rho_star_profile(tree)
-    sysQ = assemble_1d(tree, matched.mesh, rq, rs)
+    sysQ = assemble_1d(tree, matched.mesh, rq, rs, None)
     specQ = smallest_eigenpairs(sysQ.K, sysQ.M, 1)
     mu1 = specQ.values[0]
     f = sysQ.expand(specQ.vectors[:, 0])
-    u = q_eps_lift(tm, matched, f)
-    Kg, Mg = _scatter_assembly(tm)
-    r2d = float(u @ (Kg @ u)) / float(u @ (Mg @ u))
-    sys2 = assemble_2d(tm)
+    sys2 = assemble_2d(tm, None)
+    u = q_eps_lift(tm, matched, f)[sys2.free]      # zero on the root
+    r2d = float(u @ (sys2.K @ u)) / float(u @ (sys2.M @ u))
     nu1 = smallest_eigenpairs(sys2.K, sys2.M, 1, with_vectors=False).values[0]
     assert nu1 <= r2d * (1 + 1e-10)
     assert r2d <= phi_Q(mu1, 1.0, eps)

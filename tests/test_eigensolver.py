@@ -455,7 +455,7 @@ def test_arpack_solve_is_bitwise_repeatable():
     tree = build_tree(TreeSpec(k=2, J=11))
     rs = rho_star_profile(tree)
     system = assemble_1d(tree, build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints),
-                         rs, rs)
+                         rs, rs, None)
     assert system.K.shape[0] > DENSE_CUTOFF
     first, second = (smallest_eigenpairs(system.K, system.M, 4) for _ in range(2))
     assert np.array_equal(first.values, second.values)

@@ -19,7 +19,14 @@ from treespec.fem_2d import (
     p_eps_project,
     q_eps_lift,
 )
-from treespec.mesh2d import ROOT_DIRICHLET, eliminate_dirichlet, mesh_quality, mesh_rectangle, stiffness_and_mass
+from treespec.mesh2d import (
+    ROOT_DIRICHLET,
+    _triangle_block,
+    mesh_quality,
+    mesh_rectangle,
+    scatter_pencil,
+    stiffness_and_mass,
+)
 from treespec.tree_model import EdgeId, TreeSpec, build_tree
 
 BINARY = TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, N=2, J=2)
@@ -77,7 +84,7 @@ def test_warm_geometry_equals_cold(spec):
         _assert_same_array(a.mesh.nodes, b.mesh.nodes)
     _assert_same_array(warm.root_nodes, cold.root_nodes)
     _assert_same_array(warm.conn_phi, cold.conn_phi)
-    sys_warm, sys_cold = assemble_2d(warm), assemble_2d(cold)
+    sys_warm, sys_cold = assemble_2d(warm, None), assemble_2d(cold, None)
     for A, B in ((sys_warm.K, sys_cold.K), (sys_warm.M, sys_cold.M)):
         for name in ("data", "indices", "indptr"):
             _assert_same_array(getattr(A, name), getattr(B, name))
@@ -135,14 +142,14 @@ def test_interfaces_identified_once(tmesh):
 def test_k1_J0_matches_interval_spectrum():
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, delta=0.6, J=0))
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.05, c=0.3, h=0.02, n_cross=3))
-    sysd = assemble_2d(tm)
+    sysd = assemble_2d(tm, None)
     spec = smallest_eigenpairs(sysd.K, sysd.M, 2, with_vectors=False)
     assert spec.values[0] == pytest.approx((np.pi / 2) ** 2, rel=0.01)
     assert spec.values[1] == pytest.approx((3 * np.pi / 2) ** 2, rel=0.02)
 
 
 def test_constant_potential_shift(tmesh):
-    base = assemble_2d(tmesh)
+    base = assemble_2d(tmesh, None)
     shifted = assemble_2d(tmesh, W=lambda t, s: 2.0 * np.ones_like(t))
     s0 = smallest_eigenpairs(base.K, base.M, 3, with_vectors=False)
     s2 = smallest_eigenpairs(shifted.K, shifted.M, 3, with_vectors=False)
@@ -155,9 +162,8 @@ def test_fem_second_order_convergence():
 
     def lam(n_axial):
         mesh = mesh_rectangle(0.1, 1.0, 3, n_axial, dirichlet_bottom=True)
-        K, M = stiffness_and_mass(mesh)
         dn = np.unique(mesh.boundary_edges[mesh.boundary_tags == ROOT_DIRICHLET])
-        Kf, Mf, _ = eliminate_dirichlet(K, M, dn)
+        Kf, Mf, _ = scatter_pencil(mesh.n_nodes, [_triangle_block(mesh, None)], dn)
         return smallest_eigenpairs(Kf, Mf, 1, with_vectors=False).values[0]
 
     e1 = abs(lam(25) - exact)
@@ -417,14 +423,14 @@ def test_q_energy_bound_random_fields(tmesh):
     _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
                                            h=0.06, section_intervals=10)
     rq = build_rho_Q(tree, consts, tmesh.zones)
-    sysQ = assemble_1d(tree, matched.mesh, rq, rho_star_profile(tree))
-    Kg, _ = _scatter_assembly(tmesh)
+    sysQ = assemble_1d(tree, matched.mesh, rq, rho_star_profile(tree), None)
+    sys2 = assemble_2d(tmesh, None)
     rng = np.random.default_rng(21)
     for _ in range(100):
         f = rng.standard_normal(matched.mesh.n_dofs)
         f[0] = 0.0
-        u = q_eps_lift(tmesh, matched, f)
-        lhs = u @ (Kg @ u)
+        u = q_eps_lift(tmesh, matched, f)[sys2.free]    # zero on the root
+        lhs = u @ (sys2.K @ u)
         rhs = eps * (f[sysQ.free] @ (sysQ.K @ f[sysQ.free]))
         assert lhs <= rhs * (1 + 1e-9)
 
@@ -439,15 +445,15 @@ def test_p_energy_bound_random_fields(tmesh):
     _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
                                            h=0.06, section_intervals=10)
     rp = build_rho_P(tree, consts, tmesh.zones)
-    sysP = assemble_1d(tree, matched.mesh, rp, rho_star_profile(tree))
-    Kg, _ = _scatter_assembly(tmesh)
+    sysP = assemble_1d(tree, matched.mesh, rp, rho_star_profile(tree), None)
+    sys2 = assemble_2d(tmesh, None)
     rng = np.random.default_rng(22)
     for _ in range(100):
         v = rng.standard_normal(tmesh.n_nodes)
         v[tmesh.root_nodes] = 0.0
         pv = p_eps_project(tmesh, matched, v)
         lhs = eps * (pv[sysP.free] @ (sysP.K @ pv[sysP.free]))
-        rhs = v @ (Kg @ v)
+        rhs = v[sys2.free] @ (sys2.K @ v[sys2.free])
         assert lhs <= rhs * (1 + 1e-9)
 
 
@@ -456,9 +462,9 @@ def test_p_energy_bound_random_fields(tmesh):
 def connector_tail(tm, u_global):
     """(integral over connectors of u^2) / (eps * Dirichlet energy) from one
     assembly, for a field u that vanishes on the root section."""
-    sysd = assemble_2d(tm)
+    sysd = assemble_2d(tm, None)
     u = u_global[sysd.free]
-    m_conn = tm.connector_triangle_mass()[sysd.free][:, sysd.free]
+    m_conn = tm.connector_triangle_mass()
     num = float(u @ (m_conn @ u))
     den = float(u @ (sysd.K @ u))
     if den == 0.0:
@@ -481,7 +487,7 @@ def test_connector_tail_bounded_over_eps():
     ratios = []
     for eps in (0.2, 0.1, 0.05):
         tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, c=0.3, h=0.04, n_cross=3))
-        sysd = assemble_2d(tm)
+        sysd = assemble_2d(tm, None)
         spec = smallest_eigenpairs(sysd.K, sysd.M, 1)
         u = np.zeros(tm.n_nodes)
         u[sysd.free] = spec.vectors[:, 0]
@@ -560,8 +566,9 @@ def test_grouped_assembly_equals_per_component_loop(spec, eps, h, n_cross):
 
     for W in (None, cosine):
         for only_kind in (None, "connector"):
-            got = _scatter_assembly(tm, W=W, only_kind=only_kind)
-            want = _per_component_assembly(tm, W=W, only_kind=only_kind)
+            got = _scatter_assembly(tm, W, only_kind)
+            free = np.ix_(got[2], got[2])
+            want = [A[free] for A in _per_component_assembly(tm, W=W, only_kind=only_kind)]
             for A, B in zip(got, want):
                 assert np.array_equal(A.indptr, B.indptr)
                 assert np.array_equal(A.indices, B.indices)

@@ -9,7 +9,7 @@ from treespec.mesh2d import (
     Mesh2D,
     MeshError,
     _orient_ccw,
-    eliminate_dirichlet,
+    _triangle_block,
     mesh_polygon,
     mesh_quality,
     mesh_rectangle,
@@ -106,9 +106,8 @@ def test_thin_rectangle_dirichlet_limit():
         mesh = mesh_rectangle(eps, 1.0, n_cross=3,
                               n_axial=int(np.ceil(1.0 / min(0.02, 2.5 * eps / 3))),
                               dirichlet_bottom=True)
-        K, M = stiffness_and_mass(mesh)
         dn = np.unique(mesh.boundary_edges[mesh.boundary_tags == ROOT_DIRICHLET])
-        Kf, Mf, _ = eliminate_dirichlet(K, M, dn)
+        Kf, Mf, _ = scatter_pencil(mesh.n_nodes, [_triangle_block(mesh, None)], dn)
         spec = smallest_eigenpairs(Kf, Mf, 1)
         assert spec.values[0] == pytest.approx((np.pi / 2) ** 2, rel=tol)
 
@@ -170,7 +169,9 @@ def test_rectangle_mesh_matches_loop_reference(n_cross, dirichlet_bottom):
 
 
 def test_scatter_of_no_blocks_is_the_zero_pencil():
-    K, M = scatter_pencil(5, [])
-    for A in (K, M):
-        assert sp.isspmatrix_csr(A)
-        assert A.shape == (5, 5) and A.nnz == 0
+    for fixed, free_want in (((), [0, 1, 2, 3, 4]), ([3, 0], [1, 2, 4])):
+        K, M, free = scatter_pencil(5, [], fixed)
+        assert np.array_equal(free, free_want)
+        for A in (K, M):
+            assert sp.isspmatrix_csr(A)
+            assert A.shape == (len(free_want),) * 2 and A.nnz == 0

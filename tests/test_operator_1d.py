@@ -166,7 +166,7 @@ def test_K_symmetric_M_spd():
 def test_expand_takes_column_blocks():
     tree = build_tree(TreeSpec(k=2, J=2))
     rs = rho_star_profile(tree)
-    sys_ = assemble_1d(tree, build_mesh_1d(tree, h=0.05), rs, rs)
+    sys_ = assemble_1d(tree, build_mesh_1d(tree, h=0.05), rs, rs, None)
     block = np.random.default_rng(3).standard_normal((len(sys_.free), 5))
     full = sys_.expand(block)
     assert full.shape == (sys_.n_full, 5)
@@ -228,7 +228,7 @@ def test_kirchhoff_residual_first_order_in_h():
 
     def residual(h):
         mesh = build_mesh_1d(tree, h=h)
-        sys_ = assemble_1d(tree, mesh, rs, rs)
+        sys_ = assemble_1d(tree, mesh, rs, rs, None)
         spec = smallest_eigenpairs(sys_.K, sys_.M, 1)
         u = sys_.expand(spec.vectors[:, 0])
         return kirchhoff_residuals(tree, mesh, rs, u).max()
@@ -721,7 +721,7 @@ def assert_decomposition_equals_direct(spec, h, m=8):
     tree = build_tree(spec)
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=h, breakpoints=rs.breakpoints)
-    system = assemble_1d(tree, mesh, rs, rs)
+    system = assemble_1d(tree, mesh, rs, rs, None)
     direct = smallest_eigenpairs(system.K, system.M, m, with_vectors=False)
     dec = radial_decomposition_spectrum(tree, mesh, rs, rs, None, m)
     vals = dec.expanded_values(m)
@@ -757,6 +757,6 @@ def test_mesh_and_assembly_at_node_budget_edge():
     for j in range(1, spec.J + 1):
         parents = mesh.gen_dofs[j - 1][np.arange(2 ** j) // 2, -1]
         assert np.array_equal(mesh.gen_dofs[j][:, 0], parents)
-    system = assemble_1d(tree, mesh, rs, rs)
+    system = assemble_1d(tree, mesh, rs, rs, None)
     assert system.n_full == mesh.n_dofs
     assert (system.K != system.K.T).nnz == 0

@@ -46,8 +46,6 @@ SCHEMA_CLASSES = {"TreeSpec", "ExperimentConfig"}
 ALLOWED_DEFAULTS = {
     "cli.main.argv": "`argv=None`: read sys.argv, as the console script does",
     "cli.parse_config.overrides": "`overrides=()`: no --set pairs",
-    "cli.run_spectrum2d.dump_mesh":
-        "`dump_mesh=False`: the runner signature of `_RUNNERS`, no mesh files",
     "convergence.ExperimentConfig.geometry.h":
         "`h=None`: the pitch geometry.h; both values are used in `src`",
     "eigensolver.Spectrum.expanded_values.m": "`m=None`: every value",
@@ -56,11 +54,6 @@ ALLOWED_DEFAULTS = {
     "eigensolver.Spectrum.vectors": "`vectors=None`: merged and clustered spectra carry none",
     "eigensolver.merge_spectra.m": "`m=None`: merge every value",
     "eigensolver.smallest_eigenpairs.with_vectors": "`with_vectors`: both values are used in `src`",
-    "fem_2d._scatter_assembly.W": "`W=None`: no potential; both values are used in `src`",
-    "fem_2d._scatter_assembly.only_kind":
-        "`only_kind=None`: every component; both values are used in `src`",
-    "fem_2d._scatter_assembly.potential.comp": "`comp=comp`: binds the loop's component",
-    "fem_2d.assemble_2d.W": "`W=None`: no potential",
     "mesh2d.mesh_polygon.section_intervals":
         "`section_intervals=None`: no sections to subdivide",
     "mesh2d.mesh_polygon.sections": "`sections=None`: a polygon with no marked sections",
@@ -79,7 +72,6 @@ ALLOWED_DEFAULTS = {
         "`gen_min=0`: the whole tree; both values are used in `src`",
     "operator_1d._element_block.weight":
         "`weight=1.0`: unscaled weights; both values are used in `src`",
-    "operator_1d.assemble_1d.W": "`W=None`: no potential",
     "operator_1d.build_mesh_1d.breakpoints":
         "`breakpoints=None`: no weight breakpoints; both values are used in `src`",
     "operator_1d.build_mesh_1d.gen_local":
