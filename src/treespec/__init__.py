@@ -25,7 +25,6 @@ from .fem_2d import (
     q_eps_lift,
 )
 from .operator_1d import (
-    PotentialProfile,
     WeightProfile,
     assemble_1d,
     build_mesh_1d,
@@ -41,7 +40,7 @@ __all__ = [
     "__version__",
     "TreeSpec", "Tree", "EdgeId", "build_tree",
     "SkeletonStar", "EquivalenceConstants", "analyze_connector",
-    "WeightProfile", "PotentialProfile", "rho_star_profile",
+    "WeightProfile", "rho_star_profile",
     "build_rho_Q", "build_rho_P", "build_mesh_1d", "assemble_1d",
     "radial_decomposition_spectrum",
     "discreteness_condition_check",

@@ -176,7 +176,7 @@ def validate_config(raw: dict) -> RunConfig:
     return RunConfig(data, experiment)
 
 
-def parse_config(path, overrides=()) -> RunConfig:
+def parse_config(path, overrides) -> RunConfig:
     """Load a JSON config file, apply ``--set`` overrides, and validate it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -188,11 +188,15 @@ def parse_config(path, overrides=()) -> RunConfig:
 
 def check_feasible(cfg: RunConfig, subcommand: str) -> None:
     """Reject a tree on which ``subcommand`` cannot build its geometries: the
-    2-D ones at its coarsest pitch, or the 1-D weight zones of width 1/n."""
+    2-D ones at its coarsest pitch, or the 1-D weight zones of width 1/n,
+    which need a branching vertex."""
     ecfg = cfg.experiment
     tree = build_tree(ecfg.tree)
     where = f"tree.k = {tree.k}, tree.J = {tree.J} with"
     if subcommand == "converge-weights":
+        if tree.J < 1:
+            raise ConfigError(f"tree.J = {tree.J}: the weight zones need a "
+                              "branching vertex, tree.J >= 1")
         for i, n in enumerate(ecfg.n_list):
             try:
                 zone_breakpoints(tree, VertexZones(1.0 / n))
@@ -496,6 +500,8 @@ def main(argv=None) -> int:
     parser.add_argument("--dump-mesh", action="store_true",
                         help="with spectrum2d: write mesh and field CSVs")
     args = parser.parse_args(argv)
+    if args.dump_mesh and args.subcommand != "spectrum2d":
+        parser.error(f"--dump-mesh applies to spectrum2d only, not {args.subcommand}")
 
     try:
         cfg = parse_config(args.config, args.overrides)

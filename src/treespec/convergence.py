@@ -28,8 +28,6 @@ from .fem_2d import (
     q_eps_lift,
 )
 from .operator_1d import (
-    Operator1DError,
-    PotentialProfile,
     VertexZones,
     assemble_1d,
     average_potential_1d,
@@ -127,9 +125,9 @@ class ExperimentConfig:
             raise ExperimentError(f"geometry.c: {err}") from err
         self.w_limit()   # rejects a malformed potential
 
-    # potential plumbing: the radial potential is the one definition; the
-    # 2-D potential and the bound C_W are read from it
-    def w_limit(self) -> PotentialProfile | None:
+    # potential plumbing: the radial potential is the one definition and
+    # check; the 2-D potential and the bound C_W are read after it
+    def w_limit(self):
         """The radial potential W(theta), None for "zero"; rejects an unknown
         kind or cosine parameters other than [amp, freq]."""
         if self.potential == "zero":
@@ -137,10 +135,13 @@ class ExperimentConfig:
         if self.potential != "cosine":
             raise ExperimentError(
                 f"potential.kind: unknown kind {self.potential!r}")
-        try:
-            return PotentialProfile("cosine", tuple(self.potential_params))
-        except Operator1DError as err:
-            raise ExperimentError(f"potential.params: {err}") from err
+        params = tuple(self.potential_params)
+        if len(params) != 2 or not all(
+                isinstance(p, (int, float)) and not isinstance(p, bool) for p in params):
+            raise ExperimentError(
+                f"potential.params: cosine takes [amp, freq], got {list(params)}")
+        amp, freq = params
+        return lambda t: amp * np.cos(freq * np.asarray(t, float))
 
     def w2d(self):
         """W(theta, s) on the inflated tree: the radial potential, constant
@@ -149,8 +150,8 @@ class ExperimentConfig:
         return None if W is None else lambda theta, s: W(theta)
 
     def c_w(self) -> float:
-        W = self.w_limit()
-        return 0.0 if W is None else abs(W.params[0])
+        """sup |W|: the cosine amplitude, 0 for "zero"."""
+        return 0.0 if self.w_limit() is None else abs(self.potential_params[0])
 
 
 def reference_connector(cfg: ExperimentConfig):
@@ -169,12 +170,12 @@ def _reference_connector(delta, c, k, omega, N):
                                         h=0.05, section_intervals=12))
 
 
-def width_weighted_pair(tree: Tree, cfg: ExperimentConfig, consts,
-                        tm: TreeMesh2D, matched: Matched1D):
+def width_weighted_pair(cfg: ExperimentConfig, matched: Matched1D):
     """Pencils of A_Q^eps and A_P^eps on the matched 1-D mesh: rho* with the
-    zone weights rho_Q / rho_P, and the cross-section average of the 2-D
-    potential."""
-    zones = tm.zones
+    zone weights rho_Q / rho_P of the reference connector's constants, and
+    the cross-section average of the 2-D potential."""
+    tree, zones = matched.tmesh.tree, matched.tmesh.zones
+    *_, consts = reference_connector(cfg)
     rs = rho_star_profile(tree)
     W2d = cfg.w2d()
     W1 = None if W2d is None else average_potential_1d(W2d, tree, zones)
@@ -244,6 +245,9 @@ def weight_convergence_experiment(cfg: ExperimentConfig) -> WeightConvergenceRep
     differences reflect the weights alone.
     """
     cfg.validate()
+    if cfg.tree.J < 1:
+        raise ExperimentError("the weight zones need a branching vertex: "
+                              f"tree.J must be >= 1, got {cfg.tree.J}")
     tree = build_tree(cfg.tree)
     rs = rho_star_profile(tree)
     profiles = []
@@ -329,7 +333,6 @@ def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
     limit spectrum."""
     cfg.validate()
     tree = build_tree(cfg.tree)
-    *_, consts = reference_connector(cfg)
     limit_spec = limit_spectrum_1d(tree, cfg)
 
     rows = []
@@ -337,7 +340,7 @@ def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
     gaps1 = []
     for eps in cfg.eps_list:
         nu, bars, tm = richardson_eigenvalues(tree, cfg, eps)
-        sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched_mesh_1d(tm))
+        sysQ, sysP = width_weighted_pair(cfg, matched_mesh_1d(tm))
         mu = smallest_eigenpairs(sysQ.K, sysQ.M, cfg.m, with_vectors=False).values
         lam = smallest_eigenpairs(sysP.K, sysP.M, cfg.m, with_vectors=False).values
         c_fit = _fit_sandwich_c(eps, mu, lam, nu, bars)
@@ -381,9 +384,9 @@ class KernelGapReport:
     concentration_slope: float | None
 
 
-def q_kernel_dofs(tree: Tree, mesh, zones) -> np.ndarray:
+def q_kernel_dofs(mesh, zones) -> np.ndarray:
     """1-D dofs strictly inside the vertex zones (the support of ker Q^eps)."""
-    lo, _, hi = zones.bounds(tree)
+    lo, _, hi = zones.bounds(mesh.tree)
     t = mesh.dof_t[:, None]
     dofs = np.nonzero(((t > lo + 1e-12) & (t < hi - 1e-12)).any(axis=1))[0]
     if not len(dofs):
@@ -413,21 +416,18 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
     tree = build_tree(cfg.tree)
     infima = []
     concentration = [] if which == "P" else None
-    if which == "Q":
-        *_, consts = reference_connector(cfg)
     for eps in cfg.eps_list:
         tm = build_geometry_2d(tree, cfg.geometry(eps))
         matched = matched_mesh_1d(tm)
         if which == "Q":
-            system, _ = width_weighted_pair(tree, cfg, consts, tm, matched)
+            system, _ = width_weighted_pair(cfg, matched)
             # the zone dofs, in the numbering of the root-eliminated pencil
-            dofs = np.searchsorted(system.free,
-                                   q_kernel_dofs(tree, matched.mesh, tm.zones))
+            dofs = np.searchsorted(system.free, q_kernel_dofs(matched.mesh, tm.zones))
             Kz = system.K[np.ix_(dofs, dofs)]
             Mz = system.M[np.ix_(dofs, dofs)]
         else:
             system = assemble_2d(tm, W=cfg.w2d())
-            Z = p_kernel_basis(tm, matched, system.free)
+            Z = p_kernel_basis(matched, system.free)
             Kz = (Z.T @ (system.K @ Z)).tocsr()
             Mz = (Z.T @ (system.M @ Z)).tocsr()
         vals = smallest_eigenpairs(Kz, Mz, 1, with_vectors=False).values
@@ -450,8 +450,7 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
                            concentration_slope=conc_slope)
 
 
-def p_kernel_basis(tmesh: TreeMesh2D, matched: Matched1D,
-                   free: np.ndarray) -> sp.csr_matrix:
+def p_kernel_basis(matched: Matched1D, free: np.ndarray) -> sp.csr_matrix:
     """Sparse basis of the discrete ker P^eps inside the free (non-Dirichlet)
     2-D dofs: all cross-section station averages vanish.
 
@@ -459,6 +458,7 @@ def p_kernel_basis(tmesh: TreeMesh2D, matched: Matched1D,
     gets the null space of the trapezoid weights as a block of columns;
     every other free node gets a unit column.
     """
+    tmesh = matched.tmesh
     n_free = len(free)
     full_to_free = -np.ones(tmesh.n_nodes, dtype=int)
     full_to_free[free] = np.arange(n_free)
@@ -481,8 +481,7 @@ def p_kernel_basis(tmesh: TreeMesh2D, matched: Matched1D,
     return Z
 
 
-def p_kernel_residual(tmesh: TreeMesh2D, matched: Matched1D,
-                      u_global: np.ndarray) -> float:
+def p_kernel_residual(matched: Matched1D, u_global: np.ndarray) -> float:
     """Max station-average magnitude; zero iff u is in the discrete ker P."""
     averages = (matched.P @ u_global)[matched.station_dofs]
     return float(np.abs(averages).max(initial=0.0))
@@ -591,11 +590,10 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
     """
     cfg.validate()
     tree = build_tree(cfg.tree)
-    *_, consts = reference_connector(cfg)
     rng = np.random.default_rng(cfg.seed)
     tm = build_geometry_2d(tree, cfg.geometry(eps))
     matched = matched_mesh_1d(tm)
-    sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched)
+    sysQ, sysP = width_weighted_pair(cfg, matched)
     sys2 = assemble_2d(tm, W=cfg.w2d())
     samples_Q, samples_P = _rayleigh_samples(rng, n_samples, tm, matched,
                                              sysQ, sysP, sys2)
@@ -624,12 +622,11 @@ class ProjectionReport:
     tracking_ok: bool
 
 
-def vertex_holder_constant(tmesh: TreeMesh2D, matched: Matched1D,
-                           pu: np.ndarray) -> float:
+def vertex_holder_constant(matched: Matched1D, pu: np.ndarray) -> float:
     """max over vertices and arm pairs of |P u(p_e) - P u(p_e~)| / sqrt(dist)."""
-    tree = tmesh.tree
+    tree = matched.tmesh.tree
     gen = np.repeat(np.arange(tree.J), tree.k ** np.arange(tree.J))
-    par, chi = tmesh.zones.reaches(tree)
+    par, chi = matched.tmesh.zones.reaches(tree)
     arms = np.column_stack([par[gen]] + [chi[gen]] * tree.k)
     vals = pu[matched.section_dofs]
     a, b = np.triu_indices(tree.k + 1, 1)
@@ -679,7 +676,7 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionRepo
 
         uH = u * (math.sqrt(eps) / math.sqrt(float(u @ (system.K @ u))
                                             + float(u @ (system.M @ u))))
-        holder = vertex_holder_constant(tm, matched,
+        holder = vertex_holder_constant(matched,
                                         p_eps_project(tm, matched, system.expand(uH)))
         rows.append(ProjectionRow(eps=eps, lambda_2d=float(spec.values[0]),
                                   distance=dist, overlap=overlap,

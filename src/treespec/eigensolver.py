@@ -56,8 +56,9 @@ class Spectrum:
         self.values = np.asarray(self.values, dtype=float)
         self.multiplicities = np.asarray(self.multiplicities, dtype=int)
 
-    def expanded_values(self, m: int | None = None) -> np.ndarray:
-        """Eigenvalues repeated by multiplicity, optionally truncated to m."""
+    def expanded_values(self, m: int | None) -> np.ndarray:
+        """Eigenvalues repeated by multiplicity, truncated to m unless m is
+        None."""
         out = np.repeat(self.values, self.multiplicities)
         return out if m is None else out[:m]
 
@@ -266,14 +267,14 @@ def _scale_estimate(K, M) -> float:
     return dk / dm if dm > 0 else 1.0
 
 
-def merge_spectra(parts: list[tuple[Spectrum, int]], m: int | None = None) -> Spectrum:
+def merge_spectra(parts: list[tuple[Spectrum, int]], m: int | None) -> Spectrum:
     """Merge of sorted spectra, multiplying multiplicities.
 
     ``parts`` is a list of (spectrum, multiplicity) pairs; the result keeps
     values sorted, equal values in input order, and its values are invariant
     under permutation of the inputs.  Entries whose multiplicity is zero are
-    dropped.  With ``m`` the merge stops at the first value whose cumulative
-    multiplicity reaches m.
+    dropped.  Unless ``m`` is None the merge stops at the first value whose
+    cumulative multiplicity reaches m.
     """
     parts = [(spec, mult) for spec, mult in parts if mult != 0 and len(spec)]
     if any(np.any(np.diff(spec.values) < 0) for spec, _ in parts):

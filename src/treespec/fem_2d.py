@@ -36,7 +36,7 @@ from .mesh2d import (
     scatter_pencil,
     stiffness_and_mass,
 )
-from .operator_1d import AssembledSystem, Mesh1D, VertexZones, build_mesh_1d
+from .operator_1d import AssembledSystem, Mesh1D, VertexZones
 from .tree_model import Tree
 
 ASPECT_CAP = 2.5          # axial over cross spacing in the tube meshes
@@ -364,7 +364,7 @@ def matched_mesh_1d(tmesh: TreeMesh2D) -> Matched1D:
             b = local[-1]
             local = local + [0.5 * (b + L), L]
         gen_local.append(np.array(local))
-    mesh = build_mesh_1d(tree, h=np.inf, gen_local=gen_local)
+    mesh = Mesh1D.from_layouts(tree, gen_local)
     gd = mesh.gen_dofs
 
     def per_vertex(own_cols, child_col):

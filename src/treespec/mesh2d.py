@@ -90,7 +90,7 @@ def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
 
 
 def mesh_rectangle(width: float, length: float, n_cross: int, n_axial: int,
-                   dirichlet_bottom: bool = False) -> Mesh2D:
+                   dirichlet_bottom: bool) -> Mesh2D:
     """Structured mesh of [0, width] x [0, length].
 
     The axial direction is y.  Sections "bottom" (y=0) and "top" (y=length)
@@ -135,15 +135,14 @@ def mesh_rectangle(width: float, length: float, n_cross: int, n_axial: int,
     return mesh
 
 
-def mesh_polygon(vertices: np.ndarray, h: float,
-                 sections: dict | None = None,
-                 section_intervals: int | None = None) -> Mesh2D:
+def mesh_polygon(vertices: np.ndarray, h: float, sections: dict,
+                 section_intervals: int | None) -> Mesh2D:
     """Delaunay mesh of a convex polygon with sections resolved on the boundary.
 
     sections maps a label to (edge_index, t0, t1): the sub-segment of boundary
     edge edge_index between relative arclengths t0 and t1.  Each section is
-    subdivided into exactly section_intervals uniform pieces, a count required
-    with sections; the remaining boundary is subdivided at pitch h.  The
+    subdivided into exactly section_intervals uniform pieces (None without
+    sections); the remaining boundary is subdivided at pitch h.  The
     interior pitch is retried around h until the 20-degree quality gate passes.
     """
     best = None
@@ -169,7 +168,6 @@ def _mesh_polygon_once(vertices, h, sections, section_intervals) -> Mesh2D:
     n_poly = len(v)
     if polygon_area(v) <= 0:
         raise MeshError("degenerate polygon")
-    sections = sections or {}
 
     # breakpoints per polygon edge: relative positions of section endpoints
     cuts = {i: {0.0, 1.0} for i in range(n_poly)}

@@ -150,34 +150,9 @@ def build_rho_P(tree: Tree, constants, zones: VertexZones) -> WeightProfile:
 # Radial potentials
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PotentialProfile:
-    """Radial potential W(t), either closed form or sampled (linear interp)."""
-
-    kind: str                       # cosine | sampled
-    params: tuple = ()
-    nodes: np.ndarray | None = None
-    samples: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == "cosine" and (len(self.params) != 2 or not all(
-                isinstance(p, (int, float)) and not isinstance(p, bool)
-                for p in self.params)):
-            raise Operator1DError(
-                f"cosine takes [amp, freq], got {list(self.params)}")
-
-    def __call__(self, t):
-        t = np.asarray(t, float)
-        if self.kind == "cosine":
-            amp, freq = self.params
-            return amp * np.cos(freq * t)
-        if self.kind == "sampled":
-            return np.interp(t, self.nodes, self.samples)
-        raise Operator1DError(f"unknown potential kind {self.kind!r}")
-
-
-def average_potential_1d(W2d, tree: Tree, zones: VertexZones) -> PotentialProfile:
-    """Cross-section average of a 2-D potential W(theta, s) over the inflated tree.
+def average_potential_1d(W2d, tree: Tree, zones: VertexZones):
+    """Cross-section average of a 2-D potential W(theta, s) over the inflated
+    tree, as the radial potential t -> W(t), linear between grid samples.
 
     On the edge skeletons the value is the transverse average over the local
     tube width ``zones.widths``; on the vertex skeletons it is the
@@ -212,7 +187,7 @@ def average_potential_1d(W2d, tree: Tree, zones: VertexZones) -> PotentialProfil
         on = (grid > t_v[j]) & (grid <= hi[j])
         own, foreign = affine_partition(k, (grid[on] - t_v[j]) / chi[j])
         vals[on] = b_chi[j] * own + b_chi[j] * (k - 1) * foreign + b_par[j] * foreign
-    return PotentialProfile("sampled", nodes=grid, samples=vals)
+    return lambda t: np.interp(t, grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -236,50 +211,48 @@ class Mesh1D:
     n_dofs: int
     dof_t: np.ndarray          # distance from root per dof
 
+    @classmethod
+    def from_layouts(cls, tree: Tree, gen_local: list) -> "Mesh1D":
+        """Number the dofs of the given per-generation local node layouts.
 
-def build_mesh_1d(tree: Tree, h: float,
-                  breakpoints: np.ndarray | None = None,
-                  gen_local: list | None = None) -> Mesh1D:
-    """Mesh with pitch <= h whose nodes include all radial breakpoints.
+        Edges are numbered generation-major and each owns the dofs of its
+        local nodes after the first, consecutively: edge (j, i) owns
+        offset_j + i (n_j - 1) + [0, n_j - 1).
+        """
+        k = tree.k
+        gen_dofs = []
+        dof_t = [np.zeros(1)]
+        offset = 1
+        for j, local in enumerate(gen_local):
+            n_edges, n_own = k ** j, len(local) - 1
+            dofs = np.empty((n_edges, n_own + 1), dtype=int)
+            dofs[:, 0] = 0 if j == 0 else gen_dofs[-1][np.arange(n_edges) // k, -1]
+            dofs[:, 1:] = (offset + np.arange(n_edges * n_own)).reshape(n_edges, n_own)
+            dofs.flags.writeable = False
+            gen_dofs.append(dofs)
+            dof_t.append(np.tile(tree.t_shell[j] + local[1:], n_edges))
+            offset += n_edges * n_own
+        return cls(tree=tree, gen_local=gen_local, gen_dofs=gen_dofs,
+                   n_dofs=offset, dof_t=np.concatenate(dof_t))
 
-    ``gen_local`` overrides the per-generation local layouts entirely (used to
-    match the axial stations of a 2-D mesh).
-    """
-    if gen_local is None:
-        bps = np.asarray(breakpoints if breakpoints is not None else [])
-        gen_local = []
-        for j in range(tree.J + 1):
-            t0, t1 = tree.t_shell[j], tree.t_shell[j + 1]
-            local = {0.0, t1 - t0}
-            for b in bps:
-                if t0 + 1e-12 < b < t1 - 1e-12:
-                    local.add(b - t0)
-            pts = sorted(local)
-            refined = [pts[0]]
-            for a, b in zip(pts[:-1], pts[1:]):
-                n = max(1, int(np.ceil((b - a) / h)))
-                refined.extend(np.linspace(a, b, n + 1)[1:])
-            gen_local.append(np.array(refined))
 
-    # Edges are numbered generation-major and each owns the dofs of its local
-    # nodes after the first, consecutively: edge (j, i) owns
-    # offset_j + i (n_j - 1) + [0, n_j - 1).
-    k = tree.k
-    gen_dofs = []
-    dof_t = [np.zeros(1)]
-    offset = 1
-    for j, local in enumerate(gen_local):
-        n_edges, n_own = k ** j, len(local) - 1
-        dofs = np.empty((n_edges, n_own + 1), dtype=int)
-        dofs[:, 0] = 0 if j == 0 else gen_dofs[-1][np.arange(n_edges) // k, -1]
-        dofs[:, 1:] = (offset + np.arange(n_edges * n_own)).reshape(n_edges, n_own)
-        dofs.flags.writeable = False
-        gen_dofs.append(dofs)
-        dof_t.append(np.tile(tree.t_shell[j] + local[1:], n_edges))
-        offset += n_edges * n_own
-
-    return Mesh1D(tree=tree, gen_local=gen_local, gen_dofs=gen_dofs,
-                  n_dofs=offset, dof_t=np.concatenate(dof_t))
+def build_mesh_1d(tree: Tree, h: float, breakpoints) -> Mesh1D:
+    """Mesh with pitch <= h whose nodes include all radial breakpoints."""
+    bps = np.asarray(breakpoints)
+    gen_local = []
+    for j in range(tree.J + 1):
+        t0, t1 = tree.t_shell[j], tree.t_shell[j + 1]
+        local = {0.0, t1 - t0}
+        for b in bps:
+            if t0 + 1e-12 < b < t1 - 1e-12:
+                local.add(b - t0)
+        pts = sorted(local)
+        refined = [pts[0]]
+        for a, b in zip(pts[:-1], pts[1:]):
+            n = max(1, int(np.ceil((b - a) / h)))
+            refined.extend(np.linspace(a, b, n + 1)[1:])
+        gen_local.append(np.array(refined))
+    return Mesh1D.from_layouts(tree, gen_local)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +304,12 @@ def _element_block(dofs, t0, local, rho_a, rho_b, W, weight=1.0):
 
 
 def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
-                rho_beta: WeightProfile,
-                W: PotentialProfile | None) -> AssembledSystem:
+                rho_beta: WeightProfile, W) -> AssembledSystem:
     """Assemble the width-weighted form over the tree mesh, with the root
     (dof 0) eliminated as the Dirichlet dof.
 
-    K holds integral(rho_a u' v') plus, when W is not None, the potential
-    term integral(W rho_b u v) via 2-point Gauss; M is the consistent rho_b
+    K holds integral(rho_a u' v') plus, when the radial potential W(t) is not
+    None, the potential term integral(W rho_b u v) via 2-point Gauss; M is the consistent rho_b
     mass.  Mesh nodes sit on all weight breakpoints, so the weight factors
     are exact per element.
     """

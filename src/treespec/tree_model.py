@@ -128,7 +128,7 @@ class Tree:
         self._check_generation(j)
         return self.spec.delta ** ((self.spec.N - 1) * j) * self.spec.omega
 
-    def tail_radius(self, j: int, truncated: bool = False) -> float:
+    def tail_radius(self, j: int, truncated: bool) -> float:
         """Radius of the maximal connected subtree strictly beyond generation ``j``.
 
         With ``truncated=False`` the geometric tail of the infinite tree is

@@ -31,7 +31,6 @@ from treespec.fem_2d import (
 )
 from treespec.mesh2d import mesh_polygon, stiffness_and_mass
 from treespec.operator_1d import (
-    PotentialProfile,
     assemble_1d,
     average_potential_1d,
     build_mesh_1d,
@@ -58,7 +57,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_analytic_golden_values():
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, delta=0.6, J=0))
-    mesh = build_mesh_1d(tree, h=1.0 / 512)
+    mesh = build_mesh_1d(tree, h=1.0 / 512, breakpoints=())
     rs = rho_star_profile(tree)
     system = assemble_1d(tree, mesh, rs, rs, None)
     spec = smallest_eigenpairs(system.K, system.M, 5, with_vectors=False)
@@ -66,7 +65,7 @@ def test_criterion_1_analytic_golden_values():
     rel_1d = np.abs(spec.values - exact) / exact
 
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    mesh2 = mesh_polygon(square, h=0.02)
+    mesh2 = mesh_polygon(square, h=0.02, sections={}, section_intervals=None)
     K, M = stiffness_and_mass(mesh2)
     neu = smallest_eigenpairs(K, M, 2, with_vectors=False)
     rel_2d = abs(neu.values[1] - np.pi ** 2) / np.pi ** 2
@@ -84,9 +83,9 @@ def test_criterion_2_decomposition_oracle():
     for J in (1, 2, 3):
         for delta in (0.5, 0.6, 0.8):
             tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=delta, J=J))
-            mesh = build_mesh_1d(tree, h=0.02)
+            mesh = build_mesh_1d(tree, h=0.02, breakpoints=())
             rs = rho_star_profile(tree)
-            for W in (None, PotentialProfile("cosine", (1.0, 1.0))):
+            for W in (None, np.cos):
                 system = assemble_1d(tree, mesh, rs, rs, W)
                 m = min(12, system.K.shape[0])
                 direct = smallest_eigenpairs(system.K, system.M, m,
@@ -246,7 +245,7 @@ def test_criterion_7_property_suites():
     suite_c = viol == 0
 
     # (d) tail bounds, 1-D and 2-D, fields vanishing at root and tips
-    mesh1 = build_mesh_1d(tree, h=0.05)
+    mesh1 = build_mesh_1d(tree, h=0.05, breakpoints=())
     tips1 = mesh1.gen_dofs[tree.J][:, -1]
     viol = 0
     for i in range(1000):
@@ -347,7 +346,7 @@ def test_criterion_7_property_suites():
 
     # (f) Kirchhoff residual O(h) on computed eigenvectors
     def residuals(h):
-        mesh = build_mesh_1d(tree, h=h)
+        mesh = build_mesh_1d(tree, h=h, breakpoints=())
         system = assemble_1d(tree, mesh, rs, rs, None)
         spec = smallest_eigenpairs(system.K, system.M, 4)
         return np.array([

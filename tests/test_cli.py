@@ -35,7 +35,7 @@ MINIMAL = {"tree": {"k": 2, "l0": 0.5, "r": 0.5, "delta": 0.6, "N": 2, "J": 2}}
 
 
 def test_minimal_config_fills_defaults(tmp_path):
-    cfg = parse_config(write_cfg(tmp_path, MINIMAL))
+    cfg = parse_config(write_cfg(tmp_path, MINIMAL), ())
     assert cfg.data["tree"]["omega"] == 1.0
     assert cfg.data["geometry"]["eps_list"] == [0.2, 0.1, 0.05]
     assert cfg.data["experiment"]["m"] == 4
@@ -44,7 +44,7 @@ def test_minimal_config_fills_defaults(tmp_path):
 
 def test_bad_delta_rejected_with_key_name(tmp_path):
     with pytest.raises(ConfigError, match="delta"):
-        parse_config(write_cfg(tmp_path, {"tree": {"delta": 1.2}}))
+        parse_config(write_cfg(tmp_path, {"tree": {"delta": 1.2}}), ())
 
 
 def test_unknown_key_rejected_with_path():
@@ -244,13 +244,18 @@ def test_feasibility_is_checked_at_the_pitch_the_subcommand_meshes_at(tmp_path, 
 
 
 def test_weight_zones_rejected_at_load(tmp_path, capsys):
-    # J = 4: zones of width 1/4 collide inside the generation-3 edges
-    cfg = write_cfg(tmp_path, {"tree": {"J": 4}})
-    assert main(["converge-weights", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "tree.J = 4" in err and "experiment.n_list[0] = 4" in err
-    assert "vertex zones collide inside generation 3 edges" in err
+    # J = 4: zones of width 1/4 collide inside the generation-3 edges; J = 0:
+    # no vertex, so every gap is 0 and "gaps decreasing" would fail vacuously
+    for J, wants in ((4, ("experiment.n_list[0] = 4",
+                          "vertex zones collide inside generation 3 edges")),
+                     (0, ("branching vertex",))):
+        cfg = write_cfg(tmp_path, {"tree": {"J": J}})
+        out = tmp_path / f"o{J}"
+        assert main(["converge-weights", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tree.") and f"tree.J = {J}" in err
+        assert all(want in err for want in wants), err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("J", range(11))
@@ -297,6 +302,19 @@ def test_spectrum2d_mesh_dump(tmp_path):
         assert (out / name).exists()
     tags = (out / "mesh_tags.csv").read_text().splitlines()[2:]
     assert any(line.endswith(",1") for line in tags)  # root Dirichlet tagged
+
+
+def test_dump_mesh_rejected_outside_spectrum2d(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    for sub in SUBCOMMANDS:
+        if sub == "spectrum2d":
+            continue
+        out = tmp_path / sub
+        with pytest.raises(SystemExit) as exit_info:
+            main([sub, "--config", str(cfg), "--out", str(out), "--dump-mesh"])
+        assert exit_info.value.code == 2, sub
+        assert "--dump-mesh" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_connector_constants_dump(tmp_path):

@@ -318,6 +318,13 @@ def test_kernel_gap_rejects_bad_request_before_geometry(monkeypatch, which,
         kernel_gap_check(ExperimentConfig(eps_list=eps_list), which)
 
 
+def test_weight_convergence_needs_a_branching_vertex():
+    # with no vertex the zone weights change nothing: every gap is 0 and
+    # "gaps decreasing" would fail vacuously
+    with pytest.raises(ExperimentError, match=r"tree\.J must be >= 1, got 0"):
+        weight_convergence_experiment(ExperimentConfig(tree=TreeSpec(J=0)))
+
+
 @pytest.mark.parametrize("which", ["Q", "P"])
 def test_kernel_gap_needs_a_branching_vertex(which):
     # a lone tube has no connector: both sides name the key instead of
@@ -331,7 +338,7 @@ def test_nonmember_rejected_by_kernel_filter():
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
     matched = matched_mesh_1d(tm)
     u = np.ones(tm.n_nodes)
-    assert p_kernel_residual(tm, matched, u) > 0.5
+    assert p_kernel_residual(matched, u) > 0.5
     # a genuine kernel member: transverse odd profile on one tube
     comp = tm.components[0]
     v = np.zeros(tm.n_nodes)
@@ -340,7 +347,7 @@ def test_nonmember_rejected_by_kernel_filter():
     weights = tm.cross_average_weights()
     xs = np.linspace(0, w, len(weights))
     discrete_avg = weights @ np.sin(2 * np.pi * xs / w)
-    assert p_kernel_residual(tm, matched, v) <= abs(discrete_avg) + 1e-12
+    assert p_kernel_residual(matched, v) <= abs(discrete_avg) + 1e-12
 
 
 def test_p_kernel_basis_annihilates_averages():
@@ -349,12 +356,12 @@ def test_p_kernel_basis_annihilates_averages():
     matched = matched_mesh_1d(tm)
     from treespec.fem_2d import assemble_2d
     system = assemble_2d(tm, None)
-    Z = p_kernel_basis(tm, matched, system.free)
+    Z = p_kernel_basis(matched, system.free)
     rng = np.random.default_rng(0)
     y = rng.standard_normal(Z.shape[1])
     u = np.zeros(tm.n_nodes)
     u[system.free] = Z @ y
-    assert p_kernel_residual(tm, matched, u) < 1e-12
+    assert p_kernel_residual(matched, u) < 1e-12
 
 
 # -- Rayleigh-quotient bounds -------------------------------------------------
@@ -455,10 +462,9 @@ def _rayleigh_fit_loop(direction, samples, eps):
 def test_blocked_rayleigh_samples_match_per_sample_loop(kw):
     cfg = ExperimentConfig(**kw)
     tree = build_tree(cfg.tree)
-    *_, consts = reference_connector(cfg)
     tm = build_geometry_2d(tree, cfg.geometry(0.1))
     matched = matched_mesh_1d(tm)
-    sysQ, sysP = width_weighted_pair(tree, cfg, consts, tm, matched)
+    sysQ, sysP = width_weighted_pair(cfg, matched)
     sys2 = assemble_2d(tm, W=cfg.w2d())
     # 37 is not a multiple of the block width, 5 is below it
     for n in (37, 5):
@@ -606,9 +612,8 @@ def test_holder_constant_linear_in_field():
     matched = matched_mesh_1d(tm)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(tm.n_nodes)
-    c1 = vertex_holder_constant(tm, matched, p_eps_project(tm, matched, u))
-    c2 = vertex_holder_constant(tm, matched, p_eps_project(tm, matched, 3.0 * u))
+    c1 = vertex_holder_constant(matched, p_eps_project(tm, matched, u))
+    c2 = vertex_holder_constant(matched, p_eps_project(tm, matched, 3.0 * u))
     assert c2 == pytest.approx(3.0 * c1, rel=1e-12)
-    zero = vertex_holder_constant(tm, matched,
-                                  p_eps_project(tm, matched, np.ones(tm.n_nodes)))
+    zero = vertex_holder_constant(matched, p_eps_project(tm, matched, np.ones(tm.n_nodes)))
     assert zero == pytest.approx(0.0, abs=1e-12)

@@ -358,14 +358,14 @@ def make_spec(values, mults=None):
 
 
 def test_merge_basic():
-    merged = merge_spectra([(make_spec([1.0, 3.0]), 1), (make_spec([2.0]), 2)])
+    merged = merge_spectra([(make_spec([1.0, 3.0]), 1), (make_spec([2.0]), 2)], m=None)
     assert merged.values.tolist() == [1.0, 2.0, 3.0]
     assert merged.multiplicities.tolist() == [1, 2, 1]
 
 
 def test_merge_single_input_unchanged():
     s = make_spec([0.5, 1.5, 2.5], [1, 2, 1])
-    merged = merge_spectra([(s, 1)])
+    merged = merge_spectra([(s, 1)], m=None)
     assert merged.values.tolist() == s.values.tolist()
     assert merged.multiplicities.tolist() == s.multiplicities.tolist()
 
@@ -377,10 +377,10 @@ def test_merge_permutation_invariant():
         for _ in range(rng.integers(1, 5)):
             vals = np.sort(rng.uniform(0, 10, size=rng.integers(1, 6)))
             parts.append((make_spec(vals), int(rng.integers(1, 4))))
-        ref = merge_spectra(parts)
+        ref = merge_spectra(parts, m=None)
         perm = list(np.random.default_rng(0).permutation(len(parts)))
-        shuffled = merge_spectra([parts[i] for i in perm])
-        assert np.array_equal(ref.expanded_values(), shuffled.expanded_values())
+        shuffled = merge_spectra([parts[i] for i in perm], m=None)
+        assert np.array_equal(ref.expanded_values(None), shuffled.expanded_values(None))
 
 
 def _merge_heap_loop(parts, m=None):
@@ -406,7 +406,7 @@ def test_merge_ties_keep_input_order_and_cut_at_m():
     parts = [(make_spec([1.0, 2.0, 5.0], [1, 3, 1]), 1),
              (make_spec([2.0, 3.0], [2, 1]), 2),
              (make_spec([0.5, 2.0]), 1)]
-    merged = merge_spectra(parts)
+    merged = merge_spectra(parts, m=None)
     assert merged.values.tolist() == [0.5, 1.0, 2.0, 2.0, 2.0, 3.0, 5.0]
     assert merged.multiplicities.tolist() == [1, 1, 3, 4, 1, 2, 1]
     # the cut keeps the first value whose cumulative multiplicity reaches m
@@ -438,7 +438,7 @@ def test_merge_equals_the_heap_merge_with_ties():
 
 
 def test_merge_drops_zero_multiplicity():
-    merged = merge_spectra([(make_spec([1.0]), 1), (make_spec([0.5]), 0)])
+    merged = merge_spectra([(make_spec([1.0]), 1), (make_spec([0.5]), 0)], m=None)
     assert merged.values.tolist() == [1.0]
 
 

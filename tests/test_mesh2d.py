@@ -45,7 +45,7 @@ def test_rectangle_mesh_structure():
 
 
 def test_unit_square_mesh_quality_audit():
-    mesh = mesh_polygon(UNIT_SQUARE, h=0.1)
+    mesh = mesh_polygon(UNIT_SQUARE, h=0.1, sections={}, section_intervals=None)
     angle, max_edge = mesh_quality(mesh)
     assert 150 <= len(mesh.triangles) <= 400
     assert angle >= 20.0
@@ -54,15 +54,15 @@ def test_unit_square_mesh_quality_audit():
 
 
 def test_refining_h_halves_max_edge():
-    m1 = mesh_polygon(UNIT_SQUARE, h=0.2)
-    m2 = mesh_polygon(UNIT_SQUARE, h=0.1)
+    m1 = mesh_polygon(UNIT_SQUARE, h=0.2, sections={}, section_intervals=None)
+    m2 = mesh_polygon(UNIT_SQUARE, h=0.1, sections={}, section_intervals=None)
     _, e1 = mesh_quality(m1)
     _, e2 = mesh_quality(m2)
     assert e2 <= 0.65 * e1
 
 
 def test_boundary_edges_cover_perimeter():
-    mesh = mesh_polygon(UNIT_SQUARE, h=0.15)
+    mesh = mesh_polygon(UNIT_SQUARE, h=0.15, sections={}, section_intervals=None)
     pts = mesh.nodes[mesh.boundary_edges]
     total = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1).sum()
     assert total == pytest.approx(4.0, rel=1e-9)
@@ -82,7 +82,7 @@ def test_sections_resolved_on_boundary():
 
 
 def test_unit_square_neumann_spectrum():
-    mesh = mesh_polygon(UNIT_SQUARE, h=0.05)
+    mesh = mesh_polygon(UNIT_SQUARE, h=0.05, sections={}, section_intervals=None)
     K, M = stiffness_and_mass(mesh)
     spec = smallest_eigenpairs(K, M, 3)
     assert spec.values[0] == pytest.approx(0.0, abs=1e-8)
@@ -91,7 +91,7 @@ def test_unit_square_neumann_spectrum():
 
 
 def test_constant_potential_shifts_spectrum():
-    mesh = mesh_polygon(UNIT_SQUARE, h=0.1)
+    mesh = mesh_polygon(UNIT_SQUARE, h=0.1, sections={}, section_intervals=None)
     K0, M = stiffness_and_mass(mesh)
     K3, _ = stiffness_and_mass(mesh, potential=lambda x, y: 3.0 * np.ones_like(x))
     s0 = smallest_eigenpairs(K0, M, 3)
@@ -114,10 +114,10 @@ def test_thin_rectangle_dirichlet_limit():
 
 def test_degenerate_rectangle_rejected():
     with pytest.raises(MeshError):
-        mesh_rectangle(0.0, 1.0, 2, 2)
+        mesh_rectangle(0.0, 1.0, 2, 2, dirichlet_bottom=False)
 
 
-def _loop_mesh_rectangle(width, length, n_cross, n_axial, dirichlet_bottom=False):
+def _loop_mesh_rectangle(width, length, n_cross, n_axial, dirichlet_bottom):
     """The per-cell and per-edge loop mesher, kept as the reference."""
     xs = np.linspace(0.0, width, n_cross + 1)
     ys = np.linspace(0.0, length, n_axial + 1)

@@ -3,12 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from treespec.connector import EquivalenceConstants, affine_partition
+from treespec.convergence import ExperimentConfig, ExperimentError
 from treespec.eigensolver import smallest_eigenpairs
 from treespec.fem_2d import GeometrySpec2D, build_geometry_2d, matched_mesh_1d
 from treespec.operator_1d import (
     GAUSS2,
     Operator1DError,
-    PotentialProfile,
     VertexZones,
     assemble_1d,
     average_potential_1d,
@@ -133,7 +133,7 @@ def test_eps_out_of_range_rejected():
 
 def test_single_edge_mixed_bc_spectrum():
     tree = single_edge_tree()
-    mesh = build_mesh_1d(tree, h=1 / 256)
+    mesh = build_mesh_1d(tree, h=1 / 256, breakpoints=())
     rs = rho_star_profile(tree)
     spec = spectrum(tree, mesh, rs, rs, None, m=2)
     assert spec.values[0] == pytest.approx((np.pi / 2) ** 2, rel=1e-3)
@@ -142,20 +142,18 @@ def test_single_edge_mixed_bc_spectrum():
 
 def test_constant_potential_exact_shift():
     tree = single_edge_tree()
-    mesh = build_mesh_1d(tree, h=1 / 64)
+    mesh = build_mesh_1d(tree, h=1 / 64, breakpoints=())
     rs = rho_star_profile(tree)
     base = spectrum(tree, mesh, rs, rs, None, m=3)
-    constant = PotentialProfile("sampled", nodes=np.array([0.0, tree.radius]),
-                                samples=np.array([2.5, 2.5]))
-    shifted = spectrum(tree, mesh, rs, rs, W=constant, m=3)
+    shifted = spectrum(tree, mesh, rs, rs, W=lambda t: np.full(np.shape(t), 2.5), m=3)
     assert np.allclose(shifted.values, base.values + 2.5, atol=1e-10)
 
 
 def test_K_symmetric_M_spd():
     tree = build_tree(TreeSpec(k=2, J=2))
-    mesh = build_mesh_1d(tree, h=0.05)
+    mesh = build_mesh_1d(tree, h=0.05, breakpoints=())
     rs = rho_star_profile(tree)
-    sys_ = assemble_1d(tree, mesh, rs, rs, PotentialProfile("cosine", (1.0, 2.0)))
+    sys_ = assemble_1d(tree, mesh, rs, rs, lambda t: np.cos(2.0 * t))
     asym = (sys_.K - sys_.K.T)
     assert np.abs(asym.toarray()).max() == 0.0
     # Cholesky-type factorization succeeds on M
@@ -166,7 +164,7 @@ def test_K_symmetric_M_spd():
 def test_expand_takes_column_blocks():
     tree = build_tree(TreeSpec(k=2, J=2))
     rs = rho_star_profile(tree)
-    sys_ = assemble_1d(tree, build_mesh_1d(tree, h=0.05), rs, rs, None)
+    sys_ = assemble_1d(tree, build_mesh_1d(tree, h=0.05, breakpoints=()), rs, rs, None)
     block = np.random.default_rng(3).standard_normal((len(sys_.free), 5))
     full = sys_.expand(block)
     assert full.shape == (sys_.n_full, 5)
@@ -178,27 +176,24 @@ def test_expand_takes_column_blocks():
 
 @pytest.mark.parametrize("params", [(2.0,), (1.0, 2.0, 3.0), (True, 1.0), ("1", 2.0)])
 def test_cosine_potential_takes_amp_and_freq(params):
-    # the rule of ExperimentConfig.w_limit: no default fills a missing frequency
-    with pytest.raises(Operator1DError, match="amp, freq"):
-        PotentialProfile("cosine", params)
+    # no default fills a missing frequency
+    with pytest.raises(ExperimentError, match=r"potential\.params: cosine takes \[amp, freq\]"):
+        ExperimentConfig(potential="cosine", potential_params=params).w_limit()
     t = np.linspace(0.0, 3.0, 7)
-    assert np.array_equal(PotentialProfile("cosine", (0.5, 2.0))(t), 0.5 * np.cos(2.0 * t))
+    W = ExperimentConfig(potential="cosine", potential_params=(0.5, 2.0)).w_limit()
+    assert np.array_equal(W(t), 0.5 * np.cos(2.0 * t))
 
 
 def test_rayleigh_monotonicity_in_potential():
     tree = build_tree(TreeSpec(k=2, J=1))
-    mesh = build_mesh_1d(tree, h=0.05)
+    mesh = build_mesh_1d(tree, h=0.05, breakpoints=())
     rs = rho_star_profile(tree)
     rq = build_rho_Q(tree, unit_constants(2.0), VertexZones(0.1))
-    w0 = PotentialProfile("cosine", (1.0, 1.0))
-    w1 = PotentialProfile("sampled", nodes=np.array([0.0, tree.radius]),
-                          samples=np.array([0.0, 0.0]))
     # W and W + 1: every eigenvalue may only move up
-    s0 = spectrum(tree, mesh, rq, rs, W=w0, m=8)
-    Wplus = PotentialProfile("sampled",
-                             nodes=np.linspace(0, tree.radius, 200),
-                             samples=w0(np.linspace(0, tree.radius, 200)) + 1.0)
-    s1 = spectrum(tree, mesh, rq, rs, W=Wplus, m=8)
+    s0 = spectrum(tree, mesh, rq, rs, W=np.cos, m=8)
+    nodes = np.linspace(0, tree.radius, 200)
+    s1 = spectrum(tree, mesh, rq, rs, W=lambda t: np.interp(t, nodes, np.cos(nodes) + 1.0),
+                  m=8)
     assert np.all(s1.values >= s0.values - 1e-10)
 
 
@@ -211,7 +206,7 @@ def test_weight_equivalence_envelope():
     r1 = zone_modified_profile(tree, rs, 2.0, zones)
     r2 = zone_modified_profile(tree, rs, 0.5, zones)
     c = 2.0     # max(f, 1/f) over both zone factors f
-    W = PotentialProfile("cosine", (1.0, 1.0))
+    W = np.cos
     C_W = 1.0
     mesh_z = build_mesh_1d(tree, h=0.02, breakpoints=r1.breakpoints)
     limit = spectrum(tree, mesh_z, rs, rs, W=W, m=10)
@@ -227,7 +222,7 @@ def test_kirchhoff_residual_first_order_in_h():
     rs = rho_star_profile(tree)
 
     def residual(h):
-        mesh = build_mesh_1d(tree, h=h)
+        mesh = build_mesh_1d(tree, h=h, breakpoints=())
         sys_ = assemble_1d(tree, mesh, rs, rs, None)
         spec = smallest_eigenpairs(sys_.K, sys_.M, 1)
         u = sys_.expand(spec.vectors[:, 0])
@@ -251,7 +246,7 @@ def test_multiplicity_constant():
 
 def test_decomposition_equals_direct_for_path_graph():
     tree = build_tree(TreeSpec(k=1, l0=1.0, r=0.5, J=3))
-    mesh = build_mesh_1d(tree, h=0.02)
+    mesh = build_mesh_1d(tree, h=0.02, breakpoints=())
     rs = rho_star_profile(tree)
     direct = spectrum(tree, mesh, rs, rs, None, m=8)
     dec = radial_decomposition_spectrum(tree, mesh, rs, rs, None, 8)
@@ -261,9 +256,9 @@ def test_decomposition_equals_direct_for_path_graph():
 @pytest.mark.parametrize("k,J,delta", [(2, 1, 0.6), (2, 2, 0.6), (3, 2, 0.8)])
 def test_decomposition_matches_direct_spectrum(k, J, delta):
     tree = build_tree(TreeSpec(k=k, l0=1.0, r=0.5, delta=delta, J=J))
-    mesh = build_mesh_1d(tree, h=0.02)
+    mesh = build_mesh_1d(tree, h=0.02, breakpoints=())
     rs = rho_star_profile(tree)
-    W = PotentialProfile("cosine", (1.0, 1.0))
+    W = np.cos
     sys_ = assemble_1d(tree, mesh, rs, rs, W)
     m = 12
     direct = smallest_eigenpairs(sys_.K, sys_.M, m, with_vectors=False)
@@ -277,7 +272,7 @@ def test_deepest_component_is_plain_interval_operator():
     # weight, Dirichlet/Neumann interval with closed-form spectrum
     tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, J=2))
     from treespec.operator_1d import radial_component_operator
-    mesh = build_mesh_1d(tree, h=0.002)
+    mesh = build_mesh_1d(tree, h=0.002, breakpoints=())
     rs = rho_star_profile(tree)
     sys_J = radial_component_operator(tree, mesh, rs, rs, None, 2)
     spec = smallest_eigenpairs(sys_J.K, sys_J.M, 2, with_vectors=False)
@@ -290,7 +285,7 @@ def test_component_weight_jump_factor():
     # the relative counting weight of a component multiplies by k across shells
     tree = build_tree(TreeSpec(k=2, N=2, delta=0.6, l0=1.0, r=0.5, J=2))
     from treespec.operator_1d import radial_component_operator
-    mesh = build_mesh_1d(tree, h=0.05)
+    mesh = build_mesh_1d(tree, h=0.05, breakpoints=())
     rs = rho_star_profile(tree)
     sys_j = radial_component_operator(tree, mesh, rs, rs, None, 1)
     # mass of the linear field u = t - t_1 (vanishing at the Dirichlet end)
@@ -372,7 +367,7 @@ def test_average_vertex_zone_convex_combination():
 
 def test_tail_bound_zero_field():
     tree = build_tree(TreeSpec(k=2, J=2))
-    mesh = build_mesh_1d(tree, h=0.1)
+    mesh = build_mesh_1d(tree, h=0.1, breakpoints=())
     rs = rho_star_profile(tree)
     u = np.zeros(mesh.n_dofs)
     assert tail_bound_check(tree, mesh, rs, rs, u, 1) == 0.0
@@ -380,7 +375,7 @@ def test_tail_bound_zero_field():
 
 def test_tail_bound_field_supported_inside():
     tree = build_tree(TreeSpec(k=2, J=2, l0=1.0, r=0.5))
-    mesh = build_mesh_1d(tree, h=0.05)
+    mesh = build_mesh_1d(tree, h=0.05, breakpoints=())
     rs = rho_star_profile(tree)
     u = np.zeros(mesh.n_dofs)
     # nonzero only on generation-0 interior nodes
@@ -390,7 +385,7 @@ def test_tail_bound_field_supported_inside():
 
 def test_tail_bound_random_fields_bounded():
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=2))
-    mesh = build_mesh_1d(tree, h=0.05)
+    mesh = build_mesh_1d(tree, h=0.05, breakpoints=())
     rs = rho_star_profile(tree)
     tips = mesh.gen_dofs[tree.J][:, -1]
     rng = np.random.default_rng(42)
@@ -634,7 +629,7 @@ def test_assembly_equals_per_edge_loop(spec, profile, cosine, dirichlet_root):
     assert all(np.array_equal(mesh.gen_dofs[e.j][e.index], d) for e, d in edge_dofs.items())
     assert mesh.n_dofs == len(dof_t)
     assert np.array_equal(mesh.dof_t, dof_t)
-    W = PotentialProfile("cosine", (1.0, 2.0)) if cosine else None
+    W = (lambda t: np.cos(2.0 * t)) if cosine else None
     system = assemble_1d(tree, mesh, rho_a, rs, W)
     assert np.array_equal(system.free, np.arange(int(dirichlet_root), mesh.n_dofs))
     K, M = assemble_1d_loop(tree, mesh, rho_a, rs, W)
@@ -649,16 +644,15 @@ def test_assembly_equals_per_edge_loop_on_matched_mesh():
     edge_dofs, _ = edge_dofs_loop(tree, mesh.gen_local)
     assert all(np.array_equal(mesh.gen_dofs[e.j][e.index], d) for e, d in edge_dofs.items())
     rs = rho_star_profile(tree)
-    W = PotentialProfile("cosine", (1.0, 1.0))
-    system = assemble_1d(tree, mesh, rs, rs, W)
-    K, M = assemble_1d_loop(tree, mesh, rs, rs, W)
+    system = assemble_1d(tree, mesh, rs, rs, np.cos)
+    K, M = assemble_1d_loop(tree, mesh, rs, rs, np.cos)
     assert_same_csr(system.K, K)
     assert_same_csr(system.M, M)
 
 
 def test_gen_dofs_are_read_only():
     tree = build_tree(TreeSpec(k=2, J=2))
-    mesh = build_mesh_1d(tree, h=0.1)
+    mesh = build_mesh_1d(tree, h=0.1, breakpoints=())
     assert sum(len(dofs) for dofs in mesh.gen_dofs) == len(edges(tree))
     assert len(mesh.gen_dofs) == tree.J + 1
     with pytest.raises(ValueError):
@@ -686,10 +680,8 @@ def test_zone_arrays_equal_per_vertex_loops(spec):
         assert np.array_equal(prof.breakpoints, pts)
         assert np.array_equal(prof.values, vals)
         for W2d in potentials:
-            avg = average_potential_1d(W2d, tree, zones)
             grid, vals = average_potential_loop(W2d, tree, eps, zones)
-            assert np.array_equal(avg.nodes, grid)
-            assert np.array_equal(avg.samples, vals)
+            assert np.array_equal(average_potential_1d(W2d, tree, zones)(grid), vals)
 
 
 @pytest.mark.parametrize("spec", LOOP_TREES, ids=lambda s: f"k{s.k}")

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import treespec
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "treespec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -45,25 +47,14 @@ SCHEMA_CLASSES = {"TreeSpec", "ExperimentConfig"}
 # qualified parameter or dataclass field -> why it keeps a default
 ALLOWED_DEFAULTS = {
     "cli.main.argv": "`argv=None`: read sys.argv, as the console script does",
-    "cli.parse_config.overrides": "`overrides=()`: no --set pairs",
     "convergence.ExperimentConfig.geometry.h":
         "`h=None`: the pitch geometry.h; both values are used in `src`",
-    "eigensolver.Spectrum.expanded_values.m": "`m=None`: every value",
     "eigensolver.Spectrum.residuals":
         "`residuals=None`: merged and clustered spectra carry none",
     "eigensolver.Spectrum.vectors": "`vectors=None`: merged and clustered spectra carry none",
-    "eigensolver.merge_spectra.m": "`m=None`: merge every value",
     "eigensolver.smallest_eigenpairs.with_vectors": "`with_vectors`: both values are used in `src`",
-    "mesh2d.mesh_polygon.section_intervals":
-        "`section_intervals=None`: no sections to subdivide",
-    "mesh2d.mesh_polygon.sections": "`sections=None`: a polygon with no marked sections",
-    "mesh2d.mesh_rectangle.dirichlet_bottom": "`dirichlet_bottom=False`: no Dirichlet end",
     "mesh2d.stiffness_and_mass.potential":
         "`potential=None`: no potential; both values are used in `src`",
-    "operator_1d.PotentialProfile.nodes": "`nodes=None`: a closed-form profile has no samples",
-    "operator_1d.PotentialProfile.params": "`params=()`: a sampled profile has no parameters",
-    "operator_1d.PotentialProfile.samples":
-        "`samples=None`: a closed-form profile has no samples",
     "operator_1d.VertexZones.child_arm":
         "`child_arm=1.0`: the bare skeleton; both values are used in `src`",
     "operator_1d.VertexZones.parent_arm":
@@ -72,11 +63,6 @@ ALLOWED_DEFAULTS = {
         "`gen_min=0`: the whole tree; both values are used in `src`",
     "operator_1d._element_block.weight":
         "`weight=1.0`: unscaled weights; both values are used in `src`",
-    "operator_1d.build_mesh_1d.breakpoints":
-        "`breakpoints=None`: no weight breakpoints; both values are used in `src`",
-    "operator_1d.build_mesh_1d.gen_local":
-        "`gen_local=None`: layouts refined at pitch h; both values are used in `src`",
-    "tree_model.Tree.tail_radius.truncated": "`truncated=False`: the infinite tree's tail",
 }
 
 
@@ -198,3 +184,12 @@ def test_default_scan_sees_signatures_nested_functions_and_fields():
 def test_every_default_outside_the_config_schema_is_pinned():
     found = set().union(*(defaults_in(p.read_text(), p.stem) for p in MODULES))
     assert found == set(ALLOWED_DEFAULTS)
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(treespec.__all__) == sorted(["__version__"] + imported)
+    for name in treespec.__all__:
+        assert hasattr(treespec, name), name

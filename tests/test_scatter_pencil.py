@@ -13,7 +13,6 @@ import scipy.sparse as sp
 from treespec.fem_2d import GeometrySpec2D, assemble_2d, build_geometry_2d
 from treespec.mesh2d import _triangle_block
 from treespec.operator_1d import (
-    PotentialProfile,
     _element_block,
     assemble_1d,
     build_mesh_1d,
@@ -105,12 +104,13 @@ def _cosine_2d(theta, s):
     return np.cos(2.0 * np.asarray(theta)) + 0.5 * np.asarray(s)
 
 
-COSINE_1D = PotentialProfile("cosine", (1.0, 2.0))
+def _cosine_1d(t):
+    return np.cos(2.0 * t)
 
 
 @pytest.mark.parametrize("spec", [TreeSpec(), TreeSpec(k=1, J=3), TreeSpec(k=3, J=3)],
                          ids=["default", "k1", "k3"])
-@pytest.mark.parametrize("W", [None, COSINE_1D], ids=["free", "cosine"])
+@pytest.mark.parametrize("W", [None, _cosine_1d], ids=["free", "cosine"])
 def test_assemble_1d_bitwise_equals_reference(spec, W):
     # at this pitch the vertex sums of the default tree depend on their order
     tree = build_tree(spec)
@@ -125,9 +125,9 @@ def test_radial_component_k3_bitwise_equals_reference(vertex_gen):
     tree = build_tree(TreeSpec(k=3, J=3))
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=0.03, breakpoints=rs.breakpoints)
-    system = radial_component_operator(tree, mesh, rs, rs, COSINE_1D, vertex_gen)
+    system = radial_component_operator(tree, mesh, rs, rs, _cosine_1d, vertex_gen)
     _assert_bitwise((system.K, system.M, system.free),
-                    _reference_1d(tree, mesh, rs, COSINE_1D, vertex_gen))
+                    _reference_1d(tree, mesh, rs, _cosine_1d, vertex_gen))
 
 
 GEOMETRIES = {

@@ -89,8 +89,8 @@ def test_rho_star_strictly_decreasing():
 
 def test_tail_radius():
     tree = build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=2))
-    assert tree.tail_radius(0) == pytest.approx(0.5)
-    assert tree.tail_radius(1) == pytest.approx(0.25)
+    assert tree.tail_radius(0, truncated=False) == pytest.approx(0.5)
+    assert tree.tail_radius(1, truncated=False) == pytest.approx(0.25)
     assert tree.tail_radius(1, truncated=True) == pytest.approx(0.125)
     assert tree.tail_radius(2, truncated=True) == pytest.approx(0.0)
 
