@@ -28,8 +28,6 @@ from .operator_1d import (
     WeightProfile,
     assemble_1d,
     build_mesh_1d,
-    build_rho_P,
-    build_rho_Q,
     discreteness_condition_check,
     radial_decomposition_spectrum,
     rho_star_profile,
@@ -41,7 +39,7 @@ __all__ = [
     "TreeSpec", "Tree", "EdgeId", "build_tree",
     "SkeletonStar", "EquivalenceConstants", "analyze_connector",
     "WeightProfile", "rho_star_profile",
-    "build_rho_Q", "build_rho_P", "build_mesh_1d", "assemble_1d",
+    "build_mesh_1d", "assemble_1d",
     "radial_decomposition_spectrum",
     "discreteness_condition_check",
     "Spectrum", "smallest_eigenpairs", "merge_spectra",

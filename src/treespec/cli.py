@@ -22,6 +22,7 @@ from .convergence import (
     ExperimentConfig,
     ExperimentError,
     eigenfunction_projection_experiment,
+    limit_spectrum_1d,
     rayleigh_bound_check,
     reference_connector,
     sandwich_experiment,
@@ -187,10 +188,18 @@ def parse_config(path, overrides) -> RunConfig:
 
 
 def check_feasible(cfg: RunConfig, subcommand: str) -> None:
-    """Reject a tree on which ``subcommand`` cannot build its geometries: the
-    2-D ones at its coarsest pitch, or the 1-D weight zones of width 1/n,
-    which need a branching vertex."""
+    """Reject a list too short for the trend ``subcommand`` checks, and a tree
+    on which it cannot build its geometries: the 2-D ones at its coarsest
+    pitch, or the 1-D weight zones of width 1/n, which need a branching
+    vertex."""
     ecfg = cfg.experiment
+    trend = {"sandwich": "geometry.eps_list", "project": "geometry.eps_list",
+             "converge-weights": "experiment.n_list"}.get(subcommand)
+    if trend is not None:
+        try:
+            ecfg._require_trend(trend)
+        except ExperimentError as err:
+            raise ConfigError(str(err)) from err
     tree = build_tree(ecfg.tree)
     where = f"tree.k = {tree.k}, tree.J = {tree.J} with"
     if subcommand == "converge-weights":
@@ -272,11 +281,7 @@ def _spectrum_rows(spec):
 
 def run_spectrum1d(cfg: RunConfig, out: Path) -> int:
     ecfg = cfg.experiment
-    tree = build_tree(ecfg.tree)
-    rs = rho_star_profile(tree)
-    mesh = build_mesh_1d(tree, h=ecfg.h_1d, breakpoints=rs.breakpoints)
-    system = assemble_1d(tree, mesh, rs, rs, ecfg.w_limit())
-    spec = smallest_eigenpairs(system.K, system.M, ecfg.m)
+    spec = limit_spectrum_1d(build_tree(ecfg.tree), ecfg)
     write_csv(out / "spectrum1d.csv",
               ["index", "lambda", "multiplicity", "residual"],
               _spectrum_rows(spec), cfg)

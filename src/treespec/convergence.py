@@ -9,7 +9,7 @@ levels and assertions consume the gap minus the bar.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,8 +32,6 @@ from .operator_1d import (
     assemble_1d,
     average_potential_1d,
     build_mesh_1d,
-    build_rho_P,
-    build_rho_Q,
     rho_star_profile,
     zone_modified_profile,
 )
@@ -125,6 +123,16 @@ class ExperimentConfig:
             raise ExperimentError(f"geometry.c: {err}") from err
         self.w_limit()   # rejects a malformed potential
 
+    def _require_trend(self, key: str) -> None:
+        """Reject a trend or rate over "geometry.eps_list" or
+        "experiment.n_list" with fewer than two entries: over one value a
+        monotonicity check passes vacuously and a rate has no slope."""
+        values = {"geometry.eps_list": self.eps_list, "experiment.n_list": self.n_list}[key]
+        if len(values) < 2:
+            noun = key.rpartition(".")[2].removesuffix("_list")
+            raise ExperimentError(f"{key}: a trend needs at least two {noun} values, "
+                                  f"got {list(values)}")
+
     # potential plumbing: the radial potential is the one definition and
     # check; the 2-D potential and the bound C_W are read after it
     def w_limit(self):
@@ -170,18 +178,20 @@ def _reference_connector(delta, c, k, omega, N):
                                         h=0.05, section_intervals=12))
 
 
-def width_weighted_pair(cfg: ExperimentConfig, matched: Matched1D):
-    """Pencils of A_Q^eps and A_P^eps on the matched 1-D mesh: rho* with the
-    zone weights rho_Q / rho_P of the reference connector's constants, and
-    the cross-section average of the 2-D potential."""
+def width_weighted_pencil(cfg: ExperimentConfig, matched: Matched1D, which: str):
+    """Pencil of A_Q^eps (which = "Q") or A_P^eps ("P") on the matched 1-D
+    mesh: the stiffness weight is rho* scaled on the vertex zones by the
+    reference connector's rho_Q factor (a boost) or rho_P factor (a damping),
+    the mass weight rho*, and the potential the cross-section average of the
+    2-D one."""
     tree, zones = matched.tmesh.tree, matched.tmesh.zones
     *_, consts = reference_connector(cfg)
+    factor = {"Q": consts.rho_Q_factor, "P": consts.rho_P_factor}[which]
     rs = rho_star_profile(tree)
     W2d = cfg.w2d()
     W1 = None if W2d is None else average_potential_1d(W2d, tree, zones)
-    return tuple(assemble_1d(tree, matched.mesh, rho, rs, W1)
-                 for rho in (build_rho_Q(tree, consts, zones),
-                             build_rho_P(tree, consts, zones)))
+    return assemble_1d(tree, matched.mesh, zone_modified_profile(tree, rs, factor, zones),
+                       rs, W1)
 
 
 def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float):
@@ -245,6 +255,7 @@ def weight_convergence_experiment(cfg: ExperimentConfig) -> WeightConvergenceRep
     differences reflect the weights alone.
     """
     cfg.validate()
+    cfg._require_trend("experiment.n_list")
     if cfg.tree.J < 1:
         raise ExperimentError("the weight zones need a branching vertex: "
                               f"tree.J must be >= 1, got {cfg.tree.J}")
@@ -332,6 +343,7 @@ def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
     """Per eps: mu (A_Q), lambda (A_P), nu (2-D), fitted c and the gap to the
     limit spectrum."""
     cfg.validate()
+    cfg._require_trend("geometry.eps_list")
     tree = build_tree(cfg.tree)
     limit_spec = limit_spectrum_1d(tree, cfg)
 
@@ -340,7 +352,8 @@ def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
     gaps1 = []
     for eps in cfg.eps_list:
         nu, bars, tm = richardson_eigenvalues(tree, cfg, eps)
-        sysQ, sysP = width_weighted_pair(cfg, matched_mesh_1d(tm))
+        matched = matched_mesh_1d(tm)
+        sysQ, sysP = (width_weighted_pencil(cfg, matched, w) for w in ("Q", "P"))
         mu = smallest_eigenpairs(sysQ.K, sysQ.M, cfg.m, with_vectors=False).values
         lam = smallest_eigenpairs(sysP.K, sysP.M, cfg.m, with_vectors=False).values
         c_fit = _fit_sandwich_c(eps, mu, lam, nu, bars)
@@ -408,8 +421,7 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
     cfg.validate()
     if which not in ("Q", "P"):
         raise ExperimentError("which must be 'Q' or 'P'")
-    if len(cfg.eps_list) < 2:
-        raise ExperimentError("a rate fit needs at least two eps values")
+    cfg._require_trend("geometry.eps_list")
     if cfg.tree.J < 1:
         raise ExperimentError("the kernel gap needs a branching vertex: "
                               f"tree.J must be >= 1, got {cfg.tree.J}")
@@ -420,7 +432,7 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
         tm = build_geometry_2d(tree, cfg.geometry(eps))
         matched = matched_mesh_1d(tm)
         if which == "Q":
-            system, _ = width_weighted_pair(cfg, matched)
+            system = width_weighted_pencil(cfg, matched, "Q")
             # the zone dofs, in the numbering of the root-eliminated pencil
             dofs = np.searchsorted(system.free, q_kernel_dofs(matched.mesh, tm.zones))
             Kz = system.K[np.ix_(dofs, dofs)]
@@ -433,7 +445,10 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
         vals = smallest_eigenpairs(Kz, Mz, 1, with_vectors=False).values
         infima.append(float(vals[0]))
         if which == "P":
-            Mv_f = tm.connector_triangle_mass()
+            # the mass of the connector components alone, on the same node
+            # numbering and root section, so over the same free dofs
+            Mv_f = assemble_2d(replace(tm, components=[
+                c for c in tm.components if c.kind == "connector"]), None).M
             # the concentration r = inf uKu / uM_conn u; the SPD pencil
             # (K, K + M_conn) has the smallest eigenvalue q = r / (1 + r)
             q = smallest_eigenpairs(system.K, system.K + Mv_f, 1,
@@ -593,7 +608,7 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
     rng = np.random.default_rng(cfg.seed)
     tm = build_geometry_2d(tree, cfg.geometry(eps))
     matched = matched_mesh_1d(tm)
-    sysQ, sysP = width_weighted_pair(cfg, matched)
+    sysQ, sysP = (width_weighted_pencil(cfg, matched, w) for w in ("Q", "P"))
     sys2 = assemble_2d(tm, W=cfg.w2d())
     samples_Q, samples_P = _rayleigh_samples(rng, n_samples, tm, matched,
                                              sysQ, sysP, sys2)
@@ -644,6 +659,7 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionRepo
     eps whose projected mode overlaps the limit mode by less than 0.5.
     """
     cfg.validate()
+    cfg._require_trend("geometry.eps_list")
     tree = build_tree(cfg.tree)
     W2d = cfg.w2d()
     rows = []

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .connector import (
-    ConnectorDomain2D,
     affine_partition,
     canonical_connector,
     harmonic_partition_2d,
@@ -117,9 +116,7 @@ class TreeMesh2D:
     components: list
     n_nodes: int
     root_nodes: np.ndarray
-    canonical: ConnectorDomain2D
     conn_phi: np.ndarray                  # canonical harmonic partition
-    conn_mesh_canonical: Mesh2D
     stations: list
     zones: VertexZones                    # the connector skeletons on the 1-D tree
 
@@ -131,11 +128,6 @@ class TreeMesh2D:
 
     def total_area(self) -> float:
         return float(sum(len(c.gids) * c.mesh.area() for c in self.components))
-
-    def connector_triangle_mass(self) -> sp.csr_matrix:
-        """Mass matrix of the connector components over the free dofs of
-        ``assemble_2d`` (the root section eliminated)."""
-        return _scatter_assembly(self, None, "connector")[1]
 
 
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
@@ -153,8 +145,9 @@ def _canonical_connector_mesh(delta: float, c: float, k: int, n_cross: int):
 def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
     """Mesh the inflated tree and set up all interface identifications.
 
-    The canonical connector, its mesh and ``conn_phi`` are shared, read-only,
-    with every other geometry of the same (delta, c, k, n_cross)."""
+    ``conn_phi`` and the triangles and sections of the connector meshes are
+    the canonical connector mesh's arrays, shared read-only with every other
+    geometry of the same (delta, c, k, n_cross)."""
     zones = spec2d.validate(tree)
     h, n_cross, k = spec2d.h, spec2d.n_cross, tree.k
 
@@ -207,15 +200,15 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
 
     root_nodes = stations[0][1][0, 0].copy()
     return TreeMesh2D(tree=tree, spec2d=spec2d, components=components,
-                      n_nodes=counter, root_nodes=root_nodes,
-                      canonical=canonical, conn_phi=phi,
-                      conn_mesh_canonical=conn_mesh,
+                      n_nodes=counter, root_nodes=root_nodes, conn_phi=phi,
                       stations=stations, zones=zones)
 
 
-def _scatter_assembly(tmesh: TreeMesh2D, W, only_kind: str | None):
-    """Assemble global (K, M, free) by scattering local matrices, the root
-    section eliminated; ``only_kind`` None takes every component.
+def assemble_2d(tmesh: TreeMesh2D, W) -> AssembledSystem:
+    """Global stiffness/mass pencil with the root section eliminated.
+
+    W, when not None, is a callable W(theta, s) evaluated per triangle (radial
+    potentials depend on theta only; s is the local cross coordinate).
 
     The copies of a component share their local mesh and radial coordinates,
     so the local pair is assembled once per component and scattered to every
@@ -224,9 +217,7 @@ def _scatter_assembly(tmesh: TreeMesh2D, W, only_kind: str | None):
     each row of the union holds the entries of one component only, so it
     sums them as the component's own assembly would.
     """
-    comps = [c for c in tmesh.components if only_kind is None or c.kind == only_kind]
-    if not comps:
-        return scatter_pencil(tmesh.n_nodes, [], tmesh.root_nodes)
+    comps = tmesh.components
     starts = np.cumsum([0] + [c.mesh.n_nodes for c in comps])
     union = Mesh2D(np.concatenate([c.mesh.nodes for c in comps]),
                    np.concatenate([c.mesh.triangles + a for c, a in zip(comps, starts)]),
@@ -250,16 +241,7 @@ def _scatter_assembly(tmesh: TreeMesh2D, W, only_kind: str | None):
         entries = slice(ptr[0], ptr[-1])
         blocks.append((comp.gids, rows, Kl.indices[entries] - a,
                        Kl.data[entries], Ml.data[entries]))
-    return scatter_pencil(tmesh.n_nodes, blocks, tmesh.root_nodes)
-
-
-def assemble_2d(tmesh: TreeMesh2D, W) -> AssembledSystem:
-    """Global stiffness/mass pencil with the root section eliminated.
-
-    W, when not None, is a callable W(theta, s) evaluated per triangle (radial
-    potentials depend on theta only; s is the local cross coordinate).
-    """
-    K, M, free = _scatter_assembly(tmesh, W, None)
+    K, M, free = scatter_pencil(tmesh.n_nodes, blocks, tmesh.root_nodes)
     return AssembledSystem(K=K, M=M, free=free, n_full=tmesh.n_nodes)
 
 

@@ -136,16 +136,6 @@ def zone_modified_profile(tree: Tree, base: WeightProfile, factor: float,
     return WeightProfile(pts, vals)
 
 
-def build_rho_Q(tree: Tree, constants, zones: VertexZones) -> WeightProfile:
-    """rho* boosted by max{alpha_A/beta_Abar, alpha_B/beta_Bbar} on vertex zones."""
-    return zone_modified_profile(tree, rho_star_profile(tree), constants.rho_Q_factor, zones)
-
-
-def build_rho_P(tree: Tree, constants, zones: VertexZones) -> WeightProfile:
-    """rho* damped by min{beta_A/alpha_Abar, beta_B/alpha_Bbar} on vertex zones."""
-    return zone_modified_profile(tree, rho_star_profile(tree), constants.rho_P_factor, zones)
-
-
 # ---------------------------------------------------------------------------
 # Radial potentials
 # ---------------------------------------------------------------------------

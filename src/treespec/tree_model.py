@@ -93,7 +93,6 @@ class Tree:
         self.t_shell = spec.l0 * (1.0 - spec.r ** j) / (1.0 - spec.r)
         self.edge_lengths = spec.l0 * spec.r ** np.arange(spec.J + 1)
         self.radius = float(self.t_shell[-1])
-        self.infinite_radius = spec.l0 / (1.0 - spec.r)
 
     @property
     def k(self) -> int:

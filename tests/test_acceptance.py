@@ -34,14 +34,13 @@ from treespec.operator_1d import (
     assemble_1d,
     average_potential_1d,
     build_mesh_1d,
-    build_rho_P,
-    build_rho_Q,
     discreteness_condition_check,
     hardy_inequality_check,
     kirchhoff_residuals,
     radial_decomposition_spectrum,
     rho_star_profile,
     tail_bound_check,
+    zone_modified_profile,
 )
 from treespec.tree_model import TreeSpec, build_tree
 
@@ -296,8 +295,8 @@ def test_criterion_7_property_suites():
     matched = matched_mesh_1d(tm)
     W2d = lambda t, s: np.cos(t)
     W1 = average_potential_1d(W2d, tree, tm.zones)
-    rq = build_rho_Q(tree, consts, tm.zones)
-    rp = build_rho_P(tree, consts, tm.zones)
+    rq = zone_modified_profile(tree, rho_star_profile(tree), consts.rho_Q_factor, tm.zones)
+    rp = zone_modified_profile(tree, rho_star_profile(tree), consts.rho_P_factor, tm.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rs, None)
     sysP = assemble_1d(tree, matched.mesh, rp, rs, None)
     sys_rs = assemble_1d(tree, matched.mesh, rs, rs, None)

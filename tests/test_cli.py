@@ -235,12 +235,12 @@ def test_deep_tree_rejected_at_load_only_where_a_geometry_is_built(tmp_path, cap
 def test_feasibility_is_checked_at_the_pitch_the_subcommand_meshes_at(tmp_path, capsys):
     # J = 8, eps 0.2: the connector cuts leave too short an edge at h but
     # not at the h/2 that project meshes at
-    cfg = write_cfg(tmp_path, {"tree": {"J": 8}, "geometry": {"eps_list": [0.2]}})
+    cfg = write_cfg(tmp_path, {"tree": {"J": 8}, "geometry": {"eps_list": [0.2, 0.1]}})
     for sub in ("spectrum2d", "sandwich"):
         assert main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)]) == 2
         err = capsys.readouterr().err
         assert "tree.J = 8" in err and "geometry.eps_list[0] = 0.2" in err
-    assert main(["project", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    check_feasible(parse_config(cfg, ()), "project")
 
 
 def test_weight_zones_rejected_at_load(tmp_path, capsys):
@@ -258,6 +258,30 @@ def test_weight_zones_rejected_at_load(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("sub, payload, key", [
+    ("sandwich", {"geometry": {"eps_list": [0.2]}}, "geometry.eps_list"),
+    ("project", {"geometry": {"eps_list": [0.2]}}, "geometry.eps_list"),
+    ("converge-weights", {"experiment": {"n_list": [4]}}, "experiment.n_list"),
+])
+def test_one_entry_trend_rejected_at_load(tmp_path, capsys, sub, payload, key):
+    # a monotonicity check over one value would pass vacuously
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: a trend needs at least two"), err
+    assert not out.exists()
+
+
+def test_one_entry_lists_still_run_where_no_trend_is_checked(tmp_path):
+    cfg = write_cfg(tmp_path, {"geometry": {"eps_list": [0.2]},
+                               "experiment": {"n_list": [4]}})
+    for sub in SUBCOMMANDS:
+        if sub not in ("sandwich", "project", "converge-weights"):
+            check_feasible(parse_config(cfg, ()), sub)
+    assert main(["spectrum2d", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("J", range(11))
 def test_load_verdict_equals_build_verdict(J):
     # spectrum2d meshes at geometry.h, project at geometry.h / 2; a rejected
@@ -267,7 +291,9 @@ def test_load_verdict_equals_build_verdict(J):
     ecfg = ExperimentConfig()
     for sub, h in (("spectrum2d", 0.03), ("project", 0.015)):
         for eps in ecfg.eps_list:
-            cfg = validate_config({"tree": {"J": J}, "geometry": {"eps_list": [eps]}})
+            # project checks a trend, so it needs a second entry; eps / 2 is
+            # feasible wherever eps is, for J <= 10
+            cfg = validate_config({"tree": {"J": J}, "geometry": {"eps_list": [eps, eps / 2]}})
             try:
                 check_feasible(cfg, sub)
             except ConfigError:

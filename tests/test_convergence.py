@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from treespec.convergence import (
     sandwich_experiment,
     vertex_holder_constant,
     weight_convergence_experiment,
-    width_weighted_pair,
+    width_weighted_pencil,
 )
 from treespec.eigensolver import DENSE_CUTOFF, smallest_eigenpairs
 from treespec.fem_2d import (
@@ -288,7 +289,8 @@ def test_connector_concentration_above_dense_cutoff():
         system = assemble_2d(tm, None)
         free = system.free
         assert len(free) > DENSE_CUTOFF
-        Mv_f = tm.connector_triangle_mass()
+        Mv_f = assemble_2d(dataclasses.replace(tm, components=[
+            c for c in tm.components if c.kind == "connector"]), None).M
         eta = spla.eigsh(Mv_f, k=1, M=system.K, which="LA", v0=np.ones(len(free)),
                          return_eigenvectors=False)[0]
         assert concentration == pytest.approx(1.0 / eta, rel=1e-9, abs=0.0)
@@ -316,6 +318,36 @@ def test_kernel_gap_rejects_bad_request_before_geometry(monkeypatch, which,
     monkeypatch.setattr(convergence, "build_geometry_2d", no_geometry)
     with pytest.raises(ExperimentError, match=match):
         kernel_gap_check(ExperimentConfig(eps_list=eps_list), which)
+
+
+@pytest.mark.parametrize("experiment, kw, key", [
+    (sandwich_experiment, {"eps_list": (0.2,)}, "geometry.eps_list"),
+    (eigenfunction_projection_experiment, {"eps_list": (0.2,)}, "geometry.eps_list"),
+    (weight_convergence_experiment, {"n_list": (4,)}, "experiment.n_list"),
+], ids=["sandwich", "project", "converge-weights"])
+def test_one_value_trend_rejected_before_any_solve(monkeypatch, experiment, kw, key):
+    # over one value "gaps decreasing" and "distances decreasing" pass vacuously
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the request was checked")
+
+    monkeypatch.setattr(convergence, "smallest_eigenpairs", no_solve)
+    with pytest.raises(ExperimentError, match=rf"{key}: a trend needs at least two"):
+        experiment(ExperimentConfig(**kw))
+
+
+def test_kernel_gap_Q_assembles_one_pencil_per_eps(monkeypatch):
+    # the Q side reads the A_Q pencil only
+    calls = []
+    assemble = convergence.assemble_1d
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "assemble_1d", counting)
+    cfg = ExperimentConfig()
+    kernel_gap_check(cfg, "Q")
+    assert len(calls) == len(cfg.eps_list)
 
 
 def test_weight_convergence_needs_a_branching_vertex():
@@ -464,7 +496,7 @@ def test_blocked_rayleigh_samples_match_per_sample_loop(kw):
     tree = build_tree(cfg.tree)
     tm = build_geometry_2d(tree, cfg.geometry(0.1))
     matched = matched_mesh_1d(tm)
-    sysQ, sysP = width_weighted_pair(cfg, matched)
+    sysQ, sysP = (width_weighted_pencil(cfg, matched, w) for w in ("Q", "P"))
     sys2 = assemble_2d(tm, W=cfg.w2d())
     # 37 is not a multiple of the block width, 5 is below it
     for n in (37, 5):
@@ -541,20 +573,11 @@ def test_lifted_ground_state_dominates_2d_eigenvalue():
     # min-max mechanics behind the sandwich: lifting the first eigenfunction
     # of the boosted-weight 1-D operator gives an admissible 2-D trial field,
     # so nu_1 <= R_2D[Q f_1], and R_2D[Q f_1] is controlled by mu_1
-    from treespec.connector import analyze_connector
-    from treespec.fem_2d import assemble_2d, q_eps_lift
-    from treespec.operator_1d import assemble_1d, build_rho_Q, rho_star_profile
-    from treespec.eigensolver import smallest_eigenpairs
-
-    tree = build_tree(TreeSpec())
+    cfg = ExperimentConfig()
     eps = 0.1
-    tm = build_geometry_2d(tree, GeometrySpec2D(eps=eps, c=0.3, h=0.03, n_cross=3))
+    tm = build_geometry_2d(build_tree(cfg.tree), cfg.geometry(eps))
     matched = matched_mesh_1d(tm)
-    _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
-                                           h=0.05, section_intervals=12)
-    rq = build_rho_Q(tree, consts, tm.zones)
-    rs = rho_star_profile(tree)
-    sysQ = assemble_1d(tree, matched.mesh, rq, rs, None)
+    sysQ = width_weighted_pencil(cfg, matched, "Q")
     specQ = smallest_eigenpairs(sysQ.K, sysQ.M, 1)
     mu1 = specQ.values[0]
     f = sysQ.expand(specQ.vectors[:, 0])

@@ -476,5 +476,7 @@ def test_every_pencil_solve_goes_through_the_eigensolver():
     for name, text in sources.items():
         if name != "eigensolver.py":
             assert not PENCIL_SOLVERS.search(text), name
-    assert "_scatter_assembly" not in sources["convergence.py"]
+    # experiments assemble through assemble_1d and assemble_2d only
+    for name in ("scatter_pencil", "stiffness_and_mass"):
+        assert name not in sources["convergence.py"], name
     assert "scipy.sparse.linalg" not in sources["convergence.py"]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from treespec.eigensolver import smallest_eigenpairs
 from treespec.fem_2d import (
     Geometry2DError,
     GeometrySpec2D,
-    _scatter_assembly,
     assemble_2d,
     build_geometry_2d,
     closed_form_component_areas,
@@ -42,6 +42,19 @@ def tmesh():
     return build_geometry_2d(build_tree(BINARY), GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3))
 
 
+def canonical_connector_mesh(tm):
+    """(canonical connector, its mesh, its harmonic partition) of the key the
+    geometry was built on."""
+    return fem_2d._canonical_connector_mesh(tm.tree.spec.delta, tm.spec2d.c, tm.tree.k,
+                                            tm.spec2d.n_cross)
+
+
+def connectors_only(tm):
+    """The geometry with its connector components alone."""
+    return dataclasses.replace(tm, components=[c for c in tm.components
+                                               if c.kind == "connector"])
+
+
 # -- geometry -----------------------------------------------------------------
 
 def test_single_rectangle_when_J_zero():
@@ -49,13 +62,13 @@ def test_single_rectangle_when_J_zero():
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, c=0.3, h=0.05, n_cross=3))
     assert len(tm.components) == 1
     assert tm.total_area() == pytest.approx(0.1 * 1.0, rel=1e-12)
-    assert tm.connector_triangle_mass().nnz == 0
 
 
 def test_shared_connector_arrays_are_read_only(tmesh):
-    for array in (tmesh.conn_phi, tmesh.conn_mesh_canonical.nodes,
-                  tmesh.canonical.vertices,
-                  tmesh.conn_mesh_canonical.sections["S0"]):
+    canonical, conn_mesh, phi = canonical_connector_mesh(tmesh)
+    assert tmesh.conn_phi is phi
+    for array in (tmesh.conn_phi, conn_mesh.nodes, canonical.vertices,
+                  conn_mesh.sections["S0"]):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -208,7 +221,7 @@ def _p_eps_loop(tmesh, mesh, u_global):
     own, foreign = affine_partition(tree.k, 0.5)
     connectors = {EdgeId(c.j, i): gids for c in tmesh.components
                   if c.kind == "connector" for i, gids in enumerate(c.gids)}
-    sections = tmesh.conn_mesh_canonical.sections
+    sections = canonical_connector_mesh(tmesh)[1].sections
     for e, zinfo in zone_dofs.items():
         u_par = float(w @ u_global[connectors[e][sections["S0"]]])
         u_kids = [float(w @ u_global[connectors[e][sections[f"S{pos + 1}"]]])
@@ -275,7 +288,7 @@ def _per_edge_layout(tm):
     station rows), root_nodes, n_nodes)."""
     tree, k, spec2d = tm.tree, tm.tree.k, tm.spec2d
     rect = {c.j: c.mesh for c in tm.components if c.kind == "edge"}
-    conn = tm.conn_mesh_canonical
+    canonical, conn, _ = canonical_connector_mesh(tm)
     counter = 0
 
     def fresh(n):
@@ -304,7 +317,7 @@ def _per_edge_layout(tm):
         interior = gids < 0
         gids[interior] = fresh(int(interior.sum()))
         vertices[e] = (gids, tree.t_shell[e.j + 1]
-                       + (local[:, 1] - tm.canonical.center[1] * scale))
+                       + (local[:, 1] - canonical.center[1] * scale))
     return by_edge, vertices, stations, stations[EdgeId(0, 0)][1][0].copy(), counter
 
 
@@ -415,14 +428,14 @@ def test_q_then_p_is_identity_at_stations(tmesh):
 def test_q_energy_bound_random_fields(tmesh):
     # Dirichlet energy of the lift is bounded by eps * weighted 1-D energy
     from treespec.connector import analyze_connector
-    from treespec.operator_1d import assemble_1d, build_rho_Q, rho_star_profile
+    from treespec.operator_1d import assemble_1d, rho_star_profile, zone_modified_profile
 
     tree = tmesh.tree
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
     _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
                                            h=0.06, section_intervals=10)
-    rq = build_rho_Q(tree, consts, tmesh.zones)
+    rq = zone_modified_profile(tree, rho_star_profile(tree), consts.rho_Q_factor, tmesh.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rho_star_profile(tree), None)
     sys2 = assemble_2d(tmesh, None)
     rng = np.random.default_rng(21)
@@ -437,14 +450,14 @@ def test_q_energy_bound_random_fields(tmesh):
 
 def test_p_energy_bound_random_fields(tmesh):
     from treespec.connector import analyze_connector
-    from treespec.operator_1d import assemble_1d, build_rho_P, rho_star_profile
+    from treespec.operator_1d import assemble_1d, rho_star_profile, zone_modified_profile
 
     tree = tmesh.tree
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
     _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
                                            h=0.06, section_intervals=10)
-    rp = build_rho_P(tree, consts, tmesh.zones)
+    rp = zone_modified_profile(tree, rho_star_profile(tree), consts.rho_P_factor, tmesh.zones)
     sysP = assemble_1d(tree, matched.mesh, rp, rho_star_profile(tree), None)
     sys2 = assemble_2d(tmesh, None)
     rng = np.random.default_rng(22)
@@ -464,7 +477,7 @@ def connector_tail(tm, u_global):
     assembly, for a field u that vanishes on the root section."""
     sysd = assemble_2d(tm, None)
     u = u_global[sysd.free]
-    m_conn = tm.connector_triangle_mass()
+    m_conn = assemble_2d(connectors_only(tm), None).M
     num = float(u @ (m_conn @ u))
     den = float(u @ (sysd.K @ u))
     if den == 0.0:
@@ -566,10 +579,10 @@ def test_grouped_assembly_equals_per_component_loop(spec, eps, h, n_cross):
 
     for W in (None, cosine):
         for only_kind in (None, "connector"):
-            got = _scatter_assembly(tm, W, only_kind)
-            free = np.ix_(got[2], got[2])
+            got = assemble_2d(tm if only_kind is None else connectors_only(tm), W)
+            free = np.ix_(got.free, got.free)
             want = [A[free] for A in _per_component_assembly(tm, W=W, only_kind=only_kind)]
-            for A, B in zip(got, want):
+            for A, B in zip((got.K, got.M), want):
                 assert np.array_equal(A.indptr, B.indptr)
                 assert np.array_equal(A.indices, B.indices)
                 assert np.array_equal(A.data, B.data)

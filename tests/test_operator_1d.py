@@ -13,8 +13,6 @@ from treespec.operator_1d import (
     assemble_1d,
     average_potential_1d,
     build_mesh_1d,
-    build_rho_P,
-    build_rho_Q,
     component_multiplicity,
     discreteness_condition_check,
     hardy_inequality_check,
@@ -38,6 +36,11 @@ def single_edge_tree(l0=1.0):
     return build_tree(TreeSpec(k=1, l0=l0, r=0.5, delta=0.6, J=0))
 
 
+def zone_profile(tree, factor, zones):
+    """rho* scaled by ``factor`` on the vertex zones."""
+    return zone_modified_profile(tree, rho_star_profile(tree), factor, zones)
+
+
 def unit_constants(q=1.0, p=1.0):
     """Synthetic constants with prescribed rho_Q / rho_P factors."""
     return EquivalenceConstants(
@@ -59,7 +62,7 @@ def test_rho_star_profile_values():
 def test_factor_one_zone_profile_is_identity():
     tree = build_tree(TreeSpec(k=2, J=2))
     rs = rho_star_profile(tree)
-    prof = build_rho_Q(tree, unit_constants(q=1.0), VertexZones(0.1))
+    prof = zone_profile(tree, 1.0, VertexZones(0.1))
     t = np.linspace(0, tree.radius * 0.999, 500)
     assert np.allclose(prof(t), rs(t))
 
@@ -109,8 +112,8 @@ def test_zone_measure_proportional_to_eps():
 def test_rho_P_below_rho_star_below_rho_Q():
     tree = build_tree(TreeSpec(k=2, J=2))
     consts = unit_constants(q=3.0, p=0.25)
-    rq = build_rho_Q(tree, consts, VertexZones(0.15))
-    rp = build_rho_P(tree, consts, VertexZones(0.15))
+    rq = zone_profile(tree, consts.rho_Q_factor, VertexZones(0.15))
+    rp = zone_profile(tree, consts.rho_P_factor, VertexZones(0.15))
     rs = rho_star_profile(tree)
     t = np.linspace(0, tree.radius * 0.999, 800)
     assert np.all(rp(t) <= rs(t) + 1e-15)
@@ -120,13 +123,13 @@ def test_rho_P_below_rho_star_below_rho_Q():
 def test_zone_overlap_rejected():
     tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=0.9, J=2))
     with pytest.raises(Operator1DError):
-        build_rho_Q(tree, unit_constants(2.0), VertexZones(0.9))
+        zone_profile(tree, 2.0, VertexZones(0.9))
 
 
 def test_eps_out_of_range_rejected():
     tree = build_tree(TreeSpec(k=2, J=1))
     with pytest.raises(Operator1DError):
-        build_rho_Q(tree, unit_constants(), VertexZones(1.5))
+        zone_profile(tree, 1.0, VertexZones(1.5))
 
 
 # -- assembly and golden spectra ----------------------------------------------
@@ -188,7 +191,7 @@ def test_rayleigh_monotonicity_in_potential():
     tree = build_tree(TreeSpec(k=2, J=1))
     mesh = build_mesh_1d(tree, h=0.05, breakpoints=())
     rs = rho_star_profile(tree)
-    rq = build_rho_Q(tree, unit_constants(2.0), VertexZones(0.1))
+    rq = zone_profile(tree, 2.0, VertexZones(0.1))
     # W and W + 1: every eigenvalue may only move up
     s0 = spectrum(tree, mesh, rq, rs, W=np.cos, m=8)
     nodes = np.linspace(0, tree.radius, 200)
@@ -622,7 +625,7 @@ LOOP_TREES = [TreeSpec(k=1, J=3), TreeSpec(k=2, delta=0.6, J=3),
 def test_assembly_equals_per_edge_loop(spec, profile, cosine, dirichlet_root):
     tree = build_tree(spec)
     rs = rho_star_profile(tree)
-    rho_a = rs if profile == "rho_star" else build_rho_Q(tree, unit_constants(2.5), VertexZones(0.1))
+    rho_a = rs if profile == "rho_star" else zone_profile(tree, 2.5, VertexZones(0.1))
     mesh = build_mesh_1d(tree, h=0.04, breakpoints=rho_a.breakpoints)
     edge_dofs, dof_t = edge_dofs_loop(tree, mesh.gen_local)
     assert sum(len(dofs) for dofs in mesh.gen_dofs) == len(edge_dofs)
@@ -688,7 +691,7 @@ def test_zone_arrays_equal_per_vertex_loops(spec):
 def test_checks_equal_per_edge_loops(spec):
     tree = build_tree(spec)
     rs = rho_star_profile(tree)
-    rq = build_rho_Q(tree, unit_constants(2.5), VertexZones(0.1))
+    rq = zone_profile(tree, 2.5, VertexZones(0.1))
     mesh = build_mesh_1d(tree, h=0.04, breakpoints=rq.breakpoints)
     rng = np.random.default_rng(5)
     nodes = np.linspace(0.0, tree.radius, 301)

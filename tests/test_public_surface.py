@@ -2,7 +2,8 @@
 module other than the package ``__init__`` names it, or the benchmark does
 (its ``_TRACED`` strings count).  The rest are oracles that only tests need,
 pinned below with the test that needs each, so an API nobody calls fails here
-instead of lingering.
+instead of lingering.  Likewise every stored field of a class has a reader
+in ``src`` or the benchmark, or is pinned with the reason it stays.
 
 Every default value in ``src`` outside the config schema is pinned too, with
 the reason it stays, so a library default cannot restate or contradict the
@@ -38,6 +39,20 @@ TEST_ORACLES = {
         "test_operator_1d.py::test_kirchhoff_residual_first_order_in_h",
     "operator_1d.tail_bound_check": "test_acceptance.py::test_criterion_7_property_suites",
     "tree_model.Tree.tail_radius": "test_acceptance.py::test_criterion_7_property_suites",
+}
+
+# qualified stored field -> why it stays although no code in `src` or the
+# benchmark reads it
+UNREAD_FIELDS = {
+    "fem_2d.Component2D.j":
+        "names the generation whose k**j copies the component holds; "
+        "test_fem_2d.py::test_blocks_equal_the_per_edge_layout matches components to edges by it",
+    "tree_model.EdgeId.index":
+        "half of the address: the fields make the equality and hash of the frozen EdgeId, "
+        "so the vertex keys of Matched1D.p_parent_dof and p_child_dofs compare by them",
+    "tree_model.EdgeId.j":
+        "half of the address: the fields make the equality and hash of the frozen EdgeId, "
+        "so the vertex keys of Matched1D.p_parent_dof and p_child_dofs compare by them",
 }
 
 # The config schema: its field defaults are the defaults of the config keys
@@ -165,6 +180,55 @@ def test_pinned_oracle_is_used_by_its_test(qualified):
     body = next(node for node in ast.parse(source).body
                 if isinstance(node, ast.FunctionDef) and node.name == test)
     assert qualified.rpartition(".")[2] in referenced_names(ast.unparse(body))
+
+
+def stored_fields(source: str, module: str) -> dict:
+    """Qualified name -> bare name of every dataclass field and every
+    ``self.x`` assigned in ``__init__``, on classes not named ``*Report`` or
+    ``*Row`` (the experiment results, whose fields are read off by name)."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or node.name.endswith(("Report", "Row")):
+            continue
+        prefix = f"{module}.{node.name}."
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            found.update({prefix + st.target.id: st.target.id for st in node.body
+                          if isinstance(st, ast.AnnAssign)})
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                found.update({prefix + st.attr: st.attr for st in ast.walk(sub)
+                              if isinstance(st, ast.Attribute)
+                              and isinstance(st.ctx, ast.Store)
+                              and ast.unparse(st.value) == "self"})
+    return found
+
+
+def unread(sources: dict, bench_sources: list) -> set:
+    """Qualified stored fields whose name no source of ``sources`` (module ->
+    text) and no benchmark source reads as an attribute."""
+    read = {node.attr for text in [*sources.values(), *bench_sources]
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {qual for module, source in sources.items()
+            for qual, name in stored_fields(source, module).items() if name not in read}
+
+
+def test_checker_flags_an_unread_field():
+    sources = {
+        "a": "from dataclasses import dataclass\n\n"
+             "@dataclass\nclass D:\n    kept: int\n    dead: int\n\n"
+             "class T:\n    def __init__(self, d):\n        self.d = d\n"
+             "        self.spare = d.kept\n\n"
+             "@dataclass\nclass FitReport:\n    unread: int\n",
+        "b": "def f(t):\n    t.d = None\n    return t.d\n",
+    }
+    assert unread(sources, []) == {"a.D.dead", "a.T.spare"}
+    assert unread(sources, ["def g(d):\n    return d.dead\n"]) == {"a.T.spare"}
+
+
+def test_every_stored_field_is_read_or_pinned():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unread(sources, [p.read_text() for p in BENCH]) == set(UNREAD_FIELDS)
 
 
 def test_default_scan_sees_signatures_nested_functions_and_fields():

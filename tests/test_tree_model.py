@@ -105,4 +105,6 @@ def test_length_diverges_radius_bounded():
     assert all(a < b for a, b in zip(lengths, lengths[1:]))
     assert lengths[-1] > 5.0
     assert all(r <= 1.0 for r in radii)
-    assert build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=1)).infinite_radius == pytest.approx(1.0)
+    tree = build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=1))
+    # the radius of the infinite tree: the root edge and its untruncated tail
+    assert tree.edge_lengths[0] + tree.tail_radius(0, truncated=False) == pytest.approx(1.0)
