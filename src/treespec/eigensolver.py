@@ -1,13 +1,14 @@
 """Smallest eigenpairs of sparse symmetric pencils K u = lambda M u.
 
-Small systems go through a dense direct solve; larger ones use ARPACK in
-shift-invert mode around sigma = 0 (retrying with a negative shift when the
-stiffness matrix cannot be factored at the origin), applying one LDL^T
-factorization of K - sigma M per shift.  Shift-invert Lanczos can miss
-copies of a multiple eigenvalue, so every ARPACK result is certified by a
-Sylvester inertia count: the number of eigenvalues below a shift just under
-the cluster that holds the m-th Ritz value is read off an LDL^T factorization
-of K - shift M and must equal the number of Ritz values below that shift.
+Small systems go through a dense direct solve; larger ones through a
+shift-invert Lanczos iteration around sigma = 0 (retrying with a negative
+shift when the stiffness matrix cannot be factored at the origin), which
+applies one LDL^T factorization of K - sigma M per shift.  Shift-invert
+Lanczos can miss copies of a multiple eigenvalue, so every Lanczos result is
+certified by a Sylvester inertia count: the number of eigenvalues below a
+shift just under the cluster that holds the m-th Ritz value is read off an
+LDL^T factorization of K - shift M and must equal the number of Ritz values
+below that shift.
 Returned vectors are M-orthonormal and each pair carries an independently
 recomputed residual; the solve fails when a pair's backward error exceeds the
 tolerance.
@@ -21,17 +22,21 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # Largest dimension solved densely.  With one BLAS thread the certified
-# ARPACK path overtakes the full dense solve between n = 150 and 180 on 1-D
-# interval and 2-D tree pencils (m = 4 and 8); at n = 800 it is 20-45x faster.
+# Lanczos path overtakes the full dense solve between n = 130 and 190 on 1-D
+# interval and 2-D tree pencils (n = 100-420, m = 1, 4 and 8): at n = 130
+# for m = 1 and 4, and at n = 150 (interval) and 186 (tree) for m = 8.  At
+# n = 170 it takes 1.7-5.7 ms against 3.7-4.3 ms dense; at n = 400 it is
+# 6-11x faster.
 DENSE_CUTOFF = 170
 GUARD_VECTORS = 5
-# ARPACK convergence tolerance; a pair whose backward error exceeds 100 times
-# it fails the solve.
-ARPACK_TOL = 1e-9
+# A Ritz pair has converged when its residual bound is at most this times
+# |theta| (ARPACK's test); a pair whose backward error exceeds 100 times it
+# fails the solve.
+RITZ_TOL = 1e-9
 # Two sorted eigenvalues belong to one cluster when they differ by at most
 # this times max(1, |first value of the cluster|).
 _CLUSTER_TOL = 1e-8
-# ARPACK solves per request before a miscount of the inertia check is an error.
+# Lanczos solves per request before a miscount of the inertia check is an error.
 _SOLVE_ATTEMPTS = 3
 # Roundoff allowance of the recomputed residual, in units of
 # eps (||K||_1 + |lam| ||M||_1) ||u||.  Converged pairs of the test suite,
@@ -111,14 +116,14 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     """Return the m smallest eigenpairs of K u = lambda M u.
 
     K must be symmetric and M symmetric positive definite.  For dimensions up
-    to DENSE_CUTOFF a dense generalized solve is used; above that, ARPACK
-    shift-invert at sigma=0 with GUARD_VECTORS extra Ritz vectors, retried at
-    a negative shift if the factorization of K fails.  An inertia count
-    certifies that no eigenvalue below the cluster of the m-th Ritz value was
-    missed; on a miscount the missed pairs are searched for with the found
-    ones locked, and after _SOLVE_ATTEMPTS solves the call fails.  The ARPACK
-    start vector comes from a generator seeded with 0 on every call, so a
-    repeated solve returns the same bits.
+    to DENSE_CUTOFF a dense generalized solve is used; above that, the
+    shift-invert Lanczos iteration at sigma=0 with GUARD_VECTORS extra Ritz
+    pairs, retried at a negative shift if the factorization of K fails.  An
+    inertia count certifies that no eigenvalue below the cluster of the m-th
+    Ritz value was missed; on a miscount the missed pairs are searched for
+    with the found ones locked, and after _SOLVE_ATTEMPTS solves the call
+    fails.  The Lanczos start vector comes from a generator seeded with 0 on
+    every call, so a repeated solve returns the same bits.
     """
     K = _as_csr(K)
     M = _as_csr(M)
@@ -136,7 +141,7 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
 
     vecs = _m_orthonormalize(M, vecs)
     res, backward = _residuals(K, M, vals, vecs)
-    if np.any(backward > ARPACK_TOL * 100):
+    if np.any(backward > RITZ_TOL * 100):
         # a backward error far above the request means the iteration silently
         # stalled; unlike the residual it is invariant under scaling K or M
         raise EigensolverError(
@@ -151,7 +156,8 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
 
 
 def _certified_shift_invert(K, M, m: int):
-    """The m smallest pairs from ARPACK, checked by an inertia count.
+    """The m smallest pairs from shift-invert Lanczos, checked by an
+    inertia count.
 
     The count is taken below the cluster that holds the m-th Ritz value: a
     missed copy inside that cluster does not change the m smallest values,
@@ -193,32 +199,93 @@ def _shift_invert(K, M, k: int, locked: np.ndarray, factors: dict):
     negative shifts.  factors maps each shift factored so far to its LDL^T
     factor of K - sigma M and gains the ones factored here."""
     last_err = None
-    for sigma in (0.0, -0.1 * _scale_estimate(K, M), -_scale_estimate(K, M)):
+    for fraction in (0.0, 0.1, 1.0):
+        sigma = -fraction * _scale_estimate(K, M) if fraction else 0.0
         try:
             if sigma not in factors:
                 factors[sigma] = _ldl(K - sigma * M)
-            vals, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
-                                    OPinv=_shift_inverse(factors[sigma], M, locked),
-                                    tol=ARPACK_TOL, rng=np.random.default_rng(0))
-        except (RuntimeError, spla.ArpackError, ValueError) as err:  # retry shifted
+            theta, vecs = _lanczos(factors[sigma], M, k, locked)
+        except RuntimeError as err:   # singular, pivoted or stalled: retry shifted
             last_err = err
             continue
-        return vals, vecs
+        return sigma + 1.0 / theta, vecs
     raise EigensolverError(f"shift-invert iteration failed: {last_err}")
 
 
-def _shift_inverse(lu, M, locked: np.ndarray):
-    """The solve with lu, the factor of K - sigma M, followed by the
-    M-orthogonal projection off the locked vectors when there are any.  The
-    locked pairs become eigenvalues 0 of the operator ARPACK iterates on, out
-    of reach of a search for the largest."""
-    MV = M @ locked
+def _lanczos(lu, M, k: int, locked: np.ndarray):
+    """(theta, vectors): the k eigenpairs of largest |theta| of
+    OP = (K - sigma M)^-1 M, lu being the factor of K - sigma M, by Ericsson
+    & Ruhe's spectral-transformation Lanczos (Math. Comp. 1980).
 
-    def apply(x):
-        y = lu.solve(np.asarray(x, dtype=float).ravel())
-        return y - locked @ (MV.T @ y) if locked.shape[1] else y
+    The basis of ncv = max(2k + 1, 20) vectors (scipy's ARPACK default) is
+    kept M-orthonormal by two full Gram-Schmidt passes per step, and every
+    solve is followed by the M-projection off the locked vectors, whose pairs
+    so become theta = 0.  The start is OP applied to a seeded uniform vector,
+    so it lies in the range of OP.  As in ARPACK, the projected matrix holds
+    the Lanczos coefficients only, and a full basis returns once all k pairs
+    meet |beta s_last| <= RITZ_TOL |theta|; else it restarts from its
+    (k + ncv) // 2 leading Ritz vectors (thick restart), more than k so that
+    a Ritz value close to the k-th cannot stall it.  dsyev's QL/QR deflates
+    relative to neighbouring entries: a deflation relative to the largest
+    theta, 1/eps times the rest at a near-singular shift, passed vectors with
+    backward errors up to 0.9 as converged.  The vectors returned are
+    OP y / theta = y + (beta s_last / theta) v_next for the Ritz vectors y,
+    which have the smaller pencil residual.
+    """
+    n = M.shape[0]
+    ML = M @ locked
+    rng = np.random.default_rng(0)
+    ncv = min(n - 1, max(2 * k + 1, 20))
+    V = np.empty((ncv + 1, n))
+    H = np.zeros((ncv + 1, ncv))   # lower triangle: the projected matrix
 
-    return spla.LinearOperator(M.shape, matvec=apply, dtype=float)
+    def op(Mx):
+        y = lu.solve(Mx)
+        return y - locked @ (ML.T @ y) if locked.shape[1] else y
+
+    def orthogonal(w, j):
+        """w less its M-projection on V[:j], M w, the coefficients removed,
+        and the M-norm left.  The norm reads 0 when w lay in the span up to
+        roundoff, which shows as the second pass shrinking it below
+        1/sqrt(2) of its length."""
+        coef, Mw = np.zeros(j), M @ w
+        for _ in range(2):
+            before = np.sqrt(w @ Mw)
+            h = V[:j] @ Mw
+            w -= h @ V[:j]
+            coef += h
+            Mw = M @ w
+        norm = np.sqrt(w @ Mw)
+        return w, Mw, coef, norm if norm >= before / np.sqrt(2.0) else 0.0
+
+    def start(j):
+        return orthogonal(op(M @ rng.uniform(-1.0, 1.0, n)), j)
+
+    w, Mw, _, beta = start(0)
+    j = 0
+    for _ in range(10 * n):   # scipy's ARPACK budget of 10 n, counted in steps
+        V[j] = w / beta
+        if j == ncv:   # a full basis: return the converged pairs or restart
+            theta, S, info = scipy.linalg.lapack.dsyev(H[:ncv, :ncv], lower=1)
+            if info:
+                raise EigensolverError(f"dsyev failed on the projected matrix: {info}")
+            order = np.argsort(-np.abs(theta))
+            theta, S = theta[order], S[:, order]
+            bound = H[ncv, ncv - 1] * S[-1]
+            if np.all(np.abs(bound[:k]) <= RITZ_TOL * np.abs(theta[:k])):
+                return theta[:k], (np.vstack([S[:, :k], bound[:k] / theta[:k]]).T @ V).T
+            j = (k + ncv) // 2
+            V[:j] = S[:, :j].T @ V[:ncv]
+            V[j] = V[ncv]
+            H[:] = 0.0
+            H[range(j), range(j)] = theta[:j]
+            H[j, :j] = bound[:j]
+        w, Mw, coef, beta = orthogonal(op(Mw / beta), j + 1)
+        H[j, j], H[j + 1, j] = coef[j], beta
+        if not beta:   # an invariant subspace: go on, uncoupled, from a new start
+            w, Mw, _, beta = start(j + 1)
+        j += 1
+    raise EigensolverError(f"Lanczos iteration did not converge in {10 * n} steps")
 
 
 def _ldl(A):

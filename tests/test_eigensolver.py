@@ -1,23 +1,29 @@
 import heapq
-import importlib
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+from treespec import eigensolver
 from treespec.eigensolver import (
     DENSE_CUTOFF,
+    GUARD_VECTORS,
     EigensolverError,
     Spectrum,
     _inertia_below,
+    _ldl,
     _residuals,
     RESIDUAL_ROUNDOFF,
+    RITZ_TOL,
     cluster_multiplicities,
     merge_spectra,
     smallest_eigenpairs,
 )
+from treespec.mesh2d import mesh_polygon, stiffness_and_mass
 from treespec.operator_1d import assemble_1d, build_mesh_1d, rho_star_profile
 from treespec.tree_model import TreeSpec, build_tree
 
@@ -59,7 +65,6 @@ def test_matches_dense_oracle_random_pencil():
     K = A @ A.T + 0.1 * np.eye(n)
     B = rng.standard_normal((n, n))
     M = B @ B.T + n * np.eye(n)
-    import scipy.linalg
     oracle = np.sort(scipy.linalg.eigh(K, M, eigvals_only=True))[:6]
     spec = smallest_eigenpairs(sp.csr_matrix(K), sp.csr_matrix(M), 6)
     assert np.allclose(spec.values, oracle, atol=1e-10)
@@ -143,16 +148,27 @@ def corrupt_solver(monkeypatch, path, corrupt):
     n = PATH_SIZES[path]
     assert (n <= DENSE_CUTOFF) == (path == "dense")
     if path == "dense":
-        import scipy.linalg
         eigh = scipy.linalg.eigh
         monkeypatch.setattr(scipy.linalg, "eigh",
                             lambda a, b: corrupt(*eigh(a, b)))
     else:
-        import scipy.sparse.linalg
-        eigsh = scipy.sparse.linalg.eigsh
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                            lambda *a, **kw: corrupt(*eigsh(*a, **kw)))
+        monkeypatch.setattr(eigensolver, "_lanczos",
+                            lanczos_returning_eigenvalues(corrupt))
     return interval_mixed_bc(n)
+
+
+def lanczos_returning_eigenvalues(alter):
+    """The Lanczos iteration with its pairs passed through alter as
+    (eigenvalues, vectors); the pencils patched with it are factored at
+    sigma = 0, where an eigenvalue is 1 / theta."""
+    lanczos = eigensolver._lanczos
+
+    def altered(*args):
+        theta, vecs = lanczos(*args)
+        vals, vecs = alter(1.0 / theta, vecs)
+        return 1.0 / vals, vecs
+
+    return altered
 
 
 @on_both_paths("sk", [(1e-8,), (1.0,), (1e8,)])
@@ -221,35 +237,33 @@ def test_residuals_equal_the_per_column_formula():
 
 
 def count_factorizations(monkeypatch) -> dict:
-    """Count the sparse LU factorizations of the solver and of ARPACK, and
-    record the OPinv that every eigsh call receives."""
+    """Record the sparse LU factorizations of the solver and the factor that
+    every Lanczos iteration receives."""
     import scipy.sparse.linalg
-    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
-    seen = {"splu": 0, "OPinv": []}
-    splu, eigsh = scipy.sparse.linalg.splu, scipy.sparse.linalg.eigsh
+    seen = {"splu": [], "lanczos": []}
+    splu, lanczos = scipy.sparse.linalg.splu, eigensolver._lanczos
 
-    def counted_splu(*args, **kwargs):
-        seen["splu"] += 1
-        return splu(*args, **kwargs)
+    def recorded_splu(*args, **kwargs):
+        seen["splu"].append(splu(*args, **kwargs))
+        return seen["splu"][-1]
 
-    def recorded_eigsh(*args, **kwargs):
-        seen["OPinv"].append(kwargs.get("OPinv"))
-        return eigsh(*args, **kwargs)
+    def recorded_lanczos(lu, *args):
+        seen["lanczos"].append(lu)
+        return lanczos(lu, *args)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
-    monkeypatch.setattr(arpack, "splu", counted_splu)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded_eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded_splu)
+    monkeypatch.setattr(eigensolver, "_lanczos", recorded_lanczos)
     return seen
 
 
 def test_one_factor_per_shift_and_one_per_count(monkeypatch):
-    # a certified solve with no miss: one factor of K - sigma M for ARPACK
-    # and one for the inertia count
+    # a certified solve with no miss: one factor of K - sigma M for the
+    # iteration and one for the inertia count
     seen = count_factorizations(monkeypatch)
     K, M = interval_mixed_bc(2500)
     smallest_eigenpairs(K, M, 3)
-    assert seen["splu"] == 2
-    assert len(seen["OPinv"]) == 1 and seen["OPinv"][0] is not None
+    assert len(seen["splu"]) == 2
+    assert len(seen["lanczos"]) == 1 and seen["lanczos"][0] is seen["splu"][0]
 
 
 def test_repair_solve_reuses_the_factor_of_its_shift(monkeypatch):
@@ -258,9 +272,9 @@ def test_repair_solve_reuses_the_factor_of_its_shift(monkeypatch):
     seen = count_factorizations(monkeypatch)
     d = np.concatenate([[1.0, 2.0, 3.0], [5.0] * 4, np.arange(6.0, 2500.0)])
     smallest_eigenpairs(sp.diags(d).tocsr(), sp.identity(len(d), format="csr"), 8)
-    assert len(seen["OPinv"]) == 2
-    assert all(op is not None for op in seen["OPinv"])
-    assert seen["splu"] <= 3
+    assert len(seen["lanczos"]) == 2
+    assert seen["lanczos"][0] is seen["lanczos"][1] is seen["splu"][0]
+    assert len(seen["splu"]) == 3
 
 
 def test_inertia_count_matches_dense_count():
@@ -270,7 +284,6 @@ def test_inertia_count_matches_dense_count():
     B = rng.standard_normal((n, n))
     K = A + A.T                      # indefinite
     M = B @ B.T + n * np.eye(n)
-    import scipy.linalg
     dense = scipy.linalg.eigh(K, M, eigvals_only=True)
     for sigma in np.concatenate([[dense[0] - 1.0, dense[-1] + 1.0],
                                  0.5 * (dense[:-1] + dense[1:])[::7]]):
@@ -312,18 +325,14 @@ def test_copies_a_larger_solve_misses_are_found_with_the_rest_locked():
 
 
 def test_unrepaired_miss_raises(monkeypatch):
-    # a solver that always drops the lowest pair it finds: the inertia count
-    # sees the miss on every solve, and the call fails instead of returning
-    # the 2nd..(m+1)-th values
-    import scipy.sparse.linalg
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def drop_lowest(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
+    # an iteration that always drops the lowest pair it finds: the inertia
+    # count sees the miss on every solve, and the call fails instead of
+    # returning the 2nd..(m+1)-th values
+    def drop_lowest(vals, vecs):
         keep = np.argsort(vals)[1:]
         return vals[keep], vecs[:, keep]
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drop_lowest)
+    monkeypatch.setattr(eigensolver, "_lanczos", lanczos_returning_eigenvalues(drop_lowest))
     K, M = interval_mixed_bc(256)
     with pytest.raises(EigensolverError, match=r"missed 1 eigenvalue"):
         smallest_eigenpairs(K, M, 3)
@@ -449,8 +458,8 @@ def test_cluster_multiplicities():
     assert c.multiplicities.tolist() == [2, 1]
 
 
-def test_arpack_solve_is_bitwise_repeatable():
-    # above the dense cutoff the ARPACK start vector is seeded, so the same
+def test_lanczos_solve_is_bitwise_repeatable():
+    # above the dense cutoff the Lanczos start vector is seeded, so the same
     # pencil gives the same bits on every call
     tree = build_tree(TreeSpec(k=2, J=11))
     rs = rho_star_profile(tree)
@@ -463,11 +472,67 @@ def test_arpack_solve_is_bitwise_repeatable():
     assert np.array_equal(first.residuals, second.residuals)
 
 
+def unit_square_neumann(h):
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    return stiffness_and_mass(mesh_polygon(square, h=h, sections={},
+                                           section_intervals=None))
+
+
+def indefinite_interval(n):
+    K, M = interval_mixed_bc(n)
+    return (K - 30.0 * M).tocsr(), M
+
+
+@pytest.mark.parametrize("pencil,m", [(lambda: unit_square_neumann(0.05), 3),
+                                      (lambda: unit_square_neumann(0.05), 8),
+                                      (lambda: indefinite_interval(400), 3)],
+                         ids=["neumann-square-m3", "neumann-square-m8", "indefinite"])
+def test_first_shift_solve_matches_the_dense_oracle(pencil, m):
+    # K is factored at sigma = 0: singular (smallest pivot about 1e-14) on
+    # the Neumann square, indefinite on the interval.  Started from a raw
+    # random vector instead of OP applied to one, the iteration returns
+    # pi^2 0.2% off on the square; with Ritz pairs from a divide-and-conquer
+    # eigh of the projected matrix, whose deflation is relative to the null
+    # theta of about 1e14, the square's m=8 vectors have backward errors of
+    # 0.6.
+    K, M = (a.tocsr() for a in pencil())
+    n, k = K.shape[0], m + GUARD_VECTORS
+    assert n > DENSE_CUTOFF
+    theta, vecs = eigensolver._lanczos(_ldl(K), M, k, np.empty((n, 0)))
+    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    nearest = np.sort(dense[np.argsort(np.abs(dense))[:k]])
+    # relative, and absolute for the null eigenvalue of the Neumann square
+    np.testing.assert_allclose(np.sort(1.0 / theta), nearest, rtol=1e-9, atol=1e-9)
+    assert _residuals(K, M, 1.0 / theta, vecs)[1].max() <= 100 * RITZ_TOL
+
+
+@pytest.mark.parametrize("spec", [TreeSpec(k=2, J=14), TreeSpec(k=3, J=9)],
+                         ids=["k2-J14", "k3-J9"])
+def test_solve_memory_peak_on_deep_tree_pencils(spec):
+    # 72 n-vectors: an ARPACK solve of these pencils peaks at 71.1; the
+    # Lanczos basis is allocated once at full size and never copied (50.1)
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    system = assemble_1d(tree, build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints),
+                         rs, rs, None)
+    n = system.K.shape[0]
+    assert n > 32_000
+    tracemalloc.start()
+    try:
+        smallest_eigenpairs(system.K, system.M, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * 8 * n
+
+
 # sparse or dense generalized eigensolvers; numpy's eigvalsh on the small
 # dense connector forms is not a pencil solve
 PENCIL_SOLVERS = re.compile(
     r"\beigsh\b|\.eigs\(|\blobpcg\b|scipy\.linalg\.eig"
     r"|from scipy(\.sparse)?\.linalg import[^\n]*\beig")
+# a second sparse iteration, or an operator wrapped for one
+SPARSE_ITERATIONS = re.compile(r"\beigsh\b|\bLinearOperator\b")
 
 
 def test_every_pencil_solve_goes_through_the_eigensolver():
@@ -476,6 +541,7 @@ def test_every_pencil_solve_goes_through_the_eigensolver():
     for name, text in sources.items():
         if name != "eigensolver.py":
             assert not PENCIL_SOLVERS.search(text), name
+        assert not SPARSE_ITERATIONS.search(text), name
     # experiments assemble through assemble_1d and assemble_2d only
     for name in ("scatter_pencil", "stiffness_and_mass"):
         assert name not in sources["convergence.py"], name
