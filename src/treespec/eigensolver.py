@@ -22,11 +22,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # Largest dimension solved densely.  With one BLAS thread the certified
-# Lanczos path overtakes the full dense solve between n = 130 and 190 on 1-D
-# interval and 2-D tree pencils (n = 100-420, m = 1, 4 and 8): at n = 130
-# for m = 1 and 4, and at n = 150 (interval) and 186 (tree) for m = 8.  At
-# n = 170 it takes 1.7-5.7 ms against 3.7-4.3 ms dense; at n = 400 it is
-# 6-11x faster.
+# Lanczos path overtakes the full dense solve between n = 110 and 166 on 1-D
+# interval and 2-D tree pencils (n = 100-420, m = 1, 4 and 8): at n = 110
+# (interval) and 122 (tree) for m = 1, 120 and 142 for m = 4, and 140 and 166
+# for m = 8.  The slowest case still crosses just under 170.  At n = 170 it
+# takes 1.9-3.0 ms against 3.5-5.8 ms dense; at n = 400 it is 6.5-14x faster.
 DENSE_CUTOFF = 170
 GUARD_VECTORS = 5
 # A Ritz pair has converged when its residual bound is at most this times
@@ -72,29 +72,39 @@ class Spectrum:
 
 
 def _as_csr(a) -> sp.csr_matrix:
-    if sp.issparse(a):
-        return a.tocsr()
-    return sp.csr_matrix(np.asarray(a, dtype=float))
+    """a as a canonical CSR matrix: sorted indices, no duplicate entries.  A
+    CSR input is canonicalized in place, which keeps its values."""
+    a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
+    a.sum_duplicates()
+    return a
+
+
+def _norm_1(a: sp.csr_matrix) -> float:
+    """||a||_1, the largest absolute column sum, in one pass over the
+    stored entries of the canonical CSR matrix a."""
+    return np.bincount(a.indices, np.abs(a.data), a.shape[1]).max()
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", x, x))
 
 
 def _residuals(K, M, vals, vecs) -> tuple:
     """Per pair, the residual r = ||Ku - lam Mu|| / ||Mu|| and the backward
     error: the part of ||Ku - lam Mu|| above its roundoff allowance,
-    relative to ||Ku|| + |lam| ||Mu||.
+    relative to ||Ku|| + |lam| ||Mu||.  K and M are canonical CSR.
 
     The backward error is invariant under scaling K, M or both.  The
     allowance keeps it at 0 for null vectors of K, where ||Ku|| is itself
     roundoff; it does not depend on the tolerance, because roundoff does not.
     """
     allowance = RESIDUAL_ROUNDOFF * np.finfo(float).eps
-    k_norm = spla.norm(K, 1)
-    m_norm = spla.norm(M, 1)
     lam = np.abs(vals)
     KV, MV = K @ vecs, M @ vecs
-    num = np.linalg.norm(KV - MV * vals, axis=0)
-    den = np.linalg.norm(MV, axis=0)
-    excess = num - allowance * (k_norm + lam * m_norm) * np.linalg.norm(vecs, axis=0)
-    scale = np.linalg.norm(KV, axis=0) + lam * den
+    num = _column_norms(KV - MV * vals)
+    den = _column_norms(MV)
+    excess = num - allowance * (_norm_1(K) + lam * _norm_1(M)) * _column_norms(vecs)
+    scale = _column_norms(KV) + lam * den
     with np.errstate(divide="ignore", invalid="ignore"):
         res = np.where(den > 0, num / den, np.inf)
         backward = np.where(excess <= 0, 0.0,
@@ -199,11 +209,13 @@ def _shift_invert(K, M, k: int, locked: np.ndarray, factors: dict):
     negative shifts.  factors maps each shift factored so far to its LDL^T
     factor of K - sigma M and gains the ones factored here."""
     last_err = None
-    for fraction in (0.0, 0.1, 1.0):
+    # just below 0, theta = 1/(lambda - sigma) of the wanted pairs stays
+    # sharp; the larger shifts take over when that factor or iteration fails
+    for fraction in (0.0, 1e-6, 0.1, 1.0):
         sigma = -fraction * _scale_estimate(K, M) if fraction else 0.0
         try:
             if sigma not in factors:
-                factors[sigma] = _ldl(K - sigma * M)
+                factors[sigma] = _ldl(K - sigma * M if sigma else K)
             theta, vecs = _lanczos(factors[sigma], M, k, locked)
         except RuntimeError as err:   # singular, pivoted or stalled: retry shifted
             last_err = err
@@ -218,12 +230,19 @@ def _lanczos(lu, M, k: int, locked: np.ndarray):
     & Ruhe's spectral-transformation Lanczos (Math. Comp. 1980).
 
     The basis of ncv = max(2k + 1, 20) vectors (scipy's ARPACK default) is
-    kept M-orthonormal by two full Gram-Schmidt passes per step, and every
-    solve is followed by the M-projection off the locked vectors, whose pairs
-    so become theta = 0.  The start is OP applied to a seeded uniform vector,
-    so it lies in the range of OP.  As in ARPACK, the projected matrix holds
-    the Lanczos coefficients only, and a full basis returns once all k pairs
-    meet |beta s_last| <= RITZ_TOL |theta|; else it restarts from its
+    kept M-orthonormal.  A step takes w = OP v_j, removes alpha v_j, with
+    alpha = (M v_j)^T w read off the operator's input, and the couplings of
+    row j of the projected matrix (beta v_{j-1}, or the arrow after a
+    restart), then runs one full classical Gram-Schmidt pass in the M inner
+    product, repeated only when the pass shrinks w below 1/sqrt(2) of its
+    length (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  So a step
+    takes 2 M-products and 2 sweeps over the basis; the corrections of the
+    passes are added to alpha, as in ARPACK.  Every solve is followed by the
+    M-projection off the locked vectors, whose pairs so become theta = 0.
+    The start is OP applied to a seeded uniform vector, so it lies in the
+    range of OP.  As in ARPACK, the projected matrix holds the Lanczos
+    coefficients only, and a full basis returns once all k pairs meet
+    |beta s_last| <= RITZ_TOL |theta|; else it restarts from its
     (k + ncv) // 2 leading Ritz vectors (thick restart), more than k so that
     a Ritz value close to the k-th cannot stall it.  dsyev's QL/QR deflates
     relative to neighbouring entries: a deflation relative to the largest
@@ -246,23 +265,25 @@ def _lanczos(lu, M, k: int, locked: np.ndarray):
     def orthogonal(w, j):
         """w less its M-projection on V[:j], M w, the coefficients removed,
         and the M-norm left.  The norm reads 0 when w lay in the span up to
-        roundoff, which shows as the second pass shrinking it below
-        1/sqrt(2) of its length."""
+        roundoff, which shows as a repeated pass shrinking it again."""
         coef, Mw = np.zeros(j), M @ w
+        norm = np.sqrt(w @ Mw)
         for _ in range(2):
-            before = np.sqrt(w @ Mw)
+            before = norm
             h = V[:j] @ Mw
             w -= h @ V[:j]
             coef += h
             Mw = M @ w
-        norm = np.sqrt(w @ Mw)
-        return w, Mw, coef, norm if norm >= before / np.sqrt(2.0) else 0.0
+            norm = np.sqrt(w @ Mw)
+            if norm >= before / np.sqrt(2.0):
+                return w, Mw, coef, norm
+        return w, Mw, coef, 0.0
 
     def start(j):
         return orthogonal(op(M @ rng.uniform(-1.0, 1.0, n)), j)
 
     w, Mw, _, beta = start(0)
-    j = 0
+    j = first = 0   # row j of H couples v_j to V[first:j]
     for _ in range(10 * n):   # scipy's ARPACK budget of 10 n, counted in steps
         V[j] = w / beta
         if j == ncv:   # a full basis: return the converged pairs or restart
@@ -274,17 +295,22 @@ def _lanczos(lu, M, k: int, locked: np.ndarray):
             bound = H[ncv, ncv - 1] * S[-1]
             if np.all(np.abs(bound[:k]) <= RITZ_TOL * np.abs(theta[:k])):
                 return theta[:k], (np.vstack([S[:, :k], bound[:k] / theta[:k]]).T @ V).T
-            j = (k + ncv) // 2
+            j, first = (k + ncv) // 2, 0
             V[:j] = S[:, :j].T @ V[:ncv]
             V[j] = V[ncv]
             H[:] = 0.0
             H[range(j), range(j)] = theta[:j]
             H[j, :j] = bound[:j]
-        w, Mw, coef, beta = orthogonal(op(Mw / beta), j + 1)
-        H[j, j], H[j + 1, j] = coef[j], beta
+        Mv = Mw / beta
+        w = op(Mv)
+        alpha = Mv @ w
+        w -= alpha * V[j]
+        w -= H[j, first:j] @ V[first:j]
+        w, Mw, coef, beta = orthogonal(w, j + 1)
+        H[j, j], H[j + 1, j] = alpha + coef[j], beta
         if not beta:   # an invariant subspace: go on, uncoupled, from a new start
             w, Mw, _, beta = start(j + 1)
-        j += 1
+        j, first = j + 1, j
     raise EigensolverError(f"Lanczos iteration did not converge in {10 * n} steps")
 
 
@@ -293,10 +319,24 @@ def _ldl(A):
 
     SuperLU in symmetric mode with a minimum-degree ordering of A + A^T and
     diagonal pivots only gives U = D L^T when it permutes rows and columns
-    alike, which is checked.  On a tree pencil the factor has no fill.
+    alike, which is checked.  On a tree pencil the factor has no fill, so
+    SuperLU's panels and relaxed supernodes, made for factors with fill, only
+    cost: it factors column by column (panel_size=1) with no relaxation
+    (relax=1).  Factor / solve ms, one BLAS thread, min of 20 interleaved
+    runs, rows panel_size, columns relax, "-" scipy's default:
+
+        k2-J14, n = 33,412                2-D J=3, h=0.02, n = 822
+              -        1        2               -         1         2
+        -  15.1/0.58 17.2/0.56 11.7/1.64    1.05/0.08 0.99/0.08 1.02/0.08
+        1   7.4/0.55  7.7/0.52  6.9/1.61    0.67/0.08 0.60/0.08 0.58/0.05
+        2   7.0/0.54  7.9/0.53  6.8/1.66    0.69/0.08 0.73/0.08 0.72/0.09
+        4   7.4/0.52  8.3/0.52  6.9/1.60    0.76/0.08 0.77/0.07 0.75/0.09
+
+    A Lanczos call solves 35-50 times per factor, and relaxed supernodes
+    triple the solve on the deep tree.
     """
     lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+                   relax=1, panel_size=1, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolverError("the LDL^T factorization pivoted off the diagonal")
     return lu

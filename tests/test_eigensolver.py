@@ -1,3 +1,4 @@
+import functools
 import heapq
 import re
 import tracemalloc
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treespec import eigensolver
+from treespec.convergence import ExperimentConfig
 from treespec.eigensolver import (
     DENSE_CUTOFF,
     GUARD_VECTORS,
@@ -23,6 +27,7 @@ from treespec.eigensolver import (
     merge_spectra,
     smallest_eigenpairs,
 )
+from treespec.fem_2d import assemble_2d, build_geometry_2d
 from treespec.mesh2d import mesh_polygon, stiffness_and_mass
 from treespec.operator_1d import assemble_1d, build_mesh_1d, rho_star_profile
 from treespec.tree_model import TreeSpec, build_tree
@@ -40,6 +45,15 @@ def interval_mixed_bc(n, L=1.0):
     main_m[-1] = 2.0 * h / 6.0
     M = sp.diags([np.full(n - 1, h / 6.0), main_m, np.full(n - 1, h / 6.0)], [-1, 0, 1])
     return K.tocsr(), M.tocsr()
+
+
+def tree_pencil(spec: TreeSpec, h: float = 0.01):
+    """K and M of the 1-D tree pencil of spec at pitch h."""
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    system = assemble_1d(tree, build_mesh_1d(tree, h=h, breakpoints=rs.breakpoints),
+                         rs, rs, None)
+    return system.K, system.M
 
 
 def test_interval_dirichlet_neumann_ground_state():
@@ -295,6 +309,44 @@ def test_inertia_count_matches_dense_count():
         assert _inertia_below(Ki, Mi, sigma) == np.count_nonzero(dense < sigma)
 
 
+@functools.cache
+def pencil_with_dense_spectrum(k: int, J: int, h: float):
+    """The 1-D tree pencil of TreeSpec(k=k, J=J) at pitch h, or the default
+    config's 2-D pencil at its first width when k is 0, with its dense
+    eigenvalues."""
+    if k:
+        K, M = tree_pencil(TreeSpec(k=k, J=J), h)
+    else:
+        cfg = ExperimentConfig()
+        system = assemble_2d(build_geometry_2d(build_tree(cfg.tree),
+                                               cfg.geometry(cfg.eps_list[0])), None)
+        K, M = system.K, system.M
+    return K, M, scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pencil=st.one_of(st.tuples(st.sampled_from([1, 2, 3]), st.integers(0, 4),
+                                  st.sampled_from([0.05, 0.1, 0.25])),
+                        st.just((0, 0, 0.0))),
+       exponent=st.floats(-2.0, 6.0), negative=st.booleans())
+def test_inertia_count_matches_dense_count_on_tree_pencils(pencil, exponent, negative):
+    # the count reads the pivots of the column-by-column factor; a shift is
+    # kept 1e-6 relative away from every eigenvalue
+    K, M, dense = pencil_with_dense_spectrum(*pencil)
+    sigma = (-1.0 if negative else 1.0) * 10.0 ** exponent
+    assume(np.min(np.abs(dense - sigma)) > 1e-6 * max(1.0, abs(sigma)))
+    assert _inertia_below(K, M, sigma) == np.count_nonzero(dense < sigma)
+
+
+@pytest.mark.parametrize("spec", [TreeSpec(k=1, J=3), TreeSpec(k=3, J=4), TreeSpec(k=2, J=14)],
+                         ids=["k1-J3", "k3-J4", "k2-J14"])
+def test_ldl_of_a_tree_pencil_has_no_fill(spec):
+    # L (unit diagonal) and U = D L^T hold the entries of A and no more
+    K = tree_pencil(spec)[0]
+    lu = _ldl(K)
+    assert lu.L.nnz + lu.U.nnz == K.nnz + K.shape[0]
+
+
 def test_multiple_eigenvalue_below_the_mth_found():
     # four copies of a 2x2 block with eigenvalues 30 and 32 next to an
     # interval: the 8 smallest are 2.47, 22.2, 30 (four times), 32, 32.  A
@@ -338,17 +390,37 @@ def test_unrepaired_miss_raises(monkeypatch):
         smallest_eigenpairs(K, M, 3)
 
 
+def neumann_interval(n):
+    """The interval pencil with Neumann conditions at both ends: K
+    annihilates constants, so it cannot be factored at sigma = 0."""
+    K, M = interval_mixed_bc(n)
+    K, M = K.tolil(), M.tolil()
+    K[0, 0], M[0, 0] = n, M[-1, -1]
+    return K.tocsr(), M.tocsr()
+
+
 def test_neumann_ground_state_accepted():
     # null vector of K: ||Ku|| is roundoff, the roundoff allowance keeps the
     # backward error at 0
     n = 256
-    K, M = interval_mixed_bc(n)
-    K, M = K.tolil(), M.tolil()
-    K[0, 0], M[0, 0] = n, M[-1, -1]  # Neumann at both ends: K annihilates constants
-    spec = smallest_eigenpairs(K.tocsr(), M.tocsr(), 2)
+    spec = smallest_eigenpairs(*neumann_interval(n), 2)
     assert abs(spec.values[0]) < 1e-8
     # the n nodes span [h, 1]
     assert spec.values[1] == pytest.approx((np.pi * n / (n - 1)) ** 2, rel=1e-3)
+
+
+def test_retry_shift_keeps_both_pairs_far_below_the_roundoff_allowance():
+    # the first retry shift lies just below 0, where theta = 1/(lambda -
+    # sigma) of the wanted pairs stays sharp; at -0.1 of the scale estimate
+    # the null pair's residual reached 0.73 of the allowance and the second
+    # pair's 11.6 times it
+    K, M = neumann_interval(256)
+    spec = smallest_eigenpairs(K, M, 2)
+    u, lam = spec.vectors, spec.values
+    allowance = RESIDUAL_ROUNDOFF * np.finfo(float).eps * np.linalg.norm(u, axis=0) * (
+        abs(K).sum(axis=0).max() + np.abs(lam) * abs(M).sum(axis=0).max())
+    residual = np.linalg.norm(K @ u - (M @ u) * lam, axis=0)
+    assert np.all(residual <= 0.01 * allowance)
 
 
 def test_bad_request_rejected():
@@ -461,12 +533,9 @@ def test_cluster_multiplicities():
 def test_lanczos_solve_is_bitwise_repeatable():
     # above the dense cutoff the Lanczos start vector is seeded, so the same
     # pencil gives the same bits on every call
-    tree = build_tree(TreeSpec(k=2, J=11))
-    rs = rho_star_profile(tree)
-    system = assemble_1d(tree, build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints),
-                         rs, rs, None)
-    assert system.K.shape[0] > DENSE_CUTOFF
-    first, second = (smallest_eigenpairs(system.K, system.M, 4) for _ in range(2))
+    K, M = tree_pencil(TreeSpec(k=2, J=11))
+    assert K.shape[0] > DENSE_CUTOFF
+    first, second = (smallest_eigenpairs(K, M, 4) for _ in range(2))
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
     assert np.array_equal(first.residuals, second.residuals)
@@ -506,20 +575,52 @@ def test_first_shift_solve_matches_the_dense_oracle(pencil, m):
     assert _residuals(K, M, 1.0 / theta, vecs)[1].max() <= 100 * RITZ_TOL
 
 
+class CountedProducts:
+    """A matrix that counts the products taken with it."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.calls = A, A.shape, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.A @ x
+
+
+class CountedSolves:
+    """A factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+def test_lanczos_step_takes_two_m_products():
+    # one solve per step; one full Gram-Schmidt pass, repeated only when it
+    # shrinks the vector, then the norm: 2 M-products per step, the
+    # coefficient alpha read off the operator's input.  The constant covers
+    # the product with the locked block, the extra product of a start and
+    # two repeated passes.
+    K, M = tree_pencil(TreeSpec(k=2, J=11))
+    M, lu = CountedProducts(M), CountedSolves(_ldl(K))
+    eigensolver._lanczos(lu, M, 8 + GUARD_VECTORS, np.empty((K.shape[0], 0)))
+    assert lu.calls > 2 * (8 + GUARD_VECTORS)   # at least one restart
+    assert M.calls <= 2 * lu.calls + 4
+
+
 @pytest.mark.parametrize("spec", [TreeSpec(k=2, J=14), TreeSpec(k=3, J=9)],
                          ids=["k2-J14", "k3-J9"])
 def test_solve_memory_peak_on_deep_tree_pencils(spec):
     # 72 n-vectors: an ARPACK solve of these pencils peaks at 71.1; the
     # Lanczos basis is allocated once at full size and never copied (50.1)
-    tree = build_tree(spec)
-    rs = rho_star_profile(tree)
-    system = assemble_1d(tree, build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints),
-                         rs, rs, None)
-    n = system.K.shape[0]
+    K, M = tree_pencil(spec)
+    n = K.shape[0]
     assert n > 32_000
     tracemalloc.start()
     try:
-        smallest_eigenpairs(system.K, system.M, 8)
+        smallest_eigenpairs(K, M, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
