@@ -172,7 +172,11 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"tree: {err}") from err
     except ExperimentError as err:
         raise ConfigError(str(err)) from err
-    if data["experiment"]["rayleigh_samples"] > 0 and data["seed"] is None:
+    samples = data["experiment"]["rayleigh_samples"]
+    if samples < 0:
+        raise ConfigError(f"experiment.rayleigh_samples: must be >= 0 (0 skips "
+                          f"the check), got {samples}")
+    if samples > 0 and data["seed"] is None:
         raise ConfigError("seed: required when a randomized check is requested")
     return RunConfig(data, experiment)
 

@@ -194,9 +194,10 @@ def test_malformed_potential_is_a_config_error(tmp_path, capsys, subcommand,
     ({"weights": {"zone_factor": -1}}, "weights.zone_factor"),
     ({"geometry": {"eps_list": []}}, "geometry.eps_list"),
     ({"experiment": {"n_list": []}}, "experiment.n_list"),
+    ({"experiment": {"rayleigh_samples": -5}}, "experiment.rayleigh_samples"),
 ], ids=["eps-ascending", "eps-out-of-range", "n-descending", "n-zero", "n-negative",
         "h1d-negative", "h1d-zero", "m-zero", "h2d-negative", "n-cross-one", "c-five",
-        "zone-factor-negative", "eps-empty", "n-empty"])
+        "zone-factor-negative", "eps-empty", "n-empty", "rayleigh-samples-negative"])
 def test_bad_config_domain_exits_2_on_every_subcommand(tmp_path, capsys, subcommand,
                                                        payload, key):
     # rejected at load time, before any subcommand runs

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,24 +490,58 @@ def _rayleigh_fit_loop(direction, samples, eps):
     return a, c, viol
 
 
-@pytest.mark.parametrize("kw", [RAYLEIGH_PINNED[0][0], RAYLEIGH_PINNED[1][0]],
-                         ids=["J3-cosine", "J4"])
-def test_blocked_rayleigh_samples_match_per_sample_loop(kw):
+@pytest.mark.parametrize("kw, eps", [case[:2] for case in RAYLEIGH_PINNED],
+                         ids=["J3-cosine", "J4", "default-eps0.2"])
+def test_blocked_rayleigh_samples_match_per_sample_loop(kw, eps):
+    # the loop lifts every Q sample to 2-D and projects every P sample with
+    # the full maps; the blocked sampler reads the Q quotients off the
+    # pulled-back pencil.  The default config at eps 0.2 is the pinned case
+    # whose fitted a is not zero.
     cfg = ExperimentConfig(**kw)
     tree = build_tree(cfg.tree)
-    tm = build_geometry_2d(tree, cfg.geometry(0.1))
+    tm = build_geometry_2d(tree, cfg.geometry(eps))
     matched = matched_mesh_1d(tm)
     sysQ, sysP = (width_weighted_pencil(cfg, matched, w) for w in ("Q", "P"))
     sys2 = assemble_2d(tm, W=cfg.w2d())
     # 37 is not a multiple of the block width, 5 is below it
     for n in (37, 5):
-        blocked = _rayleigh_samples(np.random.default_rng(11), n, tm, matched,
+        blocked = _rayleigh_samples(np.random.default_rng(11), n, matched,
                                     sysQ, sysP, sys2)
         loop = _rayleigh_samples_loop(np.random.default_rng(11), n, tm, matched,
                                       sysQ, sysP, sys2)
         for got, want in zip(blocked, loop):
             assert got.shape == (n, 2)
             np.testing.assert_allclose(got, np.array(want), rtol=1e-13, atol=0.0)
+
+
+def test_rayleigh_sampler_memory_peak_on_the_j4_maps_geometry():
+    # 400 samples per direction on n = 10,110 free 2-D dofs.  At most two
+    # 2-D blocks live at once (a product and its input, or the draw and its
+    # C-ordered copy), plus the maps and sweep operators; whatever the block
+    # width, the sampler stays within 10 MiB
+    cfg = ExperimentConfig(**RAYLEIGH_PINNED[1][0])
+    tm = build_geometry_2d(build_tree(cfg.tree), cfg.geometry(0.1))
+    matched = matched_mesh_1d(tm)
+    sysQ, sysP = (width_weighted_pencil(cfg, matched, w) for w in ("Q", "P"))
+    sys2 = assemble_2d(tm, W=cfg.w2d())
+    assert len(sys2.free) > 10_000
+    tracemalloc.start()
+    try:
+        _rayleigh_samples(np.random.default_rng(7), 400, matched, sysQ, sysP, sys2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * len(sys2.free) * min(convergence._BLOCK, 400)
+    assert peak <= 2 * block + 2 * 2 ** 20
+    assert peak <= 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_rayleigh_check_rejects_fewer_than_one_sample(n_samples):
+    # zero samples would fit constants to nothing, and a negative count is
+    # not a block size
+    with pytest.raises(ExperimentError, match="n_samples"):
+        rayleigh_bound_check(ExperimentConfig(), 0.2, n_samples=n_samples)
 
 
 def _synthetic_samples(case):
