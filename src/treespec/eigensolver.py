@@ -3,12 +3,15 @@
 Small systems go through a dense direct solve; larger ones through a
 shift-invert Lanczos iteration around sigma = 0 (retrying with a negative
 shift when the stiffness matrix cannot be factored at the origin), which
-applies one LDL^T factorization of K - sigma M per shift.  Shift-invert
-Lanczos can miss copies of a multiple eigenvalue, so every Lanczos result is
-certified by a Sylvester inertia count: the number of eigenvalues below a
-shift just under the cluster that holds the m-th Ritz value is read off an
-LDL^T factorization of K - shift M and must equal the number of Ritz values
-below that shift.
+applies one LDL^T factorization of K - sigma M per shift and stops once the
+m wanted Ritz pairs have converged: GUARD_VECTORS more pairs only widen its
+basis.  Shift-invert Lanczos can miss copies of a multiple eigenvalue, so
+every Lanczos result is certified by a Sylvester inertia count: the number of
+eigenvalues below a shift just under the cluster that holds the m-th Ritz
+value is read off an LDL^T factorization of K - shift M and must equal the
+number of Ritz values below that shift.  A miss is repaired by Lanczos solves
+in the M-orthogonal complement of the pairs found, for as long as each
+repair finds a missed pair.
 Returned vectors are M-orthonormal and each pair carries an independently
 recomputed residual; the solve fails when a pair's backward error exceeds the
 tolerance.
@@ -22,12 +25,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # Largest dimension solved densely.  With one BLAS thread the certified
-# Lanczos path overtakes the full dense solve between n = 110 and 166 on 1-D
-# interval and 2-D tree pencils (n = 100-420, m = 1, 4 and 8): at n = 110
-# (interval) and 122 (tree) for m = 1, 120 and 142 for m = 4, and 140 and 166
-# for m = 8.  The slowest case still crosses just under 170.  At n = 170 it
-# takes 1.9-3.0 ms against 3.5-5.8 ms dense; at n = 400 it is 6.5-14x faster.
-DENSE_CUTOFF = 170
+# Lanczos path, which converges the m wanted pairs only, overtakes the full
+# dense solve between n = 105 and 126 on 1-D interval and 2-D tree pencils
+# (n = 80-180, m = 1, 4 and 8, min of 15 interleaved runs): at n = 105
+# (interval) and 117 (tree) for m = 1 and 4, and 120 and 126 for m = 8.  At
+# n = 130 it takes 2.0-2.5 ms against 2.1-3.2 ms dense; at n = 180, 1.5-2.0
+# ms against 4.3 ms.
+DENSE_CUTOFF = 130
+# Ritz pairs past the wanted ones that size the Lanczos basis; they are
+# neither converged nor returned.
 GUARD_VECTORS = 5
 # A Ritz pair has converged when its residual bound is at most this times
 # |theta| (ARPACK's test); a pair whose backward error exceeds 100 times it
@@ -36,8 +42,6 @@ RITZ_TOL = 1e-9
 # Two sorted eigenvalues belong to one cluster when they differ by at most
 # this times max(1, |first value of the cluster|).
 _CLUSTER_TOL = 1e-8
-# Lanczos solves per request before a miscount of the inertia check is an error.
-_SOLVE_ATTEMPTS = 3
 # Roundoff allowance of the recomputed residual, in units of
 # eps (||K||_1 + |lam| ||M||_1) ||u||.  Converged pairs of the test suite,
 # null vectors of K included, stay below 31.
@@ -127,13 +131,15 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
 
     K must be symmetric and M symmetric positive definite.  For dimensions up
     to DENSE_CUTOFF a dense generalized solve is used; above that, the
-    shift-invert Lanczos iteration at sigma=0 with GUARD_VECTORS extra Ritz
-    pairs, retried at a negative shift if the factorization of K fails.  An
-    inertia count certifies that no eigenvalue below the cluster of the m-th
-    Ritz value was missed; on a miscount the missed pairs are searched for
-    with the found ones locked, and after _SOLVE_ATTEMPTS solves the call
-    fails.  The Lanczos start vector comes from a generator seeded with 0 on
-    every call, so a repeated solve returns the same bits.
+    shift-invert Lanczos iteration at sigma=0, which converges the m wanted
+    Ritz pairs in a basis sized for GUARD_VECTORS more, retried at a negative
+    shift if the factorization of K fails.  An inertia count certifies that
+    no eigenvalue below the cluster of the m-th Ritz value was missed; on a
+    miscount the missed pairs are searched for with the found ones locked,
+    again while each such repair finds a missed pair, and the call fails
+    once a repair finds none.  Each Lanczos start vector comes from a
+    generator seeded with the number of locked vectors, so a repeated solve
+    returns the same bits.
     """
     K = _as_csr(K)
     M = _as_csr(M)
@@ -173,21 +179,32 @@ def _certified_shift_invert(K, M, m: int):
     missed copy inside that cluster does not change the m smallest values,
     while any eigenvalue missed below it does.  A Krylov space holds one
     direction of each eigenspace, so a larger solve can miss the same copies
-    again; the repeat instead locks the pairs found and searches the
-    M-orthogonal complement of their vectors for the missed ones.  The
-    factor of K - sigma M at each shift tried is kept for the whole call, so
-    a repeat solves with the factor of the first.
+    again; a repair instead locks the pairs found and converges as many
+    pairs as the count says are missing in the M-orthogonal complement of
+    their vectors.  A repair that finds a pair below the count shift may be
+    followed by another, up to m + 1 solves: each solve finds a direction of
+    every eigenspace it reaches, so that is enough for m copies of one
+    eigenvalue.  A repair that finds none fails the call, and so does a
+    result of fewer than m pairs.  The factor of K - sigma M at each shift
+    tried is kept for the whole call, so a repair solves with the factor of
+    the first solve.
     """
     n = K.shape[0]
     vals, vecs = np.empty(0), np.empty((n, 0))
     factors = {}
-    k = m + GUARD_VECTORS
-    for _ in range(_SOLVE_ATTEMPTS):
-        more_vals, more_vecs = _shift_invert(K, M, min(k, n - 2), vecs, factors)
+    wanted = m
+    for solve in range(1, m + 2):
+        more_vals, more_vecs = _shift_invert(K, M, wanted, vecs, factors)
+        if solve > 1 and not np.any(more_vals < sigma):   # the repair found none
+            break
         vals = np.concatenate([vals, more_vals])
         vecs = np.hstack([vecs, more_vecs])
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
+        if len(vals) < m:
+            raise EigensolverError(
+                f"shift-invert missed {m - len(vals)} eigenvalue(s): it "
+                f"returned {len(vals)} of {m} pairs")
         sigma, found = _count_shift(vals, m)
         missed = _inertia_below(K, M, sigma) - found
         if missed == 0:
@@ -197,14 +214,14 @@ def _certified_shift_invert(K, M, m: int):
                 f"inertia count: {found + missed} eigenvalues below "
                 f"{sigma:.6g} but {found} Ritz values")
         # no repair solve is larger than the first, whatever the count says
-        k = min(missed, m) + GUARD_VECTORS
+        wanted = min(missed, m)
     raise EigensolverError(
         f"shift-invert missed {missed} eigenvalue(s) below {sigma:.6g} "
-        f"after {_SOLVE_ATTEMPTS} solves")
+        f"after {solve} solves")
 
 
-def _shift_invert(K, M, k: int, locked: np.ndarray, factors: dict):
-    """k pairs nearest the origin whose vectors are M-orthogonal to the
+def _shift_invert(K, M, wanted: int, locked: np.ndarray, factors: dict):
+    """wanted pairs nearest the origin whose vectors are M-orthogonal to the
     columns of locked, which are M-orthonormal eigenvectors; retried at
     negative shifts.  factors maps each shift factored so far to its LDL^T
     factor of K - sigma M and gains the ones factored here."""
@@ -216,7 +233,7 @@ def _shift_invert(K, M, k: int, locked: np.ndarray, factors: dict):
         try:
             if sigma not in factors:
                 factors[sigma] = _ldl(K - sigma * M if sigma else K)
-            theta, vecs = _lanczos(factors[sigma], M, k, locked)
+            theta, vecs = _lanczos(factors[sigma], M, wanted, locked)
         except RuntimeError as err:   # singular, pivoted or stalled: retry shifted
             last_err = err
             continue
@@ -224,36 +241,45 @@ def _shift_invert(K, M, k: int, locked: np.ndarray, factors: dict):
     raise EigensolverError(f"shift-invert iteration failed: {last_err}")
 
 
-def _lanczos(lu, M, k: int, locked: np.ndarray):
-    """(theta, vectors): the k eigenpairs of largest |theta| of
+def _lanczos(lu, M, wanted: int, locked: np.ndarray):
+    """(theta, vectors): the wanted eigenpairs of largest |theta| of
     OP = (K - sigma M)^-1 M, lu being the factor of K - sigma M, by Ericsson
     & Ruhe's spectral-transformation Lanczos (Math. Comp. 1980).
 
-    The basis of ncv = max(2k + 1, 20) vectors (scipy's ARPACK default) is
-    kept M-orthonormal.  A step takes w = OP v_j, removes alpha v_j, with
-    alpha = (M v_j)^T w read off the operator's input, and the couplings of
-    row j of the projected matrix (beta v_{j-1}, or the arrow after a
-    restart), then runs one full classical Gram-Schmidt pass in the M inner
-    product, repeated only when the pass shrinks w below 1/sqrt(2) of its
-    length (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  So a step
+    With k = wanted + GUARD_VECTORS, the basis of ncv = max(2k + 1, 20)
+    vectors (scipy's ARPACK default) is kept M-orthonormal.  A step takes
+    w = OP v_j, removes alpha v_j, with alpha = (M v_j)^T w read off the
+    operator's input, and the couplings of row j of the projected matrix
+    (beta v_{j-1}, or the arrow after a restart), then runs one full
+    classical Gram-Schmidt pass in the M inner product, repeated only when
+    the pass shrinks w below 1/sqrt(2) of its length (Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 1976).  So a step
     takes 2 M-products and 2 sweeps over the basis; the corrections of the
     passes are added to alpha, as in ARPACK.  Every solve is followed by the
     M-projection off the locked vectors, whose pairs so become theta = 0.
-    The start is OP applied to a seeded uniform vector, so it lies in the
-    range of OP.  As in ARPACK, the projected matrix holds the Lanczos
-    coefficients only, and a full basis returns once all k pairs meet
-    |beta s_last| <= RITZ_TOL |theta|; else it restarts from its
-    (k + ncv) // 2 leading Ritz vectors (thick restart), more than k so that
-    a Ritz value close to the k-th cannot stall it.  dsyev's QL/QR deflates
-    relative to neighbouring entries: a deflation relative to the largest
-    theta, 1/eps times the rest at a near-singular shift, passed vectors with
-    backward errors up to 0.9 as converged.  The vectors returned are
+    The start is OP applied to a uniform vector, so it lies in the range of
+    OP, drawn from a generator seeded with the number of locked vectors: a
+    repair started from the vector of the first solve would hold, of each
+    eigenspace, only the direction that solve found and locked, and would
+    reach the missed copies through roundoff alone.  As in ARPACK, the
+    projected matrix holds the Lanczos coefficients only.  A full basis
+    returns once the wanted pairs meet |beta s_last| <= RITZ_TOL |theta|;
+    the guard pairs are not tested, as in Wu & Simon's thick-restart Lanczos
+    (SIAM J. Matrix Anal. Appl. 2000), and never returned, since a locked
+    vector must be an eigenvector.  Else it restarts from its (k + ncv) // 2
+    leading Ritz vectors (thick restart), more than k so that a Ritz value
+    close to the k-th cannot stall it.  The test is made on a full basis
+    only, as in ARPACK.  dsyev's QL/QR deflates relative to neighbouring
+    entries: a deflation relative to the largest theta, 1/eps times the rest
+    at a near-singular shift, passed vectors with backward errors up to 0.9
+    as converged.  The vectors returned are
     OP y / theta = y + (beta s_last / theta) v_next for the Ritz vectors y,
     which have the smaller pencil residual.
     """
     n = M.shape[0]
+    k = wanted + GUARD_VECTORS
     ML = M @ locked
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(locked.shape[1])
     ncv = min(n - 1, max(2 * k + 1, 20))
     V = np.empty((ncv + 1, n))
     H = np.zeros((ncv + 1, ncv))   # lower triangle: the projected matrix
@@ -293,8 +319,9 @@ def _lanczos(lu, M, k: int, locked: np.ndarray):
             order = np.argsort(-np.abs(theta))
             theta, S = theta[order], S[:, order]
             bound = H[ncv, ncv - 1] * S[-1]
-            if np.all(np.abs(bound[:k]) <= RITZ_TOL * np.abs(theta[:k])):
-                return theta[:k], (np.vstack([S[:, :k], bound[:k] / theta[:k]]).T @ V).T
+            theta_w, bound_w = theta[:wanted], bound[:wanted]
+            if np.all(np.abs(bound_w) <= RITZ_TOL * np.abs(theta_w)):
+                return theta_w, (np.vstack([S[:, :wanted], bound_w / theta_w]).T @ V).T
             j, first = (k + ncv) // 2, 0
             V[:j] = S[:, :j].T @ V[:ncv]
             V[j] = V[ncv]

@@ -372,17 +372,25 @@ def radial_decomposition_spectrum(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
     """Merged spectrum of the root component and all vertex components.
 
     Requires radially symmetric weights and potential (shared per-generation
-    mesh layouts make the split of the discrete operator exact).
+    mesh layouts make the split of the discrete operator exact).  The root
+    component is assembled once.  Its trailing block past the node at t_j is
+    k**j times ``radial_component_operator(..., j)``, bit for bit when k is a
+    power of 2 and up to the rounding of the weights otherwise, so component
+    j is solved as that block over k**j.
     """
+    root = radial_component_operator(tree, mesh, rho_alpha, rho_beta, W, 0)
+    # free index of the first dof past t_j: the root numbering owns
+    # len(local) - 1 dofs per generation
+    starts = np.cumsum([0] + [len(local) - 1 for local in mesh.gen_local])
     parts = []
     for j in range(tree.J + 1):
         mult = component_multiplicity(tree.k, j)
         if mult == 0:
             continue
-        system = radial_component_operator(tree, mesh, rho_alpha, rho_beta, W, j)
-        want = min(m, system.K.shape[0])
-        spec = smallest_eigenpairs(system.K, system.M, want, with_vectors=False)
-        parts.append((spec, mult))
+        s, scale = starts[j], float(tree.k ** j)
+        K, M = root.K[s:, s:] / scale, root.M[s:, s:] / scale
+        want = min(m, K.shape[0])
+        parts.append((smallest_eigenpairs(K, M, want, with_vectors=False), mult))
     return merge_spectra(parts, m=m)
 
 

@@ -390,6 +390,23 @@ def test_unrepaired_miss_raises(monkeypatch):
         smallest_eigenpairs(K, M, 3)
 
 
+def test_repair_that_finds_no_missed_pair_raises(monkeypatch):
+    # an iteration that converges one pair more than wanted and drops the
+    # lowest: the first solve misses lambda_1, the repair returns lambda_5,
+    # above the count shift, and the call fails without a third solve
+    lanczos = eigensolver._lanczos
+
+    def skip_lowest(lu, M, wanted, locked):
+        theta, vecs = lanczos(lu, M, wanted + 1, locked)
+        keep = np.argsort(-theta)[1:]   # factored at sigma = 0: theta = 1 / lambda
+        return theta[keep], vecs[:, keep]
+
+    monkeypatch.setattr(eigensolver, "_lanczos", skip_lowest)
+    K, M = interval_mixed_bc(256)
+    with pytest.raises(EigensolverError, match=r"missed 1 eigenvalue\(s\) below .* after 2 solves"):
+        smallest_eigenpairs(K, M, 3)
+
+
 def neumann_interval(n):
     """The interval pencil with Neumann conditions at both ends: K
     annihilates constants, so it cannot be factored at sigma = 0."""
@@ -596,18 +613,56 @@ class CountedSolves:
         self.calls += 1
         return self.lu.solve(b)
 
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
 
 def test_lanczos_step_takes_two_m_products():
     # one solve per step; one full Gram-Schmidt pass, repeated only when it
     # shrinks the vector, then the norm: 2 M-products per step, the
     # coefficient alpha read off the operator's input.  The constant covers
     # the product with the locked block, the extra product of a start and
-    # two repeated passes.
-    K, M = tree_pencil(TreeSpec(k=2, J=11))
+    # two repeated passes.  A full basis of ncv = 27 vectors takes 28 solves;
+    # on k3-J7 the 8 wanted pairs need a thick restart (on k2-J11 they
+    # converge in one basis).
+    K, M = tree_pencil(TreeSpec(k=3, J=7))
     M, lu = CountedProducts(M), CountedSolves(_ldl(K))
-    eigensolver._lanczos(lu, M, 8 + GUARD_VECTORS, np.empty((K.shape[0], 0)))
-    assert lu.calls > 2 * (8 + GUARD_VECTORS)   # at least one restart
+    eigensolver._lanczos(lu, M, 8, np.empty((K.shape[0], 0)))
+    assert lu.calls > 2 * (8 + GUARD_VECTORS) + 2   # at least one restart
     assert M.calls <= 2 * lu.calls + 4
+
+
+def test_deep_tree_solve_takes_at_most_30_factor_solves(monkeypatch):
+    # the stopping test reads the 8 wanted pairs only, so one full basis of
+    # 27 steps converges them (28 solves); waiting for the guard pairs too
+    # took a thick restart and 49 solves
+    ldl, factors = eigensolver._ldl, []
+
+    def counted_ldl(A):
+        factors.append(CountedSolves(ldl(A)))
+        return factors[-1]
+
+    monkeypatch.setattr(eigensolver, "_ldl", counted_ldl)
+    smallest_eigenpairs(*tree_pencil(TreeSpec(k=2, J=14)), 8)
+    assert sum(lu.calls for lu in factors) <= 30
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(k=st.sampled_from([2, 3, 4]), J=st.integers(1, 3), h=st.sampled_from([0.02, 0.05]),
+       m=st.integers(1, 16))
+def test_certified_solve_finds_every_copy_of_multiple_eigenvalues(k, J, h, m):
+    # a vertex component of generation j enters the tree pencil with
+    # multiplicity k**(j-1) (k-1), and one Krylov space holds one direction
+    # of each eigenspace: the missed copies are found by the locked repairs.
+    # A repair started from the first solve's vector, which holds no
+    # direction of an eigenspace but the one locked, raised on k2-J3 at
+    # h = 0.02 and m = 15.
+    K, M, dense = pencil_with_dense_spectrum(k, J, h)
+    assume(K.shape[0] > DENSE_CUTOFF)
+    spec = smallest_eigenpairs(K, M, m)
+    np.testing.assert_allclose(spec.values, dense[:m], rtol=1e-9, atol=0.0)
+    G = spec.vectors.T @ (M @ spec.vectors)
+    assert np.abs(G - np.eye(m)).max() <= 1e-8
 
 
 @pytest.mark.parametrize("spec", [TreeSpec(k=2, J=14), TreeSpec(k=3, J=9)],

@@ -304,6 +304,32 @@ def test_component_weight_jump_factor():
     assert total == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec,W", [(TreeSpec(k=2, J=14), None), (TreeSpec(k=2, J=6), np.cos),
+                                    (TreeSpec(k=3, J=9), None), (TreeSpec(k=3, J=4), np.cos)],
+                         ids=["k2-J14", "k2-J6-cosine", "k3-J9", "k3-J4-cosine"])
+def test_vertex_component_is_a_trailing_block_of_the_root_component(spec, W):
+    # radial_decomposition_spectrum solves component j as the block of the
+    # root component past the node at t_j: k**j times the component's own
+    # pencil, bit for bit when k is a power of 2 and within two roundings
+    # of the weights otherwise
+    from treespec.operator_1d import radial_component_operator
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    mesh = build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints)
+    root = radial_component_operator(tree, mesh, rs, rs, W, 0)
+    rtol = 0.0 if spec.k == 2 else 2 * np.finfo(float).eps
+    start = 0
+    for j in range(tree.J + 1):
+        component = radial_component_operator(tree, mesh, rs, rs, W, j)
+        for whole, part in ((root.K, component.K), (root.M, component.M)):
+            block, scaled = whole[start:, start:], spec.k ** j * part
+            assert np.array_equal(block.indptr, scaled.indptr)
+            assert np.array_equal(block.indices, scaled.indices)
+            np.testing.assert_allclose(block.data, scaled.data, rtol=rtol, atol=0.0)
+        start += len(mesh.gen_local[j]) - 1
+    assert start == root.K.shape[0]
+
+
 # -- discreteness classifier --------------------------------------------------
 
 @pytest.mark.parametrize("delta,holds,boundary", [
