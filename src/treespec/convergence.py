@@ -107,8 +107,9 @@ class ExperimentConfig:
             raise ExperimentError("geometry.eps_list: entries must lie in (0, 1)")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ExperimentError("geometry.eps_list: entries must be strictly decreasing")
-        if list(self.n_list) != sorted(self.n_list) or not all(n > 0 for n in self.n_list):
-            raise ExperimentError("experiment.n_list: entries must be positive and increasing")
+        if any(b <= a for a, b in zip((0, *self.n_list), self.n_list)):
+            raise ExperimentError(
+                "experiment.n_list: entries must be positive and strictly increasing")
         for key, value, low in (("experiment.h_1d", self.h_1d, 0), ("geometry.h", self.h_2d, 0),
                                 ("weights.zone_factor", self.zone_factor, 0),
                                 ("experiment.m", self.m, 0), ("geometry.n_cross", self.n_cross, 1)):
@@ -292,7 +293,7 @@ def weight_convergence_experiment(cfg: ExperimentConfig) -> WeightConvergenceRep
 
     gaps = np.abs(eigenvalues - limit[None, :])
     decreasing = bool(np.all(np.diff(gaps, axis=0) < 0))
-    final_rel = float((gaps[-1] / limit).max())
+    final_rel = float((gaps[-1] / np.abs(limit)).max())
     return WeightConvergenceReport(
         n_list=tuple(cfg.n_list), eigenvalues=eigenvalues, limit=limit,
         gaps=gaps, equiv_constant=c, envelope_ok=not failures,

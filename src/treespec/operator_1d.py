@@ -4,12 +4,15 @@ P1 discretization with one degree of freedom per tree vertex (continuity built
 in, the weighted Kirchhoff condition arising naturally), Dirichlet at the root
 and natural conditions at the truncated tips.  Weights are radial piecewise
 constants; meshes place nodes on every weight breakpoint so stiffness entries
-are exact.  The radial decomposition splits the spectrum into weighted interval
-operators on [t_v, R), one per vertex generation plus the root component.
+are exact, and one element form per generation feeds the whole-tree pencil,
+the radial components and the tail integrals.  The radial decomposition
+splits the spectrum into weighted interval operators on [t_v, R), one per
+vertex generation plus the root component.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -266,49 +269,88 @@ class AssembledSystem:
         return full
 
 
-def _element_block(dofs, t0, local, rho_a, rho_b, W, weight=1.0):
-    """Scatter block of the element matrices of one generation, shared by the
-    copies in the rows of ``dofs``, both weights scaled by ``weight``.
+@dataclass(frozen=True)
+class ElementForm:
+    """P1 element data per generation: the conductances k_e = rho_a(mid)/h, the
+    masses m_e = rho_b(mid) h/6 and, with a potential W, the two Gauss terms
+    W(x_g) rho_b(mid) h/2.  The element stiffness is k_e [[1, -1], [-1, 1]]
+    plus each Gauss term times phi phi^T, the element mass m_e [[2, 1], [1, 2]];
+    the whole-tree pencil and every radial component scatter these entries."""
 
-    Each copy's entries run through the (0, 0), (0, 1), (1, 0), (1, 1)
-    positions in turn, elements innermost, so duplicates are summed in the
-    order of a per-edge loop.
-    """
-    a, b = local[:-1], local[1:]
-    hs = b - a
-    mids = t0 + 0.5 * (a + b)
-    ra = rho_a(mids) * weight
-    rb = rho_b(mids) * weight
-    k_loc = (ra / hs)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    m_loc = (rb * hs / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
-    if W is not None:
-        for gpt in GAUSS2:
-            x = t0 + a + gpt * hs
-            wv = np.asarray(W(x), dtype=float)
-            phi = np.array([1.0 - gpt, gpt])
-            k_loc += (wv * rb * hs * 0.5)[:, None, None] * np.outer(phi, phi)
-    e = np.arange(len(hs))
-    return (dofs, np.concatenate([e, e, e + 1, e + 1]),
-            np.concatenate([e, e + 1, e, e + 1]),
-            k_loc.reshape(-1, 4).T.ravel(), m_loc.reshape(-1, 4).T.ravel())
+    mesh: Mesh1D
+    conductance: tuple         # (n_j - 1,) per generation
+    mass: tuple                # (n_j - 1,) per generation
+    gauss: tuple | None        # (2, n_j - 1) per generation; None without W
+
+    @cached_property
+    def _entries(self) -> list:
+        """(rows, cols, k_vals, m_vals) of one copy of each generation: the
+        (0, 0), (0, 1), (1, 0), (1, 1) entries in turn, elements innermost, so
+        duplicates are summed in the order of a per-edge loop."""
+        out = []
+        for j, (k_e, m_e) in enumerate(zip(self.conductance, self.mass)):
+            k_loc = k_e[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+            for gpt, term in zip(GAUSS2, self.gauss[j] if self.gauss else ()):
+                phi = np.array([1.0 - gpt, gpt])
+                k_loc += term[:, None, None] * np.outer(phi, phi)
+            m_loc = m_e[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+            e = np.arange(len(k_e))
+            out.append((np.concatenate([e, e, e + 1, e + 1]), np.concatenate([e, e + 1, e, e + 1]),
+                        k_loc.reshape(-1, 4).T.ravel(), m_loc.reshape(-1, 4).T.ravel()))
+        return out
+
+    def pencil(self) -> AssembledSystem:
+        """The whole tree, every copy of generation j on its row of ``gen_dofs[j]``."""
+        return _dirichlet_pencil(self.mesh.n_dofs, [
+            (dofs, *entries) for dofs, entries in zip(self.mesh.gen_dofs, self._entries)])
+
+    def component(self, vertex_gen: int) -> AssembledSystem:
+        """The generation-j component: one chain of the generations i >= j on
+        [t_j, R), Dirichlet at t_j, with the element entries of generation i
+        times k**(i - j), the relative counting function of one subtree."""
+        tree = self.mesh.tree
+        if not 0 <= vertex_gen <= tree.J:
+            raise Operator1DError(f"vertex generation {vertex_gen} outside [0, {tree.J}]")
+        blocks, dof = [], 0
+        for i in range(vertex_gen, tree.J + 1):
+            rows, cols, k_vals, m_vals = self._entries[i]
+            n_elem, g_rel = len(self.mass[i]), float(tree.k ** (i - vertex_gen))
+            blocks.append((dof + np.arange(n_elem + 1)[None, :], rows, cols,
+                           k_vals * g_rel, m_vals * g_rel))
+            dof += n_elem
+        return _dirichlet_pencil(dof + 1, blocks)
+
+
+def _dirichlet_pencil(n: int, blocks) -> AssembledSystem:
+    """The pencil of the blocks over n dofs, Dirichlet at dof 0."""
+    K, M, free = scatter_pencil(n, blocks, [0])
+    return AssembledSystem(K=K, M=M, free=free, n_full=n)
+
+
+def element_form(mesh: Mesh1D, rho_alpha, rho_beta, W) -> ElementForm:
+    """Element data over ``mesh``, each profile evaluated once per generation
+    and W once per Gauss point; mesh nodes on all breakpoints make it exact."""
+    conductance, mass, gauss = [], [], []
+    for t0, local in zip(mesh.tree.t_shell, mesh.gen_local):
+        a, b = local[:-1], local[1:]
+        hs = b - a
+        mids = t0 + 0.5 * (a + b)
+        rb = rho_beta(mids)
+        conductance.append(rho_alpha(mids) / hs)
+        mass.append(rb * hs / 6.0)
+        if W is not None:
+            gauss.append(np.array([np.asarray(W(t0 + a + gpt * hs), dtype=float) * rb * hs * 0.5
+                                   for gpt in GAUSS2]))
+    return ElementForm(mesh=mesh, conductance=tuple(conductance), mass=tuple(mass),
+                       gauss=None if W is None else tuple(gauss))
 
 
 def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
                 rho_beta: WeightProfile, W) -> AssembledSystem:
-    """Assemble the width-weighted form over the tree mesh, with the root
-    (dof 0) eliminated as the Dirichlet dof.
-
-    K holds integral(rho_a u' v') plus, when the radial potential W(t) is not
-    None, the potential term integral(W rho_b u v) via 2-point Gauss; M is the consistent rho_b
-    mass.  Mesh nodes sit on all weight breakpoints, so the weight factors
-    are exact per element.
-    """
-    n = mesh.n_dofs
-    K, M, free = scatter_pencil(n, [
-        _element_block(dofs, tree.t_shell[j], mesh.gen_local[j],
-                       rho_alpha, rho_beta, W)
-        for j, dofs in enumerate(mesh.gen_dofs)], [0])
-    return AssembledSystem(K=K, M=M, free=free, n_full=n)
+    """The width-weighted pencil over the mesh of ``tree``, the root (dof 0)
+    eliminated: K holds integral(rho_a u' v') plus, when the radial potential
+    W(t) is not None, integral(W rho_b u v); M is the consistent rho_b mass."""
+    return element_form(mesh, rho_alpha, rho_beta, W).pencil()
 
 
 def kirchhoff_residuals(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
@@ -343,54 +385,23 @@ def component_multiplicity(k: int, j: int) -> int:
     return k ** (j - 1) * (k - 1)
 
 
-def radial_component_operator(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
-                              W, vertex_gen: int) -> AssembledSystem:
-    """Weighted interval operator of the generation-j component on [t_j, R).
-
-    Dirichlet at t_j (the root condition when j = 0), natural at R; the weight
-    carries the relative counting function of one subtree, equal to 1 on the
-    first generation and multiplied by k at each deeper shell.
-    """
-    if not 0 <= vertex_gen <= tree.J:
-        raise Operator1DError(f"vertex generation {vertex_gen} outside [0, {tree.J}]")
-    blocks = []
-    dof = 0
-    for j in range(vertex_gen, tree.J + 1):
-        local = mesh.gen_local[j]
-        g_rel = float(tree.k ** (j - vertex_gen))
-        blocks.append(_element_block(dof + np.arange(len(local))[None, :],
-                                     tree.t_shell[j], local, rho_alpha, rho_beta,
-                                     W, weight=g_rel))
-        dof += len(local) - 1
-    n = dof + 1
-    K, M, free = scatter_pencil(n, blocks, [0])   # Dirichlet at t_j
-    return AssembledSystem(K=K, M=M, free=free, n_full=n)
-
-
 def radial_decomposition_spectrum(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
                                   W, m: int) -> Spectrum:
     """Merged spectrum of the root component and all vertex components.
 
     Requires radially symmetric weights and potential (shared per-generation
-    mesh layouts make the split of the discrete operator exact).  The root
-    component is assembled once.  Its trailing block past the node at t_j is
-    k**j times ``radial_component_operator(..., j)``, bit for bit when k is a
-    power of 2 and up to the rounding of the weights otherwise, so component
-    j is solved as that block over k**j.
+    mesh layouts make the split of the discrete operator exact).  The element
+    form is built once, and every component is scattered from it.
     """
-    root = radial_component_operator(tree, mesh, rho_alpha, rho_beta, W, 0)
-    # free index of the first dof past t_j: the root numbering owns
-    # len(local) - 1 dofs per generation
-    starts = np.cumsum([0] + [len(local) - 1 for local in mesh.gen_local])
+    form = element_form(mesh, rho_alpha, rho_beta, W)
     parts = []
     for j in range(tree.J + 1):
         mult = component_multiplicity(tree.k, j)
         if mult == 0:
             continue
-        s, scale = starts[j], float(tree.k ** j)
-        K, M = root.K[s:, s:] / scale, root.M[s:, s:] / scale
-        want = min(m, K.shape[0])
-        parts.append((smallest_eigenpairs(K, M, want, with_vectors=False), mult))
+        c = form.component(j)
+        parts.append((smallest_eigenpairs(c.K, c.M, min(m, c.K.shape[0]), with_vectors=False),
+                      mult))
     return merge_spectra(parts, m=m)
 
 
@@ -434,21 +445,6 @@ def discreteness_condition_check(tree: Tree, rho: WeightProfile) -> Discreteness
                               per_generation_factor=q, boundary=boundary)
 
 
-def _edge_field_integrals(tree, mesh, u_full, weight, gen_min=0):
-    """(integral u^2 * w, integral u'^2 * w) over edges of generation >= gen_min."""
-    mass = 0.0
-    energy = 0.0
-    for j in range(gen_min, tree.J + 1):
-        local = mesh.gen_local[j]
-        hs = np.diff(local)
-        w = weight(tree.t_shell[j] + local[:-1] + 0.5 * hs)
-        u = u_full[mesh.gen_dofs[j]]
-        u0, u1 = u[:, :-1], u[:, 1:]
-        mass += float(np.sum(w * hs / 3.0 * (u0 ** 2 + u0 * u1 + u1 ** 2)))
-        energy += float(np.sum(w * (u1 - u0) ** 2 / hs))
-    return mass, energy
-
-
 def tail_bound_check(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
                      u_full: np.ndarray, j: int) -> float:
     """L2 mass beyond generation j over the total weighted energy.
@@ -456,12 +452,15 @@ def tail_bound_check(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
     Contract: ratio <= c^2 R(j)^2 / C for fields in the form domain (vanishing
     at the root and decaying at the tree ends).
     """
-    mass_deep, _ = _edge_field_integrals(tree, mesh, u_full, rho_beta,
-                                         gen_min=j + 1)
-    _, energy = _edge_field_integrals(tree, mesh, u_full, rho_alpha)
-    if energy == 0.0:
-        return 0.0
-    return mass_deep / energy
+    form = element_form(mesh, rho_alpha, rho_beta, None)
+    mass_deep = energy = 0.0
+    for i, (k_e, m_e, dofs) in enumerate(zip(form.conductance, form.mass, mesh.gen_dofs)):
+        u = u_full[dofs]
+        u0, u1 = u[:, :-1], u[:, 1:]
+        if i > j:
+            mass_deep += float(np.sum(2.0 * m_e * (u0 ** 2 + u0 * u1 + u1 ** 2)))
+        energy += float(np.sum(k_e * (u1 - u0) ** 2))
+    return mass_deep / energy if energy else 0.0
 
 
 def hardy_inequality_check(tree: Tree, rho: WeightProfile,

@@ -185,6 +185,7 @@ def test_malformed_potential_is_a_config_error(tmp_path, capsys, subcommand,
     ({"experiment": {"n_list": [8, 4]}}, "experiment.n_list"),
     ({"experiment": {"n_list": [0, 8]}}, "experiment.n_list"),
     ({"experiment": {"n_list": [-4, 8]}}, "experiment.n_list"),
+    ({"experiment": {"n_list": [4, 8, 8, 16]}}, "experiment.n_list"),
     ({"experiment": {"h_1d": -1}}, "experiment.h_1d"),
     ({"experiment": {"h_1d": 0}}, "experiment.h_1d"),
     ({"experiment": {"m": 0}}, "experiment.m"),
@@ -196,7 +197,7 @@ def test_malformed_potential_is_a_config_error(tmp_path, capsys, subcommand,
     ({"experiment": {"n_list": []}}, "experiment.n_list"),
     ({"experiment": {"rayleigh_samples": -5}}, "experiment.rayleigh_samples"),
 ], ids=["eps-ascending", "eps-out-of-range", "n-descending", "n-zero", "n-negative",
-        "h1d-negative", "h1d-zero", "m-zero", "h2d-negative", "n-cross-one", "c-five",
+        "n-repeated", "h1d-negative", "h1d-zero", "m-zero", "h2d-negative", "n-cross-one", "c-five",
         "zone-factor-negative", "eps-empty", "n-empty", "rayleigh-samples-negative"])
 def test_bad_config_domain_exits_2_on_every_subcommand(tmp_path, capsys, subcommand,
                                                        payload, key):

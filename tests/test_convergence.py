@@ -141,6 +141,16 @@ def test_weight_convergence_default_reaches_two_percent():
     assert np.all(rep.gaps[-1] / rep.limit <= 0.02)
 
 
+def test_final_relative_gap_reads_negative_limit_eigenvalues():
+    # a strong negative cosine pulls the first limit eigenvalues below zero;
+    # their gaps count at |lambda|, not with the sign of lambda
+    cfg = ExperimentConfig(potential="cosine", potential_params=(-20.0, 1.0))
+    rep = weight_convergence_experiment(cfg)
+    assert np.any(rep.limit < 0)
+    assert rep.final_relative_gap == (rep.gaps[-1] / np.abs(rep.limit)).max()
+    assert rep.final_relative_gap > (rep.gaps[-1] / rep.limit).max()
+
+
 def test_eps_list_must_decrease():
     with pytest.raises(ExperimentError):
         ExperimentConfig(eps_list=(0.1, 0.2)).validate()

@@ -15,6 +15,7 @@ from treespec.operator_1d import (
     build_mesh_1d,
     component_multiplicity,
     discreteness_condition_check,
+    element_form,
     hardy_inequality_check,
     kirchhoff_residuals,
     radial_decomposition_spectrum,
@@ -274,10 +275,9 @@ def test_deepest_component_is_plain_interval_operator():
     # the generation-J component lives on the last shell alone: constant
     # weight, Dirichlet/Neumann interval with closed-form spectrum
     tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, J=2))
-    from treespec.operator_1d import radial_component_operator
     mesh = build_mesh_1d(tree, h=0.002, breakpoints=())
     rs = rho_star_profile(tree)
-    sys_J = radial_component_operator(tree, mesh, rs, rs, None, 2)
+    sys_J = element_form(mesh, rs, rs, None).component(2)
     spec = smallest_eigenpairs(sys_J.K, sys_J.M, 2, with_vectors=False)
     L = tree.edge_lengths[2]
     exact = [((2 * m - 1) * np.pi / (2 * L)) ** 2 for m in (1, 2)]
@@ -287,10 +287,9 @@ def test_deepest_component_is_plain_interval_operator():
 def test_component_weight_jump_factor():
     # the relative counting weight of a component multiplies by k across shells
     tree = build_tree(TreeSpec(k=2, N=2, delta=0.6, l0=1.0, r=0.5, J=2))
-    from treespec.operator_1d import radial_component_operator
     mesh = build_mesh_1d(tree, h=0.05, breakpoints=())
     rs = rho_star_profile(tree)
-    sys_j = radial_component_operator(tree, mesh, rs, rs, None, 1)
+    sys_j = element_form(mesh, rs, rs, None).component(1)
     # mass of the linear field u = t - t_1 (vanishing at the Dirichlet end)
     # with weight g_rel * rho*; P1 mass is exact for piecewise-linear fields
     pos = [tree.t_shell[1]]
@@ -304,23 +303,50 @@ def test_component_weight_jump_factor():
     assert total == pytest.approx(expected, rel=1e-12)
 
 
+def test_decomposition_evaluates_profiles_once_per_generation():
+    # the components share one element form: each profile is read once per
+    # generation and the potential once per Gauss point, not per component
+    tree = build_tree(TreeSpec(k=2, J=14))
+    rs = rho_star_profile(tree)
+    mesh = build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints)
+    calls = {"alpha": 0, "beta": 0, "W": 0}
+
+    def counted(name, f):
+        def wrapper(t):
+            calls[name] += 1
+            return f(t)
+        return wrapper
+
+    radial_decomposition_spectrum(tree, mesh, counted("alpha", rs), counted("beta", rs),
+                                  counted("W", np.cos), 8)
+    assert calls == {"alpha": tree.J + 1, "beta": tree.J + 1, "W": 2 * (tree.J + 1)}
+
+
+@pytest.mark.parametrize("vertex_gen", [-1, 3])
+def test_component_outside_the_tree_is_rejected(vertex_gen):
+    tree = build_tree(TreeSpec(k=2, J=2))
+    rs = rho_star_profile(tree)
+    form = element_form(build_mesh_1d(tree, h=0.05, breakpoints=()), rs, rs, None)
+    with pytest.raises(Operator1DError, match="vertex generation"):
+        form.component(vertex_gen)
+
+
 @pytest.mark.parametrize("spec,W", [(TreeSpec(k=2, J=14), None), (TreeSpec(k=2, J=6), np.cos),
                                     (TreeSpec(k=3, J=9), None), (TreeSpec(k=3, J=4), np.cos)],
                          ids=["k2-J14", "k2-J6-cosine", "k3-J9", "k3-J4-cosine"])
 def test_vertex_component_is_a_trailing_block_of_the_root_component(spec, W):
-    # radial_decomposition_spectrum solves component j as the block of the
-    # root component past the node at t_j: k**j times the component's own
-    # pencil, bit for bit when k is a power of 2 and within two roundings
-    # of the weights otherwise
-    from treespec.operator_1d import radial_component_operator
+    # the block of the root component past the node at t_j is k**j times
+    # component j's own pencil, bit for bit when k is a power of 2 and
+    # within two roundings of the weights otherwise
     tree = build_tree(spec)
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints)
-    root = radial_component_operator(tree, mesh, rs, rs, W, 0)
+    form = element_form(mesh, rs, rs, W)
+    root = form.component(0)
     rtol = 0.0 if spec.k == 2 else 2 * np.finfo(float).eps
     start = 0
     for j in range(tree.J + 1):
-        component = radial_component_operator(tree, mesh, rs, rs, W, j)
+        component = form.component(j)
         for whole, part in ((root.K, component.K), (root.M, component.M)):
             block, scaled = whole[start:, start:], spec.k ** j * part
             assert np.array_equal(block.indptr, scaled.indptr)

@@ -74,10 +74,6 @@ ALLOWED_DEFAULTS = {
         "`child_arm=1.0`: the bare skeleton; both values are used in `src`",
     "operator_1d.VertexZones.parent_arm":
         "`parent_arm=1.0`: the bare skeleton; both values are used in `src`",
-    "operator_1d._edge_field_integrals.gen_min":
-        "`gen_min=0`: the whole tree; both values are used in `src`",
-    "operator_1d._element_block.weight":
-        "`weight=1.0`: unscaled weights; both values are used in `src`",
 }
 
 

@@ -15,10 +15,10 @@ import scipy.sparse as sp
 from treespec.fem_2d import GeometrySpec2D, assemble_2d, build_geometry_2d
 from treespec.mesh2d import _triangle_block
 from treespec.operator_1d import (
-    _element_block,
+    GAUSS2,
     assemble_1d,
     build_mesh_1d,
-    radial_component_operator,
+    element_form,
     rho_star_profile,
 )
 from treespec.tree_model import TreeSpec, build_tree
@@ -71,19 +71,40 @@ def _reference_2d(tm, W, only_kind=None):
     return _reference_eliminate(*_reference_scatter(tm.n_nodes, blocks), tm.root_nodes)
 
 
+def _reference_element_block(dofs, t0, local, rs, W, weight):
+    """The P1 element entries of one generation at unit weight, then times
+    ``weight``, laid out as (gids, rows, cols, k values, m values): each
+    copy's entries run through the (0, 0), (0, 1), (1, 0), (1, 1) positions
+    in turn, elements innermost."""
+    a, b = local[:-1], local[1:]
+    hs = b - a
+    mids = t0 + 0.5 * (a + b)
+    rb = rs(mids)
+    k_loc = (rs(mids) / hs)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    if W is not None:
+        for gpt in GAUSS2:
+            wv = np.asarray(W(t0 + a + gpt * hs), dtype=float)
+            phi = np.array([1.0 - gpt, gpt])
+            k_loc += (wv * rb * hs * 0.5)[:, None, None] * np.outer(phi, phi)
+    m_loc = (rb * hs / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    e = np.arange(len(hs))
+    return (dofs, np.concatenate([e, e, e + 1, e + 1]), np.concatenate([e, e + 1, e, e + 1]),
+            k_loc.reshape(-1, 4).T.ravel() * weight, m_loc.reshape(-1, 4).T.ravel() * weight)
+
+
 def _reference_1d(tree, mesh, rs, W, vertex_gen=None):
-    """assemble_1d, or with vertex_gen the radial component operator."""
+    """assemble_1d, or with vertex_gen the radial component on one chain."""
     if vertex_gen is None:
         n, blocks = mesh.n_dofs, [
-            _element_block(dofs, tree.t_shell[j], mesh.gen_local[j], rs, rs, W)
+            _reference_element_block(dofs, tree.t_shell[j], mesh.gen_local[j], rs, W, 1.0)
             for j, dofs in enumerate(mesh.gen_dofs)]
     else:
         blocks, dof = [], 0
         for j in range(vertex_gen, tree.J + 1):
             local = mesh.gen_local[j]
-            blocks.append(_element_block(dof + np.arange(len(local))[None, :],
-                                         tree.t_shell[j], local, rs, rs, W,
-                                         weight=float(tree.k ** (j - vertex_gen))))
+            blocks.append(_reference_element_block(
+                dof + np.arange(len(local))[None, :], tree.t_shell[j], local, rs, W,
+                float(tree.k ** (j - vertex_gen))))
             dof += len(local) - 1
         n = dof + 1
     return _reference_eliminate(*_reference_scatter(n, blocks), [0])
@@ -127,7 +148,7 @@ def test_radial_component_k3_bitwise_equals_reference(vertex_gen):
     tree = build_tree(TreeSpec(k=3, J=3))
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=0.03, breakpoints=rs.breakpoints)
-    system = radial_component_operator(tree, mesh, rs, rs, _cosine_1d, vertex_gen)
+    system = element_form(mesh, rs, rs, _cosine_1d).component(vertex_gen)
     _assert_bitwise((system.K, system.M, system.free),
                     _reference_1d(tree, mesh, rs, _cosine_1d, vertex_gen))
 
