@@ -6,12 +6,13 @@ shift when the stiffness matrix cannot be factored at the origin), which
 applies one LDL^T factorization of K - sigma M per shift and stops once the
 m wanted Ritz pairs have converged: GUARD_VECTORS more pairs only widen its
 basis.  Shift-invert Lanczos can miss copies of a multiple eigenvalue, so
-every Lanczos result is certified by a Sylvester inertia count: the number of
-eigenvalues below a shift just under the cluster that holds the m-th Ritz
-value is read off an LDL^T factorization of K - shift M and must equal the
-number of Ritz values below that shift.  A miss is repaired by Lanczos solves
-in the M-orthogonal complement of the pairs found, for as long as each
-repair finds a missed pair.
+every call is certified by one Sylvester inertia count: the number of
+eigenvalues below a shift just under the cluster that holds the first
+solve's m-th Ritz value is read off an LDL^T factorization of K - shift M,
+and as many Ritz values must lie below that shift.  A miss is repaired by
+Lanczos solves in the M-orthogonal complement of the pairs found, for as
+long as each repair finds a missed pair; the repairs test their Ritz pairs
+at every step.
 Returned vectors are M-orthonormal and each pair carries an independently
 recomputed residual; the solve fails when a pair's backward error exceeds the
 tolerance.
@@ -133,10 +134,11 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     to DENSE_CUTOFF a dense generalized solve is used; above that, the
     shift-invert Lanczos iteration at sigma=0, which converges the m wanted
     Ritz pairs in a basis sized for GUARD_VECTORS more, retried at a negative
-    shift if the factorization of K fails.  An inertia count certifies that
-    no eigenvalue below the cluster of the m-th Ritz value was missed; on a
-    miscount the missed pairs are searched for with the found ones locked,
-    again while each such repair finds a missed pair, and the call fails
+    shift if the factorization of K fails.  One inertia count certifies that
+    no eigenvalue below the cluster of the first solve's m-th Ritz value was
+    missed; on a miscount the missed pairs are searched for with the found
+    ones locked, again while each such repair finds a missed pair, until as
+    many values lie below the count shift as the count says.  The call fails
     once a repair finds none.  Each Lanczos start vector comes from a
     generator seeded with the number of locked vectors, so a repeated solve
     returns the same bits.
@@ -185,39 +187,44 @@ def _certified_shift_invert(K, M, m: int):
     followed by another, up to m + 1 solves: each solve finds a direction of
     every eigenspace it reaches, so that is enough for m copies of one
     eigenvalue.  A repair that finds none fails the call, and so does a
-    result of fewer than m pairs.  The factor of K - sigma M at each shift
-    tried is kept for the whole call, so a repair solves with the factor of
-    the first solve.
+    result of fewer than m pairs.  The count is taken once, and the call
+    returns when as many values lie below its shift as it counts.  Every
+    eigenvalue below the shift is then known, and the m-th value lies at or
+    below the first solve's, so a recount would sit at a shift no higher and
+    could only agree.  The factor of K - sigma M at each shift tried is kept
+    for the whole call, so a repair solves with the factor of the first
+    solve.
     """
-    n = K.shape[0]
-    vals, vecs = np.empty(0), np.empty((n, 0))
     factors = {}
-    wanted = m
-    for solve in range(1, m + 2):
-        more_vals, more_vecs = _shift_invert(K, M, wanted, vecs, factors)
-        if solve > 1 and not np.any(more_vals < sigma):   # the repair found none
-            break
-        vals = np.concatenate([vals, more_vals])
-        vecs = np.hstack([vecs, more_vecs])
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        if len(vals) < m:
-            raise EigensolverError(
-                f"shift-invert missed {m - len(vals)} eigenvalue(s): it "
-                f"returned {len(vals)} of {m} pairs")
-        sigma, found = _count_shift(vals, m)
-        missed = _inertia_below(K, M, sigma) - found
-        if missed == 0:
-            return vals[:m], vecs[:, :m]
-        if missed < 0:
-            raise EigensolverError(
-                f"inertia count: {found + missed} eigenvalues below "
-                f"{sigma:.6g} but {found} Ritz values")
+    vals, vecs = _ascending(*_shift_invert(K, M, m, np.empty((K.shape[0], 0)), factors))
+    if len(vals) < m:
+        raise EigensolverError(
+            f"shift-invert missed {m - len(vals)} eigenvalue(s): it "
+            f"returned {len(vals)} of {m} pairs")
+    sigma, found = _count_shift(vals, m)
+    below, solves = _inertia_below(K, M, sigma), 1
+    while below > found and solves <= m:
         # no repair solve is larger than the first, whatever the count says
-        wanted = min(missed, m)
+        more_vals, more_vecs = _shift_invert(K, M, min(below - found, m), vecs, factors)
+        solves += 1
+        if not np.any(more_vals < sigma):   # the repair found none
+            break
+        vals, vecs = _ascending(np.concatenate([vals, more_vals]), np.hstack([vecs, more_vecs]))
+        found = int(np.count_nonzero(vals < sigma))
+    if below == found:
+        return vals[:m], vecs[:, :m]
+    if below < found:
+        raise EigensolverError(
+            f"inertia count: {below} eigenvalues below {sigma:.6g} but "
+            f"{found} Ritz values")
     raise EigensolverError(
-        f"shift-invert missed {missed} eigenvalue(s) below {sigma:.6g} "
-        f"after {solve} solves")
+        f"shift-invert missed {below - found} eigenvalue(s) below {sigma:.6g} "
+        f"after {solves} solves")
+
+
+def _ascending(vals: np.ndarray, vecs: np.ndarray):
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _shift_invert(K, M, wanted: int, locked: np.ndarray, factors: dict):
@@ -250,29 +257,35 @@ def _lanczos(lu, M, wanted: int, locked: np.ndarray):
     vectors (scipy's ARPACK default) is kept M-orthonormal.  A step takes
     w = OP v_j, removes alpha v_j, with alpha = (M v_j)^T w read off the
     operator's input, and the couplings of row j of the projected matrix
-    (beta v_{j-1}, or the arrow after a restart), then runs one full
-    classical Gram-Schmidt pass in the M inner product, repeated only when
-    the pass shrinks w below 1/sqrt(2) of its length (Daniel, Gragg,
-    Kaufman & Stewart, Math. Comp. 1976).  So a step
-    takes 2 M-products and 2 sweeps over the basis; the corrections of the
-    passes are added to alpha, as in ARPACK.  Every solve is followed by the
-    M-projection off the locked vectors, whose pairs so become theta = 0.
-    The start is OP applied to a uniform vector, so it lies in the range of
-    OP, drawn from a generator seeded with the number of locked vectors: a
-    repair started from the vector of the first solve would hold, of each
-    eigenspace, only the direction that solve found and locked, and would
-    reach the missed copies through roundoff alone.  As in ARPACK, the
-    projected matrix holds the Lanczos coefficients only.  A full basis
-    returns once the wanted pairs meet |beta s_last| <= RITZ_TOL |theta|;
-    the guard pairs are not tested, as in Wu & Simon's thick-restart Lanczos
-    (SIAM J. Matrix Anal. Appl. 2000), and never returned, since a locked
-    vector must be an eigenvector.  Else it restarts from its (k + ncv) // 2
+    (beta v_{j-1}, or the arrow after a restart) in one product over
+    V[first:j+1], then runs one full classical Gram-Schmidt pass in the M
+    inner product, repeated only when the pass shrinks w below 1/sqrt(2) of
+    its length (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  So a
+    step takes 2 M-products and 2 sweeps over the basis; the corrections of
+    the passes are added to alpha, as in ARPACK.  v_j and M v_j are scaled
+    in place and the products go into one work vector, so a step allocates
+    only the results of the solve and the M-products.  Every solve is
+    followed by the M-projection off the locked vectors, whose pairs so
+    become theta = 0.  The start is OP applied to a uniform vector, so it
+    lies in the range of OP, drawn from a generator seeded with the number
+    of locked vectors: a repair started from the vector of the first solve
+    would hold, of each eigenspace, only the direction that solve found and
+    locked, and would reach the missed copies through roundoff alone.  As in
+    ARPACK, the projected matrix holds the Lanczos coefficients only.
+
+    A first solve tests its Ritz pairs on a full basis only, as in ARPACK; a
+    repair, which runs with locked vectors and wants the few pairs its count
+    missed, tests at every step once its basis is larger than the wanted
+    pairs.  The call returns once the wanted pairs meet
+    |beta s_last| <= RITZ_TOL |theta|; the guard pairs are not tested, as in
+    Wu & Simon's thick-restart Lanczos (SIAM J. Matrix Anal. Appl. 2000),
+    and never returned, since a locked vector must be an eigenvector.  A
+    full basis that has not converged restarts from its (k + ncv) // 2
     leading Ritz vectors (thick restart), more than k so that a Ritz value
-    close to the k-th cannot stall it.  The test is made on a full basis
-    only, as in ARPACK.  dsyev's QL/QR deflates relative to neighbouring
-    entries: a deflation relative to the largest theta, 1/eps times the rest
-    at a near-singular shift, passed vectors with backward errors up to 0.9
-    as converged.  The vectors returned are
+    close to the k-th cannot stall it.  dsyev's QL/QR deflates relative to
+    neighbouring entries: a deflation relative to the largest theta, 1/eps
+    times the rest at a near-singular shift, passed vectors with backward
+    errors up to 0.9 as converged.  The vectors returned are
     OP y / theta = y + (beta s_last / theta) v_next for the Ritz vectors y,
     which have the smaller pencil residual.
     """
@@ -283,10 +296,14 @@ def _lanczos(lu, M, wanted: int, locked: np.ndarray):
     ncv = min(n - 1, max(2 * k + 1, 20))
     V = np.empty((ncv + 1, n))
     H = np.zeros((ncv + 1, ncv))   # lower triangle: the projected matrix
+    removed = np.empty(n)          # the part of w a projection takes off
+    test_every_step = locked.shape[1] > 0
 
     def op(Mx):
         y = lu.solve(Mx)
-        return y - locked @ (ML.T @ y) if locked.shape[1] else y
+        if locked.shape[1]:
+            y -= locked @ (ML.T @ y)
+        return y
 
     def orthogonal(w, j):
         """w less its M-projection on V[:j], M w, the coefficients removed,
@@ -297,7 +314,7 @@ def _lanczos(lu, M, wanted: int, locked: np.ndarray):
         for _ in range(2):
             before = norm
             h = V[:j] @ Mw
-            w -= h @ V[:j]
+            w -= np.matmul(h, V[:j], out=removed)
             coef += h
             Mw = M @ w
             norm = np.sqrt(w @ Mw)
@@ -311,30 +328,31 @@ def _lanczos(lu, M, wanted: int, locked: np.ndarray):
     w, Mw, _, beta = start(0)
     j = first = 0   # row j of H couples v_j to V[first:j]
     for _ in range(10 * n):   # scipy's ARPACK budget of 10 n, counted in steps
-        V[j] = w / beta
-        if j == ncv:   # a full basis: return the converged pairs or restart
-            theta, S, info = scipy.linalg.lapack.dsyev(H[:ncv, :ncv], lower=1)
+        np.divide(w, beta, out=V[j])
+        if j == ncv or (test_every_step and j > wanted):
+            theta, S, info = scipy.linalg.lapack.dsyev(H[:j, :j], lower=1)
             if info:
                 raise EigensolverError(f"dsyev failed on the projected matrix: {info}")
             order = np.argsort(-np.abs(theta))
             theta, S = theta[order], S[:, order]
-            bound = H[ncv, ncv - 1] * S[-1]
+            bound = H[j, j - 1] * S[-1]
             theta_w, bound_w = theta[:wanted], bound[:wanted]
             if np.all(np.abs(bound_w) <= RITZ_TOL * np.abs(theta_w)):
-                return theta_w, (np.vstack([S[:, :wanted], bound_w / theta_w]).T @ V).T
+                return theta_w, (np.vstack([S[:, :wanted], bound_w / theta_w]).T @ V[:j + 1]).T
+        if j == ncv:   # a full basis that has not converged: thick restart
             j, first = (k + ncv) // 2, 0
             V[:j] = S[:, :j].T @ V[:ncv]
             V[j] = V[ncv]
             H[:] = 0.0
             H[range(j), range(j)] = theta[:j]
             H[j, :j] = bound[:j]
-        Mv = Mw / beta
-        w = op(Mv)
-        alpha = Mv @ w
-        w -= alpha * V[j]
-        w -= H[j, first:j] @ V[first:j]
+        Mw /= beta   # M v_j
+        w = op(Mw)
+        H[j, j] = Mw @ w   # alpha
+        w -= np.matmul(H[j, first:j + 1], V[first:j + 1], out=removed)
         w, Mw, coef, beta = orthogonal(w, j + 1)
-        H[j, j], H[j + 1, j] = alpha + coef[j], beta
+        H[j, j] += coef[j]
+        H[j + 1, j] = beta
         if not beta:   # an invariant subspace: go on, uncoupled, from a new start
             w, Mw, _, beta = start(j + 1)
         j, first = j + 1, j

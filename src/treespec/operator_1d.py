@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .connector import affine_partition
-from .eigensolver import Spectrum, merge_spectra, smallest_eigenpairs
+from .eigensolver import RITZ_TOL, Spectrum, merge_spectra, smallest_eigenpairs
 from .mesh2d import scatter_pencil
 from .tree_model import Tree
 
@@ -27,6 +27,10 @@ HARDY_QUAD = 4      # Gauss-Legendre points per element of the Hardy numerator
 _HARDY_NODES, _HARDY_WEIGHTS = np.polynomial.legendre.leggauss(HARDY_QUAD)
 AVERAGE_CROSS_POINTS = 16    # Gauss-Legendre points across a tube section
 AVERAGE_AXIAL_POINTS = 400   # uniform axial samples of an averaged potential
+# A component whose smallest value exceeds the m-th merged value v_m by more
+# than this times max(1, |v_m|) ends the radial decomposition: a converged
+# Ritz value is within about RITZ_TOL of its eigenvalue, relative.
+_INTERLACING_MARGIN = 1000 * RITZ_TOL
 
 
 class Operator1DError(ValueError):
@@ -345,11 +349,19 @@ def element_form(mesh: Mesh1D, rho_alpha, rho_beta, W) -> ElementForm:
                        gauss=None if W is None else tuple(gauss))
 
 
+def _require_mesh_tree(tree: Tree, mesh: Mesh1D) -> None:
+    """Reject a ``tree`` argument other than the tree the mesh was built on."""
+    if tree.spec != mesh.tree.spec:
+        raise Operator1DError(f"tree {tree.spec} is not the tree of the mesh, "
+                              f"{mesh.tree.spec}")
+
+
 def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
                 rho_beta: WeightProfile, W) -> AssembledSystem:
     """The width-weighted pencil over the mesh of ``tree``, the root (dof 0)
     eliminated: K holds integral(rho_a u' v') plus, when the radial potential
     W(t) is not None, integral(W rho_b u v); M is the consistent rho_b mass."""
+    _require_mesh_tree(tree, mesh)
     return element_form(mesh, rho_alpha, rho_beta, W).pencil()
 
 
@@ -387,22 +399,36 @@ def component_multiplicity(k: int, j: int) -> int:
 
 def radial_decomposition_spectrum(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
                                   W, m: int) -> Spectrum:
-    """Merged spectrum of the root component and all vertex components.
+    """Merged m smallest values of the root component and the vertex
+    components.
 
     Requires radially symmetric weights and potential (shared per-generation
     mesh layouts make the split of the discrete operator exact).  The element
-    form is built once, and every component is scattered from it.
+    form is built once, and every component is scattered from it.  The
+    components are solved in order of generation, and the deeper ones are
+    skipped once the merge holds m values and the smallest value of the last
+    component solved exceeds the m-th by more than the solver's error: the
+    pencil of component j + 1 is 1/k times the trailing principal sub-pencil
+    of component j past t_(j+1), so by Cauchy interlacing no deeper value
+    lies below that smallest value, and the merge is the one of all
+    components.
     """
+    _require_mesh_tree(tree, mesh)
     form = element_form(mesh, rho_alpha, rho_beta, W)
-    parts = []
-    for j in range(tree.J + 1):
-        mult = component_multiplicity(tree.k, j)
+    k, parts = mesh.tree.k, []
+    for j in range(mesh.tree.J + 1):
+        mult = component_multiplicity(k, j)
         if mult == 0:
             continue
         c = form.component(j)
-        parts.append((smallest_eigenpairs(c.K, c.M, min(m, c.K.shape[0]), with_vectors=False),
-                      mult))
-    return merge_spectra(parts, m=m)
+        spec = smallest_eigenpairs(c.K, c.M, min(m, c.K.shape[0]), with_vectors=False)
+        parts.append((spec, mult))
+        merged = merge_spectra(parts, m=m)
+        v_m = merged.values[-1]
+        if (merged.multiplicities.sum() >= m
+                and spec.values[0] > v_m + _INTERLACING_MARGIN * max(1.0, abs(v_m))):
+            break
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +478,7 @@ def tail_bound_check(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
     Contract: ratio <= c^2 R(j)^2 / C for fields in the form domain (vanishing
     at the root and decaying at the tree ends).
     """
+    _require_mesh_tree(tree, mesh)
     form = element_form(mesh, rho_alpha, rho_beta, None)
     mass_deep = energy = 0.0
     for i, (k_e, m_e, dofs) in enumerate(zip(form.conductance, form.mass, mesh.gen_dofs)):

@@ -282,13 +282,14 @@ def test_one_factor_per_shift_and_one_per_count(monkeypatch):
 
 def test_repair_solve_reuses_the_factor_of_its_shift(monkeypatch):
     # the locked repair of the 4-fold eigenvalue below solves with the
-    # factor of the first solve; only the second inertia count factors anew
+    # factor of the first solve, and the first inertia count certifies it:
+    # one factor for the iteration and one for the count
     seen = count_factorizations(monkeypatch)
     d = np.concatenate([[1.0, 2.0, 3.0], [5.0] * 4, np.arange(6.0, 2500.0)])
     smallest_eigenpairs(sp.diags(d).tocsr(), sp.identity(len(d), format="csr"), 8)
     assert len(seen["lanczos"]) == 2
     assert seen["lanczos"][0] is seen["lanczos"][1] is seen["splu"][0]
-    assert len(seen["splu"]) == 3
+    assert len(seen["splu"]) == 2
 
 
 def test_inertia_count_matches_dense_count():
@@ -645,6 +646,36 @@ def test_deep_tree_solve_takes_at_most_30_factor_solves(monkeypatch):
     monkeypatch.setattr(eigensolver, "_ldl", counted_ldl)
     smallest_eigenpairs(*tree_pencil(TreeSpec(k=2, J=14)), 8)
     assert sum(lu.calls for lu in factors) <= 30
+
+
+def test_deep_tree_repair_is_certified_by_the_first_count(monkeypatch):
+    # on k3-J9 the first solve finds 4 of the 6 copies of 2.5473 and returns
+    # 4.558 as the 8th value; the count below 4.558 reads 9, 2 more than it
+    # found.  The repair of those 2 tests its Ritz pairs at every step and
+    # converges before its basis of 20 vectors is full (one solve starts it,
+    # one per step).  It finds the 2 copies, which the first count
+    # certifies: the call factors once for the iteration and once for the
+    # count
+    ldl, lanczos = eigensolver._ldl, eigensolver._lanczos
+    factors, solves = [], []
+
+    def counted_ldl(A):
+        factors.append(CountedSolves(ldl(A)))
+        return factors[-1]
+
+    def counted_lanczos(lu, M, wanted, locked):
+        before = lu.calls
+        out = lanczos(lu, M, wanted, locked)
+        solves.append((wanted, locked.shape[1], lu.calls - before))
+        return out
+
+    monkeypatch.setattr(eigensolver, "_ldl", counted_ldl)
+    monkeypatch.setattr(eigensolver, "_lanczos", counted_lanczos)
+    spec = smallest_eigenpairs(*tree_pencil(TreeSpec(k=3, J=9)), 8)
+    assert np.count_nonzero(np.isclose(spec.values, 2.5473, rtol=1e-4)) == 5
+    assert len(factors) == 2
+    assert [s[:2] for s in solves] == [(8, 0), (2, 8)]
+    assert solves[1][2] - 1 < 20
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

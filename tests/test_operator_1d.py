@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from treespec import operator_1d
 from treespec.connector import EquivalenceConstants, affine_partition
 from treespec.convergence import ExperimentConfig, ExperimentError
-from treespec.eigensolver import smallest_eigenpairs
+from treespec.eigensolver import merge_spectra, smallest_eigenpairs
 from treespec.fem_2d import GeometrySpec2D, build_geometry_2d, matched_mesh_1d
 from treespec.operator_1d import (
     GAUSS2,
+    ElementForm,
     Operator1DError,
     VertexZones,
     assemble_1d,
@@ -356,6 +358,32 @@ def test_vertex_component_is_a_trailing_block_of_the_root_component(spec, W):
     assert start == root.K.shape[0]
 
 
+@pytest.mark.parametrize("spec,W", [(TreeSpec(k=2, J=14), None), (TreeSpec(k=2, J=6), np.cos),
+                                    (TreeSpec(k=3, J=9), None), (TreeSpec(k=3, J=4), np.cos),
+                                    (TreeSpec(k=1, J=4), np.cos)],
+                         ids=["k2-J14", "k2-J6-cosine", "k3-J9", "k3-J4-cosine", "k1-J4-cosine"])
+def test_next_component_is_a_trailing_sub_pencil_over_k(spec, W):
+    # the premise of the interlacing stop of radial_decomposition_spectrum:
+    # component j + 1 is the trailing principal sub-pencil of component j
+    # past t_(j+1), divided by k: bit for bit for k <= 2; for k = 3 within
+    # 1 ulp on M and 2 ulp on K, whose vertex entries sum two scaled terms
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    mesh = build_mesh_1d(tree, h=0.01, breakpoints=rs.breakpoints)
+    form = element_form(mesh, rs, rs, W)
+    for j in range(tree.J):
+        outer, inner = form.component(j), form.component(j + 1)
+        start = len(mesh.gen_local[j]) - 1
+        for whole, part in ((outer.K, inner.K), (outer.M, inner.M)):
+            block = whole[start:, start:]
+            assert np.array_equal(block.indptr, part.indptr)
+            assert np.array_equal(block.indices, part.indices)
+            if spec.k <= 2:
+                assert np.array_equal(block.data / spec.k, part.data)
+            else:
+                np.testing.assert_array_max_ulp(block.data / spec.k, part.data, maxulp=2)
+
+
 # -- discreteness classifier --------------------------------------------------
 
 @pytest.mark.parametrize("delta,holds,boundary", [
@@ -451,6 +479,31 @@ def test_tail_bound_random_fields_bounded():
             u[0] = 0.0
             u[tips] = 0.0
             assert tail_bound_check(tree, mesh, rs, rs, u, j) <= bound
+
+
+def mesh_of_another_tree():
+    """(tree, mesh, rs): a mesh of TreeSpec(k=2, J=2) and a k=3 tree."""
+    mesh_tree = build_tree(TreeSpec(k=2, J=2))
+    rs = rho_star_profile(mesh_tree)
+    return build_tree(TreeSpec(k=3, J=2)), build_mesh_1d(mesh_tree, h=0.1, breakpoints=()), rs
+
+
+def test_assemble_1d_rejects_a_tree_other_than_the_mesh_tree():
+    tree, mesh, rs = mesh_of_another_tree()
+    with pytest.raises(Operator1DError, match="tree"):
+        assemble_1d(tree, mesh, rs, rs, None)
+
+
+def test_tail_bound_rejects_a_tree_other_than_the_mesh_tree():
+    tree, mesh, rs = mesh_of_another_tree()
+    with pytest.raises(Operator1DError, match="tree"):
+        tail_bound_check(tree, mesh, rs, rs, np.zeros(mesh.n_dofs), 1)
+
+
+def test_decomposition_rejects_a_tree_other_than_the_mesh_tree():
+    tree, mesh, rs = mesh_of_another_tree()
+    with pytest.raises(Operator1DError, match="tree"):
+        radial_decomposition_spectrum(tree, mesh, rs, rs, None, 4)
 
 
 def test_hardy_zero_field():
@@ -790,6 +843,107 @@ def test_decomposition_equals_direct_through_a_multiple_eigenvalue():
     vals = assert_decomposition_equals_direct(
         TreeSpec(k=2, J=12, r=0.6, delta=0.5), 0.005)
     assert np.count_nonzero(np.isclose(vals, 8.565, rtol=1e-4)) == 3
+
+
+# the four cases of the deep-tree benchmark workload
+DEEP_TREE_CASES = {
+    "k2-J14": (TreeSpec(k=2, J=14), 0.01),
+    "k2-J13": (TreeSpec(k=2, J=13), 0.005),
+    "k3-J9": (TreeSpec(k=3, J=9), 0.01),
+    "k2-J12": (TreeSpec(k=2, J=12, r=0.6, delta=0.5), 0.005),
+}
+
+
+def deep_tree_case(name, W=None):
+    """(tree, mesh, rs, form) of a deep-tree case with the potential W."""
+    spec, h = DEEP_TREE_CASES[name]
+    tree = build_tree(spec)
+    rs = rho_star_profile(tree)
+    mesh = build_mesh_1d(tree, h=h, breakpoints=rs.breakpoints)
+    return tree, mesh, rs, element_form(mesh, rs, rs, W)
+
+
+def full_decomposition(form, m):
+    """The merge of every component of the form, none skipped."""
+    tree, parts = form.mesh.tree, []
+    for j in range(tree.J + 1):
+        if component_multiplicity(tree.k, j):
+            c = form.component(j)
+            parts.append((smallest_eigenpairs(c.K, c.M, min(m, c.K.shape[0]),
+                                              with_vectors=False),
+                          component_multiplicity(tree.k, j)))
+    return merge_spectra(parts, m=m)
+
+
+def assert_same_spectrum(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.array_equal(got.multiplicities, want.multiplicities)
+
+
+@pytest.mark.parametrize("W", [None, np.cos], ids=["free", "cosine"])
+@pytest.mark.parametrize("case", sorted(DEEP_TREE_CASES))
+def test_interlacing_stop_keeps_the_merged_spectrum(case, W):
+    tree, mesh, rs, form = deep_tree_case(case, W)
+    assert_same_spectrum(radial_decomposition_spectrum(tree, mesh, rs, rs, W, 8),
+                         full_decomposition(form, 8))
+
+
+@pytest.mark.parametrize("W", [None, np.cos], ids=["free", "cosine"])
+def test_interlacing_stop_keeps_the_merged_spectrum_of_a_path(W):
+    # k = 1: the vertex components have multiplicity 0, only the root is solved
+    tree = build_tree(TreeSpec(k=1, J=6))
+    rs = rho_star_profile(tree)
+    mesh = build_mesh_1d(tree, h=0.005, breakpoints=rs.breakpoints)
+    assert_same_spectrum(radial_decomposition_spectrum(tree, mesh, rs, rs, W, 8),
+                         full_decomposition(element_form(mesh, rs, rs, W), 8))
+
+
+def test_interlacing_stop_solves_the_component_that_holds_the_mth_value(monkeypatch):
+    # on k3-J9 the 8th value, 2.5473, is lambda_1 of component 2, which has
+    # multiplicity 6: the stop must not come before component 2, and comes
+    # after component 3, whose smallest value lies above it
+    tree, mesh, rs, form = deep_tree_case("k3-J9")
+    solved, component = [], ElementForm.component
+
+    def recorded(self, vertex_gen):
+        solved.append(vertex_gen)
+        return component(self, vertex_gen)
+
+    monkeypatch.setattr(ElementForm, "component", recorded)
+    dec = radial_decomposition_spectrum(tree, mesh, rs, rs, None, 8)
+    assert solved == [0, 1, 2, 3]
+    assert dec.values[-1] == pytest.approx(2.5473, rel=1e-4)
+    assert dec.multiplicities[-1] == component_multiplicity(3, 2) == 6
+    c = form.component(2)
+    assert dec.values[-1] == smallest_eigenpairs(c.K, c.M, 8, with_vectors=False).values[0]
+
+
+@pytest.mark.parametrize("case,components", [("k2-J14", 5), ("k2-J13", 5), ("k3-J9", 4),
+                                             ("k2-J12", 5)])
+def test_deep_tree_decompose_solves_only_what_reaches_m(case, components, monkeypatch):
+    # 19 component solves over the four cases, not 52, and 2 factorizations
+    # per direct solve, not 3 where a repair ran (k3-J9 and k2-J12): the first
+    # inertia count certifies the repairs
+    import scipy.sparse.linalg
+    tree, mesh, rs, _ = deep_tree_case(case)
+    system = assemble_1d(tree, mesh, rs, rs, None)
+    calls = {"splu": 0, "smallest_eigenpairs": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(scipy.sparse.linalg, "splu")
+    counted(operator_1d, "smallest_eigenpairs")
+    smallest_eigenpairs(system.K, system.M, 8, with_vectors=False)
+    assert calls == {"splu": 2, "smallest_eigenpairs": 0}
+    radial_decomposition_spectrum(tree, mesh, rs, rs, None, 8)
+    assert calls["smallest_eigenpairs"] == components < sum(
+        component_multiplicity(tree.k, j) > 0 for j in range(tree.J + 1))
 
 
 def test_mesh_and_assembly_at_node_budget_edge():

@@ -131,9 +131,16 @@ def _cosine_1d(t):
     return np.cos(2.0 * t)
 
 
+def _strong_cosine_1d(t):
+    """A potential whose Gauss terms are as large as the conductances: the
+    two terms of an element then round differently in the two orders."""
+    return 1e4 * np.cos(2.0 * t)
+
+
 @pytest.mark.parametrize("spec", [TreeSpec(), TreeSpec(k=1, J=3), TreeSpec(k=3, J=3)],
                          ids=["default", "k1", "k3"])
-@pytest.mark.parametrize("W", [None, _cosine_1d], ids=["free", "cosine"])
+@pytest.mark.parametrize("W", [None, _cosine_1d, _strong_cosine_1d],
+                         ids=["free", "cosine", "strong-cosine"])
 def test_assemble_1d_bitwise_equals_reference(spec, W):
     # at this pitch the vertex sums of the default tree depend on their order
     tree = build_tree(spec)
@@ -141,6 +148,25 @@ def test_assemble_1d_bitwise_equals_reference(spec, W):
     mesh = build_mesh_1d(tree, h=0.013, breakpoints=rs.breakpoints)
     system = assemble_1d(tree, mesh, rs, rs, W)
     _assert_bitwise((system.K, system.M, system.free), _reference_1d(tree, mesh, rs, W))
+
+
+def test_strong_potential_is_sensitive_to_the_gauss_order():
+    # adding the second Gauss term before the first changes some bits of the
+    # element stiffness, so the strong-cosine cases above see that order
+    tree = build_tree(TreeSpec())
+    rs = rho_star_profile(tree)
+    form = element_form(build_mesh_1d(tree, h=0.013, breakpoints=rs.breakpoints),
+                        rs, rs, _strong_cosine_1d)
+    changed = 0
+    for k_e, terms in zip(form.conductance, form.gauss):
+        parts = [term[:, None, None] * np.outer([1.0 - gpt, gpt], [1.0 - gpt, gpt])
+                 for gpt, term in zip(GAUSS2, terms)]
+        k_loc = k_e[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        forward = k_loc + parts[0] + parts[1]
+        backward = k_loc + parts[1] + parts[0]
+        assert np.allclose(forward, backward, rtol=1e-12, atol=1e-12 * np.abs(k_loc).max())
+        changed += int((forward != backward).sum())
+    assert changed > 0
 
 
 @pytest.mark.parametrize("vertex_gen", [0, 1, 2])
