@@ -6,13 +6,14 @@ shift when the stiffness matrix cannot be factored at the origin), which
 applies one LDL^T factorization of K - sigma M per shift and stops once the
 m wanted Ritz pairs have converged: GUARD_VECTORS more pairs only widen its
 basis.  Shift-invert Lanczos can miss copies of a multiple eigenvalue, so
-every call is certified by one Sylvester inertia count: the number of
-eigenvalues below a shift just under the cluster that holds the first
-solve's m-th Ritz value is read off an LDL^T factorization of K - shift M,
-and as many Ritz values must lie below that shift.  A miss is repaired by
-Lanczos solves in the M-orthogonal complement of the pairs found, for as
-long as each repair finds a missed pair; the repairs test their Ritz pairs
-at every step.
+every call is certified by a Sylvester inertia count: the number of
+eigenvalues below a shift just under the cluster that holds the m-th Ritz
+value is read off an LDL^T factorization of K - shift M, and as many Ritz
+values must lie below that shift.  A miss is repaired by Lanczos solves in
+the M-orthogonal complement of the pairs found, for as long as each repair
+finds a missed pair; the repairs test their Ritz pairs at every step.  A
+repair that closes the last count needs no recount; one that leaves it open
+is followed by a count below the cluster of the lowered m-th value.
 Returned vectors are M-orthonormal and each pair carries an independently
 recomputed residual; the solve fails when a pair's backward error exceeds the
 tolerance.
@@ -134,12 +135,14 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     to DENSE_CUTOFF a dense generalized solve is used; above that, the
     shift-invert Lanczos iteration at sigma=0, which converges the m wanted
     Ritz pairs in a basis sized for GUARD_VECTORS more, retried at a negative
-    shift if the factorization of K fails.  One inertia count certifies that
-    no eigenvalue below the cluster of the first solve's m-th Ritz value was
-    missed; on a miscount the missed pairs are searched for with the found
-    ones locked, again while each such repair finds a missed pair, until as
-    many values lie below the count shift as the count says.  The call fails
-    once a repair finds none.  Each Lanczos start vector comes from a
+    shift if the factorization of K fails.  An inertia count certifies that
+    no eigenvalue below the cluster of the m-th Ritz value was missed; on a
+    miscount the missed pairs are searched for with the found ones locked,
+    again while each such repair finds a missed pair, until as many values
+    lie below the count shift as the count says.  A repair that closes the
+    count is certified by it; after one that does not, the count is taken
+    again below the cluster of the new m-th value.  The call fails once a
+    repair finds none.  Each Lanczos start vector comes from a
     generator seeded with the number of locked vectors, so a repeated solve
     returns the same bits.
     """
@@ -187,13 +190,16 @@ def _certified_shift_invert(K, M, m: int):
     followed by another, up to m + 1 solves: each solve finds a direction of
     every eigenspace it reaches, so that is enough for m copies of one
     eigenvalue.  A repair that finds none fails the call, and so does a
-    result of fewer than m pairs.  The count is taken once, and the call
-    returns when as many values lie below its shift as it counts.  Every
-    eigenvalue below the shift is then known, and the m-th value lies at or
-    below the first solve's, so a recount would sit at a shift no higher and
-    could only agree.  The factor of K - sigma M at each shift tried is kept
-    for the whole call, so a repair solves with the factor of the first
-    solve.
+    result of fewer than m pairs.  After a repair the last count is read
+    again first: when as many values lie below its shift as it counts,
+    every eigenvalue below that shift is known and the m-th value lies at
+    or below the one it was taken for, so a recount at a shift no higher
+    could only agree and is not taken.  Otherwise the count is taken anew
+    below the cluster of the lowered m-th value, which may lie far below
+    the last shift, past a large cluster whose copies one repair after
+    another would find one at a time.  The factor of K - sigma M at each
+    shift tried is kept for the whole call, so a repair solves with the
+    factor of the first solve.
     """
     factors = {}
     vals, vecs = _ascending(*_shift_invert(K, M, m, np.empty((K.shape[0], 0)), factors))
@@ -211,6 +217,9 @@ def _certified_shift_invert(K, M, m: int):
             break
         vals, vecs = _ascending(np.concatenate([vals, more_vals]), np.hstack([vecs, more_vecs]))
         found = int(np.count_nonzero(vals < sigma))
+        if found != below:   # recount below the cluster of the new m-th value
+            sigma, found = _count_shift(vals, m)
+            below = _inertia_below(K, M, sigma)
     if below == found:
         return vals[:m], vecs[:, :m]
     if below < found:

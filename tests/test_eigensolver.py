@@ -292,6 +292,20 @@ def test_repair_solve_reuses_the_factor_of_its_shift(monkeypatch):
     assert len(seen["splu"]) == 2
 
 
+def test_repair_that_leaves_the_count_open_recounts(monkeypatch):
+    # the first solve finds 1, 5 and 6, so the count below 6 reads 21 while
+    # 2 values were found; each repair adds about one copy of the 20-fold 5.
+    # The repair that lowers the 3rd value to 5 recounts below 5, which
+    # certifies [1, 5, 5]: waiting on the first count would need all 20
+    # copies, more than m + 1 solves find
+    seen = count_factorizations(monkeypatch)
+    d = np.concatenate([[1.0], [5.0] * 20, np.arange(6.0, 2500.0)])
+    spec = smallest_eigenpairs(sp.diags(d).tocsr(), sp.identity(len(d), format="csr"), 3)
+    assert np.allclose(spec.values, [1.0, 5.0, 5.0], rtol=1e-9)
+    assert len(seen["lanczos"]) == 2
+    assert len(seen["splu"]) == 3
+
+
 def test_inertia_count_matches_dense_count():
     n = 60
     rng = np.random.default_rng(5)

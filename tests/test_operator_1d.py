@@ -918,12 +918,14 @@ def test_interlacing_stop_solves_the_component_that_holds_the_mth_value(monkeypa
     assert dec.values[-1] == smallest_eigenpairs(c.K, c.M, 8, with_vectors=False).values[0]
 
 
-@pytest.mark.parametrize("case,components", [("k2-J14", 5), ("k2-J13", 5), ("k3-J9", 4),
-                                             ("k2-J12", 5)])
-def test_deep_tree_decompose_solves_only_what_reaches_m(case, components, monkeypatch):
-    # 19 component solves over the four cases, not 52, and 2 factorizations
-    # per direct solve, not 3 where a repair ran (k3-J9 and k2-J12): the first
-    # inertia count certifies the repairs
+@pytest.mark.parametrize("case,components,factors", [("k2-J14", 5, 2), ("k2-J13", 5, 2),
+                                                     ("k3-J9", 4, 2), ("k2-J12", 5, 3)])
+def test_deep_tree_decompose_solves_only_what_reaches_m(case, components, factors,
+                                                        monkeypatch):
+    # 19 component solves over the four cases, not 52, and 9 factorizations
+    # over the direct solves, not 10: on k3-J9 the first inertia count
+    # certifies the repair.  On k2-J12 the repair finds one of the two
+    # copies the count misses and lowers the 8th value, which is recounted
     import scipy.sparse.linalg
     tree, mesh, rs, _ = deep_tree_case(case)
     system = assemble_1d(tree, mesh, rs, rs, None)
@@ -940,7 +942,7 @@ def test_deep_tree_decompose_solves_only_what_reaches_m(case, components, monkey
     counted(scipy.sparse.linalg, "splu")
     counted(operator_1d, "smallest_eigenpairs")
     smallest_eigenpairs(system.K, system.M, 8, with_vectors=False)
-    assert calls == {"splu": 2, "smallest_eigenpairs": 0}
+    assert calls == {"splu": factors, "smallest_eigenpairs": 0}
     radial_decomposition_spectrum(tree, mesh, rs, rs, None, 8)
     assert calls["smallest_eigenpairs"] == components < sum(
         component_multiplicity(tree.k, j) > 0 for j in range(tree.J + 1))
