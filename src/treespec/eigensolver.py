@@ -5,11 +5,15 @@ shift-invert Lanczos iteration around sigma = 0 (retrying with a negative
 shift when the stiffness matrix cannot be factored at the origin), which
 applies one LDL^T factorization of K - sigma M per shift and stops once the
 m wanted Ritz pairs have converged: GUARD_VECTORS more pairs only widen its
-basis.  Shift-invert Lanczos can miss copies of a multiple eigenvalue, so
-every call is certified by a Sylvester inertia count: the number of
-eigenvalues below a shift just under the cluster that holds the m-th Ritz
-value is read off an LDL^T factorization of K - shift M, and as many Ritz
-values must lie below that shift.  A miss is repaired by Lanczos solves in
+basis.  A Lanczos step reads the M-overlaps of its new vector with the basis
+and projects them off only when one exceeds _OVERLAP_TOL = 1e-12 times the
+vector's M-norm, so it takes 1 M-product, or 2 when it projects, and every
+basis vector is M-orthogonal to the earlier ones within 1e-12.  Shift-invert
+Lanczos can miss copies of a multiple eigenvalue, so every call is certified
+by a Sylvester inertia count: the number of eigenvalues below a shift just
+under the cluster that holds the m-th Ritz value is read off an LDL^T
+factorization of K - shift M, and as many Ritz values must lie below that
+shift.  A miss is repaired by Lanczos solves in
 the M-orthogonal complement of the pairs found, for as long as each repair
 finds a missed pair; the repairs test their Ritz pairs at every step.  A
 repair that closes the last count needs no recount; one that leaves it open
@@ -28,12 +32,12 @@ import scipy.sparse.linalg as spla
 
 # Largest dimension solved densely.  With one BLAS thread the certified
 # Lanczos path, which converges the m wanted pairs only, overtakes the full
-# dense solve between n = 105 and 126 on 1-D interval and 2-D tree pencils
-# (n = 80-180, m = 1, 4 and 8, min of 15 interleaved runs): at n = 105
-# (interval) and 117 (tree) for m = 1 and 4, and 120 and 126 for m = 8.  At
-# n = 130 it takes 2.0-2.5 ms against 2.1-3.2 ms dense; at n = 180, 1.5-2.0
-# ms against 4.3 ms.
-DENSE_CUTOFF = 130
+# dense solve between n = 90 and 118 on 1-D interval and 2-D tree pencils
+# (n = 80-180, m = 1, 4 and 8, min of 15 interleaved runs): below n = 95
+# (interval) and at 102 (tree) for m = 1 and 4, and at 105-115 (interval)
+# and 102-118 (tree) for m = 8.  At n = 118-125 it takes 1.2-1.8 ms against
+# 1.8-2.1 ms dense; at n = 180, 1.3-2.2 ms against 4.2-4.4 ms.
+DENSE_CUTOFF = 120
 # Ritz pairs past the wanted ones that size the Lanczos basis; they are
 # neither converged nor returned.
 GUARD_VECTORS = 5
@@ -48,6 +52,14 @@ _CLUSTER_TOL = 1e-8
 # eps (||K||_1 + |lam| ||M||_1) ||u||.  Converged pairs of the test suite,
 # null vectors of K included, stay below 31.
 RESIDUAL_ROUNDOFF = 1000.0
+# A Lanczos vector whose overlaps with the basis are all at most this times
+# its M-norm is taken as M-orthogonal to it, and no Gram-Schmidt pass
+# projects them off.  From 1e-12 to 1e-10 the solves of the four deep-tree
+# decompose cases (whole tree and components) skip 181 to 196 of their 343
+# passes, take the same time and keep every backward error at 0; at sqrt(eps)
+# two k2-J12 radial components reach 5.5e-8 and 8.0e-8, and a scaled 2-D
+# sandwich pencil fails the gate at 1.03e-7.
+_OVERLAP_TOL = 1e-12
 
 
 class EigensolverError(RuntimeError):
@@ -95,10 +107,11 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", x, x))
 
 
-def _residuals(K, M, vals, vecs) -> tuple:
+def _residuals(K, M, vals, vecs, MV) -> tuple:
     """Per pair, the residual r = ||Ku - lam Mu|| / ||Mu|| and the backward
     error: the part of ||Ku - lam Mu|| above its roundoff allowance,
-    relative to ||Ku|| + |lam| ||Mu||.  K and M are canonical CSR.
+    relative to ||Ku|| + |lam| ||Mu||.  K and M are canonical CSR, and MV is
+    M vecs.
 
     The backward error is invariant under scaling K, M or both.  The
     allowance keeps it at 0 for null vectors of K, where ||Ku|| is itself
@@ -106,7 +119,7 @@ def _residuals(K, M, vals, vecs) -> tuple:
     """
     allowance = RESIDUAL_ROUNDOFF * np.finfo(float).eps
     lam = np.abs(vals)
-    KV, MV = K @ vecs, M @ vecs
+    KV = K @ vecs
     num = _column_norms(KV - MV * vals)
     den = _column_norms(MV)
     excess = num - allowance * (_norm_1(K) + lam * _norm_1(M)) * _column_norms(vecs)
@@ -118,14 +131,17 @@ def _residuals(K, M, vals, vecs) -> tuple:
     return res, backward
 
 
-def _m_orthonormalize(M, vecs: np.ndarray) -> np.ndarray:
-    """Symmetric orthonormalization of the block against the M inner product."""
-    G = vecs.T @ (M @ vecs)
+def _m_orthonormalize(M, vecs: np.ndarray) -> tuple:
+    """Symmetric orthonormalization of the block against the M inner
+    product, and M times the result."""
+    MV = M @ vecs
+    G = vecs.T @ MV
     G = 0.5 * (G + G.T)
     w, Q = np.linalg.eigh(G)
     if np.min(w) <= 0:
         raise EigensolverError("returned block is M-degenerate")
-    return vecs @ (Q / np.sqrt(w)) @ Q.T
+    C = (Q / np.sqrt(w)) @ Q.T
+    return vecs @ C, MV @ C
 
 
 def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
@@ -160,8 +176,8 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     else:
         vals, vecs = _certified_shift_invert(K, M, m)
 
-    vecs = _m_orthonormalize(M, vecs)
-    res, backward = _residuals(K, M, vals, vecs)
+    vecs, MV = _m_orthonormalize(M, vecs)
+    res, backward = _residuals(K, M, vals, vecs, MV)
     if np.any(backward > RITZ_TOL * 100):
         # a backward error far above the request means the iteration silently
         # stalled; unlike the residual it is invariant under scaling K or M
@@ -267,10 +283,19 @@ def _lanczos(lu, M, wanted: int, locked: np.ndarray):
     w = OP v_j, removes alpha v_j, with alpha = (M v_j)^T w read off the
     operator's input, and the couplings of row j of the projected matrix
     (beta v_{j-1}, or the arrow after a restart) in one product over
-    V[first:j+1], then runs one full classical Gram-Schmidt pass in the M
-    inner product, repeated only when the pass shrinks w below 1/sqrt(2) of
-    its length (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  So a
-    step takes 2 M-products and 2 sweeps over the basis; the corrections of
+    V[first:j+1], then takes M w and the overlaps h = V[:j+1] M w
+    (_m_orthogonalize).  Only when max|h| > _OVERLAP_TOL ||w||_M, with
+    _OVERLAP_TOL = 1e-12, does it project h off, a full classical
+    Gram-Schmidt pass in the M inner product, and take M w again for the
+    norm; the pass is repeated only when it shrinks w below 1/sqrt(2) of its
+    length (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  So a step
+    whose vector is M-orthogonal to the basis within 1e-12 takes 1 M-product
+    and 1 sweep over the basis, and one that is projected 2 and 2: partial
+    reorthogonalization (Simon, Math. Comp. 1984) on the measured overlaps,
+    which cost one sweep, instead of Simon's estimated ones: the solve error
+    of a shift-invert operator sets the noise of his recurrence, and with a
+    noise term large enough that the estimates bound the measured overlaps
+    of the tree pencils, almost no step skips the sweep.  The corrections of
     the passes are added to alpha, as in ARPACK.  v_j and M v_j are scaled
     in place and the products go into one work vector, so a step allocates
     only the results of the solve and the M-products.  Every solve is
@@ -314,25 +339,8 @@ def _lanczos(lu, M, wanted: int, locked: np.ndarray):
             y -= locked @ (ML.T @ y)
         return y
 
-    def orthogonal(w, j):
-        """w less its M-projection on V[:j], M w, the coefficients removed,
-        and the M-norm left.  The norm reads 0 when w lay in the span up to
-        roundoff, which shows as a repeated pass shrinking it again."""
-        coef, Mw = np.zeros(j), M @ w
-        norm = np.sqrt(w @ Mw)
-        for _ in range(2):
-            before = norm
-            h = V[:j] @ Mw
-            w -= np.matmul(h, V[:j], out=removed)
-            coef += h
-            Mw = M @ w
-            norm = np.sqrt(w @ Mw)
-            if norm >= before / np.sqrt(2.0):
-                return w, Mw, coef, norm
-        return w, Mw, coef, 0.0
-
     def start(j):
-        return orthogonal(op(M @ rng.uniform(-1.0, 1.0, n)), j)
+        return _m_orthogonalize(M, V[:j], op(M @ rng.uniform(-1.0, 1.0, n)), removed)
 
     w, Mw, _, beta = start(0)
     j = first = 0   # row j of H couples v_j to V[first:j]
@@ -359,13 +367,41 @@ def _lanczos(lu, M, wanted: int, locked: np.ndarray):
         w = op(Mw)
         H[j, j] = Mw @ w   # alpha
         w -= np.matmul(H[j, first:j + 1], V[first:j + 1], out=removed)
-        w, Mw, coef, beta = orthogonal(w, j + 1)
+        w, Mw, coef, beta = _m_orthogonalize(M, V[:j + 1], w, removed)
         H[j, j] += coef[j]
         H[j + 1, j] = beta
         if not beta:   # an invariant subspace: go on, uncoupled, from a new start
             w, Mw, _, beta = start(j + 1)
         j, first = j + 1, j
     raise EigensolverError(f"Lanczos iteration did not converge in {10 * n} steps")
+
+
+def _m_orthogonalize(M, V, w, removed):
+    """(w, M w, coefficients, M-norm): w less its M-projection on the
+    M-orthonormal rows of V, by classical Gram-Schmidt passes in the M
+    inner product; removed is the work vector of the projection.
+
+    The overlaps h = V M w are always computed, but a pass projects them off
+    only when max|h| > _OVERLAP_TOL ||w||_M, and only a projection is
+    followed by a second M-product, for the norm of what is left.  A pass
+    that shrinks w below 1/sqrt(2) of its length is repeated (Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 1976); the norm reads 0 when the repeat
+    shrinks w again, since w then lay in the span up to roundoff.
+    """
+    coef, Mw = np.zeros(len(V)), M @ w
+    norm = np.sqrt(w @ Mw)
+    for _ in range(2):
+        h = V @ Mw
+        if not len(h) or np.abs(h).max() <= _OVERLAP_TOL * norm:
+            return w, Mw, coef, norm
+        before = norm
+        w -= np.matmul(h, V, out=removed)
+        coef += h
+        Mw = M @ w
+        norm = np.sqrt(w @ Mw)
+        if norm >= before / np.sqrt(2.0):
+            return w, Mw, coef, norm
+    return w, Mw, coef, 0.0
 
 
 def _ldl(A):
@@ -389,7 +425,9 @@ def _ldl(A):
     A Lanczos call solves 35-50 times per factor, and relaxed supernodes
     triple the solve on the deep tree.
     """
-    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    # A is symmetric, so the arrays of its CSR form are those of its CSC form
+    lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    relax=1, panel_size=1, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolverError("the LDL^T factorization pivoted off the diagonal")

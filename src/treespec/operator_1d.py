@@ -368,6 +368,7 @@ def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
 def kirchhoff_residuals(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
                         u_full: np.ndarray) -> np.ndarray:
     """|sum_e rho_a * du/ds outward| at every branching vertex, generation-major."""
+    _require_mesh_tree(tree, mesh)
     k = tree.k
     res = []
     for j in range(tree.J):
@@ -404,14 +405,15 @@ def radial_decomposition_spectrum(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
 
     Requires radially symmetric weights and potential (shared per-generation
     mesh layouts make the split of the discrete operator exact).  The element
-    form is built once, and every component is scattered from it.  The
-    components are solved in order of generation, and the deeper ones are
-    skipped once the merge holds m values and the smallest value of the last
-    component solved exceeds the m-th by more than the solver's error: the
-    pencil of component j + 1 is 1/k times the trailing principal sub-pencil
-    of component j past t_(j+1), so by Cauchy interlacing no deeper value
-    lies below that smallest value, and the merge is the one of all
-    components.
+    form is built once, and every component is scattered from it.  A
+    component of multiplicity c is asked for ceil(m / c) pairs, as many as
+    can enter the merge.  The components are solved in order of generation,
+    and the deeper ones are skipped once the merge holds m values and the
+    smallest value of the last component solved exceeds the m-th by more
+    than the solver's error: the pencil of component j + 1 is 1/k times the
+    trailing principal sub-pencil of component j past t_(j+1), so by Cauchy
+    interlacing no deeper value lies below that smallest value, and the
+    merge is the one of all components.
     """
     _require_mesh_tree(tree, mesh)
     form = element_form(mesh, rho_alpha, rho_beta, W)
@@ -421,7 +423,8 @@ def radial_decomposition_spectrum(tree: Tree, mesh: Mesh1D, rho_alpha, rho_beta,
         if mult == 0:
             continue
         c = form.component(j)
-        spec = smallest_eigenpairs(c.K, c.M, min(m, c.K.shape[0]), with_vectors=False)
+        spec = smallest_eigenpairs(c.K, c.M, min(c.K.shape[0], -(-m // mult)),
+                                   with_vectors=False)
         parts.append((spec, mult))
         merged = merge_spectra(parts, m=m)
         v_m = merged.values[-1]

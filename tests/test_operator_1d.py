@@ -506,6 +506,18 @@ def test_decomposition_rejects_a_tree_other_than_the_mesh_tree():
         radial_decomposition_spectrum(tree, mesh, rs, rs, None, 4)
 
 
+@pytest.mark.parametrize("other", [TreeSpec(k=2, l0=2.0, J=3), TreeSpec(k=2, J=2),
+                                   TreeSpec(k=3, J=3)], ids=["l0", "J", "k"])
+def test_kirchhoff_residuals_reject_a_tree_other_than_the_mesh_tree(other):
+    # without the check the tree's t_shell and J were read against the mesh's
+    # dofs: 7 wrong residuals for l0 = 2, 3 for J = 2, a reshape error for k = 3
+    mesh_tree = build_tree(TreeSpec(k=2, J=3))
+    rs = rho_star_profile(mesh_tree)
+    mesh = build_mesh_1d(mesh_tree, h=0.1, breakpoints=rs.breakpoints)
+    with pytest.raises(Operator1DError, match="tree"):
+        kirchhoff_residuals(build_tree(other), mesh, rs, np.zeros(mesh.n_dofs))
+
+
 def test_hardy_zero_field():
     tree = single_edge_tree()
     nodes = np.linspace(0, 1, 101)
@@ -863,15 +875,17 @@ def deep_tree_case(name, W=None):
     return tree, mesh, rs, element_form(mesh, rs, rs, W)
 
 
-def full_decomposition(form, m):
-    """The merge of every component of the form, none skipped."""
+def full_decomposition(form, m, all_pairs=False):
+    """The merge of every component of the form, none skipped, each asked
+    for ceil(m / multiplicity) pairs, or for m pairs with all_pairs."""
     tree, parts = form.mesh.tree, []
     for j in range(tree.J + 1):
-        if component_multiplicity(tree.k, j):
+        mult = component_multiplicity(tree.k, j)
+        if mult:
             c = form.component(j)
-            parts.append((smallest_eigenpairs(c.K, c.M, min(m, c.K.shape[0]),
-                                              with_vectors=False),
-                          component_multiplicity(tree.k, j)))
+            wanted = m if all_pairs else -(-m // mult)
+            parts.append((smallest_eigenpairs(c.K, c.M, min(wanted, c.K.shape[0]),
+                                              with_vectors=False), mult))
     return merge_spectra(parts, m=m)
 
 
@@ -886,6 +900,19 @@ def test_interlacing_stop_keeps_the_merged_spectrum(case, W):
     tree, mesh, rs, form = deep_tree_case(case, W)
     assert_same_spectrum(radial_decomposition_spectrum(tree, mesh, rs, rs, W, 8),
                          full_decomposition(form, 8))
+
+
+@pytest.mark.parametrize("W", [None, np.cos], ids=["free", "cosine"])
+@pytest.mark.parametrize("case", sorted(DEEP_TREE_CASES))
+def test_components_asked_for_what_can_enter_the_merge_keep_the_spectrum(case, W):
+    # ceil(m / multiplicity) pairs of a component reach multiplicity m on
+    # their own, so its further pairs cannot enter the merge; the values
+    # differ from those of m-pair solves by roundoff (2.2e-16 on k2-J12)
+    tree, mesh, rs, form = deep_tree_case(case, W)
+    got = radial_decomposition_spectrum(tree, mesh, rs, rs, W, 8)
+    want = full_decomposition(form, 8, all_pairs=True)
+    assert np.array_equal(got.multiplicities, want.multiplicities)
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("W", [None, np.cos], ids=["free", "cosine"])
