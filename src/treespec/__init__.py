@@ -1,5 +1,10 @@
 """Numerical laboratory for width-weighted operators on metric trees and their
-2-D inflated counterparts."""
+2-D inflated counterparts.
+
+No module imports scipy at module level: each function that needs it imports
+it on entry, so importing the package, validating a config and the checks
+that assemble nothing run on numpy alone.
+"""
 
 __version__ = "0.1.0"
 

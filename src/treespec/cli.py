@@ -4,7 +4,8 @@ Configs are JSON with a fixed schema (unknown keys rejected, errors carry the
 key path); every output CSV starts with a metadata comment (tool version,
 config hash, seed) followed by a header row, floats printed with 17
 significant digits.  Exit code is nonzero whenever an experiment assertion
-fails.
+fails.  Loading and checking a config, and check-discreteness, load no scipy
+module: the library imports it in the functions that solve.
 """
 
 import argparse
@@ -135,6 +136,10 @@ def _coerce(value, want, path):
     accepted, what = _ACCEPTS[want]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    # Python's json reads NaN and Infinity; this is false for them and for an
+    # integer too large for a float
+    if want is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     for i, item in enumerate(value if want is list else ()):   # lists hold numbers
         _coerce(item, float, f"{path}[{i}]")
     return float(value) if want is float else value
@@ -172,11 +177,13 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"tree: {err}") from err
     except ExperimentError as err:
         raise ConfigError(str(err)) from err
-    samples = data["experiment"]["rayleigh_samples"]
+    seed, samples = data["seed"], data["experiment"]["rayleigh_samples"]
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     if samples < 0:
         raise ConfigError(f"experiment.rayleigh_samples: must be >= 0 (0 skips "
                           f"the check), got {samples}")
-    if samples > 0 and data["seed"] is None:
+    if samples > 0 and seed is None:
         raise ConfigError("seed: required when a randomized check is requested")
     return RunConfig(data, experiment)
 

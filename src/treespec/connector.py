@@ -15,9 +15,6 @@ Arm 0 is always the parent arm.
 from dataclasses import dataclass, is_dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh2d import (
     Mesh2D,
@@ -255,6 +252,8 @@ def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: Mesh2D, K) -> np.ndar
     K is the stiffness matrix of ``mesh``.  Returns the (n_nodes, k+1) matrix
     of nodal values.
     """
+    import scipy.sparse.linalg as spla
+
     labels = [f"S{j}" for j in range(domain.k + 1)]
     section_nodes = [np.asarray(mesh.sections[l]) for l in labels]
     constrained = np.unique(np.concatenate(section_nodes))
@@ -290,6 +289,9 @@ def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: Mesh2D, K, M,
     nonsingular for both gamma values: for gamma = 0 its kernel would need a
     constant field with all section averages zero, which forces zero.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if gamma not in (0, 1):
         raise ConnectorError("gamma must be 0 or 1")
     F = np.asarray(F, float)
@@ -378,6 +380,8 @@ class EquivalenceConstants:
 
 
 def _ones_complement_basis(n: int) -> np.ndarray:
+    import scipy.linalg
+
     return scipy.linalg.null_space(np.ones((1, n)))
 
 

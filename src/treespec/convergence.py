@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .connector import ConnectorError, analyze_connector, canonical_connector, read_only
 from .eigensolver import smallest_eigenpairs
@@ -464,7 +463,7 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
                            concentration_slope=conc_slope)
 
 
-def p_kernel_basis(matched: Matched1D, free: np.ndarray) -> sp.csr_matrix:
+def p_kernel_basis(matched: Matched1D, free: np.ndarray) -> "scipy.sparse.csr_matrix":
     """Sparse basis of the discrete ker P^eps inside the free (non-Dirichlet)
     2-D dofs: all cross-section station averages vanish.
 
@@ -472,6 +471,8 @@ def p_kernel_basis(matched: Matched1D, free: np.ndarray) -> sp.csr_matrix:
     gets the null space of the trapezoid weights as a block of columns;
     every other free node gets a unit column.
     """
+    import scipy.sparse as sp
+
     tmesh = matched.tmesh
     n_free = len(free)
     full_to_free = -np.ones(tmesh.n_nodes, dtype=int)
@@ -523,9 +524,11 @@ _BLOCK = 32
 _SMOOTHING_PASSES = 20
 
 
-def _jacobi_sweep(K) -> sp.csr_matrix:
+def _jacobi_sweep(K) -> "scipy.sparse.csr_matrix":
     """One damped Jacobi sweep of the stiffness K as an operator,
     S = I - D^-1 K / 2, with zero diagonal entries of D replaced by one."""
+    import scipy.sparse as sp
+
     d = K.diagonal()
     d[d == 0] = 1.0
     return sp.identity(K.shape[0], format="csr") - sp.diags(0.5 / d) @ K

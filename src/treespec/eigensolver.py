@@ -26,9 +26,6 @@ tolerance.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 # Largest dimension solved densely.  With one BLAS thread the certified
 # Lanczos path, which converges the m wanted pairs only, overtakes the full
@@ -89,15 +86,17 @@ class Spectrum:
         return len(self.values)
 
 
-def _as_csr(a) -> sp.csr_matrix:
+def _as_csr(a) -> "scipy.sparse.csr_matrix":
     """a as a canonical CSR matrix: sorted indices, no duplicate entries.  A
     CSR input is canonicalized in place, which keeps its values."""
+    import scipy.sparse as sp
+
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
     a.sum_duplicates()
     return a
 
 
-def _norm_1(a: sp.csr_matrix) -> float:
+def _norm_1(a: "scipy.sparse.csr_matrix") -> float:
     """||a||_1, the largest absolute column sum, in one pass over the
     stored entries of the canonical CSR matrix a."""
     return np.bincount(a.indices, np.abs(a.data), a.shape[1]).max()
@@ -162,6 +161,8 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     generator seeded with the number of locked vectors, so a repeated solve
     returns the same bits.
     """
+    import scipy.linalg
+
     K = _as_csr(K)
     M = _as_csr(M)
     n = K.shape[0]
@@ -323,6 +324,8 @@ def _lanczos(lu, M, wanted: int, locked: np.ndarray):
     OP y / theta = y + (beta s_last / theta) v_next for the Ritz vectors y,
     which have the smaller pencil residual.
     """
+    import scipy.linalg
+
     n = M.shape[0]
     k = wanted + GUARD_VECTORS
     ML = M @ locked
@@ -425,6 +428,9 @@ def _ldl(A):
     A Lanczos call solves 35-50 times per factor, and relaxed supernodes
     triple the solve on the deep tree.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     # A is symmetric, so the arrays of its CSR form are those of its CSC form
     lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,

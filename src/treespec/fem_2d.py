@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .connector import (
     affine_partition,
@@ -288,10 +287,12 @@ class Matched1D:
         return np.repeat(self.station_dofs, n_loc), self.station_rows.ravel()
 
     @cached_property
-    def P(self) -> sp.csr_matrix:
+    def P(self) -> "scipy.sparse.csr_matrix":
         """Averaging map: the trapezoid average of each station row, and the
         affine-partition interpolation of the k+1 section averages at the
         vertex center and at the arm midpoints."""
+        import scipy.sparse as sp
+
         tmesh, k, n_dofs = self.tmesh, self.mesh.tree.k, self.mesh.n_dofs
         st_dof, st_node = self._station_pairs()
         P_st = sp.csr_matrix(
@@ -308,10 +309,12 @@ class Matched1D:
         return (P_st + interp @ P_st).tocsr()
 
     @cached_property
-    def Q(self) -> sp.csr_matrix:
+    def Q(self) -> "scipy.sparse.csr_matrix":
         """Lifting map: station rows extend constantly; connector nodes, the
         shared section nodes included, take the harmonic interpolation of
         the section values."""
+        import scipy.sparse as sp
+
         tmesh, k = self.tmesh, self.mesh.tree.k
         st_dof, st_node = self._station_pairs()
         phi, n_v = tmesh.conn_phi, len(self.section_dofs)

@@ -11,7 +11,6 @@ resolved as mesh edges.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 NEUMANN = 0
 ROOT_DIRICHLET = 1
@@ -160,8 +159,6 @@ def mesh_polygon(vertices: np.ndarray, h: float, sections: dict,
 
 
 def _mesh_polygon_once(vertices, h, sections, section_intervals) -> Mesh2D:
-    # imported here: scipy.spatial is a tenth of a second of start-up that
-    # only the connector meshes need
     from scipy.spatial import Delaunay
 
     v = np.asarray(vertices, dtype=float)
@@ -350,6 +347,8 @@ def scatter_pencil(n: int, blocks, fixed) -> tuple:
     stable, so the order in which it sums duplicates depends on the other
     columns of the row.
     """
+    import scipy.sparse as sp
+
     keep = np.ones(n, dtype=bool)
     keep[np.asarray(fixed, dtype=int)] = False
     free = np.flatnonzero(keep)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .connector import affine_partition
 from .eigensolver import RITZ_TOL, Spectrum, merge_spectra, smallest_eigenpairs
@@ -260,8 +259,8 @@ def build_mesh_1d(tree: Tree, h: float, breakpoints) -> Mesh1D:
 class AssembledSystem:
     """Sparse pencil (K, M) with the Dirichlet dofs eliminated."""
 
-    K: sp.csr_matrix
-    M: sp.csr_matrix
+    K: "scipy.sparse.csr_matrix"
+    M: "scipy.sparse.csr_matrix"
     free: np.ndarray           # retained dof indices of the full numbering
     n_full: int
 

@@ -60,6 +60,41 @@ def test_missing_seed_with_randomized_check_rejected():
     validate_config({"experiment": {"rayleigh_samples": 10}, "seed": 1})
 
 
+@pytest.mark.parametrize("subcommand, override, key", [
+    ("spectrum1d", "experiment.h_1d=Infinity", "experiment.h_1d"),
+    ("spectrum1d", "tree.l0=Infinity", "tree.l0"),
+    ("spectrum1d", "tree.delta=-Infinity", "tree.delta"),
+    ("spectrum1d", "potential.params=[NaN, 1]", "potential.params[0]"),
+    ("spectrum2d", "geometry.h=Infinity", "geometry.h"),
+    ("sandwich", "geometry.eps_list=[0.2, NaN]", "geometry.eps_list[1]"),
+    ("decompose", "experiment.h_1d=1" + "0" * 400, "experiment.h_1d"),
+], ids=["h1d-inf", "l0-inf", "delta-minus-inf", "params-nan", "h2d-inf", "eps-nan",
+        "h1d-overflow"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, subcommand, override, key):
+    # Python's json reads NaN and Infinity; a number must be finite
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "cosine"}})
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                 "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: expected a finite number"), err
+    assert not out.exists()
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # numpy's generators take a non-negative seed only
+    with pytest.raises(ConfigError, match="seed: must be >= 0, got -1"):
+        validate_config({"seed": -1})
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        validate_config({"seed": -3, "experiment": {"rayleigh_samples": 2}})
+    validate_config({"seed": 0, "experiment": {"rayleigh_samples": 2}})
+    cfg = write_cfg(tmp_path, {"seed": -1})
+    out = tmp_path / "out"
+    assert main(["check-discreteness", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: must be >= 0")
+    assert not out.exists()
+
+
 def test_type_errors_carry_path():
     with pytest.raises(ConfigError, match="tree.k"):
         validate_config({"tree": {"k": "two"}})
@@ -393,12 +428,39 @@ def test_config_keys_map_to_dataclass_defaults():
     assert validate_config({}).experiment == ExperimentConfig()
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # start-up cost: only the connector mesher needs Delaunay, on first use
+# the scipy modules a solve loads; importing the package, the config checks
+# and check-discreteness must load none of them
+SCIPY_MODULES = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+                 "scipy.spatial")
+
+
+def scipy_modules_after(code: str, cwd: Path) -> list:
+    """The SCIPY_MODULES a fresh interpreter holds after running ``code``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, treespec.cli; print('scipy.spatial' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    probe = (f"import json, sys\n{code}\n"
+             f"print(json.dumps([m for m in {SCIPY_MODULES!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def main_exits(code: int, *argv: str) -> str:
+    return (f"from treespec.cli import main\n"
+            f"assert main({[*argv, '--config', 'cfg.json', '--out', 'out']!r}) == {code}")
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import treespec, treespec.cli\ntreespec.cli.validate_config({})", []),
+    (main_exits(2, "sandwich", "--set", "geometry.eps_list=[0.9, 0.5]"), []),
+    (main_exits(2, "converge-weights", "--set", "tree.J=4"), []),
+    (main_exits(0, "check-discreteness"), []),
+    (main_exits(0, "spectrum1d"), ["scipy", "scipy.sparse", "scipy.sparse.linalg",
+                                   "scipy.linalg"]),
+], ids=["import-and-validate", "infeasible-geometry", "infeasible-zones",
+        "check-discreteness", "spectrum1d"])
+def test_config_checks_and_check_discreteness_run_without_scipy(tmp_path, code, loaded):
+    # start-up cost: scipy is imported by the functions that solve, on first
+    # use; the spectrum1d case shows that the probe sees a solve load it
+    write_cfg(tmp_path, {})
+    assert scipy_modules_after(code, tmp_path) == loaded
