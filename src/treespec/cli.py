@@ -199,10 +199,11 @@ def parse_config(path, overrides) -> RunConfig:
 
 
 def check_feasible(cfg: RunConfig, subcommand: str) -> None:
-    """Reject a list too short for the trend ``subcommand`` checks, and a tree
+    """Reject a list too short for the trend ``subcommand`` checks, a tree
     on which it cannot build its geometries: the 2-D ones at its coarsest
     pitch, or the 1-D weight zones of width 1/n, which need a branching
-    vertex."""
+    vertex, and an experiment.m above the free dofs (all but the root) of
+    the whole-tree 1-D mesh that it solves at experiment.h_1d."""
     ecfg = cfg.experiment
     trend = {"sandwich": "geometry.eps_list", "project": "geometry.eps_list",
              "converge-weights": "experiment.n_list"}.get(subcommand)
@@ -222,6 +223,11 @@ def check_feasible(cfg: RunConfig, subcommand: str) -> None:
                 zone_breakpoints(tree, VertexZones(1.0 / n))
             except Operator1DError as err:
                 raise ConfigError(f"{where} experiment.n_list[{i}] = {n}: {err}") from err
+    if subcommand in ("spectrum1d", "decompose", "sandwich", "converge-weights"):
+        free = build_mesh_1d(tree, ecfg.h_1d, rho_star_profile(tree).breakpoints).n_dofs - 1
+        if ecfg.m > free:
+            raise ConfigError(f"experiment.m = {ecfg.m}: above the {free} free dofs "
+                              f"of the 1-D mesh at experiment.h_1d = {ecfg.h_1d}")
     if subcommand in _GEOMETRY_PITCH:
         h = _GEOMETRY_PITCH[subcommand] * ecfg.h_2d
         for i, eps in enumerate(ecfg.eps_list):

@@ -1,40 +1,25 @@
 """Smallest eigenpairs of sparse symmetric pencils K u = lambda M u.
 
-Small systems go through a dense direct solve; larger ones through a
-shift-invert Lanczos iteration around sigma = 0 (retrying with a negative
-shift when the stiffness matrix cannot be factored at the origin), which
-applies one LDL^T factorization of K - sigma M per shift and stops once the
-m wanted Ritz pairs have converged: GUARD_VECTORS more pairs only widen its
-basis.  A Lanczos step reads the M-overlaps of its new vector with the basis
-and projects them off only when one exceeds _OVERLAP_TOL = 1e-12 times the
-vector's M-norm, so it takes 1 M-product, or 2 when it projects, and every
-basis vector is M-orthogonal to the earlier ones within 1e-12.  Shift-invert
-Lanczos can miss copies of a multiple eigenvalue, so every call is certified
-by a Sylvester inertia count: the number of eigenvalues below a shift just
-under the cluster that holds the m-th Ritz value is read off an LDL^T
-factorization of K - shift M, and as many Ritz values must lie below that
-shift.  A miss is repaired by Lanczos solves in
-the M-orthogonal complement of the pairs found, for as long as each repair
-finds a missed pair; the repairs test their Ritz pairs at every step.  A
-repair that closes the last count needs no recount; one that leaves it open
-is followed by a count below the cluster of the lowered m-th value.
-Returned vectors are M-orthonormal and each pair carries an independently
-recomputed residual; the solve fails when a pair's backward error exceeds the
-tolerance.
+Every pencil goes through a shift-invert Lanczos iteration around sigma = 0
+(retried at a negative shift when K - sigma M cannot be factored), which
+applies one LDL^T factorization per shift and stops once the m wanted Ritz
+pairs have converged: GUARD_VECTORS more pairs only widen its basis.  That
+basis holds at most n - 1 vectors and more than m + GUARD_VECTORS, so only a
+pencil with m + GUARD_VECTORS >= n - 1 is solved densely.  A Lanczos step
+projects its new vector off the basis only when an M-overlap exceeds
+_OVERLAP_TOL = 1e-12 times its M-norm.  Shift-invert Lanczos can miss copies
+of a multiple eigenvalue, so every Lanczos call is certified by a Sylvester
+inertia count below the cluster that holds the m-th Ritz value, and a miss
+is repaired by Lanczos solves in the M-orthogonal complement of the pairs
+found.  Returned vectors are M-orthonormal and each pair carries an
+independently recomputed residual; the solve fails when a pair's backward
+error exceeds the tolerance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# Largest dimension solved densely.  With one BLAS thread the certified
-# Lanczos path, which converges the m wanted pairs only, overtakes the full
-# dense solve between n = 90 and 118 on 1-D interval and 2-D tree pencils
-# (n = 80-180, m = 1, 4 and 8, min of 15 interleaved runs): below n = 95
-# (interval) and at 102 (tree) for m = 1 and 4, and at 105-115 (interval)
-# and 102-118 (tree) for m = 8.  At n = 118-125 it takes 1.2-1.8 ms against
-# 1.8-2.1 ms dense; at n = 180, 1.3-2.2 ms against 4.2-4.4 ms.
-DENSE_CUTOFF = 120
 # Ritz pairs past the wanted ones that size the Lanczos basis; they are
 # neither converged nor returned.
 GUARD_VECTORS = 5
@@ -146,18 +131,19 @@ def _m_orthonormalize(M, vecs: np.ndarray) -> tuple:
 def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     """Return the m smallest eigenpairs of K u = lambda M u.
 
-    K must be symmetric and M symmetric positive definite.  For dimensions up
-    to DENSE_CUTOFF a dense generalized solve is used; above that, the
-    shift-invert Lanczos iteration at sigma=0, which converges the m wanted
-    Ritz pairs in a basis sized for GUARD_VECTORS more, retried at a negative
-    shift if the factorization of K fails.  An inertia count certifies that
-    no eigenvalue below the cluster of the m-th Ritz value was missed; on a
-    miscount the missed pairs are searched for with the found ones locked,
-    again while each such repair finds a missed pair, until as many values
-    lie below the count shift as the count says.  A repair that closes the
-    count is certified by it; after one that does not, the count is taken
-    again below the cluster of the new m-th value.  The call fails once a
-    repair finds none.  Each Lanczos start vector comes from a
+    K must be symmetric and M symmetric positive definite.  The pairs come
+    from the shift-invert Lanczos iteration at sigma=0, which converges the m
+    wanted Ritz pairs in a basis sized for GUARD_VECTORS more, retried at a
+    negative shift if the factorization of K fails.  Only a pencil with no
+    room for that basis, m + GUARD_VECTORS >= n - 1, is solved densely, and
+    its pairs pass the same backward-error gate.  An inertia count certifies
+    that no eigenvalue below the cluster of the m-th Ritz value was missed;
+    on a miscount the missed pairs are searched for with the found ones
+    locked, again while each such repair finds a missed pair, until as many
+    values lie below the count shift as the count says.  A repair that
+    closes the count is certified by it; after one that does not, the count
+    is taken again below the cluster of the new m-th value.  The call fails
+    once a repair finds none.  Each Lanczos start vector comes from a
     generator seeded with the number of locked vectors, so a repeated solve
     returns the same bits.
     """
@@ -171,7 +157,7 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     if m < 1 or m > n:
         raise EigensolverError(f"requested {m} pairs from a system of size {n}")
 
-    if n <= DENSE_CUTOFF or m + GUARD_VECTORS >= n - 1:
+    if m + GUARD_VECTORS >= n - 1:   # no Lanczos basis fits
         vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         vals, vecs = vals[:m], vecs[:, :m]
     else:

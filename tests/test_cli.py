@@ -144,6 +144,18 @@ def test_decompose_matches_spectrum1d(tmp_path):
     assert np.allclose(s1, s2, rtol=1e-8)
 
 
+@pytest.mark.parametrize("payload", [{}, {"potential": {"kind": "cosine"}}],
+                         ids=["default", "cosine"])
+def test_decompose_agrees_with_the_direct_solve_to_roundoff(tmp_path, payload):
+    # 1.7e-12 and 2.2e-12 while the small components were solved densely
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", str(cfg), "--out", str(out)]) == 0
+    gaps = [float(l.split(",")[-1])
+            for l in (out / "decompose.csv").read_text().splitlines()[2:]]
+    assert len(gaps) == 4 and max(gaps) <= 1e-13
+
+
 def test_check_discreteness_exit_codes(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "out"
@@ -278,6 +290,30 @@ def test_feasibility_is_checked_at_the_pitch_the_subcommand_meshes_at(tmp_path, 
         err = capsys.readouterr().err
         assert "tree.J = 8" in err and "geometry.eps_list[0] = 0.2" in err
     check_feasible(parse_config(cfg, ()), "project")
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum1d", "decompose", "sandwich",
+                                        "converge-weights"])
+def test_m_above_the_free_1d_dofs_rejected_at_load(tmp_path, capsys, subcommand):
+    # the default tree has 300 free dofs at h_1d = 0.01, and each of these
+    # subcommands solves that whole-tree pencil for m pairs
+    cfg = write_cfg(tmp_path, {})
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                 "--set", "experiment.m=301"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: experiment.m = 301") and "300 free dofs" in err
+    assert not out.exists()
+
+
+def test_m_equal_to_the_free_1d_dofs_runs_and_a_small_2d_pencil_fails_at_its_solve(
+        tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {})
+    assert main(["spectrum1d", "--config", str(cfg), "--out", str(tmp_path / "1d"),
+                 "--set", "experiment.m=300"]) == 0
+    assert main(["spectrum2d", "--config", str(cfg), "--out", str(tmp_path / "2d"),
+                 "--set", "experiment.m=100000"]) == 3
+    assert "requested 100000 pairs" in capsys.readouterr().err
 
 
 def test_weight_zones_rejected_at_load(tmp_path, capsys):
@@ -454,11 +490,12 @@ def main_exits(code: int, *argv: str) -> str:
     ("import treespec, treespec.cli\ntreespec.cli.validate_config({})", []),
     (main_exits(2, "sandwich", "--set", "geometry.eps_list=[0.9, 0.5]"), []),
     (main_exits(2, "converge-weights", "--set", "tree.J=4"), []),
+    (main_exits(2, "spectrum1d", "--set", "experiment.m=100000"), []),
     (main_exits(0, "check-discreteness"), []),
     (main_exits(0, "spectrum1d"), ["scipy", "scipy.sparse", "scipy.sparse.linalg",
                                    "scipy.linalg"]),
 ], ids=["import-and-validate", "infeasible-geometry", "infeasible-zones",
-        "check-discreteness", "spectrum1d"])
+        "oversized-m", "check-discreteness", "spectrum1d"])
 def test_config_checks_and_check_discreteness_run_without_scipy(tmp_path, code, loaded):
     # start-up cost: scipy is imported by the functions that solve, on first
     # use; the spectrum1d case shows that the probe sees a solve load it

@@ -29,7 +29,7 @@ from treespec.convergence import (
     weight_convergence_experiment,
     width_weighted_pencil,
 )
-from treespec.eigensolver import DENSE_CUTOFF, smallest_eigenpairs
+from treespec.eigensolver import GUARD_VECTORS, smallest_eigenpairs
 from treespec.fem_2d import (
     GeometrySpec2D,
     assemble_2d,
@@ -286,9 +286,9 @@ def test_connector_concentration_rate(kernel_P):
     assert abs(kernel_P.concentration_slope - (-1.0)) <= 0.3
 
 
-def test_connector_concentration_above_dense_cutoff():
-    # the ARPACK path: matches the largest eta of M_conn u = eta K u, and is
-    # bitwise repeatable
+def test_connector_concentration_on_the_lanczos_path():
+    # a pencil large enough for a Lanczos basis: matches the largest eta of
+    # M_conn u = eta K u, and is bitwise repeatable
     cfg = ExperimentConfig(tree=TreeSpec(J=3), h_2d=0.01, n_cross=6,
                            eps_list=(0.2, 0.1))
     report = kernel_gap_check(cfg, "P")
@@ -299,7 +299,7 @@ def test_connector_concentration_above_dense_cutoff():
         tm = build_geometry_2d(tree, cfg.geometry(eps))
         system = assemble_2d(tm, None)
         free = system.free
-        assert len(free) > DENSE_CUTOFF
+        assert 1 + GUARD_VECTORS < len(free) - 1
         Mv_f = assemble_2d(dataclasses.replace(tm, components=[
             c for c in tm.components if c.kind == "connector"]), None).M
         eta = spla.eigsh(Mv_f, k=1, M=system.K, which="LA", v0=np.ones(len(free)),

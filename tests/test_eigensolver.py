@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from treespec import eigensolver
 from treespec.convergence import ExperimentConfig
 from treespec.eigensolver import (
-    DENSE_CUTOFF,
     GUARD_VECTORS,
     EigensolverError,
     Spectrum,
@@ -30,8 +30,10 @@ from treespec.eigensolver import (
 from treespec.fem_2d import assemble_2d, build_geometry_2d
 from treespec.mesh2d import mesh_polygon, stiffness_and_mass
 from treespec.operator_1d import (
+    Mesh1D,
     assemble_1d,
     build_mesh_1d,
+    element_form,
     radial_decomposition_spectrum,
     rho_star_profile,
 )
@@ -136,18 +138,25 @@ def test_indefinite_K_negative_shift_retry():
     assert np.allclose(spec.values, exact, rtol=1e-3, atol=1e-3)
 
 
-@pytest.mark.parametrize("n", [120, 2500], ids=["dense", "arpack"])
+def takes_the_dense_path(n, m):
+    """Whether an m-pair solve of an n-dof pencil has no room for a Lanczos
+    basis and is solved densely."""
+    return m + GUARD_VECTORS >= n - 1
+
+
+@pytest.mark.parametrize("n", [9, 2500], ids=["dense", "arpack"])
 @pytest.mark.parametrize("sk,sm", [(1e8, 1.0), (1e-8, 1.0), (1e8, 1e8), (1.0, 1e-8)])
 def test_converged_pairs_accepted_at_any_scale(n, sk, sm):
-    assert (n <= DENSE_CUTOFF) == (n == 120)
+    assert takes_the_dense_path(n, 3) == (n == 9)
     K, M = interval_mixed_bc(n)
     base = smallest_eigenpairs(K, M, 3)
     scaled = smallest_eigenpairs((sk * K).tocsr(), (sm * M).tocsr(), 3)
     assert np.allclose(scaled.values, base.values * sk / sm, rtol=1e-8, atol=0.0)
 
 
-# interval sizes on either side of DENSE_CUTOFF, and the solver each reaches
-PATH_SIZES = {"dense": 120, "arpack": 256}
+# interval sizes of a 3-pair solve on either side of the Krylov minimum: the
+# largest that is solved densely, and one that takes the Lanczos path
+PATH_SIZES = {"dense": 9, "arpack": 256}
 
 
 def on_both_paths(argnames, grid):
@@ -165,7 +174,7 @@ def corrupt_solver(monkeypatch, path, corrupt):
     """Patch the solver of the given path to pass (vals, vecs) through
     corrupt; return the interval pencil whose size reaches that path."""
     n = PATH_SIZES[path]
-    assert (n <= DENSE_CUTOFF) == (path == "dense")
+    assert takes_the_dense_path(n, 3) == (path == "dense")
     if path == "dense":
         eigh = scipy.linalg.eigh
         monkeypatch.setattr(scipy.linalg, "eigh",
@@ -376,7 +385,7 @@ def test_multiple_eigenvalue_below_the_mth_found():
     block = sp.csr_matrix([[31.0, 1.0], [1.0, 31.0]])
     Kb = sp.block_diag([K] + [block] * 4, format="csr")
     Mb = sp.block_diag([M] + [sp.identity(2)] * 4, format="csr")
-    assert Kb.shape[0] > DENSE_CUTOFF
+    assert not takes_the_dense_path(Kb.shape[0], 8)
     spec = smallest_eigenpairs(Kb, Mb, 8)
     import scipy.sparse.linalg
     low = scipy.sparse.linalg.eigsh(K, 2, M=M, sigma=0.0,
@@ -568,14 +577,60 @@ def test_cluster_multiplicities():
 
 
 def test_lanczos_solve_is_bitwise_repeatable():
-    # above the dense cutoff the Lanczos start vector is seeded, so the same
-    # pencil gives the same bits on every call
+    # the Lanczos start vector is seeded, so the same pencil gives the same
+    # bits on every call
     K, M = tree_pencil(TreeSpec(k=2, J=11))
-    assert K.shape[0] > DENSE_CUTOFF
+    assert not takes_the_dense_path(K.shape[0], 4)
     first, second = (smallest_eigenpairs(K, M, 4) for _ in range(2))
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
     assert np.array_equal(first.residuals, second.residuals)
+
+
+def sturm_eigenvalue(K, M, i: int) -> float:
+    """The i-th smallest eigenvalue of the tridiagonal pencil (K, M), K
+    positive definite, by bisection on the Sturm count of K - sigma M taken
+    in 60 digits from the stored float64 entries."""
+    with mpmath.workdps(60):
+        a, c = ([mpmath.mpf(x) for x in A.diagonal()] for A in (K, M))
+        b, d = ([mpmath.mpf(0)] + [mpmath.mpf(x) for x in A.diagonal(1)] for A in (K, M))
+
+        def count(sigma):
+            below, pivot = 0, mpmath.mpf(1)
+            for aj, bj, cj, dj in zip(a, b, c, d):
+                pivot = aj - sigma * cj - (bj - sigma * dj) ** 2 / pivot
+                below += pivot < 0
+            return below
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while count(hi) < i:
+            lo, hi = hi, 2 * hi
+        while hi - lo > mpmath.mpf(10) ** -18 * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if count(mid) >= i else (mid, hi)
+        return float((lo + hi) / 2)
+
+
+@pytest.fixture(scope="module")
+def graded_component():
+    """The generation-6 radial component of k=2, r=0.5, delta=0.3, J=19 at 8
+    equal elements per generation (n = 112), and the 60-digit values of its
+    four smallest eigenvalues.  Its mass diagonal spans 7.6e-14 to 9.5e-7,
+    and a dense solve of it fails the backward-error gate at 1.7e-6."""
+    tree = build_tree(TreeSpec(k=2, r=0.5, delta=0.3, J=19))
+    rs = rho_star_profile(tree)
+    mesh = Mesh1D.from_layouts(tree, [np.linspace(0.0, b - a, 9) for a, b in
+                                      zip(tree.t_shell[:-1], tree.t_shell[1:])])
+    c = element_form(mesh, rs, rs, None).component(6)
+    return c, [sturm_eigenvalue(c.K, c.M, i) for i in range(1, 5)]
+
+
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_graded_component_solved_to_its_60_digit_values(graded_component, m):
+    c, exact = graded_component
+    assert c.K.shape[0] == 112 and not takes_the_dense_path(112, m)
+    spec = smallest_eigenpairs(c.K, c.M, m)
+    np.testing.assert_allclose(spec.values, exact[:m], rtol=1e-12, atol=0.0)
 
 
 def unit_square_neumann(h):
@@ -603,7 +658,7 @@ def test_first_shift_solve_matches_the_dense_oracle(pencil, m):
     # 0.6.
     K, M = (a.tocsr() for a in pencil())
     n, k = K.shape[0], m + GUARD_VECTORS
-    assert n > DENSE_CUTOFF
+    assert not takes_the_dense_path(n, m)
     theta, vecs = eigensolver._lanczos(_ldl(K), M, k, np.empty((n, 0)))
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     nearest = np.sort(dense[np.argsort(np.abs(dense))[:k]])
@@ -770,7 +825,7 @@ def test_certified_solve_finds_every_copy_of_multiple_eigenvalues(k, J, h, m):
     # direction of an eigenspace but the one locked, raised on k2-J3 at
     # h = 0.02 and m = 15.
     K, M, dense = pencil_with_dense_spectrum(k, J, h)
-    assume(K.shape[0] > DENSE_CUTOFF)
+    assume(not takes_the_dense_path(K.shape[0], m))
     spec = smallest_eigenpairs(K, M, m)
     np.testing.assert_allclose(spec.values, dense[:m], rtol=1e-9, atol=0.0)
     G = spec.vectors.T @ (M @ spec.vectors)
