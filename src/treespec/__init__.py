@@ -24,7 +24,6 @@ from .fem_2d import (
     GeometrySpec2D,
     assemble_2d,
     build_geometry_2d,
-    jacobian_assumption_check,
     matched_mesh_1d,
     p_eps_project,
     q_eps_lift,
@@ -50,7 +49,6 @@ __all__ = [
     "Spectrum", "smallest_eigenpairs", "merge_spectra",
     "GeometrySpec2D", "build_geometry_2d", "assemble_2d",
     "matched_mesh_1d", "p_eps_project", "q_eps_lift",
-    "jacobian_assumption_check",
     "ExperimentConfig", "phi_Q", "phi_P",
     "weight_convergence_experiment", "sandwich_experiment",
     "kernel_gap_check", "rayleigh_bound_check",

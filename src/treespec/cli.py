@@ -34,7 +34,6 @@ from .fem_2d import Geometry2DError, assemble_2d, build_geometry_2d
 from .operator_1d import (
     Operator1DError,
     VertexZones,
-    assemble_1d,
     build_mesh_1d,
     discreteness_condition_check,
     radial_decomposition_spectrum,
@@ -121,9 +120,6 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.data, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-    def serialize(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2)
 
 
 # schema type -> (accepted JSON types, name in error messages); bools are
@@ -312,10 +308,8 @@ def run_decompose(cfg: RunConfig, out: Path) -> int:
     tree = build_tree(ecfg.tree)
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=ecfg.h_1d, breakpoints=rs.breakpoints)
-    W = ecfg.w_limit()
-    dec = radial_decomposition_spectrum(tree, mesh, rs, rs, W, ecfg.m)
-    system = assemble_1d(tree, mesh, rs, rs, W)
-    direct = smallest_eigenpairs(system.K, system.M, ecfg.m, with_vectors=False)
+    dec = radial_decomposition_spectrum(tree, mesh, rs, rs, ecfg.w_limit(), ecfg.m)
+    direct = limit_spectrum_1d(tree, ecfg)
     vals = dec.expanded_values(ecfg.m)
     mults = np.repeat(dec.multiplicities, dec.multiplicities)[:len(vals)]
     rel = np.abs(vals - direct.values[:len(vals)]) / np.abs(direct.values[:len(vals)])

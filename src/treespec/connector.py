@@ -56,10 +56,6 @@ class SkeletonStar:
     def k(self) -> int:
         return len(self.arm_lengths) - 1
 
-    def scaled(self, factor: float) -> "SkeletonStar":
-        """Star scaled by factor (lengths only; weights are carried values)."""
-        return SkeletonStar(self.arm_lengths * factor, self.arm_weights)
-
     @staticmethod
     def regular(k: int, delta: float, N: int, omega: float,
                 arm_lengths) -> "SkeletonStar":
@@ -79,13 +75,6 @@ def affine_partition(k: int, sig):
     others."""
     cv = 1.0 / (k + 1)
     return cv + (1 - cv) * sig, cv * (1 - sig)
-
-
-def project_off_ones(f: np.ndarray) -> np.ndarray:
-    """f minus its projection onto the normalized all-ones vector."""
-    f = np.asarray(f)
-    ones = np.ones(len(f)) / np.sqrt(len(f))
-    return f - np.vdot(ones, f) * ones
 
 
 def _affine_product_integral(L, a0, aL, b0, bL):
@@ -129,29 +118,6 @@ def skeleton_minimized_forms(star: SkeletonStar):
     E0 = np.diag(w) - np.outer(w, w) / w.sum()
     E1 = np.diag(c) - np.outer(s, s) / c.sum()
     return E0, E1
-
-
-def skeleton_minimizer(star: SkeletonStar, f: np.ndarray, gamma: int):
-    """Minimizer of the star energy with endpoint values f; returns the center
-    value and the minimized energy."""
-    f = np.asarray(f, float)
-    w, c, s = _arm_coefficients(star)
-    if gamma == 0:
-        hv = float(w @ f / w.sum())
-        energy = float(w @ (f - hv) ** 2)
-    elif gamma == 1:
-        hv = float(s @ f / c.sum())
-        energy = float(c @ f ** 2 - (s @ f) ** 2 / c.sum())
-    else:
-        raise ConnectorError("gamma must be 0 or 1")
-    return hv, energy
-
-
-def skeleton_kirchhoff_residual(star: SkeletonStar, f: np.ndarray) -> float:
-    """Weighted outgoing-derivative sum of the gamma=0 minimizer at the center."""
-    hv, _ = skeleton_minimizer(star, f, gamma=0)
-    slopes = (np.asarray(f, float) - hv) / star.arm_lengths
-    return float(np.abs(np.dot(star.arm_weights, slopes)))
 
 
 # ---------------------------------------------------------------------------

@@ -496,12 +496,6 @@ def p_kernel_basis(matched: Matched1D, free: np.ndarray) -> "scipy.sparse.csr_ma
     return Z
 
 
-def p_kernel_residual(matched: Matched1D, u_global: np.ndarray) -> float:
-    """Max station-average magnitude; zero iff u is in the discrete ker P."""
-    averages = (matched.P @ u_global)[matched.station_dofs]
-    return float(np.abs(averages).max(initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # Rayleigh-quotient comparison on random functions
 # ---------------------------------------------------------------------------
@@ -681,6 +675,7 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionRepo
     cfg.validate()
     cfg._require_trend("geometry.eps_list")
     tree = build_tree(cfg.tree)
+    rs = rho_star_profile(tree)
     W2d = cfg.w2d()
     rows = []
     tracking_ok = True
@@ -693,7 +688,6 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionRepo
         matched = matched_mesh_1d(tm)
         pu = p_eps_project(tm, matched, system.expand(u))
 
-        rs = rho_star_profile(tree)
         sys1 = assemble_1d(tree, matched.mesh, rs, rs, cfg.w_limit())
         lspec = smallest_eigenpairs(sys1.K, sys1.M, 1)
         ustar = lspec.vectors[:, 0]

@@ -14,7 +14,6 @@ makes the averaging map P_eps and the lifting map Q_eps nodal-exact
 interpolation on connectors).
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -30,7 +29,6 @@ from .connector import (
 from .mesh2d import (
     Mesh2D,
     mesh_rectangle,
-    polygon_area,
     scatter_pencil,
     stiffness_and_mass,
 )
@@ -40,8 +38,6 @@ from .tree_model import Tree
 ASPECT_CAP = 2.5          # axial over cross spacing in the tube meshes
 MIN_FEATURE = 1e-6
 _CANONICAL_CACHE_SIZE = 8  # canonical connector keys kept per process
-JACOBIAN_J_MAX = 60       # generations of the analytic Jacobian sup
-JACOBIAN_GRID = 64        # samples per generation of the sampled Jacobian sup
 
 
 class Geometry2DError(ValueError):
@@ -124,9 +120,6 @@ class TreeMesh2D:
         w = np.ones(n + 1)
         w[0] = w[-1] = 0.5
         return w / n
-
-    def total_area(self) -> float:
-        return float(sum(len(c.gids) * c.mesh.area() for c in self.components))
 
 
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
@@ -389,73 +382,3 @@ def q_eps_lift(tmesh: TreeMesh2D, matched: Matched1D,
     interpolated across the connectors."""
     return matched.Q @ f_dofs
 
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class JacobianReport:
-    radius: float
-    p: float
-    d_le_p: bool
-    sup_derivative: float
-    bound: float
-    within_bound: bool
-    jacobian_positive: bool
-    monotonicity_constant: float
-    grid_sup: float
-
-
-def jacobian_assumption_check(r: float, d: float, c: float) -> JacobianReport:
-    """Straightened-tree diffeomorphism audit for the pentagon example.
-
-    The generation-j quadrangle maps to a (2^-j) x (p^j) reference box via
-    x1 = (2d)^j s, x2 = (r^j theta + c d^j theta - c 2^j d^j s theta) / p^j;
-    the derivative bound |dx2/dtheta| <= 1 + c is guaranteed when d <= p.
-    """
-    radius = 1.0 / (1.0 - r) + c / (1.0 - d)
-    p = (radius - 1.0) / radius
-    if d > p:
-        warnings.warn(f"d = {d} exceeds p = {p:.4f}; the sufficient condition "
-                      "for the derivative bound is violated", stacklevel=2)
-
-    js = np.arange(JACOBIAN_J_MAX + 1)
-    # dx2/dtheta is affine in s, extremal at s = 0 and s = 2^-j
-    at_s0 = (r ** js + c * d ** js) / p ** js
-    at_s1 = (r / p) ** js
-    sup = float(max(at_s0.max(), at_s1.max()))
-
-    grid_sup = 0.0
-    positive = True
-    for j in range(13):       # sampled on generations 0..12
-        s = np.linspace(0.0, 2.0 ** (-j), JACOBIAN_GRID)
-        der = (r ** j + c * d ** j - c * 2 ** j * d ** j * s) / p ** j
-        grid_sup = max(grid_sup, float(der.max()))
-        positive = positive and bool((der > 0).all())
-
-    return JacobianReport(
-        radius=radius, p=p, d_le_p=bool(d <= p),
-        sup_derivative=sup, bound=1.0 + c,
-        within_bound=bool(sup <= 1.0 + c + 1e-12),
-        jacobian_positive=positive,
-        monotonicity_constant=1.0,   # J is independent of theta
-        grid_sup=grid_sup,
-    )
-
-
-def closed_form_component_areas(tree: Tree, spec2d: GeometrySpec2D) -> float:
-    """Shoelace-based oracle for the total area of the inflated tree."""
-    d, om, eps = tree.spec.delta, tree.spec.omega, spec2d.eps
-    canonical = canonical_connector(d, c=spec2d.c, k=tree.k, omega=1.0)
-    pent_area = polygon_area(canonical.vertices)
-    total = 0.0
-    for j in range(tree.J + 1):
-        start = canonical.arm_lengths[1] * eps * d ** (j - 1) * om if j >= 1 else 0.0
-        end = tree.edge_lengths[j]
-        if j < tree.J:
-            end -= canonical.arm_lengths[0] * eps * d ** j * om
-        total += tree.k ** j * (eps * d ** j * om) * (end - start)
-    for j in range(tree.J):
-        total += tree.k ** j * pent_area * (eps * d ** j * om) ** 2
-    return total

@@ -39,12 +39,6 @@ class Mesh2D:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def triangle_areas(self) -> np.ndarray:
-        return 0.5 * np.abs(_signed_area2(self.nodes[self.triangles]))
-
-    def area(self) -> float:
-        return float(self.triangle_areas().sum())
-
 
 def polygon_area(vertices: np.ndarray) -> float:
     """Shoelace area of a simple polygon given as an (n, 2) vertex loop."""

@@ -364,28 +364,6 @@ def assemble_1d(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
     return element_form(mesh, rho_alpha, rho_beta, W).pencil()
 
 
-def kirchhoff_residuals(tree: Tree, mesh: Mesh1D, rho_alpha: WeightProfile,
-                        u_full: np.ndarray) -> np.ndarray:
-    """|sum_e rho_a * du/ds outward| at every branching vertex, generation-major."""
-    _require_mesh_tree(tree, mesh)
-    k = tree.k
-    res = []
-    for j in range(tree.J):
-        local, clocal = mesh.gen_local[j], mesh.gen_local[j + 1]
-        dofs = mesh.gen_dofs[j]
-        cdofs = mesh.gen_dofs[j + 1].reshape(len(dofs), k, -1)
-        h_in = local[-1] - local[-2]
-        a_in = float(rho_alpha(tree.t_shell[j] + local[-1] - 0.5 * h_in))
-        h_out = clocal[1] - clocal[0]
-        a_out = float(rho_alpha(tree.t_shell[j + 1] + 0.5 * h_out))
-        u_v = u_full[dofs[:, -1]]
-        total = a_in * (u_full[dofs[:, -2]] - u_v) / h_in
-        for pos in range(k):
-            total += a_out * (u_full[cdofs[:, pos, 1]] - u_v) / h_out
-        res.append(np.abs(total))
-    return np.concatenate(res) if res else np.zeros(0)
-
-
 # ---------------------------------------------------------------------------
 # Radial decomposition
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_type_errors_carry_path():
 
 def test_config_round_trip():
     cfg = validate_config(dict(MINIMAL, seed=3))
-    again = validate_config(json.loads(cfg.serialize()))
+    again = validate_config(json.loads(json.dumps(cfg.data, sort_keys=True, indent=2)))
     assert again.data == cfg.data
     assert again.config_hash() == cfg.config_hash()
 

@@ -1,20 +1,19 @@
 import dataclasses
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from treespec import fem_2d
-from treespec.connector import affine_partition
+from treespec.connector import affine_partition, canonical_connector
 from treespec.eigensolver import smallest_eigenpairs
 from treespec.fem_2d import (
     Geometry2DError,
     GeometrySpec2D,
     assemble_2d,
     build_geometry_2d,
-    closed_form_component_areas,
-    jacobian_assumption_check,
     matched_mesh_1d,
     p_eps_project,
     q_eps_lift,
@@ -24,10 +23,13 @@ from treespec.mesh2d import (
     _triangle_block,
     mesh_quality,
     mesh_rectangle,
+    polygon_area,
     scatter_pencil,
     stiffness_and_mass,
 )
 from treespec.tree_model import EdgeId, TreeSpec, build_tree
+
+from oracles import mesh_area
 
 BINARY = TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, N=2, J=2)
 
@@ -61,7 +63,8 @@ def test_single_rectangle_when_J_zero():
     tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, J=0))
     tm = build_geometry_2d(tree, GeometrySpec2D(eps=0.1, c=0.3, h=0.05, n_cross=3))
     assert len(tm.components) == 1
-    assert tm.total_area() == pytest.approx(0.1 * 1.0, rel=1e-12)
+    total_area = sum(len(c.gids) * mesh_area(c.mesh) for c in tm.components)
+    assert total_area == pytest.approx(0.1 * 1.0, rel=1e-12)
 
 
 def test_shared_connector_arrays_are_read_only(tmesh):
@@ -103,13 +106,30 @@ def test_warm_geometry_equals_cold(spec):
             _assert_same_array(getattr(A, name), getattr(B, name))
 
 
+def closed_form_component_areas(tree, spec2d):
+    """Shoelace-based oracle for the total area of the inflated tree."""
+    d, om, eps = tree.spec.delta, tree.spec.omega, spec2d.eps
+    canonical = canonical_connector(d, c=spec2d.c, k=tree.k, omega=1.0)
+    pent_area = polygon_area(canonical.vertices)
+    total = 0.0
+    for j in range(tree.J + 1):
+        start = canonical.arm_lengths[1] * eps * d ** (j - 1) * om if j >= 1 else 0.0
+        end = tree.edge_lengths[j]
+        if j < tree.J:
+            end -= canonical.arm_lengths[0] * eps * d ** j * om
+        total += tree.k ** j * (eps * d ** j * om) * (end - start)
+    for j in range(tree.J):
+        total += tree.k ** j * pent_area * (eps * d ** j * om) ** 2
+    return total
+
+
 def test_area_matches_shoelace_oracle():
     for J in (1, 2):
         tree = build_tree(TreeSpec(k=2, l0=1.0, r=0.5, delta=0.6, J=J))
         spec = GeometrySpec2D(eps=0.2, c=0.3, h=0.05, n_cross=3)
         tm = build_geometry_2d(tree, spec)
-        assert tm.total_area() == pytest.approx(
-            closed_form_component_areas(tree, spec), rel=1e-10)
+        total_area = sum(len(c.gids) * mesh_area(c.mesh) for c in tm.components)
+        assert total_area == pytest.approx(closed_form_component_areas(tree, spec), rel=1e-10)
 
 
 def test_area_increments_grow_when_rd_large():
@@ -507,6 +527,62 @@ def test_connector_tail_bounded_over_eps():
         ratios.append(connector_tail(tm, u))
     assert max(ratios) <= 5.0 * min(r for r in ratios if r > 0)
     assert max(ratios) < 10.0
+
+
+# -- the straightened-tree map of the pentagon example ------------------------
+
+JACOBIAN_J_MAX = 60       # generations of the analytic Jacobian sup
+JACOBIAN_GRID = 64        # samples per generation of the sampled Jacobian sup
+
+
+@dataclasses.dataclass
+class JacobianReport:
+    radius: float
+    p: float
+    d_le_p: bool
+    sup_derivative: float
+    bound: float
+    within_bound: bool
+    jacobian_positive: bool
+    monotonicity_constant: float
+    grid_sup: float
+
+
+def jacobian_assumption_check(r, d, c):
+    """Straightened-tree diffeomorphism audit for the pentagon example.
+
+    The generation-j quadrangle maps to a (2^-j) x (p^j) reference box via
+    x1 = (2d)^j s, x2 = (r^j theta + c d^j theta - c 2^j d^j s theta) / p^j;
+    the derivative bound |dx2/dtheta| <= 1 + c is guaranteed when d <= p.
+    """
+    radius = 1.0 / (1.0 - r) + c / (1.0 - d)
+    p = (radius - 1.0) / radius
+    if d > p:
+        warnings.warn(f"d = {d} exceeds p = {p:.4f}; the sufficient condition "
+                      "for the derivative bound is violated", stacklevel=2)
+
+    js = np.arange(JACOBIAN_J_MAX + 1)
+    # dx2/dtheta is affine in s, extremal at s = 0 and s = 2^-j
+    at_s0 = (r ** js + c * d ** js) / p ** js
+    at_s1 = (r / p) ** js
+    sup = float(max(at_s0.max(), at_s1.max()))
+
+    grid_sup = 0.0
+    positive = True
+    for j in range(13):       # sampled on generations 0..12
+        s = np.linspace(0.0, 2.0 ** (-j), JACOBIAN_GRID)
+        der = (r ** j + c * d ** j - c * 2 ** j * d ** j * s) / p ** j
+        grid_sup = max(grid_sup, float(der.max()))
+        positive = positive and bool((der > 0).all())
+
+    return JacobianReport(
+        radius=radius, p=p, d_le_p=bool(d <= p),
+        sup_derivative=sup, bound=1.0 + c,
+        within_bound=bool(sup <= 1.0 + c + 1e-12),
+        jacobian_positive=positive,
+        monotonicity_constant=1.0,   # J is independent of theta
+        grid_sup=grid_sup,
+    )
 
 
 def test_jacobian_check_within_bound():

@@ -19,7 +19,6 @@ from treespec.operator_1d import (
     discreteness_condition_check,
     element_form,
     hardy_inequality_check,
-    kirchhoff_residuals,
     radial_decomposition_spectrum,
     rho_star_profile,
     tail_bound_check,
@@ -27,6 +26,8 @@ from treespec.operator_1d import (
     zone_modified_profile,
 )
 from treespec.tree_model import EdgeId, TreeSpec, build_tree
+
+from oracles import kirchhoff_residuals
 
 
 def spectrum(tree, mesh, rho_alpha, rho_beta, W, m):

@@ -21,10 +21,6 @@ ALLOWED = {
         "the one per-generation width scale eps * delta**j",
     "tree_model.Tree.rho_star": "the weight delta**((N-1) j) |Omega|, not a width",
     "connector.SkeletonStar.regular": "the child weight delta**(N-1) of one vertex star",
-    "fem_2d.jacobian_assumption_check":
-        "the paper's straightened-tree map, with its own d**j scaling",
-    "fem_2d.closed_form_component_areas":
-        "the area oracle, which keeps an independent width formula",
 }
 
 
