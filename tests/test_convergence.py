@@ -7,10 +7,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from treespec import convergence
+from treespec.config import ExperimentConfig, ExperimentError
 from treespec.convergence import (
     C_GRID,
-    ExperimentConfig,
-    ExperimentError,
     _bound_transform,
     _pole_denominator,
     _rayleigh_report,

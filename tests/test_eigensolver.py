@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treespec import eigensolver
-from treespec.convergence import ExperimentConfig
+from treespec.config import ExperimentConfig
 from treespec.eigensolver import (
     GUARD_VECTORS,
     EigensolverError,

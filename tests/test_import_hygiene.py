@@ -123,3 +123,53 @@ def test_checker_flags_scipy_loaded_at_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_imports_scipy_on_first_use(module):
     assert eager_scipy((SRC / module).read_text()) == []
+
+
+# the modules that validating a config runs import no solver module when they
+# are imported; tests/test_cli.py probes the loaded set in a fresh interpreter
+CONFIG_PATH = ("__init__.py", "cli.py", "config.py")
+SOLVER_MODULES = {"convergence", "eigensolver", "fem_2d", "operator_1d"}
+
+
+def eager_package_imports(source: str) -> list:
+    """(line, module) of each ``treespec`` submodule that ``source`` imports
+    outside any function, relative or absolute, by ``import`` or ``from``."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, parts[1]) for parts in
+                         (a.name.split(".") for a in node.names)
+                         if parts[0] == "treespec" and len(parts) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            package, _, module = (node.module or "").partition(".")
+            if node.level:
+                package, module = "treespec", node.module or ""
+            if package == "treespec":
+                names = [module.partition(".")[0]] if module else [a.name for a in node.names]
+                found.extend((node.lineno, name) for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_checker_flags_a_solver_module_imported_at_load():
+    source = ("import numpy\nimport treespec.fem_2d\nfrom . import config, eigensolver\n"
+              "from .convergence import C_GRID\nfrom treespec.operator_1d import f\n"
+              "from treespec import fem_2d\nfrom numpy.linalg import norm\n"
+              "if True:\n    from .tree_model import Tree\n"
+              "class A:\n    from .mesh2d import Mesh2D\n"
+              "def f():\n    from .fem_2d import GeometrySpec2D\n")
+    assert eager_package_imports(source) == [
+        (2, "fem_2d"), (3, "config"), (3, "eigensolver"), (4, "convergence"),
+        (5, "operator_1d"), (6, "fem_2d"), (9, "tree_model"), (11, "mesh2d")]
+
+
+@pytest.mark.parametrize("module", CONFIG_PATH)
+def test_config_path_imports_no_solver_module_at_load(module):
+    eager = eager_package_imports((SRC / module).read_text())
+    assert [(line, name) for line, name in eager if name in SOLVER_MODULES] == []

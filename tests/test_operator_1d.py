@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from treespec import operator_1d
+from treespec.config import ExperimentConfig, ExperimentError
 from treespec.connector import EquivalenceConstants, affine_partition
-from treespec.convergence import ExperimentConfig, ExperimentError
 from treespec.eigensolver import merge_spectra, smallest_eigenpairs
 from treespec.fem_2d import GeometrySpec2D, build_geometry_2d, matched_mesh_1d
 from treespec.operator_1d import (

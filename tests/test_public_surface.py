@@ -13,6 +13,7 @@ the reason it stays, so a library default cannot restate or contradict the
 schema unnoticed."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,7 @@ SCHEMA_CLASSES = {"TreeSpec", "ExperimentConfig"}
 # qualified parameter or dataclass field -> why it keeps a default
 ALLOWED_DEFAULTS = {
     "cli.main.argv": "`argv=None`: read sys.argv, as the console script does",
-    "convergence.ExperimentConfig.geometry.h":
+    "config.ExperimentConfig.geometry.h":
         "`h=None`: the pitch geometry.h; both values are used in `src`",
     "eigensolver.Spectrum.residuals":
         "`residuals=None`: merged and clustered spectra carry none",
@@ -262,10 +263,26 @@ def test_every_default_outside_the_config_schema_is_pinned():
     assert found == set(ALLOWED_DEFAULTS)
 
 
+def top_level_names(source: str) -> set:
+    """Names a module binds at top level by ``def``, ``class`` or assignment;
+    imported names are not among them."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def test_package_exports_exactly_what_it_imports():
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert sorted(treespec.__all__) == sorted(["__version__"] + imported)
-    for name in treespec.__all__:
-        assert hasattr(treespec, name), name
+    # the lazy table maps each exported name to the module that defines it,
+    # and the package returns that module's own object
+    assert sorted(treespec.__all__) == sorted(["__version__", *treespec._EXPORTS])
+    for name, module in treespec._EXPORTS.items():
+        assert name in top_level_names((SRC / f"{module}.py").read_text()), name
+        defining = importlib.import_module(f"treespec.{module}")
+        assert getattr(treespec, name) is getattr(defining, name), name
+    assert not hasattr(treespec, "ExperimentError")
+    assert set(treespec.__all__) <= set(dir(treespec))
