@@ -5,9 +5,9 @@ The package namespace is lazy (PEP 562): ``_EXPORTS`` maps each public name to
 the module that defines it, and the first access to a name imports that
 module and returns its object.  So ``import treespec`` runs no submodule, and
 importing the CLI and validating a config load only ``cli``, ``config``,
-``tree_model``, ``connector`` and ``mesh2d``, on numpy alone.  On a 2-CPU Xeon
-VM (Python 3.11, numpy 2.4, no ``.pyc`` files) a fresh interpreter that does
-this exits after about 138 ms, 83 ms of them in the imports, against 105 ms
+``tree_model`` and ``connector``, on numpy alone.  On a 2-CPU Xeon VM
+(Python 3.11, numpy 2.4, no ``.pyc`` files) a fresh interpreter that does
+this exits after about 128 ms, 75 ms of them in the imports, against 103 ms
 for one that imports numpy alone.  No module imports scipy at module level:
 each function that needs it imports it on entry, so the checks that assemble
 nothing load no scipy either.

@@ -2,14 +2,14 @@
 
 Configs are JSON with a fixed schema (unknown keys rejected, errors carry the
 key path); every output CSV starts with a metadata comment (tool version,
-config hash, seed) followed by a header row, floats printed with 17
-significant digits.  Exit code is nonzero whenever an experiment assertion
-fails.  Loading and checking a config imports only ``config``,
-``tree_model`` and ``connector`` (with ``mesh2d``): the runners and
-``check_feasible`` import the solver modules they call, and those import
-scipy in the functions that solve, so a rejected config and
+config hash, seed) followed by a header row, the keys of the row dicts it is
+written from, floats printed with 17 significant digits.  Exit code is
+nonzero whenever an experiment assertion fails.  Loading and checking a
+config imports only ``config``, ``tree_model`` and ``connector``: the
+runners and ``check_feasible`` import the solver modules they call, and
+those import scipy in the functions that solve, so a rejected config and
 check-discreteness load no scipy module.  A fresh interpreter imports the
-package and this module in about 83 ms, numpy included (2-CPU Xeon VM, no
+package and this module in about 75 ms, numpy included (2-CPU Xeon VM, no
 ``.pyc`` files).
 """
 
@@ -257,12 +257,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, fieldnames, rows, cfg: RunConfig) -> None:
+def write_csv(path: Path, rows: list, cfg: RunConfig) -> None:
+    """The metadata comment, then a header of the first row's keys, then
+    every row's values in that order; every row has the same keys."""
     seed = cfg.data["seed"]
-    lines = [f"# treespec {__version__} config={cfg.config_hash()} seed={seed}"]
-    lines.append(",".join(fieldnames))
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in fieldnames))
+    lines = [f"# treespec {__version__} config={cfg.config_hash()} seed={seed}",
+             ",".join(rows[0])]
+    lines.extend(",".join(_fmt(v) for v in row.values()) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -288,9 +289,7 @@ def run_spectrum1d(cfg: RunConfig, out: Path) -> int:
     from .convergence import limit_spectrum_1d
     ecfg = cfg.experiment
     spec = limit_spectrum_1d(build_tree(ecfg.tree), ecfg)
-    write_csv(out / "spectrum1d.csv",
-              ["index", "lambda", "multiplicity", "residual"],
-              _spectrum_rows(spec), cfg)
+    write_csv(out / "spectrum1d.csv", _spectrum_rows(spec), cfg)
     print(f"spectrum1d: lambda_1 = {spec.values[0]:.6g} "
           f"({ecfg.m} modes, dofs on h={ecfg.h_1d})")
     return 0
@@ -314,9 +313,7 @@ def run_decompose(cfg: RunConfig, out: Path) -> int:
                      "multiplicity": int(mults[i]),
                      "lambda_direct": float(direct.values[i]),
                      "relative_gap": float(rel[i])})
-    write_csv(out / "decompose.csv",
-              ["index", "lambda", "multiplicity", "lambda_direct",
-               "relative_gap"], rows, cfg)
+    write_csv(out / "decompose.csv", rows, cfg)
     ok = bool(rel.max() <= 1e-8)
     print(f"decompose: max relative gap to direct spectrum {rel.max():.3e} "
           f"({'ok' if ok else 'FAIL'})")
@@ -341,8 +338,7 @@ def run_spectrum2d(cfg: RunConfig, out: Path, dump_mesh: bool) -> int:
                          "residual": float(spec.residuals[i])})
         if dump_mesh and i_eps == 0:
             _dump_mesh_and_field(tm, system, spec, out, cfg)
-    write_csv(out / "spectrum2d.csv", ["eps", "index", "lambda", "residual"],
-              rows, cfg)
+    write_csv(out / "spectrum2d.csv", rows, cfg)
     print(f"spectrum2d: nu_1 = {first:.6g} at eps = {ecfg.eps_list[0]}")
     return 0
 
@@ -364,14 +360,11 @@ def _dump_mesh_and_field(tm, system, spec, out: Path, cfg: RunConfig) -> None:
         for (a, b), tag in zip(comp.mesh.boundary_edges, comp.mesh.boundary_tags):
             tag_rows.append({"component": ci, "n0": int(gids[a]),
                              "n1": int(gids[b]), "tag": int(tag)})
-    write_csv(out / "mesh_nodes.csv",
-              ["node", "component", "x", "y", "theta"], node_rows, cfg)
-    write_csv(out / "mesh_triangles.csv",
-              ["component", "n0", "n1", "n2"], tri_rows, cfg)
-    write_csv(out / "mesh_tags.csv",
-              ["component", "n0", "n1", "tag"], tag_rows, cfg)
+    write_csv(out / "mesh_nodes.csv", node_rows, cfg)
+    write_csv(out / "mesh_triangles.csv", tri_rows, cfg)
+    write_csv(out / "mesh_tags.csv", tag_rows, cfg)
     u = system.expand(spec.vectors[:, 0])
-    write_csv(out / "field_mode1.csv", ["node", "value"],
+    write_csv(out / "field_mode1.csv",
               [{"node": i, "value": float(v)} for i, v in enumerate(u)], cfg)
 
 
@@ -379,13 +372,7 @@ def run_sandwich(cfg: RunConfig, out: Path) -> int:
     from .convergence import rayleigh_bound_check, sandwich_experiment
     ecfg = cfg.experiment
     report = sandwich_experiment(ecfg)
-    rows = [{"eps": r.eps, "m": r.m, "mu": r.mu, "lambda": r.lam, "nu": r.nu,
-             "nu_bar": r.nu_bar, "phi_Q_mu": r.phi_Q_mu, "phi_P_nu": r.phi_P_nu,
-             "ok_upper": int(r.ok_upper), "ok_lower": int(r.ok_lower)}
-            for r in report.rows]
-    write_csv(out / "sandwich.csv",
-              ["eps", "m", "mu", "lambda", "nu", "nu_bar", "phi_Q_mu",
-               "phi_P_nu", "ok_upper", "ok_lower"], rows, cfg)
+    write_csv(out / "sandwich.csv", report.rows, cfg)
     summary = {
         "fitted_c": {str(k): v for k, v in report.fitted_c.items()},
         "c_stable_factor": report.c_stable_factor,
@@ -416,9 +403,7 @@ def run_converge_weights(cfg: RunConfig, out: Path) -> int:
     from .convergence import weight_convergence_experiment
     ecfg = cfg.experiment
     report = weight_convergence_experiment(ecfg)
-    write_csv(out / "converge_weights.csv",
-              ["n", "m", "lambda_n", "lambda_limit", "gap"],
-              list(report.rows()), cfg)
+    write_csv(out / "converge_weights.csv", report.rows, cfg)
     ok = report.envelope_ok and report.gaps_decreasing
     write_json(out / "converge_weights_summary.json", {
         "equiv_constant": report.equiv_constant,
@@ -436,18 +421,10 @@ def run_project(cfg: RunConfig, out: Path) -> int:
     from .convergence import eigenfunction_projection_experiment
     ecfg = cfg.experiment
     report = eigenfunction_projection_experiment(ecfg)
-    rows = [{"eps": r.eps, "lambda_2d": r.lambda_2d, "distance": r.distance,
-             "overlap": r.overlap, "holder_constant": r.holder_constant}
-            for r in report.rows]
-    write_csv(out / "project.csv",
-              ["eps", "lambda_2d", "distance", "overlap", "holder_constant"],
-              rows, cfg)
+    write_csv(out / "project.csv", report.rows, cfg)
     ok = report.distances_decreasing and report.tracking_ok
-    write_json(out / "project_summary.json", {
-        "distances_decreasing": report.distances_decreasing,
-        "final_distance": report.final_distance,
-        "tracking_ok": report.tracking_ok,
-    })
+    write_json(out / "project_summary.json",
+               {k: v for k, v in vars(report).items() if k != "rows"})
     print(f"project: final relative distance {report.final_distance:.4g} "
           f"({'pass' if ok else 'FAIL'})")
     return 0 if ok else 1
@@ -457,12 +434,7 @@ def run_check_discreteness(cfg: RunConfig, out: Path) -> int:
     from .operator_1d import discreteness_condition_check, rho_star_profile
     tree = build_tree(cfg.experiment.tree)
     report = discreteness_condition_check(tree, rho_star_profile(tree))
-    write_json(out / "discreteness.json", {
-        "holds": report.holds,
-        "best_C": report.best_C,
-        "per_generation_factor": report.per_generation_factor,
-        "boundary": report.boundary,
-    })
+    write_json(out / "discreteness.json", vars(report))
     verdict = "holds" if report.holds else "condition fails"
     if report.boundary:
         verdict += " (boundary case)"
@@ -476,12 +448,7 @@ def run_connector_constants(cfg: RunConfig, out: Path) -> int:
     domain, mesh, _, forms, consts = reference_connector(cfg.experiment)
     payload = {
         "constants": consts.as_dict(),
-        "matrices": {
-            "Abar": forms.Abar.tolist(), "A": forms.A.tolist(),
-            "Bbar": forms.Bbar.tolist(), "B": forms.B.tolist(),
-            "E0bar": forms.E0bar.tolist(), "E1bar": forms.E1bar.tolist(),
-            "E0": forms.E0.tolist(), "E1": forms.E1.tolist(),
-        },
+        "matrices": {name: mtx.tolist() for name, mtx in vars(forms).items()},
         "pentagon_vertices": domain.vertices.tolist(),
         "arm_lengths": domain.arm_lengths.tolist(),
         "mesh_nodes": mesh.n_nodes,

@@ -2,8 +2,8 @@
 checks, and the error its checks raise.
 
 Validating a config loads only this module, ``tree_model`` and ``connector``
-(whose reference connector bounds ``geometry.c``), and through it ``mesh2d``;
-the solver modules are imported by the functions that use them.
+(whose reference connector bounds ``geometry.c``); ``mesh2d`` and the solver
+modules are imported by the functions that use them.
 """
 
 from dataclasses import dataclass, field

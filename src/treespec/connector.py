@@ -9,19 +9,14 @@ the section-constrained minimization problems, and extracts the two-sided
 equivalence constants that enter the modified weights of the width-weighted
 operators.
 
-Arm 0 is always the parent arm.
+Arm 0 is always the parent arm.  The functions that mesh or assemble import
+``mesh2d`` on entry, so the range check of ``canonical_connector`` loads no
+mesher.
 """
 
 from dataclasses import dataclass, is_dataclass
 
 import numpy as np
-
-from .mesh2d import (
-    Mesh2D,
-    mesh_polygon,
-    section_average_weights,
-    stiffness_and_mass,
-)
 
 KERNEL_TOL = 1e-8   # relative residual at which A-type forms annihilate ones
 
@@ -198,20 +193,22 @@ def canonical_connector(delta: float, c: float, k: int,
 
 
 def mesh_connector(domain: ConnectorDomain2D, h: float,
-                   section_intervals: int) -> Mesh2D:
+                   section_intervals: int) -> "Mesh2D":
     """Mesh the connector with every section resolved into the given number of
     uniform intervals (matching the tube cross subdivisions).
 
     The interior pitch is floored at the child-section spacing; a strong
     boundary/interior mismatch would otherwise produce sliver triangles.
     """
+    from .mesh2d import mesh_polygon
+
     pitch = float(domain.section_lengths.min()) / section_intervals
     h_eff = max(h, pitch)
     return mesh_polygon(domain.vertices, h_eff, sections=domain.sections,
                         section_intervals=section_intervals)
 
 
-def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: Mesh2D, K) -> np.ndarray:
+def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: "Mesh2D", K) -> np.ndarray:
     """Discrete harmonic partition of unity: column e solves the Laplace
     equation with value 1 on S_e, 0 on the other sections, natural elsewhere.
 
@@ -245,7 +242,7 @@ def connector_form_matrices(K, M, Phi: np.ndarray):
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
-def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: Mesh2D, K, M,
+def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: "Mesh2D", K, M,
                              F: np.ndarray, gamma: int):
     """Minimize integral(|grad g|^2 + gamma |g|^2) subject to prescribed
     section averages F, via Lagrange multipliers appended to the FEM system
@@ -257,6 +254,8 @@ def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: Mesh2D, K, M,
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
+
+    from .mesh2d import section_average_weights
 
     if gamma not in (0, 1):
         raise ConnectorError("gamma must be 0 or 1")
@@ -280,7 +279,7 @@ def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: Mesh2D, K, M,
     return u, kappa, energy
 
 
-def connector_minimized_forms(domain: ConnectorDomain2D, mesh: Mesh2D, K, M):
+def connector_minimized_forms(domain: ConnectorDomain2D, mesh: "Mesh2D", K, M):
     """Quadratic forms F -> minimized connector energy for gamma = 0, 1, on
     the pencil (K, M) of ``mesh``.
 
@@ -336,13 +335,8 @@ class EquivalenceConstants:
         return min(self.beta_A / self.alpha_Abar, self.beta_B / self.alpha_Bbar)
 
     def as_dict(self) -> dict:
-        return {
-            "alpha_Abar": self.alpha_Abar, "alpha_A": self.alpha_A,
-            "alpha_Bbar": self.alpha_Bbar, "alpha_B": self.alpha_B,
-            "beta_Abar": self.beta_Abar, "beta_Bbar": self.beta_Bbar,
-            "beta_A": self.beta_A, "beta_B": self.beta_B,
-            "rho_Q_factor": self.rho_Q_factor, "rho_P_factor": self.rho_P_factor,
-        }
+        return {**vars(self), "rho_Q_factor": self.rho_Q_factor,
+                "rho_P_factor": self.rho_P_factor}
 
 
 def _ones_complement_basis(n: int) -> np.ndarray:
@@ -420,6 +414,8 @@ def analyze_connector(delta: float, c: float, k: int, omega: float,
     form matrices and the minimizers.
     Returns (domain, mesh, Phi, FormMatrices, EquivalenceConstants).
     """
+    from .mesh2d import stiffness_and_mass
+
     domain = canonical_connector(delta, c=c, k=k, omega=omega)
     mesh = mesh_connector(domain, h=h, section_intervals=section_intervals)
     K, M = stiffness_and_mass(mesh)

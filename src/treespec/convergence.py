@@ -1,7 +1,8 @@
 """Experiment harness: convergence and bound theorems as executable checks.
 
-Each experiment returns a report dataclass with plain-row tables (ready for
-CSV) and explicit pass flags.  Inequality checks fit their own constants from
+Each experiment returns a report dataclass with explicit pass flags; a
+report that is written as a CSV table holds it in ``rows``, one dict per line
+keyed by column in file order.  Inequality checks fit their own constants from
 the data (smallest value on a log grid), never assuming a constant from
 theory; every 2-D eigenvalue carries a Richardson error bar from two mesh
 levels and assertions consume the gap minus the bar.
@@ -139,13 +140,11 @@ class WeightConvergenceReport:
     gaps_decreasing: bool
     final_relative_gap: float
 
-    def rows(self):
-        for i, n in enumerate(self.n_list):
-            for mm in range(len(self.limit)):
-                yield {"n": n, "m": mm + 1,
-                       "lambda_n": self.eigenvalues[i, mm],
-                       "lambda_limit": self.limit[mm],
-                       "gap": self.gaps[i, mm]}
+    @property
+    def rows(self) -> list:
+        return [{"n": n, "m": mm + 1, "lambda_n": self.eigenvalues[i, mm],
+                 "lambda_limit": self.limit[mm], "gap": self.gaps[i, mm]}
+                for i, n in enumerate(self.n_list) for mm in range(len(self.limit))]
 
 
 def weight_convergence_experiment(cfg: ExperimentConfig) -> WeightConvergenceReport:
@@ -209,21 +208,11 @@ def weight_convergence_experiment(cfg: ExperimentConfig) -> WeightConvergenceRep
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SandwichRow:
-    eps: float
-    m: int
-    mu: float              # A_Q^eps eigenvalue
-    lam: float             # A_P^eps eigenvalue
-    nu: float              # 2-D eigenvalue (Richardson extrapolated)
-    nu_bar: float          # error bar
-    phi_Q_mu: float
-    phi_P_nu: float
-    ok_upper: bool         # nu - bar <= phi_Q(mu)
-    ok_lower: bool         # lam <= phi_P(nu + bar)
-
-
-@dataclass
 class SandwichReport:
+    # per eps and mode: mu (A_Q^eps), lambda (A_P^eps), nu (2-D, Richardson
+    # extrapolated) with its error bar, both transforms at the fitted c, and
+    # ok_upper (nu - bar <= phi_Q(mu)) and ok_lower (lambda <= phi_P(nu + bar))
+    # as 1 or 0
     rows: list
     fitted_c: dict                 # eps -> c (or None)
     c_stable_factor: float
@@ -263,22 +252,21 @@ def sandwich_experiment(cfg: ExperimentConfig) -> SandwichReport:
         for m in range(cfg.m):
             if c_fit is None:   # no finite constant: failure row, not a crash
                 pq = pp = math.nan
-                ok_up = ok_lo = False
+                ok_up = ok_lo = 0
             else:
                 pq = phi_Q(mu[m], c_fit, eps)
                 pp = phi_P(nu[m] + bars[m], c_fit, eps)
-                ok_up = bool(nu[m] - bars[m] <= pq)
-                ok_lo = bool(lam[m] <= pp)
-            rows.append(SandwichRow(
-                eps=eps, m=m + 1, mu=mu[m], lam=lam[m], nu=nu[m],
-                nu_bar=bars[m], phi_Q_mu=pq, phi_P_nu=pp,
-                ok_upper=ok_up, ok_lower=ok_lo))
+                ok_up = int(nu[m] - bars[m] <= pq)
+                ok_lo = int(lam[m] <= pp)
+            rows.append({"eps": eps, "m": m + 1, "mu": mu[m], "lambda": lam[m],
+                         "nu": nu[m], "nu_bar": bars[m], "phi_Q_mu": pq,
+                         "phi_P_nu": pp, "ok_upper": ok_up, "ok_lower": ok_lo})
         gaps1.append(abs(nu[0] - limit_spec.values[0]))
 
     cs = [c for c in fitted.values() if c]
     stable = float(max(cs) / min(cs)) if cs and len(cs) == len(cfg.eps_list) else math.inf
     decreasing = bool(np.all(np.diff(gaps1) < 0))
-    all_pass = all(r.ok_upper and r.ok_lower for r in rows) and all(
+    all_pass = all(r["ok_upper"] and r["ok_lower"] for r in rows) and all(
         fitted[e] is not None for e in cfg.eps_list)
     return SandwichReport(rows=rows, fitted_c=fitted, c_stable_factor=stable,
                           nu1_minus_mu1=gaps1, gaps_decreasing=decreasing,
@@ -539,17 +527,8 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ProjectionRow:
-    eps: float
-    lambda_2d: float
-    distance: float
-    overlap: float
-    holder_constant: float
-
-
-@dataclass
 class ProjectionReport:
-    rows: list
+    rows: list                     # per eps: lambda_2d, distance, overlap, holder_constant
     distances_decreasing: bool
     final_distance: float
     tracking_ok: bool
@@ -612,10 +591,9 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionRepo
                                             + float(u @ (system.M @ u))))
         holder = vertex_holder_constant(matched,
                                         p_eps_project(tm, matched, system.expand(uH)))
-        rows.append(ProjectionRow(eps=eps, lambda_2d=float(spec.values[0]),
-                                  distance=dist, overlap=overlap,
-                                  holder_constant=holder))
-    dists = [r.distance for r in rows]
+        rows.append({"eps": eps, "lambda_2d": float(spec.values[0]), "distance": dist,
+                     "overlap": overlap, "holder_constant": holder})
+    dists = [r["distance"] for r in rows]
     decreasing = bool(np.all(np.diff(dists) < 0))
     if not decreasing and tracking_ok:
         warnings.warn("projection distances are not monotone although mode "

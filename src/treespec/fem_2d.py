@@ -2,10 +2,11 @@
 
 The inflated tree is built chart-wise: every edge is an axis-aligned rectangle
 of width eps * d**gen, every branching vertex a scaled copy of the canonical
-pentagon connector, and components are glued along their sections by index
-identification (both sides subdivide a section into the same number of uniform
-intervals).  Planar self-intersection of the charts is irrelevant: the
-assembled operator lives on the abstract manifold.
+connector (a pentagon for k = 2, a trapezoid for k = 1), and components are
+glued along their sections by index identification (both sides subdivide a
+section into the same number of uniform intervals).  Planar self-intersection
+of the charts is irrelevant: the assembled operator lives on the abstract
+manifold.
 
 The 1-D mesh matched to a geometry has its edge nodes exactly at the rectangle
 axial stations and its vertex zones exactly on the connector skeletons, which
@@ -46,7 +47,7 @@ class Geometry2DError(ValueError):
 
 @dataclass(frozen=True)
 class GeometrySpec2D:
-    """Parameters of the inflated binary tree (k = 2, N = 2 only)."""
+    """Parameters of the inflated tree (k in {1, 2}, N = 2)."""
 
     eps: float
     c: float

@@ -434,7 +434,7 @@ def discreteness_condition_check(tree: Tree, rho: WeightProfile) -> Discreteness
     pts = np.unique(np.concatenate([rho.breakpoints, tree.t_shell]))
     pts = pts[(pts >= 0) & (pts <= tree.radius)]
     mids = 0.5 * (pts[:-1] + pts[1:])
-    g = tree.k ** tree.generations_at(np.minimum(mids, tree.radius * (1 - 1e-15)))
+    g = tree.counting_function(np.minimum(mids, tree.radius * (1 - 1e-15)))
     v = g * rho(mids)
     running_max = np.maximum.accumulate(v)
     best_C = float((v / running_max).min())
@@ -486,7 +486,7 @@ def hardy_inequality_check(tree: Tree, rho: WeightProfile,
     u = np.asarray(u, dtype=float)
 
     def g(t):
-        return tree.k ** tree.generations_at(np.minimum(t, R * (1 - 1e-15)))
+        return tree.counting_function(np.minimum(t, R * (1 - 1e-15)))
 
     a, ua, du = nodes[:-1, None], u[:-1, None], np.diff(u)[:, None]
     h = np.diff(nodes)[:, None]

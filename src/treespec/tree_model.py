@@ -118,9 +118,10 @@ class Tree:
         j = np.searchsorted(self.t_shell, t, side="right") - 1
         return np.minimum(j, self.spec.J)
 
-    def counting_function(self, t: float) -> int:
-        """Number of edges meeting the sphere of radius ``t`` around the root."""
-        return self.spec.k ** int(self.generations_at(t))
+    def counting_function(self, t) -> np.ndarray:
+        """Number of edges meeting the sphere of radius ``t`` around the root,
+        g(t) = k**gen(t), elementwise for an array ``t``."""
+        return self.spec.k ** self.generations_at(t)
 
     def rho_star(self, j: int) -> float:
         """Canonical weight delta**((N-1)*gen) * |Omega| on a generation-j edge."""

@@ -122,7 +122,7 @@ def test_criterion_3_weight_convergence():
 
 def test_criterion_4_sandwich():
     rep = sandwich_experiment(ExperimentConfig(tree=BINARY, m=4))
-    rows_ok = all(r.ok_upper and r.ok_lower for r in rep.rows)
+    rows_ok = all(r["ok_upper"] and r["ok_lower"] for r in rep.rows)
     ok = (rows_ok and rep.c_stable_factor <= 3.0 and rep.gaps_decreasing
           and all(c is not None for c in rep.fitted_c.values()))
     report(4, ok, f"both inequalities hold for m<=4 at every eps, fitted c "

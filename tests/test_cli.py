@@ -427,6 +427,75 @@ def test_connector_constants_dump(tmp_path):
     assert payload["constants"]["rho_Q_factor"] >= 1.0
 
 
+# every file a run on {} writes: a CSV's header row in column order, and the
+# keys of a JSON file and of the objects nested in it as slash-joined paths
+OUTPUT_SCHEMA = {
+    ("spectrum1d",): {"spectrum1d.csv": "index,lambda,multiplicity,residual"},
+    ("decompose",): {
+        "decompose.csv": "index,lambda,multiplicity,lambda_direct,relative_gap"},
+    ("spectrum2d",): {"spectrum2d.csv": "eps,index,lambda,residual"},
+    ("spectrum2d", "--dump-mesh"): {
+        "spectrum2d.csv": "eps,index,lambda,residual",
+        "mesh_nodes.csv": "node,component,x,y,theta",
+        "mesh_triangles.csv": "component,n0,n1,n2",
+        "mesh_tags.csv": "component,n0,n1,tag",
+        "field_mode1.csv": "node,value"},
+    ("sandwich",): {
+        "sandwich.csv": "eps,m,mu,lambda,nu,nu_bar,phi_Q_mu,phi_P_nu,ok_upper,ok_lower",
+        "sandwich_summary.json": {"fitted_c", "fitted_c/0.2", "fitted_c/0.1",
+                                  "fitted_c/0.05", "c_stable_factor", "nu1_minus_mu1",
+                                  "gaps_decreasing", "all_pass"}},
+    ("converge-weights",): {
+        "converge_weights.csv": "n,m,lambda_n,lambda_limit,gap",
+        "converge_weights_summary.json": {"equiv_constant", "envelope_ok",
+                                          "envelope_failures", "gaps_decreasing",
+                                          "final_relative_gap"}},
+    ("project",): {
+        "project.csv": "eps,lambda_2d,distance,overlap,holder_constant",
+        "project_summary.json": {"distances_decreasing", "final_distance",
+                                 "tracking_ok"}},
+    ("check-discreteness",): {
+        "discreteness.json": {"holds", "best_C", "per_generation_factor", "boundary"}},
+    ("connector-constants",): {
+        "connector_constants.json": {
+            "constants", *(f"constants/{name}" for name in (
+                "alpha_Abar", "alpha_A", "alpha_Bbar", "alpha_B", "beta_Abar",
+                "beta_Bbar", "beta_A", "beta_B", "rho_Q_factor", "rho_P_factor")),
+            "matrices", *(f"matrices/{name}" for name in (
+                "Abar", "A", "Bbar", "B", "E0bar", "E1bar", "E0", "E1")),
+            "pentagon_vertices", "arm_lengths", "mesh_nodes"}},
+}
+
+
+def key_paths(payload: dict, prefix: str = "") -> set:
+    paths = set()
+    for key, value in payload.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= key_paths(value, f"{prefix}{key}/")
+    return paths
+
+
+@pytest.mark.parametrize("argv", OUTPUT_SCHEMA)
+def test_output_schema(tmp_path, argv):
+    # a renamed, reordered, added or dropped column or key fails here
+    cfg = write_cfg(tmp_path, {})
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    schema = OUTPUT_SCHEMA[argv]
+    assert sorted(p.name for p in out.iterdir()) == sorted(schema)
+    for name, want in schema.items():
+        text = (out / name).read_text()
+        if name.endswith(".csv"):
+            assert text.splitlines()[1] == want, name
+        else:
+            assert key_paths(json.loads(text)) == want, name
+
+
+def test_output_schema_covers_every_subcommand():
+    assert set(OUTPUT_SCHEMA) >= {(sub,) for sub in SUBCOMMANDS}
+
+
 GOLDEN_DEFAULTS = {
     "tree": {"k": 2, "l0": 1.0, "r": 0.5, "delta": 0.6, "N": 2,
              "omega": 1.0, "J": 2},
@@ -511,7 +580,7 @@ def test_config_checks_and_check_discreteness_run_without_scipy(tmp_path, code, 
 # validating a config reads the schema, the tree and the connector bound on
 # geometry.c; the solver modules load at a subcommand's first solve
 CONFIG_PATH_MODULES = ["treespec", "treespec.cli", "treespec.config", "treespec.connector",
-                       "treespec.mesh2d", "treespec.tree_model"]
+                       "treespec.tree_model"]
 SOLVER_MODULES = ["treespec.convergence", "treespec.eigensolver", "treespec.fem_2d",
                   "treespec.operator_1d"]
 

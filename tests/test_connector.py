@@ -323,10 +323,10 @@ def test_constants_all_positive_and_factors_ordered():
 
 
 def test_analyze_connector_assembles_the_pencil_once(monkeypatch):
-    import treespec.connector as connector
+    import treespec.mesh2d as mesh2d
     calls = []
-    assemble = connector.stiffness_and_mass
-    monkeypatch.setattr(connector, "stiffness_and_mass",
+    assemble = mesh2d.stiffness_and_mass
+    monkeypatch.setattr(mesh2d, "stiffness_and_mass",
                         lambda mesh: calls.append(mesh) or assemble(mesh))
     analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
                       h=0.08, section_intervals=6)

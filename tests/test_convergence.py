@@ -197,7 +197,7 @@ def sandwich_report():
 def test_sandwich_all_rows_pass(sandwich_report):
     assert sandwich_report.all_pass
     for r in sandwich_report.rows:
-        assert r.ok_upper and r.ok_lower
+        assert r["ok_upper"] and r["ok_lower"]
 
 
 def test_sandwich_fitted_c_stable(sandwich_report):
@@ -656,11 +656,11 @@ def test_projection_distance_decreases(projection_report):
 def test_projection_tracking(projection_report):
     assert projection_report.tracking_ok
     for r in projection_report.rows:
-        assert r.overlap >= 0.5
+        assert r["overlap"] >= 0.5
 
 
 def test_projection_holder_constants_bounded(projection_report):
-    consts = [r.holder_constant for r in projection_report.rows]
+    consts = [r["holder_constant"] for r in projection_report.rows]
     assert max(consts) <= 1.0
 
 

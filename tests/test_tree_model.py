@@ -63,6 +63,11 @@ def test_counting_function_values():
         tree.counting_function(0.875)
     with pytest.raises(TreeModelError):
         tree.counting_function(-0.1)
+    # elementwise over an array, which still may not leave [0, R)
+    assert tree.counting_function(np.array([0.0, 0.25, 0.5, 0.6, 0.75, 0.8])).tolist() \
+        == [1, 1, 2, 2, 4, 4]
+    with pytest.raises(TreeModelError):
+        tree.counting_function(np.array([0.25, 0.875]))
 
 
 def test_counting_function_nondecreasing():
