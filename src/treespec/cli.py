@@ -183,8 +183,10 @@ def check_feasible(cfg: RunConfig, subcommand: str) -> None:
     on which it cannot build its geometries: the 2-D ones at its coarsest
     pitch, or the 1-D weight zones of width 1/n, which need a branching
     vertex, and an experiment.m above the free dofs (all but the root) of
-    the whole-tree 1-D mesh that it solves at experiment.h_1d."""
-    from .fem_2d import Geometry2DError
+    the smallest pencil it solves m pairs of: the whole-tree 1-D mesh at
+    experiment.h_1d, the 2-D mesh at the largest eps and geometry.h, and the
+    1-D mesh matched to the 2-D one at that eps and the fine pitch."""
+    from .fem_2d import Geometry2DError, build_geometry_2d, matched_mesh_1d
     from .operator_1d import (
         Operator1DError,
         VertexZones,
@@ -211,11 +213,14 @@ def check_feasible(cfg: RunConfig, subcommand: str) -> None:
                 zone_breakpoints(tree, VertexZones(1.0 / n))
             except Operator1DError as err:
                 raise ConfigError(f"{where} experiment.n_list[{i}] = {n}: {err}") from err
-    if subcommand in ("spectrum1d", "decompose", "sandwich", "converge-weights"):
-        free = build_mesh_1d(tree, ecfg.h_1d, rho_star_profile(tree).breakpoints).n_dofs - 1
+
+    def check_m(free, mesh):
         if ecfg.m > free:
-            raise ConfigError(f"experiment.m = {ecfg.m}: above the {free} free dofs "
-                              f"of the 1-D mesh at experiment.h_1d = {ecfg.h_1d}")
+            raise ConfigError(f"experiment.m = {ecfg.m}: above the {free} free dofs of {mesh}")
+
+    if subcommand in ("spectrum1d", "decompose", "sandwich", "converge-weights"):
+        check_m(build_mesh_1d(tree, ecfg.h_1d, rho_star_profile(tree).breakpoints).n_dofs - 1,
+                f"the 1-D mesh at experiment.h_1d = {ecfg.h_1d}")
     if subcommand in _GEOMETRY_PITCH:
         h = _GEOMETRY_PITCH[subcommand] * ecfg.h_2d
         for i, eps in enumerate(ecfg.eps_list):
@@ -224,6 +229,16 @@ def check_feasible(cfg: RunConfig, subcommand: str) -> None:
             except Geometry2DError as err:
                 raise ConfigError(f"{where} geometry.eps_list[{i}] = {eps} "
                                   f"at pitch {h:.6g}: {err}") from err
+    if subcommand in ("spectrum2d", "sandwich"):
+        eps = ecfg.eps_list[0]   # the largest eps: the fewest nodes in both meshes
+        tm = build_geometry_2d(tree, ecfg.geometry(eps))
+        check_m(tm.n_nodes - len(tm.root_nodes),
+                f"the 2-D mesh at geometry.eps_list[0] = {eps}, geometry.h = {ecfg.h_2d}")
+        if subcommand == "sandwich":
+            fine = FINE_PITCH * ecfg.h_2d
+            matched = matched_mesh_1d(build_geometry_2d(tree, ecfg.geometry(eps, fine)))
+            check_m(matched.mesh.n_dofs - 1, f"the 1-D mesh matched to the 2-D mesh at "
+                    f"geometry.eps_list[0] = {eps}, pitch {fine:.6g}")
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -329,7 +344,7 @@ def run_spectrum2d(cfg: RunConfig, out: Path, dump_mesh: bool) -> int:
     first = None
     for i_eps, eps in enumerate(ecfg.eps_list):
         tm = build_geometry_2d(tree, ecfg.geometry(eps))
-        system = assemble_2d(tm, W=ecfg.w2d())
+        system = assemble_2d(tm, ecfg.w_limit())
         spec = smallest_eigenpairs(system.K, system.M, ecfg.m)
         if first is None:
             first = spec.values[0]

@@ -80,7 +80,8 @@ class ExperimentConfig:
                                   f"got {list(values)}")
 
     # potential plumbing: the radial potential is the one definition and
-    # check; the 2-D potential and the bound C_W are read after it
+    # check of W(theta), on the tree and on its inflation alike; the bound
+    # C_W is read after it
     def w_limit(self):
         """The radial potential W(theta), None for "zero"; rejects an unknown
         kind or cosine parameters other than [amp, freq]."""
@@ -96,12 +97,6 @@ class ExperimentConfig:
                 f"potential.params: cosine takes [amp, freq], got {list(params)}")
         amp, freq = params
         return lambda t: amp * np.cos(freq * np.asarray(t, float))
-
-    def w2d(self):
-        """W(theta, s) on the inflated tree: the radial potential, constant
-        across the section."""
-        W = self.w_limit()
-        return None if W is None else lambda theta, s: W(theta)
 
     def c_w(self) -> float:
         """sup |W|: the cosine amplitude, 0 for "zero"."""

@@ -86,13 +86,13 @@ def width_weighted_pencil(cfg: ExperimentConfig, matched: Matched1D, which: str)
     mesh: the stiffness weight is rho* scaled on the vertex zones by the
     reference connector's rho_Q factor (a boost) or rho_P factor (a damping),
     the mass weight rho*, and the potential the cross-section average of the
-    2-D one."""
+    radial one."""
     tree, zones = matched.tmesh.tree, matched.tmesh.zones
     *_, consts = reference_connector(cfg)
     factor = {"Q": consts.rho_Q_factor, "P": consts.rho_P_factor}[which]
     rs = rho_star_profile(tree)
-    W2d = cfg.w2d()
-    W1 = None if W2d is None else average_potential_1d(W2d, tree, zones)
+    W = cfg.w_limit()
+    W1 = None if W is None else average_potential_1d(W, tree, zones)
     return assemble_1d(tree, matched.mesh, zone_modified_profile(tree, rs, factor, zones),
                        rs, W1)
 
@@ -102,11 +102,11 @@ def richardson_eigenvalues(tree: Tree, cfg: ExperimentConfig, eps: float):
 
     Returns (extrapolated values, error bars, fine-level geometry).
     """
-    W2d = cfg.w2d()
+    W = cfg.w_limit()
     values = []
     for h in (cfg.h_2d, FINE_PITCH * cfg.h_2d):
         tm = build_geometry_2d(tree, cfg.geometry(eps, h))
-        system = assemble_2d(tm, W=W2d)
+        system = assemble_2d(tm, W)
         values.append(smallest_eigenpairs(system.K, system.M, cfg.m,
                                           with_vectors=False).values)
     coarse, fine = values
@@ -328,7 +328,7 @@ def kernel_gap_check(cfg: ExperimentConfig, which: str) -> KernelGapReport:
             Kz = system.K[np.ix_(dofs, dofs)]
             Mz = system.M[np.ix_(dofs, dofs)]
         else:
-            system = assemble_2d(tm, W=cfg.w2d())
+            system = assemble_2d(tm, cfg.w_limit())
             Z = p_kernel_basis(matched, system.free)
             Kz = (Z.T @ (system.K @ Z)).tocsr()
             Mz = (Z.T @ (system.M @ Z)).tocsr()
@@ -515,7 +515,7 @@ def rayleigh_bound_check(cfg: ExperimentConfig, eps: float,
     tm = build_geometry_2d(tree, cfg.geometry(eps))
     matched = matched_mesh_1d(tm)
     sysQ, sysP = (width_weighted_pencil(cfg, matched, w) for w in ("Q", "P"))
-    sys2 = assemble_2d(tm, W=cfg.w2d())
+    sys2 = assemble_2d(tm, cfg.w_limit())
     samples_Q, samples_P = _rayleigh_samples(rng, n_samples, matched,
                                              sysQ, sysP, sys2)
     return [_rayleigh_report("Q", samples_Q, eps),
@@ -553,25 +553,27 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionRepo
     The 2-D eigenfunction is normalized to ||u||_L2 = eps^((N-1)/2); the limit
     mode is solved on each matched 1-D mesh and both are compared in the
     rho*-weighted L2 inner product after sign alignment.  Tracking flags any
-    eps whose projected mode overlaps the limit mode by less than 0.5.
+    eps whose projected mode overlaps the limit mode by less than 0.5.  The
+    Holder constant reads the mode scaled to H1 norm sqrt(eps), the norm of
+    the gradient and mass terms without the potential.
     """
     cfg.validate()
     cfg._require_trend("geometry.eps_list")
     tree = build_tree(cfg.tree)
     rs = rho_star_profile(tree)
-    W2d = cfg.w2d()
+    W = cfg.w_limit()
     rows = []
     tracking_ok = True
     for eps in cfg.eps_list:
         tm = build_geometry_2d(tree, cfg.geometry(eps, FINE_PITCH * cfg.h_2d))
-        system = assemble_2d(tm, W=W2d)
+        system = assemble_2d(tm, W)
         spec = smallest_eigenpairs(system.K, system.M, 1)
         u = spec.vectors[:, 0]
         u = u * (math.sqrt(eps) / math.sqrt(float(u @ (system.M @ u))))
         matched = matched_mesh_1d(tm)
         pu = p_eps_project(tm, matched, system.expand(u))
 
-        sys1 = assemble_1d(tree, matched.mesh, rs, rs, cfg.w_limit())
+        sys1 = assemble_1d(tree, matched.mesh, rs, rs, W)
         lspec = smallest_eigenpairs(sys1.K, sys1.M, 1)
         ustar = lspec.vectors[:, 0]
         M1 = sys1.M
@@ -587,7 +589,10 @@ def eigenfunction_projection_experiment(cfg: ExperimentConfig) -> ProjectionRepo
             tracking_ok = False
         dist = math.sqrt(float((pf - ustar) @ (M1 @ (pf - ustar))))
 
-        uH = u * (math.sqrt(eps) / math.sqrt(float(u @ (system.K @ u))
+        # the H1 norm: the stiffness without the potential term, which can
+        # make u^T K u + u^T M u negative
+        K0 = system.K if W is None else assemble_2d(tm, None).K
+        uH = u * (math.sqrt(eps) / math.sqrt(float(u @ (K0 @ u))
                                             + float(u @ (system.M @ u))))
         holder = vertex_holder_constant(matched,
                                         p_eps_project(tm, matched, system.expand(uH)))

@@ -1,7 +1,8 @@
 """Smallest eigenpairs of sparse symmetric pencils K u = lambda M u.
 
 Every pencil goes through a shift-invert Lanczos iteration around sigma = 0
-(retried at a negative shift when K - sigma M cannot be factored), which
+(retried at a negative shift when K - sigma M cannot be factored, and run
+below the whole spectrum when K is indefinite), which
 applies one LDL^T factorization per shift and stops once the m wanted Ritz
 pairs have converged: GUARD_VECTORS more pairs only widen its basis.  That
 basis holds at most n - 1 vectors and more than m + GUARD_VECTORS, so only a
@@ -134,7 +135,8 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     K must be symmetric and M symmetric positive definite.  The pairs come
     from the shift-invert Lanczos iteration at sigma=0, which converges the m
     wanted Ritz pairs in a basis sized for GUARD_VECTORS more, retried at a
-    negative shift if the factorization of K fails.  Only a pencil with no
+    negative shift if the factorization of K fails, and run at a shift below
+    the spectrum if that factor has negative pivots.  Only a pencil with no
     room for that basis, m + GUARD_VECTORS >= n - 1, is solved densely, and
     its pairs pass the same backward-error gate.  An inertia count certifies
     that no eigenvalue below the cluster of the m-th Ritz value was missed;
@@ -205,7 +207,9 @@ def _certified_shift_invert(K, M, m: int):
     factor of the first solve.
     """
     factors = {}
-    vals, vecs = _ascending(*_shift_invert(K, M, m, np.empty((K.shape[0], 0)), factors))
+    shifts = _shifts(K, M, factors)
+    vals, vecs = _ascending(*_shift_invert(K, M, m, np.empty((K.shape[0], 0)),
+                                           factors, shifts))
     if len(vals) < m:
         raise EigensolverError(
             f"shift-invert missed {m - len(vals)} eigenvalue(s): it "
@@ -214,7 +218,8 @@ def _certified_shift_invert(K, M, m: int):
     below, solves = _inertia_below(K, M, sigma), 1
     while below > found and solves <= m:
         # no repair solve is larger than the first, whatever the count says
-        more_vals, more_vecs = _shift_invert(K, M, min(below - found, m), vecs, factors)
+        more_vals, more_vecs = _shift_invert(K, M, min(below - found, m), vecs,
+                                             factors, shifts)
         solves += 1
         if not np.any(more_vals < sigma):   # the repair found none
             break
@@ -239,16 +244,14 @@ def _ascending(vals: np.ndarray, vecs: np.ndarray):
     return vals[order], vecs[:, order]
 
 
-def _shift_invert(K, M, wanted: int, locked: np.ndarray, factors: dict):
-    """wanted pairs nearest the origin whose vectors are M-orthogonal to the
-    columns of locked, which are M-orthonormal eigenvectors; retried at
-    negative shifts.  factors maps each shift factored so far to its LDL^T
-    factor of K - sigma M and gains the ones factored here."""
+def _shift_invert(K, M, wanted: int, locked: np.ndarray, factors: dict, shifts: tuple):
+    """wanted pairs nearest the first of shifts whose vectors are
+    M-orthogonal to the columns of locked, which are M-orthonormal
+    eigenvectors; retried at the later shifts.  factors maps each shift
+    factored so far to its LDL^T factor of K - sigma M and gains the ones
+    factored here."""
     last_err = None
-    # just below 0, theta = 1/(lambda - sigma) of the wanted pairs stays
-    # sharp; the larger shifts take over when that factor or iteration fails
-    for fraction in (0.0, 1e-6, 0.1, 1.0):
-        sigma = -fraction * _scale_estimate(K, M) if fraction else 0.0
+    for sigma in shifts:
         try:
             if sigma not in factors:
                 factors[sigma] = _ldl(K - sigma * M if sigma else K)
@@ -258,6 +261,45 @@ def _shift_invert(K, M, wanted: int, locked: np.ndarray, factors: dict):
             continue
         return sigma + 1.0 / theta, vecs
     raise EigensolverError(f"shift-invert iteration failed: {last_err}")
+
+
+def _shifts(K, M, factors: dict) -> tuple:
+    """The shifts a solve tries in turn, with their factors in factors.
+
+    Just below 0, theta = 1/(lambda - sigma) of the wanted pairs stays
+    sharp, and larger negative shifts take over when that factor or
+    iteration fails.  A factor of K with negative pivots means eigenvalues
+    below 0, where Lanczos at 0 would converge to the values nearest 0
+    instead of the smallest: the one shift is then a sigma below the whole
+    spectrum, bracketed by Sylvester counts, doubled from -1 until a factor
+    of K - sigma M has no negative pivot and bisected until the lowest
+    eigenvalue lies within 5% of |sigma| above it.
+    """
+    ladder = tuple(-fraction * _scale_estimate(K, M) if fraction else 0.0
+                   for fraction in (0.0, 1e-6, 0.1, 1.0))
+    try:
+        factors[0.0] = _ldl(K)
+    except RuntimeError:
+        return ladder[1:]
+    if not np.any(factors[0.0].U.diagonal() < 0):
+        return ladder
+
+    def reached(sigma):   # whether an eigenvalue lies at or below sigma
+        try:
+            return _inertia_below(K, M, sigma) > 0
+        except EigensolverError:   # a singular factor: sigma is one
+            return True
+
+    hi, lo = 0.0, -1.0   # the lowest eigenvalue lies in (lo, hi]
+    while reached(lo):
+        hi, lo = lo, 2.0 * lo
+    while hi - lo > 0.05 * -lo:
+        mid = 0.5 * (lo + hi)
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo,)
 
 
 def _lanczos(lu, M, wanted: int, locked: np.ndarray):

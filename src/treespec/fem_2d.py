@@ -200,8 +200,8 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
 def assemble_2d(tmesh: TreeMesh2D, W) -> AssembledSystem:
     """Global stiffness/mass pencil with the root section eliminated.
 
-    W, when not None, is a callable W(theta, s) evaluated per triangle (radial
-    potentials depend on theta only; s is the local cross coordinate).
+    W, when not None, is the radial potential W(theta), evaluated once per
+    triangle at the theta of its centroid, the mean of its nodal thetas.
 
     The copies of a component share their local mesh and radial coordinates,
     so the local pair is assembled once per component and scattered to every
@@ -215,17 +215,9 @@ def assemble_2d(tmesh: TreeMesh2D, W) -> AssembledSystem:
     union = Mesh2D(np.concatenate([c.mesh.nodes for c in comps]),
                    np.concatenate([c.mesh.triangles + a for c, a in zip(comps, starts)]),
                    np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int), {})
-    potential = None
-    if W is not None:
-        # the assembler samples the potential at triangle centroids; the
-        # radial coordinate there is the nodal theta averaged per triangle
-        tri_theta = np.concatenate([c.theta[c.mesh.triangles].mean(axis=1)
-                                    for c in comps])
-
-        def potential(x, y):
-            return np.asarray(W(tri_theta, x))
-
-    Kl, Ml = stiffness_and_mass(union, potential=potential)
+    potential = None if W is None else W(np.concatenate(
+        [c.theta[c.mesh.triangles].mean(axis=1) for c in comps]))
+    Kl, Ml = stiffness_and_mass(union, potential)
     blocks = []
     for comp, a, b in zip(comps, starts[:-1], starts[1:]):
         # the component's rows a..b-1; K and M share one pattern

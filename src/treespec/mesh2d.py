@@ -286,8 +286,8 @@ def mesh_quality(mesh: Mesh2D) -> tuple[float, float]:
 def stiffness_and_mass(mesh: Mesh2D, potential=None):
     """Assemble P1 stiffness (plus potential term) and consistent mass.
 
-    potential, when given, is a callable p(x, y) evaluated at triangle
-    centroids; the term integral(W u v) is added to the stiffness matrix.
+    potential, when given, holds one value of W per triangle, constant on
+    it; the term integral(W u v) is added to the stiffness matrix.
     Returns (K, M) as CSR matrices over all nodes (no boundary elimination),
     sharing one sparsity pattern.
     """
@@ -312,9 +312,7 @@ def _triangle_block(mesh: Mesh2D, potential):
     mass_pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
     Mloc = area[:, None, None] * mass_pattern[None, :, :]
     if potential is not None:
-        cent = p.mean(axis=1)
-        w = np.asarray(potential(cent[:, 0], cent[:, 1]), dtype=float)
-        Kloc = Kloc + (w * area)[:, None, None] * mass_pattern[None, :, :]
+        Kloc = Kloc + (np.asarray(potential, float) * area)[:, None, None] * mass_pattern
 
     local = np.arange(3)
     return (tris, np.repeat(local, 3), np.tile(local, 3),

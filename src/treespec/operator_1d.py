@@ -24,7 +24,6 @@ from .tree_model import Tree
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 HARDY_QUAD = 4      # Gauss-Legendre points per element of the Hardy numerator
 _HARDY_NODES, _HARDY_WEIGHTS = np.polynomial.legendre.leggauss(HARDY_QUAD)
-AVERAGE_CROSS_POINTS = 16    # Gauss-Legendre points across a tube section
 AVERAGE_AXIAL_POINTS = 400   # uniform axial samples of an averaged potential
 # A component whose smallest value exceeds the m-th merged value v_m by more
 # than this times max(1, |v_m|) ends the radial decomposition: a converged
@@ -146,31 +145,22 @@ def zone_modified_profile(tree: Tree, base: WeightProfile, factor: float,
 # Radial potentials
 # ---------------------------------------------------------------------------
 
-def average_potential_1d(W2d, tree: Tree, zones: VertexZones):
-    """Cross-section average of a 2-D potential W(theta, s) over the inflated
-    tree, as the radial potential t -> W(t), linear between grid samples.
+def average_potential_1d(W, tree: Tree, zones: VertexZones):
+    """Cross-section average of the radial potential W(theta) over the
+    inflated tree, as the radial potential t -> W(t), linear between grid
+    samples.
 
-    On the edge skeletons the value is the transverse average over the local
-    tube width ``zones.widths``; on the vertex skeletons it is the
-    affine-partition interpolation of the endpoint averages of the incident
-    arms, which keeps the result inside [min, max] of those averages.
+    On the edge skeletons, where a section lies at one theta, the value is W
+    itself; on the vertex skeletons it is the affine-partition interpolation
+    of W at the ends of the incident arms, which keeps the result inside
+    [min, max] of those values.
     """
-    gauss, gw = np.polynomial.legendre.leggauss(AVERAGE_CROSS_POINTS)
-    widths = zones.widths(tree)
-
-    def edge_average(t):
-        """Gauss average of W2d across the tube section at each distance in t."""
-        j = tree.generations_at(np.minimum(t, tree.radius * (1 - 1e-12)))
-        s = 0.5 * widths[j][:, None] * (gauss + 1.0)
-        vals = np.broadcast_to(np.asarray(W2d(t[:, None], s), float), s.shape)
-        return np.vecdot(np.ascontiguousarray(vals), gw) / 2.0
-
     lo, t_v, hi = zones.bounds(tree)
     grid = np.unique(np.concatenate([
         np.linspace(0.0, tree.radius, AVERAGE_AXIAL_POINTS),
         zone_breakpoints(tree, zones), tree.t_shell]))
-    vals = edge_average(grid)
-    b_par, b_chi = edge_average(lo), edge_average(hi)
+    vals = np.array(W(grid), dtype=float)
+    b_par, b_chi = W(lo), W(hi)
     par, chi = zones.reaches(tree)
     k = tree.k
     for j in range(tree.J):

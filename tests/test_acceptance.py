@@ -295,8 +295,7 @@ def test_criterion_7_property_suites():
     # parts 3-4 against a unit constant cap)
     eps = 0.2
     matched = matched_mesh_1d(tm)
-    W2d = lambda t, s: np.cos(t)
-    W1 = average_potential_1d(W2d, tree, tm.zones)
+    W1 = average_potential_1d(np.cos, tree, tm.zones)
     rq = zone_modified_profile(tree, rho_star_profile(tree), consts.rho_Q_factor, tm.zones)
     rp = zone_modified_profile(tree, rho_star_profile(tree), consts.rho_P_factor, tm.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rs, None)
@@ -304,7 +303,7 @@ def test_criterion_7_property_suites():
     sys_rs = assemble_1d(tree, matched.mesh, rs, rs, None)
     sysW = assemble_1d(tree, matched.mesh, rs, rs, W1)
     KW1 = sysW.K - sys_rs.K
-    sys2W = assemble_2d(tm, W2d)
+    sys2W = assemble_2d(tm, np.cos)
     Kg2, Mg, W2d_mass = sys2.K, sys2W.M, sys2W.K - sys2.K
     cap = 1.0
     viol = 0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from treespec.cli import (
     _CLI_ONLY,
@@ -305,14 +306,60 @@ def test_m_above_the_free_1d_dofs_rejected_at_load(tmp_path, capsys, subcommand)
     assert not out.exists()
 
 
-def test_m_equal_to_the_free_1d_dofs_runs_and_a_small_2d_pencil_fails_at_its_solve(
+def test_m_equal_to_the_free_1d_dofs_runs_and_m_above_the_2d_dofs_is_rejected_at_load(
         tmp_path, capsys):
     cfg = write_cfg(tmp_path, {})
     assert main(["spectrum1d", "--config", str(cfg), "--out", str(tmp_path / "1d"),
                  "--set", "experiment.m=300"]) == 0
     assert main(["spectrum2d", "--config", str(cfg), "--out", str(tmp_path / "2d"),
-                 "--set", "experiment.m=100000"]) == 3
-    assert "requested 100000 pairs" in capsys.readouterr().err
+                 "--set", "experiment.m=100000"]) == 2
+    assert capsys.readouterr().err.startswith("config error: experiment.m = 100000")
+
+
+@pytest.mark.parametrize("subcommand, overrides, free", [
+    # the A_Q and A_P pencils on the 1-D mesh matched to eps 0.2 at pitch 0.015
+    ("sandwich", ["experiment.m=200"], 189),
+    # the 2-D pencil at eps 0.2 and pitch 0.03
+    ("spectrum2d", ["experiment.m=500", "geometry.eps_list=[0.2]"], 410),
+])
+def test_m_above_the_smallest_pencil_rejected_at_load(tmp_path, capsys, subcommand,
+                                                      overrides, free):
+    # both m lie below the 300 free dofs of the 1-D mesh at experiment.h_1d
+    cfg = write_cfg(tmp_path, {})
+    out = tmp_path / "out"
+    sets = [a for o in overrides for a in ("--set", o)]
+    assert main([subcommand, "--config", str(cfg), "--out", str(out), *sets]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: experiment.m = ") and f" {free} free dofs" in err
+    assert not out.exists()
+
+
+def test_attractive_potential_spectra_match_the_dense_solve(tmp_path):
+    # W = -60 cos(theta) has four eigenvalues below 0 on the default tree,
+    # far below the values nearest 0
+    from treespec.operator_1d import assemble_1d, build_mesh_1d, rho_star_profile
+
+    payload = {"potential": {"kind": "cosine", "params": [-60, 1]}}
+    cfg = write_cfg(tmp_path, payload)
+    for sub in ("spectrum1d", "spectrum2d"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)]) == 0
+    got = [float(line.split(",")[1]) for line in
+           (tmp_path / "spectrum1d" / "spectrum1d.csv").read_text().splitlines()[2:]]
+    ecfg = parse_config(cfg, ()).experiment
+    tree = build_tree(ecfg.tree)
+    rs = rho_star_profile(tree)
+    system = assemble_1d(tree, build_mesh_1d(tree, ecfg.h_1d, rs.breakpoints), rs, rs,
+                         ecfg.w_limit())
+    want = scipy.linalg.eigh(system.K.toarray(), system.M.toarray(), eigvals_only=True)
+    assert want[3] < 0
+    np.testing.assert_allclose(got, want[:ecfg.m], rtol=1e-9)
+
+
+def test_project_runs_with_an_attractive_potential(tmp_path):
+    # at amplitude -5, u^T K u + u^T M u of the ground state is negative; the
+    # Holder fields are normalized in the potential-free H1 norm
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "cosine", "params": [-5, 1]}})
+    assert main(["project", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_weight_zones_rejected_at_load(tmp_path, capsys):

@@ -510,7 +510,7 @@ def test_blocked_rayleigh_samples_match_per_sample_loop(kw, eps):
     tm = build_geometry_2d(tree, cfg.geometry(eps))
     matched = matched_mesh_1d(tm)
     sysQ, sysP = (width_weighted_pencil(cfg, matched, w) for w in ("Q", "P"))
-    sys2 = assemble_2d(tm, W=cfg.w2d())
+    sys2 = assemble_2d(tm, cfg.w_limit())
     # 37 is not a multiple of the block width, 5 is below it
     for n in (37, 5):
         blocked = _rayleigh_samples(np.random.default_rng(11), n, matched,
@@ -531,7 +531,7 @@ def test_rayleigh_sampler_memory_peak_on_the_j4_maps_geometry():
     tm = build_geometry_2d(build_tree(cfg.tree), cfg.geometry(0.1))
     matched = matched_mesh_1d(tm)
     sysQ, sysP = (width_weighted_pencil(cfg, matched, w) for w in ("Q", "P"))
-    sys2 = assemble_2d(tm, W=cfg.w2d())
+    sys2 = assemble_2d(tm, cfg.w_limit())
     assert len(sys2.free) > 10_000
     tracemalloc.start()
     try:

@@ -138,6 +138,28 @@ def test_indefinite_K_negative_shift_retry():
     assert np.allclose(spec.values, exact, rtol=1e-3, atol=1e-3)
 
 
+def test_indefinite_pencil_solved_below_its_spectrum():
+    # four values far below the 200 in [0.01, 2]: Lanczos at sigma = 0
+    # converges to the values nearest 0, so a factor of K with negative
+    # pivots moves the solve to a shift below the whole spectrum
+    d = np.concatenate([[-400.0, -250.0, -90.0, -30.0], np.linspace(0.01, 2.0, 200)])
+    K = sp.diags(np.random.default_rng(3).permutation(d)).tocsr()
+    M = sp.identity(len(d), format="csr")
+    for m in (1, 3, 4):
+        spec = smallest_eigenpairs(K, M, m)
+        np.testing.assert_allclose(spec.values, np.sort(d)[:m], rtol=1e-10)
+
+
+def test_indefinite_shift_is_bracketed_by_inertia_counts():
+    # the shift lies below the lowest eigenvalue, within 5% of its size
+    K, M = interval_mixed_bc(300)
+    K = (K - 60.0 * M).tocsr()
+    lowest = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
+    (sigma,) = eigensolver._shifts(K, M, {})
+    assert sigma < lowest <= 0.95 * sigma
+    assert eigensolver._shifts(*interval_mixed_bc(300), {})[0] == 0.0
+
+
 def takes_the_dense_path(n, m):
     """Whether an m-pair solve of an n-dof pencil has no room for a Lanczos
     basis and is solved densely."""

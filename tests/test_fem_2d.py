@@ -183,7 +183,7 @@ def test_k1_J0_matches_interval_spectrum():
 
 def test_constant_potential_shift(tmesh):
     base = assemble_2d(tmesh, None)
-    shifted = assemble_2d(tmesh, W=lambda t, s: 2.0 * np.ones_like(t))
+    shifted = assemble_2d(tmesh, lambda t: 2.0 * np.ones_like(t))
     s0 = smallest_eigenpairs(base.K, base.M, 3, with_vectors=False)
     s2 = smallest_eigenpairs(shifted.K, shifted.M, 3, with_vectors=False)
     assert np.allclose(s2.values, s0.values + 2.0, atol=1e-8)
@@ -623,12 +623,9 @@ def _per_component_assembly(tmesh, W=None, only_kind=None):
     for comp in tmesh.components:
         if only_kind is not None and comp.kind != only_kind:
             continue
-        potential = None
-        if W is not None:
-            def potential(x, y, comp=comp):
-                return np.asarray(W(comp.theta[comp.mesh.triangles].mean(axis=1), x))
+        potential = None if W is None else W(comp.theta[comp.mesh.triangles].mean(axis=1))
         for gids in comp.gids:
-            Kl, Ml = stiffness_and_mass(comp.mesh, potential=potential)
+            Kl, Ml = stiffness_and_mass(comp.mesh, potential)
             Kl, Ml = Kl.tocoo(), Ml.tocoo()
             rows.append(gids[Kl.row])
             cols.append(gids[Kl.col])
@@ -650,10 +647,7 @@ def test_grouped_assembly_equals_per_component_loop(spec, eps, h, n_cross):
     tm = build_geometry_2d(build_tree(spec), GeometrySpec2D(
         eps=eps, c=0.3, h=h, n_cross=n_cross))
 
-    def cosine(theta, s):
-        return np.cos(np.asarray(theta))
-
-    for W in (None, cosine):
+    for W in (None, np.cos):
         for only_kind in (None, "connector"):
             got = assemble_2d(tm if only_kind is None else connectors_only(tm), W)
             free = np.ix_(got.free, got.free)

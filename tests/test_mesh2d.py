@@ -95,7 +95,7 @@ def test_unit_square_neumann_spectrum():
 def test_constant_potential_shifts_spectrum():
     mesh = mesh_polygon(UNIT_SQUARE, h=0.1, sections={}, section_intervals=None)
     K0, M = stiffness_and_mass(mesh)
-    K3, _ = stiffness_and_mass(mesh, potential=lambda x, y: 3.0 * np.ones_like(x))
+    K3, _ = stiffness_and_mass(mesh, np.full(len(mesh.triangles), 3.0))
     s0 = smallest_eigenpairs(K0, M, 3)
     s3 = smallest_eigenpairs(K3, M, 3)
     assert np.allclose(s3.values, s0.values + 3.0, atol=1e-9)

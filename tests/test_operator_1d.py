@@ -406,8 +406,7 @@ def test_discreteness_classifier(delta, holds, boundary):
 
 def test_average_constant_potential():
     tree = build_tree(TreeSpec(k=2, delta=0.6, J=2))
-    prof = average_potential_1d(lambda t, s: 3.0 * np.ones_like(s), tree,
-                                zones=VertexZones(0.1))
+    prof = average_potential_1d(lambda t: 3.0 * np.ones_like(t), tree, zones=VertexZones(0.1))
     t = np.linspace(0, tree.radius * 0.99, 300)
     assert np.allclose(prof(t), 3.0)
 
@@ -415,29 +414,16 @@ def test_average_constant_potential():
 def test_average_theta_potential_exact_on_edges():
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=1))
     zones = VertexZones(0.1)
-    prof = average_potential_1d(lambda t, s: t * np.ones_like(s), tree,
-                                zones=zones)
+    prof = average_potential_1d(lambda t: t, tree, zones=zones)
     # stations outside the single vertex zone at t_1 = 1.0, reach 0.1
     for t in (0.3, 0.7, 1.2, 1.4):
         assert prof(t) == pytest.approx(t, abs=1e-9)
 
 
-def test_average_s_dependent_potential():
-    tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=1))
-    eps = 0.1
-    prof = average_potential_1d(lambda t, s: s, tree,
-                                zones=VertexZones(eps))
-    # on the generation-0 edge the tube width is eps, average of s is eps/2
-    assert prof(0.4) == pytest.approx(eps / 2, rel=1e-9)
-    # generation 1: width eps * delta
-    assert prof(1.3) == pytest.approx(eps * 0.6 / 2, rel=1e-9)
-
-
 def test_average_vertex_zone_convex_combination():
     tree = build_tree(TreeSpec(k=2, delta=0.6, l0=1.0, r=0.5, J=1))
     zones = VertexZones(0.2)
-    prof = average_potential_1d(lambda t, s: t * np.ones_like(s), tree,
-                                zones=zones)
+    prof = average_potential_1d(lambda t: t, tree, zones=zones)
     t_v = tree.t_shell[1]
     par, chi = zones.reaches(tree)
     b = [t_v - par[0], t_v + chi[0]]
@@ -688,31 +674,21 @@ def zone_profile_loop(tree, base, factor, zones):
     return pts, vals
 
 
-def average_potential_loop(W2d, tree, eps, zones, n_cross=16, n_axial=400):
-    """Averaged potential, one grid point at a time: the Gauss average across
-    the tube section, or inside a zone the affine-partition blend of the
-    averages at the zone ends."""
-    gauss, gw = np.polynomial.legendre.leggauss(n_cross)
-
-    def edge_average(t):
-        j = int(tree.generations_at(min(t, tree.radius * (1 - 1e-12))))
-        w = eps * tree.spec.delta ** j * tree.spec.omega
-        s = 0.5 * w * (gauss + 1.0)
-        vals_s = np.broadcast_to(np.asarray(W2d(t, s), float), s.shape)
-        return float(np.dot(gw, vals_s) / 2.0)
-
+def average_potential_loop(W, tree, zones, n_axial=400):
+    """Averaged potential, one grid point at a time: W itself on the edges,
+    or inside a zone the affine-partition blend of W at the zone ends."""
     grid = np.unique(np.concatenate([np.linspace(0.0, tree.radius, n_axial),
                                      zone_breakpoints(tree, zones), tree.t_shell]))
     vals = np.empty_like(grid)
     k = tree.k
     for i, t in enumerate(grid):
-        vals[i] = edge_average(t)
+        vals[i] = W(t)
         for j in range(tree.J):
             par, chi = zone_reach_loop(tree, zones, j)
             t_v = tree.t_shell[j + 1]
             lo, hi = t_v - par, t_v + chi
             if lo <= t <= hi:
-                b_par, b_chi = edge_average(lo), edge_average(hi)
+                b_par, b_chi = W(lo), W(hi)
                 if t <= t_v:
                     own, foreign = affine_partition(k, (t_v - t) / par)
                     vals[i] = b_par * own + b_chi * k * foreign
@@ -785,8 +761,7 @@ def test_gen_dofs_are_read_only():
 def test_zone_arrays_equal_per_vertex_loops(spec):
     tree = build_tree(spec)
     rs = rho_star_profile(tree)
-    potentials = (lambda t, s: np.cos(3 * t) + s ** 2, lambda t, s: np.cos(t),
-                  lambda t, s: s)
+    potentials = (lambda t: np.cos(3 * t), np.cos)
     for eps in (0.2, 0.05):
         zones = VertexZones(eps, parent_arm=1.3, child_arm=0.8)
         par, chi = zones.reaches(tree)
@@ -800,9 +775,9 @@ def test_zone_arrays_equal_per_vertex_loops(spec):
         pts, vals = zone_profile_loop(tree, rs, 1.7, zones)
         assert np.array_equal(prof.breakpoints, pts)
         assert np.array_equal(prof.values, vals)
-        for W2d in potentials:
-            grid, vals = average_potential_loop(W2d, tree, eps, zones)
-            assert np.array_equal(average_potential_1d(W2d, tree, zones)(grid), vals)
+        for W in potentials:
+            grid, vals = average_potential_loop(W, tree, zones)
+            assert np.array_equal(average_potential_1d(W, tree, zones)(grid), vals)
 
 
 @pytest.mark.parametrize("spec", LOOP_TREES, ids=lambda s: f"k{s.k}")

@@ -60,10 +60,7 @@ def _reference_2d(tm, W, only_kind=None):
     for comp in tm.components:
         if only_kind is not None and comp.kind != only_kind:
             continue
-        potential = None
-        if W is not None:
-            def potential(x, y, comp=comp):
-                return np.asarray(W(comp.theta[comp.mesh.triangles].mean(axis=1), x))
+        potential = None if W is None else W(comp.theta[comp.mesh.triangles].mean(axis=1))
         Kl, Ml = _reference_scatter(comp.mesh.n_nodes,
                                     [_triangle_block(comp.mesh, potential)])
         Kl, Ml = Kl.tocoo(), Ml.tocoo()
@@ -123,11 +120,7 @@ def _assert_bitwise(got, want):
     assert free.dtype == free_ref.dtype and np.array_equal(free, free_ref)
 
 
-def _cosine_2d(theta, s):
-    return np.cos(2.0 * np.asarray(theta)) + 0.5 * np.asarray(s)
-
-
-def _cosine_1d(t):
+def _cosine(t):
     return np.cos(2.0 * t)
 
 
@@ -139,7 +132,7 @@ def _strong_cosine_1d(t):
 
 @pytest.mark.parametrize("spec", [TreeSpec(), TreeSpec(k=1, J=3), TreeSpec(k=3, J=3)],
                          ids=["default", "k1", "k3"])
-@pytest.mark.parametrize("W", [None, _cosine_1d, _strong_cosine_1d],
+@pytest.mark.parametrize("W", [None, _cosine, _strong_cosine_1d],
                          ids=["free", "cosine", "strong-cosine"])
 def test_assemble_1d_bitwise_equals_reference(spec, W):
     # at this pitch the vertex sums of the default tree depend on their order
@@ -174,9 +167,9 @@ def test_radial_component_k3_bitwise_equals_reference(vertex_gen):
     tree = build_tree(TreeSpec(k=3, J=3))
     rs = rho_star_profile(tree)
     mesh = build_mesh_1d(tree, h=0.03, breakpoints=rs.breakpoints)
-    system = element_form(mesh, rs, rs, _cosine_1d).component(vertex_gen)
+    system = element_form(mesh, rs, rs, _cosine).component(vertex_gen)
     _assert_bitwise((system.K, system.M, system.free),
-                    _reference_1d(tree, mesh, rs, _cosine_1d, vertex_gen))
+                    _reference_1d(tree, mesh, rs, _cosine, vertex_gen))
 
 
 GEOMETRIES = {
@@ -192,7 +185,7 @@ def tm(request):
     return build_geometry_2d(build_tree(spec), spec2d)
 
 
-@pytest.mark.parametrize("W", [None, _cosine_2d], ids=["free", "cosine"])
+@pytest.mark.parametrize("W", [None, _cosine], ids=["free", "cosine"])
 def test_assemble_2d_bitwise_equals_reference(tm, W):
     system = assemble_2d(tm, W)
     _assert_bitwise((system.K, system.M, system.free), _reference_2d(tm, W))
@@ -230,7 +223,7 @@ def test_one_conversion_per_component_plus_one(tm, monkeypatch):
         return tocsr(self, *args, **kwargs)
 
     monkeypatch.setattr(sp.coo_matrix, "tocsr", counting)
-    assemble_2d(tm, _cosine_2d)
+    assemble_2d(tm, _cosine)
     # one conversion for the local pairs of all components, one for the
     # global pencil; K and M are converted together, as the complex K + iM
     assert len(converted) == 2 <= len(tm.components) + 1
