@@ -175,6 +175,8 @@ def parse_config(path, overrides) -> RunConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"not valid JSON: {err}") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"not UTF-8 text: {err}") from err
     return validate_config(apply_overrides(raw, overrides))
 
 
@@ -460,7 +462,7 @@ def run_check_discreteness(cfg: RunConfig, out: Path) -> int:
 
 def run_connector_constants(cfg: RunConfig, out: Path) -> int:
     from .convergence import reference_connector
-    domain, mesh, _, forms, consts = reference_connector(cfg.experiment)
+    domain, mesh, forms, consts = reference_connector(cfg.experiment)
     payload = {
         "constants": consts.as_dict(),
         "matrices": {name: mtx.tolist() for name, mtx in vars(forms).items()},

@@ -4,10 +4,12 @@ A tree vertex joins one parent edge to k child edges.  Its 1-D neighborhood is
 a star of k+1 arms (the skeleton); its 2-D counterpart is a Lipschitz polygon
 (the connector) whose boundary carries one parent section and k child sections.
 This module builds affine partitions of unity on the star and discrete harmonic
-ones on the connector, assembles the energy/mass form matrices of both, solves
-the section-constrained minimization problems, and extracts the two-sided
+ones on the connector, assembles the energy/mass form matrices of both, forms
+the minimized energies under prescribed section averages (on the connector
+from one factored saddle system per gamma), and extracts the two-sided
 equivalence constants that enter the modified weights of the width-weighted
-operators.
+operators.  The connector solves read only the mesh, its sections S0..Sk and
+its pencil (K, M).
 
 Arm 0 is always the parent arm.  The functions that mesh or assemble import
 ``mesh2d`` on entry, so the range check of ``canonical_connector`` loads no
@@ -151,7 +153,7 @@ def canonical_connector(delta: float, c: float, k: int,
     if not 0.0 < delta < 1.0:
         raise ConnectorError(f"delta must be in (0, 1), got {delta}")
     if not 0.01 <= c <= 2.0:
-        raise ConnectorError(f"apex parameter c = {c} outside (0.01, 2.0)")
+        raise ConnectorError(f"apex parameter c = {c} outside [0.01, 2.0]")
     if k == 2:
         e_x = max(1.25 * delta, 0.5) * omega
         e_y = c * omega
@@ -208,7 +210,7 @@ def mesh_connector(domain: ConnectorDomain2D, h: float,
                         section_intervals=section_intervals)
 
 
-def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: "Mesh2D", K) -> np.ndarray:
+def harmonic_partition_2d(mesh: "Mesh2D", K) -> np.ndarray:
     """Discrete harmonic partition of unity: column e solves the Laplace
     equation with value 1 on S_e, 0 on the other sections, natural elsewhere.
 
@@ -217,15 +219,14 @@ def harmonic_partition_2d(domain: ConnectorDomain2D, mesh: "Mesh2D", K) -> np.nd
     """
     import scipy.sparse.linalg as spla
 
-    labels = [f"S{j}" for j in range(domain.k + 1)]
-    section_nodes = [np.asarray(mesh.sections[l]) for l in labels]
+    section_nodes = [np.asarray(mesh.sections[f"S{j}"]) for j in range(len(mesh.sections))]
     constrained = np.unique(np.concatenate(section_nodes))
     free = np.setdiff1d(np.arange(mesh.n_nodes), constrained)
     K_ff = K[np.ix_(free, free)].tocsc()
     K_fc = K[np.ix_(free, constrained)]
     lu = spla.splu(K_ff)
 
-    Phi = np.zeros((mesh.n_nodes, domain.k + 1))
+    Phi = np.zeros((mesh.n_nodes, len(section_nodes)))
     for e, nodes_e in enumerate(section_nodes):
         bc = np.zeros(len(constrained))
         bc[np.isin(constrained, nodes_e)] = 1.0
@@ -242,61 +243,37 @@ def connector_form_matrices(K, M, Phi: np.ndarray):
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
-def constrained_minimizer_2d(domain: ConnectorDomain2D, mesh: "Mesh2D", K, M,
-                             F: np.ndarray, gamma: int):
-    """Minimize integral(|grad g|^2 + gamma |g|^2) subject to prescribed
-    section averages F, via Lagrange multipliers appended to the FEM system
-    built on the pencil (K, M) of ``mesh``.
+def connector_minimized_forms(mesh: "Mesh2D", K, M):
+    """(E0, E1): the quadratic forms F -> min integral(|grad g|^2 + gamma |g|^2)
+    over fields g with section averages F, for gamma = 0, 1, on the pencil
+    (K, M) of ``mesh``.
 
-    Returns (field, multipliers kappa, minimized energy).  The saddle system is
-    nonsingular for both gamma values: for gamma = 0 its kernel would need a
-    constant field with all section averages zero, which forces zero.
+    The rows of C average a field over S0..Sk.  For each gamma the saddle
+    system [[K + gamma M, C^T], [C, 0]] is factored once and solved for each
+    unit F; the minimizer g depends linearly on F, so the minimized energy is
+    exactly the form g^T (K + gamma M) g.  Both systems are nonsingular: for
+    gamma = 0 a kernel field would be constant with all section averages zero,
+    which forces zero.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     from .mesh2d import section_average_weights
 
-    if gamma not in (0, 1):
-        raise ConnectorError("gamma must be 0 or 1")
-    F = np.asarray(F, float)
-    labels = [f"S{j}" for j in range(domain.k + 1)]
-    if len(F) != len(labels):
-        raise ConnectorError(f"F must have length {len(labels)}")
-    Kg = (K + M) if gamma == 1 else K
-    C = sp.vstack([
-        sp.csr_matrix(section_average_weights(mesh, mesh.sections[l]))
-        for l in labels
-    ])
-    n, m = mesh.n_nodes, len(labels)
-    saddle = sp.bmat([[Kg, C.T], [C, None]], format="csc")
-    rhs = np.concatenate([np.zeros(n), F])
-    sol = spla.spsolve(saddle, rhs)
-    if not np.all(np.isfinite(sol)):
-        raise ConnectorError("singular saddle system in constrained minimizer")
-    u, kappa = sol[:n], sol[n:]
-    energy = float(u @ (Kg @ u))
-    return u, kappa, energy
-
-
-def connector_minimized_forms(domain: ConnectorDomain2D, mesh: "Mesh2D", K, M):
-    """Quadratic forms F -> minimized connector energy for gamma = 0, 1, on
-    the pencil (K, M) of ``mesh``.
-
-    Assembled from the k+1 unit-vector minimizers; the minimizer depends
-    linearly on F, so the minimized energy is exactly quadratic.
-    """
-    n = domain.k + 1
-    fields0 = np.zeros((mesh.n_nodes, n))
-    fields1 = np.zeros((mesh.n_nodes, n))
-    for j in range(n):
-        F = np.zeros(n)
-        F[j] = 1.0
-        fields0[:, j], _, _ = constrained_minimizer_2d(domain, mesh, K, M, F, 0)
-        fields1[:, j], _, _ = constrained_minimizer_2d(domain, mesh, K, M, F, 1)
-    E0 = fields0.T @ (K @ fields0)
-    E1 = fields1.T @ ((K + M) @ fields1)
-    return 0.5 * (E0 + E0.T), 0.5 * (E1 + E1.T)
+    C = sp.vstack([sp.csr_matrix(section_average_weights(mesh, mesh.sections[f"S{j}"]))
+                   for j in range(len(mesh.sections))])
+    m, n = C.shape
+    forms = []
+    for Kg in (K, K + M):
+        try:
+            lu = spla.splu(sp.bmat([[Kg, C.T], [C, None]], format="csc"))
+        except RuntimeError as err:
+            raise ConnectorError(f"singular saddle system: {err}") from err
+        g = np.column_stack([lu.solve(np.concatenate([np.zeros(n), F]))[:n]
+                             for F in np.eye(m)])
+        E = g.T @ (Kg @ g)
+        forms.append(0.5 * (E + E.T))
+    return tuple(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +385,23 @@ def read_only(*objects) -> tuple:
 
 def analyze_connector(delta: float, c: float, k: int, omega: float,
                       N: int, h: float, section_intervals: int):
-    """Full pipeline: geometry, mesh, partitions, forms and constants.
+    """Full pipeline: geometry, mesh, partition, forms and constants.
 
     The connector pencil is assembled once and shared by the partition, the
-    form matrices and the minimizers.
-    Returns (domain, mesh, Phi, FormMatrices, EquivalenceConstants).
+    form matrices and the minimized forms.
+    Returns (domain, mesh, FormMatrices, EquivalenceConstants).
     """
     from .mesh2d import stiffness_and_mass
 
     domain = canonical_connector(delta, c=c, k=k, omega=omega)
     mesh = mesh_connector(domain, h=h, section_intervals=section_intervals)
     K, M = stiffness_and_mass(mesh)
-    Phi = harmonic_partition_2d(domain, mesh, K)
+    Phi = harmonic_partition_2d(mesh, K)
     star = domain.skeleton_star(N=N)
     Abar, Bbar = skeleton_form_matrices(star)
     A, B = connector_form_matrices(K, M, Phi)
     E0bar, E1bar = skeleton_minimized_forms(star)
-    E0, E1 = connector_minimized_forms(domain, mesh, K, M)
+    E0, E1 = connector_minimized_forms(mesh, K, M)
     forms = FormMatrices(Abar=Abar, A=A, Bbar=Bbar, B=B,
                          E0bar=E0bar, E1bar=E1bar, E0=E0, E1=E1)
-    return domain, mesh, Phi, forms, equivalence_constants(forms)
+    return domain, mesh, forms, equivalence_constants(forms)

@@ -29,6 +29,7 @@ from .connector import (
 )
 from .mesh2d import (
     Mesh2D,
+    MeshError,
     mesh_rectangle,
     scatter_pencil,
     stiffness_and_mass,
@@ -62,7 +63,9 @@ class GeometrySpec2D:
 
     def validate(self, tree: Tree) -> VertexZones:
         """Check that this geometry can be built on ``tree`` and return its
-        zones; every rule of the 2-D geometry is here."""
+        zones; every rule of the 2-D geometry is here.  The arithmetic rules
+        come first; the last one meshes the canonical connector, which the
+        build then reuses from its cache."""
         if tree.spec.k not in (1, 2) or tree.spec.N != 2:
             raise Geometry2DError("2-D geometry supports k in {1, 2} and N = 2")
         if not 0 < self.eps < 1:
@@ -80,6 +83,13 @@ class GeometrySpec2D:
             raise Geometry2DError(
                 f"connector cuts consume the generation-{j} edge "
                 f"(remaining {end[j] - start[j]:.3g}); reduce eps or c")
+        try:
+            _canonical_connector_mesh(tree.spec.delta, self.c, tree.k, self.n_cross)
+        except MeshError as err:
+            raise Geometry2DError(
+                f"the connector at tree.delta = {tree.spec.delta}, geometry.c = {self.c}, "
+                f"geometry.n_cross = {self.n_cross} has no mesh with every angle at least "
+                f"20 deg; change one of these keys") from err
         return zones
 
 
@@ -132,7 +142,7 @@ def _canonical_connector_mesh(delta: float, c: float, k: int, n_cross: int):
                                section_intervals=n_cross)
     K = stiffness_and_mass(conn_mesh)[0]
     return read_only(canonical, conn_mesh,
-                     harmonic_partition_2d(canonical, conn_mesh, K))
+                     harmonic_partition_2d(conn_mesh, K))
 
 
 def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:

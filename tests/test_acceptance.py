@@ -199,15 +199,15 @@ def test_criterion_7_property_suites():
     for delta in (0.5, 0.6, 0.8):
         dom = canonical_connector(delta, 0.3, k=2, omega=1.0)
         mesh = mesh_connector(dom, h=0.08, section_intervals=6)
-        Phi = harmonic_partition_2d(dom, mesh, stiffness_and_mass(mesh)[0])
+        Phi = harmonic_partition_2d(mesh, stiffness_and_mass(mesh)[0])
         if np.abs(Phi.sum(axis=1) - 1.0).max() > 1e-10:
             viol += 1
     details.append(f"partition sums: {viol} violations")
     suite_a = viol == 0
 
     # (b) form-matrix invariants and the two-sided alpha inequalities
-    _, _, _, forms, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
-                                               h=0.06, section_intervals=10)
+    _, _, forms, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                            h=0.06, section_intervals=10)
     viol = 0
     if np.abs(forms.Abar @ np.ones(3)).max() > 1e-12:
         viol += 1

@@ -209,6 +209,13 @@ def test_missing_file_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": 1, "output_dir": "\xff"}')
+    assert main(["spectrum1d", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: not UTF-8")
+
+
 @pytest.mark.parametrize("subcommand, overrides, key", [
     ("check-discreteness", ['potential.kind="bogus"'], "potential.kind"),
     ("spectrum1d", ['potential.kind="cosine"', "potential.params=[2.0]"],
@@ -262,6 +269,31 @@ def test_apex_check_reads_the_binary_connector_for_wider_trees(tmp_path):
     # ternary tree still runs the 1-D subcommands
     cfg = write_cfg(tmp_path, {"tree": {"k": 3}})
     assert main(["spectrum1d", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("c, code", [(0.0099, 2), (0.01, 0), (2.0, 0), (2.01, 2)])
+def test_apex_range_is_closed(tmp_path, capsys, c, code):
+    cfg = write_cfg(tmp_path, {"geometry": {"c": c}})
+    assert main(["check-discreteness", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "geometry.c" in err and "outside [0.01, 2.0]" in err
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum2d", "sandwich", "project"])
+@pytest.mark.parametrize("override", ["geometry.c=0.05", "tree.delta=0.1",
+                                      "geometry.n_cross=40"])
+def test_unmeshable_connector_rejected_at_load(tmp_path, capsys, subcommand, override):
+    # the canonical connector fails the mesher's 20-degree gate at any geometry.h
+    cfg = write_cfg(tmp_path, {})
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                 "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert all(key in err for key in ("tree.delta", "geometry.c", "geometry.n_cross"))
+    assert not out.exists()
 
 
 def test_deep_tree_rejected_at_load_only_where_a_geometry_is_built(tmp_path, capsys):

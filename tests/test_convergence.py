@@ -179,12 +179,12 @@ def test_reference_connector_analysed_once_per_key(monkeypatch):
 
 
 def test_cached_reference_connector_is_read_only():
-    domain, mesh, Phi, forms, _ = reference_connector(ExperimentConfig())
-    for array in (forms.A, forms.E0bar, Phi, mesh.nodes, domain.vertices,
+    domain, mesh, forms, _ = reference_connector(ExperimentConfig())
+    for array in (forms.A, forms.E0bar, forms.E1, mesh.nodes, domain.vertices,
                   mesh.sections["S1"]):
         with pytest.raises(ValueError):
             array[0] = 0.0
-    assert reference_connector(ExperimentConfig())[3] is forms
+    assert reference_connector(ExperimentConfig())[2] is forms
 
 
 # -- sandwich -----------------------------------------------------------------

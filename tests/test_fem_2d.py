@@ -90,7 +90,7 @@ def test_warm_geometry_equals_cold(spec):
     cold = build_geometry_2d(tree, geometry)
     build_geometry_2d(tree, GeometrySpec2D(eps=0.1, c=0.3, h=0.04, n_cross=3))
     warm = build_geometry_2d(tree, geometry)
-    assert fem_2d._canonical_connector_mesh.cache_info().hits == 2
+    assert fem_2d._canonical_connector_mesh.cache_info().misses == 1
     assert warm.n_nodes == cold.n_nodes
     assert len(warm.components) == len(cold.components)
     for a, b in zip(warm.components, cold.components):
@@ -453,8 +453,8 @@ def test_q_energy_bound_random_fields(tmesh):
     tree = tmesh.tree
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
-    _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
-                                           h=0.06, section_intervals=10)
+    _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                        h=0.06, section_intervals=10)
     rq = zone_modified_profile(tree, rho_star_profile(tree), consts.rho_Q_factor, tmesh.zones)
     sysQ = assemble_1d(tree, matched.mesh, rq, rho_star_profile(tree), None)
     sys2 = assemble_2d(tmesh, None)
@@ -475,8 +475,8 @@ def test_p_energy_bound_random_fields(tmesh):
     tree = tmesh.tree
     eps = tmesh.spec2d.eps
     matched = matched_mesh_1d(tmesh)
-    _, _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
-                                           h=0.06, section_intervals=10)
+    _, _, _, consts = analyze_connector(0.6, 0.3, k=2, omega=1.0, N=2,
+                                        h=0.06, section_intervals=10)
     rp = zone_modified_profile(tree, rho_star_profile(tree), consts.rho_P_factor, tmesh.zones)
     sysP = assemble_1d(tree, matched.mesh, rp, rho_star_profile(tree), None)
     sys2 = assemble_2d(tmesh, None)
