@@ -183,11 +183,13 @@ def parse_config(path, overrides) -> RunConfig:
 def check_feasible(cfg: RunConfig, subcommand: str) -> None:
     """Reject a list too short for the trend ``subcommand`` checks, a tree
     on which it cannot build its geometries: the 2-D ones at its coarsest
-    pitch, or the 1-D weight zones of width 1/n, which need a branching
-    vertex, and an experiment.m above the free dofs (all but the root) of
-    the smallest pencil it solves m pairs of: the whole-tree 1-D mesh at
-    experiment.h_1d, the 2-D mesh at the largest eps and geometry.h, and the
-    1-D mesh matched to the 2-D one at that eps and the fine pitch."""
+    pitch, the 1-D weight zones of width 1/n, which need a branching
+    vertex, or the planar connector (k in {1, 2}, N = 2); a tree without a
+    branching vertex for check-discreteness; and an experiment.m above the
+    free dofs (all but the root) of the smallest pencil it solves m pairs
+    of: the whole-tree 1-D mesh at experiment.h_1d, the 2-D mesh at the
+    largest eps and geometry.h, and the 1-D mesh matched to the 2-D one at
+    that eps and the fine pitch."""
     from .fem_2d import Geometry2DError, build_geometry_2d, matched_mesh_1d
     from .operator_1d import (
         Operator1DError,
@@ -206,10 +208,19 @@ def check_feasible(cfg: RunConfig, subcommand: str) -> None:
             raise ConfigError(str(err)) from err
     tree = build_tree(ecfg.tree)
     where = f"tree.k = {tree.k}, tree.J = {tree.J} with"
+    needs_vertex = {"converge-weights": "the weight zones need",
+                    "check-discreteness": "the per-generation factor needs"}
+    if subcommand in needs_vertex and tree.J < 1:
+        raise ConfigError(f"tree.J = {tree.J}: {needs_vertex[subcommand]} a "
+                          "branching vertex, tree.J >= 1")
+    if subcommand == "connector-constants":
+        if tree.k not in (1, 2):
+            raise ConfigError(f"tree.k = {tree.k}: the planar connector has 1 or 2 "
+                              "child sections")
+        if tree.spec.N != 2:
+            raise ConfigError(f"tree.N = {tree.spec.N}: the planar connector's child "
+                              "sections have width delta * omega, the N = 2 scaling")
     if subcommand == "converge-weights":
-        if tree.J < 1:
-            raise ConfigError(f"tree.J = {tree.J}: the weight zones need a "
-                              "branching vertex, tree.J >= 1")
         for i, n in enumerate(ecfg.n_list):
             try:
                 zone_breakpoints(tree, VertexZones(1.0 / n))
@@ -361,7 +372,9 @@ def run_spectrum2d(cfg: RunConfig, out: Path, dump_mesh: bool) -> int:
 
 
 def _dump_mesh_and_field(tm, system, spec, out: Path, cfg: RunConfig) -> None:
-    """Node/triangle/tag CSV triple plus the first eigenfunction field."""
+    """Node/triangle/tag CSV triple plus the first eigenfunction field; a
+    copy's tag rows are its one-triangle edges, local edges ascending with the
+    smaller local index first, tag 1 where both ends are in ``root_nodes``."""
     node_rows, tri_rows, tag_rows = [], [], []
     copies = ((comp, gids) for comp in tm.components for gids in comp.gids)
     for ci, (comp, gids) in enumerate(copies):
@@ -370,13 +383,16 @@ def _dump_mesh_and_field(tm, system, spec, out: Path, cfg: RunConfig) -> None:
                               "x": float(comp.mesh.nodes[loc, 0]),
                               "y": float(comp.mesh.nodes[loc, 1]),
                               "theta": float(comp.theta[loc])})
-        for tri in comp.mesh.triangles:
+        tris = comp.mesh.triangles
+        for tri in tris:
             g = gids[tri]
             tri_rows.append({"component": ci, "n0": int(g[0]),
                              "n1": int(g[1]), "n2": int(g[2])})
-        for (a, b), tag in zip(comp.mesh.boundary_edges, comp.mesh.boundary_tags):
-            tag_rows.append({"component": ci, "n0": int(gids[a]),
-                             "n1": int(gids[b]), "tag": int(tag)})
+        edges, count = np.unique(np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1),
+                                 axis=0, return_counts=True)
+        ends = gids[edges[count == 1]]
+        for (a, b), tag in zip(ends, np.isin(ends, tm.root_nodes).all(axis=1)):
+            tag_rows.append({"component": ci, "n0": int(a), "n1": int(b), "tag": int(tag)})
     write_csv(out / "mesh_nodes.csv", node_rows, cfg)
     write_csv(out / "mesh_triangles.csv", tri_rows, cfg)
     write_csv(out / "mesh_tags.csv", tag_rows, cfg)

@@ -62,6 +62,8 @@ class ExperimentConfig:
                                 ("experiment.m", self.m, 0), ("geometry.n_cross", self.n_cross, 1)):
             if not value > low:
                 raise ExperimentError(f"{key}: must be > {low}, got {value}")
+        # range-checks geometry.c only: a 1-D subcommand on k >= 3 must still
+        # load, and the 2-D ones reject such a tree with their geometry
         try:
             canonical_connector(self.tree.delta, c=self.apex_c, k=min(self.tree.k, 2),
                                 omega=1.0)

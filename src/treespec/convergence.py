@@ -71,7 +71,7 @@ def reference_connector(cfg: ExperimentConfig):
 
     The result is computed once per (delta, apex_c, k, omega, N) and shared:
     its arrays are read-only."""
-    return _reference_connector(cfg.tree.delta, cfg.apex_c, min(cfg.tree.k, 2),
+    return _reference_connector(cfg.tree.delta, cfg.apex_c, cfg.tree.k,
                                 cfg.tree.omega, cfg.tree.N)
 
 

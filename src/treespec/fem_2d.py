@@ -114,7 +114,8 @@ class TreeMesh2D:
     connector blocks of generations 0..J-1.  ``stations[j]`` is the pair
     (theta (n_st,), rows (k**j, n_st, n_cross+1)): the radial coordinate of
     each axial station of the generation-j tubes, and its global node row on
-    every copy.
+    every copy.  ``root_nodes``, the root section, is the one Dirichlet set:
+    ``assemble_2d`` eliminates it, and the rest of the boundary is Neumann.
     """
 
     tree: Tree
@@ -165,9 +166,7 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
         axial_len = ends[j] - starts[j]
         spacing = min(h, ASPECT_CAP * w / n_cross)
         n_axial = max(2, int(np.ceil(axial_len / spacing)))
-        rect_meshes.append(
-            mesh_rectangle(w, axial_len, n_cross, n_axial,
-                           dirichlet_bottom=(j == 0)))
+        rect_meshes.append(mesh_rectangle(w, axial_len, n_cross, n_axial))
 
     # all edges, generation-major, then all vertices: every copy numbers its
     # own nodes consecutively, so a block of copies takes one arange
@@ -188,8 +187,7 @@ def build_geometry_2d(tree: Tree, spec2d: GeometrySpec2D) -> TreeMesh2D:
 
     for j in range(tree.J):
         local = conn_mesh.nodes * widths[j]
-        mesh = Mesh2D(local, conn_mesh.triangles, conn_mesh.boundary_edges,
-                      conn_mesh.boundary_tags, conn_mesh.sections)
+        mesh = Mesh2D(local, conn_mesh.triangles, conn_mesh.sections)
         gids = np.full((k ** j, conn_mesh.n_nodes), -1, dtype=int)
         # identify sections with the adjacent tube end rows
         gids[:, conn_mesh.sections["S0"]] = stations[j][1][:, -1]
@@ -223,8 +221,7 @@ def assemble_2d(tmesh: TreeMesh2D, W) -> AssembledSystem:
     comps = tmesh.components
     starts = np.cumsum([0] + [c.mesh.n_nodes for c in comps])
     union = Mesh2D(np.concatenate([c.mesh.nodes for c in comps]),
-                   np.concatenate([c.mesh.triangles + a for c, a in zip(comps, starts)]),
-                   np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int), {})
+                   np.concatenate([c.mesh.triangles + a for c, a in zip(comps, starts)]), {})
     potential = None if W is None else W(np.concatenate(
         [c.theta[c.mesh.triangles].mean(axis=1) for c in comps]))
     Kl, Ml = stiffness_and_mass(union, potential)

@@ -4,16 +4,15 @@ Two mesh generators are provided: a tensor-product mesher for axis-aligned
 rectangles (used for the inflated edges, where the cross subdivision must
 match the connector sections node for node) and a Delaunay mesher for convex
 polygons (used for the vertex connectors).  Both return the same
-:class:`Mesh2D` structure carrying boundary tags and named section polylines
-resolved as mesh edges.
+:class:`Mesh2D` structure: nodes, triangles and named section polylines
+resolved as mesh edges.  A mesh has no boundary tags: the one Dirichlet set
+is ``TreeMesh2D.root_nodes``, which ``assemble_2d`` eliminates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-NEUMANN = 0
-ROOT_DIRICHLET = 1
 SMOOTH_SWEEPS = 4   # Laplacian smoothing passes of the polygon mesher
 
 
@@ -23,16 +22,16 @@ class MeshError(RuntimeError):
 
 @dataclass
 class Mesh2D:
-    """Conforming triangulation with tagged boundary and section polylines.
+    """Conforming triangulation with named section polylines.
 
     sections maps a label to an ordered array of node indices whose polyline
-    lies on the mesh (consecutive nodes are mesh edges).
+    lies on the mesh (consecutive nodes are mesh edges).  The boundary (the
+    edges in one triangle only) is untagged: ``TreeMesh2D.root_nodes`` is
+    the one Dirichlet set.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_tags: np.ndarray
     sections: dict
 
     @property
@@ -82,12 +81,11 @@ def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return tris
 
 
-def mesh_rectangle(width: float, length: float, n_cross: int, n_axial: int,
-                   dirichlet_bottom: bool) -> Mesh2D:
-    """Structured mesh of [0, width] x [0, length].
+def mesh_rectangle(width: float, length: float, n_cross: int, n_axial: int) -> Mesh2D:
+    """Structured mesh of [0, width] x [0, length], with no sections.
 
-    The axial direction is y.  Sections "bottom" (y=0) and "top" (y=length)
-    are registered; the bottom is tagged ROOT_DIRICHLET when requested.
+    The axial direction is y; ``axial_index`` is the (cross, axial) grid of
+    node indices and ``axial_positions`` the y of each axial station.
     Cross subdivision is uniform with exactly n_cross intervals so that
     interfaces match connector sections node for node.
     """
@@ -104,25 +102,7 @@ def mesh_rectangle(width: float, length: float, n_cross: int, n_axial: int,
     c, d = idx[1:, 1:], idx[:-1, 1:]
     tris = np.stack([np.stack([a, b, c], axis=-1),
                      np.stack([a, c, d], axis=-1)], axis=2).reshape(-1, 3)
-    tris = _orient_ccw(nodes, tris)
-
-    # the boundary edges interleave two opposite sides interval by interval:
-    # bottom and top per cross interval, then left and right per axial one
-    def interleaved_edges(side_a, side_b):
-        return np.stack([np.stack([s[:-1], s[1:]], axis=-1)
-                         for s in (side_a, side_b)], axis=1).reshape(-1, 2)
-
-    bedges = np.concatenate([interleaved_edges(idx[:, 0], idx[:, n_axial]),
-                             interleaved_edges(idx[0], idx[n_cross])])
-    bottom_tag = ROOT_DIRICHLET if dirichlet_bottom else NEUMANN
-    btags = np.concatenate([np.tile([bottom_tag, NEUMANN], n_cross),
-                            np.full(2 * n_axial, NEUMANN)])
-
-    sections = {
-        "bottom": idx[:, 0].copy(),
-        "top": idx[:, n_axial].copy(),
-    }
-    mesh = Mesh2D(nodes, tris, bedges, btags, sections)
+    mesh = Mesh2D(nodes, _orient_ccw(nodes, tris), {})
     mesh.axial_index = idx  # (cross, axial) grid view for station averaging
     mesh.axial_positions = ys
     return mesh
@@ -236,19 +216,12 @@ def _mesh_polygon_once(vertices, h, sections, section_intervals) -> Mesh2D:
         tris = triangulate(nodes)
     tris = _orient_ccw(nodes, tris)
 
-    bedges, btags = [], []
     section_paths = {}
     for label, (ei, t0, t1) in sections.items():
         chain = edge_chains[ei]
         path = [i for (t, i) in chain if t0 - 1e-9 <= t <= t1 + 1e-9]
         section_paths[label] = np.array(path, dtype=int)
-    for ei in range(n_poly):
-        chain = edge_chains[ei]
-        for (_, i0), (_, i1) in zip(chain[:-1], chain[1:]):
-            bedges.append([i0, i1])
-            btags.append(NEUMANN)
-
-    return Mesh2D(nodes, tris, np.array(bedges), np.array(btags), section_paths)
+    return Mesh2D(nodes, tris, section_paths)
 
 
 def _smooth_interior(nodes: np.ndarray, tris: np.ndarray, n_fixed: int) -> np.ndarray:

@@ -420,7 +420,11 @@ def discreteness_condition_check(tree: Tree, rho: WeightProfile) -> Discreteness
     verdict extrapolates over generations: the condition holds for the
     infinite tree iff the per-generation factor of g rho stays >= 1 (the
     boundary case factor == 1 counts as holding, with any C < 1 strict).
+    A tree without a branching vertex (J = 0) has no factor and is rejected.
     """
+    if tree.J < 1:
+        raise Operator1DError(f"tree.J = {tree.J}: the per-generation factor needs "
+                              "a branching vertex, tree.J >= 1")
     pts = np.unique(np.concatenate([rho.breakpoints, tree.t_shell]))
     pts = pts[(pts >= 0) & (pts <= tree.radius)]
     mids = 0.5 * (pts[:-1] + pts[1:])
@@ -433,8 +437,7 @@ def discreteness_condition_check(tree: Tree, rho: WeightProfile) -> Discreteness
     # taking the shell midpoints of the base intervals)
     shell_mids = 0.5 * (tree.t_shell[:-1] + tree.t_shell[1:])
     gv = tree.k ** np.arange(tree.J + 1) * rho(shell_mids)
-    factors = gv[1:] / gv[:-1] if len(gv) > 1 else np.array([1.0])
-    q = float(factors.min())
+    q = float((gv[1:] / gv[:-1]).min())
     boundary = abs(q - 1.0) <= 1e-9
     holds = q >= 1.0 - 1e-9
     return DiscretenessReport(holds=holds, best_C=best_C,

@@ -14,6 +14,17 @@ def mesh_area(mesh) -> float:
     return float((0.5 * np.abs(twice)).sum())
 
 
+def one_triangle_edges(triangles) -> set:
+    """The boundary of a triangulation: the edges, as (smaller, larger) node
+    pairs, that lie in exactly one triangle, counted triangle by triangle."""
+    count = {}
+    for tri in np.asarray(triangles).tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edge = (min(a, b), max(a, b))
+            count[edge] = count.get(edge, 0) + 1
+    return {edge for edge, n in count.items() if n == 1}
+
+
 def kirchhoff_residuals(tree, mesh, rho_alpha, u_full) -> np.ndarray:
     """|sum_e rho_a * du/ds outward| at every branching vertex, generation-major."""
     _require_mesh_tree(tree, mesh)

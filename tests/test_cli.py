@@ -25,6 +25,8 @@ from treespec.config import ExperimentConfig
 from treespec.fem_2d import Geometry2DError, build_geometry_2d
 from treespec.tree_model import TreeSpec, build_tree
 
+from oracles import one_triangle_edges
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -409,6 +411,25 @@ def test_weight_zones_rejected_at_load(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("sub, override", [
+    ("connector-constants", "tree.k=3"),
+    ("connector-constants", "tree.k=4"),
+    ("connector-constants", "tree.N=3"),
+    ("check-discreteness", "tree.J=0"),
+])
+def test_tree_outside_the_subcommand_domain_rejected_at_load(tmp_path, capsys, sub,
+                                                             override):
+    # k >= 3 read the k = 2 connector and N = 3 one with N = 2 section widths;
+    # J = 0 has no per-generation factor, so its verdict hung on the truncation
+    cfg = write_cfg(tmp_path, {})
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out), "--set", override]) == 2
+    key, _, value = override.partition("=")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} = {value}: "), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub, payload, key", [
     ("sandwich", {"geometry": {"eps_list": [0.2]}}, "geometry.eps_list"),
     ("project", {"geometry": {"eps_list": [0.2]}}, "geometry.eps_list"),
@@ -469,16 +490,48 @@ def test_set_override_with_bad_json_is_a_config_error(tmp_path, capsys):
     assert "--set tree.delta" in capsys.readouterr().err
 
 
+def _csv_ints(path):
+    return [tuple(int(float(v)) for v in line.split(","))
+            for line in path.read_text().splitlines()[2:]]
+
+
 def test_spectrum2d_mesh_dump(tmp_path):
-    cfg = write_cfg(tmp_path, dict(MINIMAL, geometry={"eps_list": [0.2]}))
+    # the tag file holds, per component copy, the edges in one of its
+    # triangles only, local edges ascending with the smaller local index
+    # first; tag 1 on the n_cross edges of the root section, the Dirichlet set
+    cfg_path = write_cfg(tmp_path, dict(MINIMAL, geometry={"eps_list": [0.2]}))
     out = tmp_path / "out"
-    assert main(["spectrum2d", "--config", str(cfg), "--out", str(out),
+    assert main(["spectrum2d", "--config", str(cfg_path), "--out", str(out),
                  "--dump-mesh"]) == 0
     for name in ("mesh_nodes.csv", "mesh_triangles.csv", "mesh_tags.csv",
                  "field_mode1.csv"):
         assert (out / name).exists()
-    tags = (out / "mesh_tags.csv").read_text().splitlines()[2:]
-    assert any(line.endswith(",1") for line in tags)  # root Dirichlet tagged
+    ecfg = parse_config(cfg_path, ()).experiment
+    root = build_geometry_2d(build_tree(ecfg.tree), ecfg.geometry(0.2)).root_nodes
+    assert len(root) == ecfg.n_cross + 1
+
+    tags = _csv_ints(out / "mesh_tags.csv")
+    root_edges = {(int(min(a, b)), int(max(a, b))) for a, b in zip(root[:-1], root[1:])}
+    tagged = [(c, n0, n1) for c, n0, n1, tag in tags if tag == 1]
+    assert len(tagged) == ecfg.n_cross
+    assert {(min(n0, n1), max(n0, n1)) for _, n0, n1 in tagged} == root_edges
+    assert {c for c, _, _ in tagged} == {0}
+    assert {n for _, n0, n1 in tagged for n in (n0, n1)} <= set(root.tolist())
+    assert {tag for *_, tag in tags} == {0, 1}
+
+    local, n_local = {}, {}   # (component, node) -> local index: node row order
+    for node, comp, *_ in _csv_ints(out / "mesh_nodes.csv"):
+        local[comp, node] = n_local.get(comp, 0)
+        n_local[comp] = local[comp, node] + 1
+    triangles = _csv_ints(out / "mesh_triangles.csv")
+    assert [c for c, *_ in tags] == sorted(c for c, *_ in tags)
+    for comp in sorted(n_local):
+        rows = [(n0, n1) for c, n0, n1, _ in tags if c == comp]
+        assert {(min(r), max(r)) for r in rows} == one_triangle_edges(
+            [t for c, *t in triangles if c == comp])
+        loc = [(local[comp, n0], local[comp, n1]) for n0, n1 in rows]
+        assert all(a < b for a, b in loc)
+        assert loc == sorted(loc)
 
 
 def test_dump_mesh_rejected_outside_spectrum2d(tmp_path, capsys):
@@ -645,10 +698,11 @@ def main_exits(code: int, *argv: str) -> str:
     (main_exits(2, "converge-weights", "--set", "tree.J=4"), []),
     (main_exits(2, "spectrum1d", "--set", "experiment.m=100000"), []),
     (main_exits(0, "check-discreteness"), []),
+    (main_exits(2, "check-discreteness", "--set", "tree.J=0"), []),
     (main_exits(0, "spectrum1d"), ["scipy", "scipy.sparse", "scipy.sparse.linalg",
                                    "scipy.linalg"]),
 ], ids=["import-and-validate", "infeasible-geometry", "infeasible-zones",
-        "oversized-m", "check-discreteness", "spectrum1d"])
+        "oversized-m", "check-discreteness", "check-discreteness-J0", "spectrum1d"])
 def test_config_checks_and_check_discreteness_run_without_scipy(tmp_path, code, loaded):
     # start-up cost: scipy is imported by the functions that solve, on first
     # use; the spectrum1d case shows that the probe sees a solve load it

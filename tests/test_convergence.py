@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 from treespec import convergence
 from treespec.config import ExperimentConfig, ExperimentError
+from treespec.connector import ConnectorError
 from treespec.convergence import (
     C_GRID,
     _bound_transform,
@@ -176,6 +177,12 @@ def test_reference_connector_analysed_once_per_key(monkeypatch):
         assert len(calls) == 2
     finally:
         convergence._reference_connector.cache_clear()
+
+
+def test_reference_connector_rejects_a_tree_without_a_planar_connector():
+    # the k = 2 connector once stood in for every k >= 3
+    with pytest.raises(ConnectorError, match="k in {1, 2}, got k=3"):
+        reference_connector(ExperimentConfig(tree=TreeSpec(k=3)))
 
 
 def test_cached_reference_connector_is_read_only():

@@ -19,7 +19,6 @@ from treespec.fem_2d import (
     q_eps_lift,
 )
 from treespec.mesh2d import (
-    ROOT_DIRICHLET,
     _triangle_block,
     mesh_quality,
     mesh_rectangle,
@@ -194,8 +193,8 @@ def test_fem_second_order_convergence():
     exact = (np.pi / 2) ** 2
 
     def lam(n_axial):
-        mesh = mesh_rectangle(0.1, 1.0, 3, n_axial, dirichlet_bottom=True)
-        dn = np.unique(mesh.boundary_edges[mesh.boundary_tags == ROOT_DIRICHLET])
+        mesh = mesh_rectangle(0.1, 1.0, 3, n_axial)
+        dn = mesh.axial_index[:, 0]
         Kf, Mf, _ = scatter_pencil(mesh.n_nodes, [_triangle_block(mesh, None)], dn)
         return smallest_eigenpairs(Kf, Mf, 1, with_vectors=False).values[0]
 

@@ -4,8 +4,6 @@ import scipy.sparse as sp
 
 from treespec.eigensolver import smallest_eigenpairs
 from treespec.mesh2d import (
-    NEUMANN,
-    ROOT_DIRICHLET,
     Mesh2D,
     MeshError,
     _orient_ccw,
@@ -20,7 +18,7 @@ from treespec.mesh2d import (
     stiffness_and_mass,
 )
 
-from oracles import mesh_area
+from oracles import mesh_area, one_triangle_edges
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -37,11 +35,13 @@ def test_point_in_polygon():
 
 
 def test_rectangle_mesh_structure():
-    mesh = mesh_rectangle(0.5, 2.0, n_cross=4, n_axial=10, dirichlet_bottom=True)
+    mesh = mesh_rectangle(0.5, 2.0, n_cross=4, n_axial=10)
     assert mesh.n_nodes == 5 * 11
     assert mesh_area(mesh) == pytest.approx(1.0)
-    assert len(mesh.sections["bottom"]) == 5
-    assert (mesh.boundary_tags == ROOT_DIRICHLET).sum() == 4
+    assert mesh.sections == {}
+    assert np.array_equal(mesh.axial_index[:, 0], np.arange(0, 55, 11))
+    assert np.allclose(mesh.nodes[mesh.axial_index[:, 0]], np.column_stack(
+        [np.linspace(0.0, 0.5, 5), np.zeros(5)]))
     angle, max_edge = mesh_quality(mesh)
     assert angle > 20.0
 
@@ -65,7 +65,7 @@ def test_refining_h_halves_max_edge():
 
 def test_boundary_edges_cover_perimeter():
     mesh = mesh_polygon(UNIT_SQUARE, h=0.15, sections={}, section_intervals=None)
-    pts = mesh.nodes[mesh.boundary_edges]
+    pts = mesh.nodes[np.array(sorted(one_triangle_edges(mesh.triangles)))]
     total = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1).sum()
     assert total == pytest.approx(4.0, rel=1e-9)
 
@@ -106,9 +106,8 @@ def test_thin_rectangle_dirichlet_limit():
     # 1-D Dirichlet-Neumann interval spectrum as eps -> 0
     for eps, tol in ((0.1, 0.02), (0.05, 0.01)):
         mesh = mesh_rectangle(eps, 1.0, n_cross=3,
-                              n_axial=int(np.ceil(1.0 / min(0.02, 2.5 * eps / 3))),
-                              dirichlet_bottom=True)
-        dn = np.unique(mesh.boundary_edges[mesh.boundary_tags == ROOT_DIRICHLET])
+                              n_axial=int(np.ceil(1.0 / min(0.02, 2.5 * eps / 3))))
+        dn = mesh.axial_index[:, 0]
         Kf, Mf, _ = scatter_pencil(mesh.n_nodes, [_triangle_block(mesh, None)], dn)
         spec = smallest_eigenpairs(Kf, Mf, 1)
         assert spec.values[0] == pytest.approx((np.pi / 2) ** 2, rel=tol)
@@ -116,11 +115,11 @@ def test_thin_rectangle_dirichlet_limit():
 
 def test_degenerate_rectangle_rejected():
     with pytest.raises(MeshError):
-        mesh_rectangle(0.0, 1.0, 2, 2, dirichlet_bottom=False)
+        mesh_rectangle(0.0, 1.0, 2, 2)
 
 
-def _loop_mesh_rectangle(width, length, n_cross, n_axial, dirichlet_bottom):
-    """The per-cell and per-edge loop mesher, kept as the reference."""
+def _loop_mesh_rectangle(width, length, n_cross, n_axial):
+    """The per-cell loop mesher, kept as the reference."""
     xs = np.linspace(0.0, width, n_cross + 1)
     ys = np.linspace(0.0, length, n_axial + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -133,19 +132,7 @@ def _loop_mesh_rectangle(width, length, n_cross, n_axial, dirichlet_bottom):
             tris.append([a, b, c])
             tris.append([a, c, d])
     tris = _orient_ccw(nodes, np.array(tris, dtype=int))
-    bedges, btags = [], []
-    for i in range(n_cross):
-        bedges.append([idx[i, 0], idx[i + 1, 0]])
-        btags.append(ROOT_DIRICHLET if dirichlet_bottom else NEUMANN)
-        bedges.append([idx[i, n_axial], idx[i + 1, n_axial]])
-        btags.append(NEUMANN)
-    for j in range(n_axial):
-        bedges.append([idx[0, j], idx[0, j + 1]])
-        btags.append(NEUMANN)
-        bedges.append([idx[n_cross, j], idx[n_cross, j + 1]])
-        btags.append(NEUMANN)
-    sections = {"bottom": idx[:, 0].copy(), "top": idx[:, n_axial].copy()}
-    mesh = Mesh2D(nodes, tris, np.array(bedges), np.array(btags), sections)
+    mesh = Mesh2D(nodes, tris, {})
     mesh.axial_index = idx
     mesh.axial_positions = ys
     return mesh
@@ -156,18 +143,14 @@ def _assert_same_array(a, b):
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("dirichlet_bottom", [True, False])
 @pytest.mark.parametrize("n_cross", [2, 3, 8])
-def test_rectangle_mesh_matches_loop_reference(n_cross, dirichlet_bottom):
+def test_rectangle_mesh_matches_loop_reference(n_cross):
     for n_axial in (2, 7):
-        args = (0.3, 1.7, n_cross, n_axial, dirichlet_bottom)
+        args = (0.3, 1.7, n_cross, n_axial)
         mesh, ref = mesh_rectangle(*args), _loop_mesh_rectangle(*args)
-        for name in ("nodes", "triangles", "boundary_edges", "boundary_tags",
-                     "axial_index", "axial_positions"):
+        for name in ("nodes", "triangles", "axial_index", "axial_positions"):
             _assert_same_array(getattr(mesh, name), getattr(ref, name))
-        assert list(mesh.sections) == list(ref.sections)
-        for label in ref.sections:
-            _assert_same_array(mesh.sections[label], ref.sections[label])
+        assert mesh.sections == ref.sections == {}
 
 
 def test_scatter_of_no_blocks_is_the_zero_pencil():

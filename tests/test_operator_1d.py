@@ -402,6 +402,14 @@ def test_discreteness_classifier(delta, holds, boundary):
         assert report.best_C == pytest.approx(1.0)
 
 
+def test_discreteness_classifier_rejects_a_tree_without_a_vertex():
+    # one generation has no per-generation factor: the verdict read 1.0,
+    # "boundary case", whatever k and delta
+    tree = build_tree(TreeSpec(k=1, N=2, delta=0.6, J=0))
+    with pytest.raises(Operator1DError, match="tree.J = 0"):
+        discreteness_condition_check(tree, rho_star_profile(tree))
+
+
 # -- potential averaging ------------------------------------------------------
 
 def test_average_constant_potential():

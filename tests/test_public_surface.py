@@ -10,7 +10,7 @@ it stays.
 
 Every default value in ``src`` outside the config schema is pinned too, with
 the reason it stays, so a library default cannot restate or contradict the
-schema unnoticed."""
+schema unnoticed.  So is every parameter that its function never reads."""
 
 import ast
 import importlib
@@ -43,6 +43,14 @@ UNREAD_FIELDS = {
     "tree_model.EdgeId.j":
         "half of the address: the fields make the equality and hash of the frozen EdgeId, "
         "so the vertex keys of Matched1D.p_parent_dof and p_child_dofs compare by them",
+}
+
+# qualified parameter -> why it stays although its function never reads it
+UNREAD_PARAMETERS = {
+    "fem_2d.p_eps_project.tmesh":
+        "the benchmark passes it; it goes with the next benchmark change (ROADMAP item 1)",
+    "fem_2d.q_eps_lift.tmesh":
+        "the benchmark passes it; it goes with the next benchmark change (ROADMAP item 1)",
 }
 
 # The config schema: its field defaults are the defaults of the config keys
@@ -261,6 +269,68 @@ def test_default_scan_sees_signatures_nested_functions_and_fields():
 def test_every_default_outside_the_config_schema_is_pinned():
     found = set().union(*(defaults_in(p.read_text(), p.stem) for p in MODULES))
     assert found == set(ALLOWED_DEFAULTS)
+
+
+def parameters(fn) -> list:
+    """Every parameter name of a function or lambda node, * and ** included."""
+    a = fn.args
+    return [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            if p is not None]
+
+
+def names_read(nodes) -> set:
+    """Names the nodes load; a nested function or lambda contributes the
+    names its body loads other than its own parameters, and its defaults."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+            found |= names_read(body) - set(parameters(node))
+            found |= names_read([*node.args.defaults, *filter(None, node.args.kw_defaults)])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        else:
+            found |= names_read(ast.iter_child_nodes(node))
+    return found
+
+
+def unread_parameters(source: str, module: str) -> set:
+    """Qualified names of the parameters, of every function and method with
+    nested ones included, that the function's body never reads."""
+    found = set()
+
+    def visit(node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.FunctionDef):
+                read = names_read(sub.body)
+                found.update(f"{prefix}{sub.name}.{p}" for p in parameters(sub)
+                             if p not in read)
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+                visit(sub, f"{prefix}{sub.name}.")
+            else:
+                visit(sub, prefix)
+
+    visit(ast.parse(source), f"{module}.")
+    return found
+
+
+def test_checker_flags_an_unread_parameter():
+    # a nested function's or lambda's own parameter shadows the outer one,
+    # and a default is read in the enclosing function
+    source = ("def f(a, b, *args, c, **kw):\n    return a + c + kw['x']\n\n"
+              "def g(x, y):\n    def h(x):\n        return x\n"
+              "    return h(1) + (lambda y: y)(2)\n\n"
+              "def outer(z, w=0):\n    def inner(q=w):\n        return z + q\n"
+              "    return inner\n\n"
+              "class C:\n    def m(self, v):\n        return 1\n")
+    assert unread_parameters(source, "a") == {"a.f.b", "a.f.args", "a.g.x", "a.g.y",
+                                              "a.C.m.self", "a.C.m.v"}
+
+
+def test_every_parameter_is_read_or_pinned():
+    found = set().union(*(unread_parameters(p.read_text(), p.stem)
+                          for p in SRC.glob("*.py")))
+    assert found == set(UNREAD_PARAMETERS)
 
 
 def top_level_names(source: str) -> set:
