@@ -5,12 +5,13 @@ key path); every output CSV starts with a metadata comment (tool version,
 config hash, seed) followed by a header row, the keys of the row dicts it is
 written from, floats printed with 17 significant digits.  Exit code is
 nonzero whenever an experiment assertion fails.  Loading and checking a
-config imports only ``config``, ``tree_model`` and ``connector``: the
-runners and ``check_feasible`` import the solver modules they call, and
-those import scipy in the functions that solve, so a rejected config and
-check-discreteness load no scipy module.  A fresh interpreter imports the
-package and this module in about 75 ms, numpy included (2-CPU Xeon VM, no
-``.pyc`` files).
+config imports only ``config`` and ``tree_model``, on the standard library
+alone: the runners and ``check_feasible`` import the solver modules they
+call, and the functions that build arrays import numpy, so a config that
+fails its schema or domain checks and ``--help`` load neither numpy nor
+scipy, and check-discreteness loads no scipy.  A fresh interpreter imports
+the package and this module in about 30 ms (2-CPU Xeon VM, cached ``.pyc``
+files).
 """
 
 import argparse
@@ -19,8 +20,6 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import FINE_PITCH, ExperimentConfig, ExperimentError
@@ -324,6 +323,8 @@ def run_spectrum1d(cfg: RunConfig, out: Path) -> int:
 
 
 def run_decompose(cfg: RunConfig, out: Path) -> int:
+    import numpy as np
+
     from .convergence import limit_spectrum_1d
     from .operator_1d import build_mesh_1d, radial_decomposition_spectrum, rho_star_profile
     ecfg = cfg.experiment
@@ -375,6 +376,8 @@ def _dump_mesh_and_field(tm, system, spec, out: Path, cfg: RunConfig) -> None:
     """Node/triangle/tag CSV triple plus the first eigenfunction field; a
     copy's tag rows are its one-triangle edges, local edges ascending with the
     smaller local index first, tag 1 where both ends are in ``root_nodes``."""
+    import numpy as np
+
     node_rows, tri_rows, tag_rows = [], [], []
     copies = ((comp, gids) for comp in tm.components for gids in comp.gids)
     for ci, (comp, gids) in enumerate(copies):

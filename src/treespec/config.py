@@ -1,19 +1,18 @@
 """The experiment config: the schema dataclass with its defaults and domain
 checks, and the error its checks raise.
 
-Validating a config loads only this module, ``tree_model`` and ``connector``
-(whose reference connector bounds ``geometry.c``); ``mesh2d`` and the solver
-modules are imported by the functions that use them.
+Validating a config loads only this module and ``tree_model``, and runs on
+the standard library alone: the cosine potential imports numpy when it is
+evaluated, and ``mesh2d``, ``connector`` and the solver modules are imported
+by the functions that use them.
 """
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .connector import ConnectorError, canonical_connector
 from .tree_model import TreeSpec
 
 FINE_PITCH = 0.5             # the fine 2-D mesh pitch, as a multiple of h_2d
+APEX_C_RANGE = (0.01, 2.0)   # geometry.c: the reference connector's apex pitch
 
 
 class ExperimentError(RuntimeError):
@@ -62,13 +61,12 @@ class ExperimentConfig:
                                 ("experiment.m", self.m, 0), ("geometry.n_cross", self.n_cross, 1)):
             if not value > low:
                 raise ExperimentError(f"{key}: must be > {low}, got {value}")
-        # range-checks geometry.c only: a 1-D subcommand on k >= 3 must still
-        # load, and the 2-D ones reject such a tree with their geometry
-        try:
-            canonical_connector(self.tree.delta, c=self.apex_c, k=min(self.tree.k, 2),
-                                omega=1.0)
-        except ConnectorError as err:
-            raise ExperimentError(f"geometry.c: {err}") from err
+        # the range canonical_connector checks too; a 1-D subcommand on k >= 3
+        # must still load, and the 2-D ones reject such a tree with their geometry
+        c_min, c_max = APEX_C_RANGE
+        if not c_min <= self.apex_c <= c_max:
+            raise ExperimentError(
+                f"geometry.c: apex parameter c = {self.apex_c} outside [{c_min}, {c_max}]")
         self.w_limit()   # rejects a malformed potential
 
     def _require_trend(self, key: str) -> None:
@@ -98,7 +96,13 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"potential.params: cosine takes [amp, freq], got {list(params)}")
         amp, freq = params
-        return lambda t: amp * np.cos(freq * np.asarray(t, float))
+
+        def w(t):
+            import numpy as np
+
+            return amp * np.cos(freq * np.asarray(t, float))
+
+        return w
 
     def c_w(self) -> float:
         """sup |W|: the cosine amplitude, 0 for "zero"."""

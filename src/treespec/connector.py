@@ -12,13 +12,15 @@ operators.  The connector solves read only the mesh, its sections S0..Sk and
 its pencil (K, M).
 
 Arm 0 is always the parent arm.  The functions that mesh or assemble import
-``mesh2d`` on entry, so the range check of ``canonical_connector`` loads no
-mesher.
+``mesh2d`` on entry; ``canonical_connector`` reads the range of its apex
+pitch from ``config``, which checks ``geometry.c`` against it at load.
 """
 
 from dataclasses import dataclass, is_dataclass
 
 import numpy as np
+
+from .config import APEX_C_RANGE
 
 KERNEL_TOL = 1e-8   # relative residual at which A-type forms annihilate ones
 
@@ -152,8 +154,9 @@ def canonical_connector(delta: float, c: float, k: int,
     """
     if not 0.0 < delta < 1.0:
         raise ConnectorError(f"delta must be in (0, 1), got {delta}")
-    if not 0.01 <= c <= 2.0:
-        raise ConnectorError(f"apex parameter c = {c} outside [0.01, 2.0]")
+    c_min, c_max = APEX_C_RANGE
+    if not c_min <= c <= c_max:
+        raise ConnectorError(f"apex parameter c = {c} outside [{c_min}, {c_max}]")
     if k == 2:
         e_x = max(1.25 * delta, 0.5) * omega
         e_y = c * omega
@@ -167,8 +170,6 @@ def canonical_connector(delta: float, c: float, k: int,
         ])
         roof_len = float(np.hypot(e_x, t))
         child_len = delta * omega
-        if child_len >= roof_len:
-            raise ConnectorError("child section does not fit on the roof slope")
         lo = 0.5 * (1.0 - child_len / roof_len)
         hi = 0.5 * (1.0 + child_len / roof_len)
         sections = {"S0": (0, 0.0, 1.0), "S1": (2, lo, hi), "S2": (3, lo, hi)}

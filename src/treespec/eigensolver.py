@@ -2,7 +2,8 @@
 
 Every pencil goes through a shift-invert Lanczos iteration around sigma = 0
 (retried at a negative shift when K - sigma M cannot be factored, and run
-below the whole spectrum when K is indefinite), which
+below the whole spectrum when K is indefinite, the pairs it resolves too
+coarsely there then solved again at 0), which
 applies one LDL^T factorization per shift and stops once the m wanted Ritz
 pairs have converged: GUARD_VECTORS more pairs only widen its basis.  That
 basis holds at most n - 1 vectors and more than m + GUARD_VECTORS, so only a
@@ -136,9 +137,10 @@ def smallest_eigenpairs(K, M, m: int, with_vectors: bool = True) -> Spectrum:
     from the shift-invert Lanczos iteration at sigma=0, which converges the m
     wanted Ritz pairs in a basis sized for GUARD_VECTORS more, retried at a
     negative shift if the factorization of K fails, and run at a shift below
-    the spectrum if that factor has negative pivots.  Only a pencil with no
-    room for that basis, m + GUARD_VECTORS >= n - 1, is solved densely, and
-    its pairs pass the same backward-error gate.  An inertia count certifies
+    the spectrum if that factor has negative pivots, the pairs nearest 0
+    then solved again at 0 if that shift resolved them too coarsely.  Only a
+    pencil with no room for that basis, m + GUARD_VECTORS >= n - 1, is
+    solved densely, and its pairs pass the same backward-error gate.  An inertia count certifies
     that no eigenvalue below the cluster of the m-th Ritz value was missed;
     on a miscount the missed pairs are searched for with the found ones
     locked, again while each such repair finds a missed pair, until as many
@@ -205,11 +207,38 @@ def _certified_shift_invert(K, M, m: int):
     another would find one at a time.  The factor of K - sigma M at each
     shift tried is kept for the whole call, so a repair solves with the
     factor of the first solve.
+
+    Below the spectrum of an indefinite K, Lanczos resolves a value lambda
+    only to about |lambda - sigma| RITZ_TOL, too coarse for one much nearer
+    0 than sigma.  The certified pairs whose backward error exceeds RITZ_TOL
+    are then solved again at sigma = 0, with the other pairs locked: as many
+    pairs as an inertia count puts nearer 0 than the farthest of them, which
+    Lanczos at 0 converges first.  That result is certified and repaired as
+    the first was, at sigma = 0.
     """
     factors = {}
     shifts = _shifts(K, M, factors)
-    vals, vecs = _ascending(*_shift_invert(K, M, m, np.empty((K.shape[0], 0)),
-                                           factors, shifts))
+    vals, vecs = _repaired(K, M, m, *_shift_invert(K, M, m, np.empty((K.shape[0], 0)),
+                                                   factors, shifts), factors, shifts)
+    if shifts[0] < 0 and 0.0 in factors:   # K factored with negative pivots
+        coarse = _residuals(K, M, vals, vecs, M @ vecs)[1] > RITZ_TOL
+        if coarse.any():
+            reach = np.abs(vals[coarse]).max()
+            reach += _CLUSTER_TOL * max(1.0, reach)
+            keep = ~coarse
+            wanted = _inertia_below(K, M, reach) - int(np.count_nonzero(vals[keep] < reach))
+            near_vals, near_vecs = _shift_invert(K, M, wanted, vecs[:, keep], factors, (0.0,))
+            vals, vecs = _repaired(K, M, m, np.concatenate([vals[keep], near_vals]),
+                                   np.hstack([vecs[:, keep], near_vecs]), factors, (0.0,))
+    return vals, vecs
+
+
+def _repaired(K, M, m: int, vals: np.ndarray, vecs: np.ndarray, factors: dict,
+              shifts: tuple):
+    """The m smallest of the pairs (vals, vecs) once the inertia count
+    below the cluster of the m-th value agrees, after the repair solves at
+    shifts that it takes (_certified_shift_invert)."""
+    vals, vecs = _ascending(vals, vecs)
     if len(vals) < m:
         raise EigensolverError(
             f"shift-invert missed {m - len(vals)} eigenvalue(s): it "

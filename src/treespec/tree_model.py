@@ -6,11 +6,12 @@ A regular tree has constant branching number ``k`` and geometric edge lengths
 labeled ``(j, i)`` as well), so no per-node adjacency storage is needed.  The root
 sits at distance 0 and carries the Dirichlet condition; the vertex at the far end
 of a generation-J edge is a truncated tip.
+
+numpy is imported by the methods that build arrays, so checking a
+``TreeSpec`` runs on the standard library alone.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 # Hard cap on k**J before an explicit resource error is raised.
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -62,10 +63,23 @@ class TreeSpec:
             raise TreeModelError(f"cross-section measure must be positive, got {self.omega}")
         if self.J < 0:
             raise TreeModelError(f"max generation J must be >= 0, got {self.J}")
-        if self.k ** self.J > DEFAULT_NODE_BUDGET:
-            raise ResourceBudgetError(
-                f"k**J = {self.k}**{self.J} exceeds node budget {DEFAULT_NODE_BUDGET}"
-            )
+        # k**J itself has J log2(k) bits: stop the product once it passes
+        nodes = 1
+        for _ in range(self.J if self.k > 1 else 0):
+            nodes *= self.k
+            if nodes > DEFAULT_NODE_BUDGET:
+                raise ResourceBudgetError(
+                    f"k**J = {self.k}**{self.J} exceeds node budget {DEFAULT_NODE_BUDGET}"
+                )
+        # the shells t_j of Tree, in the same float arithmetic: at r = 0.5,
+        # 1 - r**54 rounds to 1 and t_54 = t_55
+        t = 0.0
+        for j in range(1, self.J + 2):
+            t, prev = self.l0 * (1.0 - self.r ** j) / (1.0 - self.r), t
+            if not t > prev:
+                raise TreeModelError(
+                    f"tree.J = {self.J}: the shells t_{j - 1} and t_{j} coincide in "
+                    f"floating point (l0 = {self.l0}, r = {self.r})")
 
 
 @dataclass(frozen=True)
@@ -86,6 +100,8 @@ class Tree:
     """
 
     def __init__(self, spec: TreeSpec):
+        import numpy as np
+
         spec.validate()
         self.spec = spec
         j = np.arange(spec.J + 2)
@@ -108,9 +124,11 @@ class Tree:
             for i in range(self.spec.k ** j):
                 yield EdgeId(j, i)
 
-    def generations_at(self, t) -> np.ndarray:
+    def generations_at(self, t) -> "np.ndarray":
         """Generation of the shell containing each distance in ``t``
         (right-continuous), as an integer array of the shape of ``t``."""
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         bad = ~((t >= 0.0) & (t < self.radius))
         if bad.any():
@@ -118,7 +136,7 @@ class Tree:
         j = np.searchsorted(self.t_shell, t, side="right") - 1
         return np.minimum(j, self.spec.J)
 
-    def counting_function(self, t) -> np.ndarray:
+    def counting_function(self, t) -> "np.ndarray":
         """Number of edges meeting the sphere of radius ``t`` around the root,
         g(t) = k**gen(t), elementwise for an array ``t``."""
         return self.spec.k ** self.generations_at(t)

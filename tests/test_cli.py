@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,30 @@ def test_tree_outside_the_subcommand_domain_rejected_at_load(tmp_path, capsys, s
     assert not out.exists()
 
 
+def test_node_budget_rejects_a_deep_tree_at_once(tmp_path, capsys):
+    # 3**(10**7) has 16 million bits; the check stops once the running
+    # product passes the budget (3.1 s to reject when it took the power)
+    cfg = write_cfg(tmp_path, {"tree": {"k": 3, "J": 10_000_000}})
+    start = time.perf_counter()
+    assert main(["check-discreteness", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert "exceeds node budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["spectrum1d", "check-discreteness"])
+def test_deep_path_with_coinciding_shells_rejected_at_load(tmp_path, capsys, sub):
+    # k = 1 leaves J unbounded by the node budget; at r = 0.5 the shells
+    # t_54 and t_55 coincide in floating point, which the 1-D profile
+    # rejected only once a run had started (exit 1 and 3)
+    cfg = write_cfg(tmp_path, {"tree": {"k": 1, "J": 60}})
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tree: tree.J = 60: "), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub, payload, key", [
     ("sandwich", {"geometry": {"eps_list": [0.2]}}, "geometry.eps_list"),
     ("project", {"geometry": {"eps_list": [0.2]}}, "geometry.eps_list"),
@@ -710,10 +735,9 @@ def test_config_checks_and_check_discreteness_run_without_scipy(tmp_path, code, 
     assert scipy_modules_after(code, tmp_path) == loaded
 
 
-# validating a config reads the schema, the tree and the connector bound on
-# geometry.c; the solver modules load at a subcommand's first solve
-CONFIG_PATH_MODULES = ["treespec", "treespec.cli", "treespec.config", "treespec.connector",
-                       "treespec.tree_model"]
+# validating a config reads the schema and the tree; the solver modules load
+# at a subcommand's first solve
+CONFIG_PATH_MODULES = ["treespec", "treespec.cli", "treespec.config", "treespec.tree_model"]
 SOLVER_MODULES = ["treespec.convergence", "treespec.eigensolver", "treespec.fem_2d",
                   "treespec.operator_1d"]
 
@@ -731,3 +755,22 @@ def test_config_path_loads_no_solver_module(tmp_path):
     assert result["loaded"] == CONFIG_PATH_MODULES
     assert not set(SOLVER_MODULES) & set(result["loaded"])
     assert result["foreign"] == []
+
+
+@pytest.mark.parametrize("code, numpy_loaded", [
+    ("import treespec, treespec.cli\ntreespec.cli.validate_config({})", False),
+    ("import treespec.cli\n"
+     "treespec.cli.validate_config({'potential': {'kind': 'cosine', 'params': [-60, 1]}})",
+     False),
+    (main_exits(2, "spectrum1d", "--set", "tree.depth=3"), False),
+    ("from treespec.cli import main\ntry:\n    main(['--help'])\n"
+     "except SystemExit as exit:\n    assert exit.code == 0", False),
+    ("from treespec.tree_model import TreeSpec, build_tree\nbuild_tree(TreeSpec())", True),
+], ids=["import-and-validate", "validate-cosine", "schema-error", "help", "build-tree"])
+def test_config_path_runs_without_numpy(tmp_path, code, numpy_loaded):
+    # numpy takes about 85 ms of start-up; the modules a config check runs
+    # import it in the functions that build arrays, and a cosine W imports it
+    # when evaluated; the build-tree case shows that the probe sees it load
+    write_cfg(tmp_path, {})
+    loaded = probe(code, tmp_path, "[m for m in sys.modules if m.partition('.')[0] == 'numpy']")
+    assert bool(loaded) == numpy_loaded

@@ -141,13 +141,25 @@ def test_indefinite_K_negative_shift_retry():
 def test_indefinite_pencil_solved_below_its_spectrum():
     # four values far below the 200 in [0.01, 2]: Lanczos at sigma = 0
     # converges to the values nearest 0, so a factor of K with negative
-    # pivots moves the solve to a shift below the whole spectrum
+    # pivots moves the solve to a shift below the whole spectrum; from m = 5
+    # on the values near 0, resolved there only to |lambda - sigma| RITZ_TOL,
+    # are solved again at sigma = 0
     d = np.concatenate([[-400.0, -250.0, -90.0, -30.0], np.linspace(0.01, 2.0, 200)])
     K = sp.diags(np.random.default_rng(3).permutation(d)).tocsr()
     M = sp.identity(len(d), format="csr")
-    for m in (1, 3, 4):
+    for m in (1, 3, 4, 5, 6):
         spec = smallest_eigenpairs(K, M, m)
         np.testing.assert_allclose(spec.values, np.sort(d)[:m], rtol=1e-10)
+
+
+def test_indefinite_pencil_solves_a_negative_value_near_0():
+    # -0.01 is re-solved at sigma = 0, where 0.005, above the 4 wanted
+    # values, lies nearer the shift than it: the count asks for both
+    d = np.concatenate([[-400.0, -250.0, -3.0, -0.01], np.linspace(0.005, 2.0, 200)])
+    K = sp.diags(np.random.default_rng(3).permutation(d)).tocsr()
+    M = sp.identity(len(d), format="csr")
+    np.testing.assert_allclose(smallest_eigenpairs(K, M, 4).values, np.sort(d)[:4],
+                               rtol=1e-10)
 
 
 def test_indefinite_shift_is_bracketed_by_inertia_counts():

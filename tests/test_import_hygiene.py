@@ -71,34 +71,38 @@ def test_eigensolver_factors_in_one_function():
 # scipy takes about 0.25 s of start-up, most of it in scipy._lib; a function
 # that needs it imports it on entry
 SCIPY_ALIASES = {"scipy", "sp", "spla"}
+# numpy takes about 85 ms; the modules that validating a config runs import
+# it in the functions that build arrays
+NUMPY_ALIASES = {"numpy", "np"}
+CONFIG_PATH = ("__init__.py", "cli.py", "config.py", "tree_model.py")
 
 
-def eager_scipy(source: str) -> list:
-    """(line, what) of each scipy import that runs when ``source`` is
-    imported, and of each annotation evaluated at definition time, that of a
-    function signature or of a module or class body, that names scipy or
-    one of its SCIPY_ALIASES.  A string annotation is not evaluated."""
+def eager_imports(source: str, package: str, aliases: set) -> list:
+    """(line, what) of each import of ``package`` that runs when ``source``
+    is imported, and of each annotation evaluated at definition time, that
+    of a function signature or of a module or class body, that names one of
+    its ``aliases``.  A string annotation is not evaluated."""
     found = []
 
-    def names_scipy(annotation) -> bool:
+    def names_package(annotation) -> bool:
         return annotation is not None and any(
-            isinstance(n, ast.Name) and n.id in SCIPY_ALIASES for n in ast.walk(annotation))
+            isinstance(n, ast.Name) and n.id in aliases for n in ast.walk(annotation))
 
     def visit(node, in_function):
         if not in_function:
             if isinstance(node, ast.Import):
                 found.extend((node.lineno, f"import {a.name}") for a in node.names
-                             if a.name.split(".")[0] == "scipy")
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                             if a.name.split(".")[0] == package)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
                 found.append((node.lineno, f"from {node.module} import"))
-            elif isinstance(node, ast.AnnAssign) and names_scipy(node.annotation):
+            elif isinstance(node, ast.AnnAssign) and names_package(node.annotation):
                 found.append((node.lineno, "annotation"))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             signature = [a.annotation for a in (*args.posonlyargs, *args.args,
                                                 *args.kwonlyargs, args.vararg, args.kwarg)
                          if a is not None] + [node.returns]
-            found.extend((node.lineno, "annotation") for ann in signature if names_scipy(ann))
+            found.extend((node.lineno, "annotation") for ann in signature if names_package(ann))
             in_function = True
         for child in ast.iter_child_nodes(node):
             visit(child, in_function)
@@ -116,18 +120,24 @@ def test_checker_flags_scipy_loaded_at_import():
               "        z: spla.LinearOperator = spla.aslinearoperator(x)\n"
               "        return z\n"
               "def g() -> scipy.sparse.csr_matrix:\n    import scipy.sparse\n")
-    assert eager_scipy(source) == [(2, "import scipy.sparse"), (4, "from scipy.linalg import"),
-                                   (6, "annotation"), (8, "annotation"), (12, "annotation")]
+    assert eager_imports(source, "scipy", SCIPY_ALIASES) == [
+        (2, "import scipy.sparse"), (4, "from scipy.linalg import"),
+        (6, "annotation"), (8, "annotation"), (12, "annotation")]
+    assert eager_imports(source, "numpy", NUMPY_ALIASES) == [(1, "import numpy")]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_imports_scipy_on_first_use(module):
-    assert eager_scipy((SRC / module).read_text()) == []
+    assert eager_imports((SRC / module).read_text(), "scipy", SCIPY_ALIASES) == []
+
+
+@pytest.mark.parametrize("module", CONFIG_PATH)
+def test_config_path_imports_numpy_on_first_use(module):
+    assert eager_imports((SRC / module).read_text(), "numpy", NUMPY_ALIASES) == []
 
 
 # the modules that validating a config runs import no solver module when they
 # are imported; tests/test_cli.py probes the loaded set in a fresh interpreter
-CONFIG_PATH = ("__init__.py", "cli.py", "config.py")
 SOLVER_MODULES = {"convergence", "eigensolver", "fem_2d", "operator_1d"}
 
 

@@ -51,6 +51,25 @@ def test_node_budget_enforced():
         build_tree(TreeSpec(k=2, J=30))
 
 
+def test_node_budget_is_inclusive():
+    # k**J equal to the budget passes, one generation more does not
+    TreeSpec(k=10, J=6).validate()
+    with pytest.raises(ResourceBudgetError, match=r"k\*\*J = 10\*\*7 exceeds node budget"):
+        TreeSpec(k=10, J=7).validate()
+    TreeSpec(k=1, J=53).validate()   # k = 1 never reaches it
+
+
+@pytest.mark.parametrize("r, deepest", [(0.5, 53), (0.9, 324)])
+def test_deep_tree_rejected_where_its_shells_coincide(r, deepest):
+    # at r = 0.5, t_j = 2 (1 - 2**-j) and 1 - 2**-54 rounds to 1, so
+    # t_54 = t_55 = 2; the deepest tree left has strictly increasing shells
+    tree = build_tree(TreeSpec(k=1, r=r, J=deepest))
+    assert np.all(np.diff(tree.t_shell) > 0)
+    with pytest.raises(TreeModelError, match=f"^tree.J = {deepest + 1}: the shells "
+                                             f"t_{deepest + 1} and t_{deepest + 2} coincide"):
+        TreeSpec(k=1, r=r, J=deepest + 1).validate()
+
+
 def test_counting_function_values():
     tree = build_tree(TreeSpec(k=2, l0=0.5, r=0.5, J=2))
     assert tree.counting_function(0.25) == 1
