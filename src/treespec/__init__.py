@@ -6,11 +6,13 @@ the module that defines it, and the first access to a name imports that
 module and returns its object.  So ``import treespec`` runs no submodule, and
 importing the CLI and validating a config load only ``cli``, ``config`` and
 ``tree_model``, on the standard library alone: numpy is imported by the
-functions that build arrays, and scipy by those that assemble or solve.  On
-a 2-CPU Xeon VM (Python 3.11, numpy 2.4, cached ``.pyc`` files) a fresh
-interpreter that does this exits after about 97 ms, 30 ms of them in the
-imports, against 132 ms for one that imports numpy alone and 50 ms for an
-empty one.  So ``validate_config``, a config it rejects and ``--help``
+functions that build arrays, and scipy by those that assemble or solve; the
+config records are named tuples, so ``dataclasses`` and ``inspect`` stay out
+too.  On a 2-CPU Xeon VM (Python 3.11) a fresh interpreter that does this
+exits after about 57 ms with cached ``.pyc`` files, 2 ms of them in the
+imports, against 50 ms for an empty one; under ``PYTHONDONTWRITEBYTECODE=1``,
+which the benchmark's set-up child inherits, it compiles the four sources and
+takes 64 ms.  So ``validate_config``, a config it rejects and ``--help``
 load neither numpy nor scipy.
 """
 

@@ -9,26 +9,26 @@ config imports only ``config`` and ``tree_model``, on the standard library
 alone: the runners and ``check_feasible`` import the solver modules they
 call, and the functions that build arrays import numpy, so a config that
 fails its schema or domain checks and ``--help`` load neither numpy nor
-scipy, and check-discreteness loads no scipy.  A fresh interpreter imports
-the package and this module in about 30 ms (2-CPU Xeon VM, cached ``.pyc``
-files).
+scipy, and check-discreteness loads no scipy.  The functions that use
+``argparse``, ``json`` and ``hashlib`` import them, and ``RunConfig`` is a
+named tuple, so a config check loads none of these nor ``dataclasses``.  A
+fresh interpreter imports the package and this module in about 2 ms with
+cached ``.pyc`` files and 11 ms without, most of it compiling this module
+(2-CPU Xeon VM).
 """
 
-import argparse
-import hashlib
-import json
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
 from .config import FINE_PITCH, ExperimentConfig, ExperimentError
 from .tree_model import TreeModelError, TreeSpec, build_tree
 
-# config key path -> (dataclass, field); the key takes the field's type and
-# default, and a tuple field is a JSON list
+# config key path -> (record, field); the key takes the field's default and
+# its type, and a tuple default is a JSON list
 _FIELDS = {
-    **{f"tree.{f.name}": (TreeSpec, f.name) for f in fields(TreeSpec)},
+    **{f"tree.{name}": (TreeSpec, name) for name in TreeSpec._fields},
     "weights.zone_factor": (ExperimentConfig, "zone_factor"),
     "potential.kind": (ExperimentConfig, "potential"),
     "potential.params": (ExperimentConfig, "potential_params"),
@@ -53,11 +53,11 @@ _GEOMETRY_PITCH = {"spectrum2d": 1.0, "sandwich": 1.0, "project": FINE_PITCH}
 
 
 def _field_schema(owner, name):
-    """(type, default) of a dataclass field as a config key."""
-    f = next(f for f in fields(owner) if f.name == name)
-    if f.type is tuple:
-        return list, list(f.default)
-    return f.type, f.default
+    """(type, default) of a record field as a config key."""
+    default = owner._field_defaults[name]
+    if isinstance(default, tuple):
+        return list, list(default)
+    return type(default), default
 
 
 def _schema_and_defaults():
@@ -92,15 +92,15 @@ def _experiment_config(data: dict) -> ExperimentConfig:
                             **kw[ExperimentConfig])
 
 
-@dataclass
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "data experiment")):
     """A validated config: the filled-in JSON data and the ExperimentConfig
     built from it, once per run."""
 
-    data: dict
-    experiment: ExperimentConfig
+    __slots__ = ()
 
     def config_hash(self) -> str:
+        import hashlib
+        import json
         canon = json.dumps(self.data, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -169,6 +169,7 @@ def validate_config(raw: dict) -> RunConfig:
 
 def parse_config(path, overrides) -> RunConfig:
     """Load a JSON config file, apply ``--set`` overrides, and validate it."""
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -255,6 +256,7 @@ def check_feasible(cfg: RunConfig, subcommand: str) -> None:
 
 def apply_overrides(raw: dict, overrides) -> dict:
     """Apply --set key.path=value pairs onto the raw config dict."""
+    import json
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
     for item in overrides:
@@ -295,6 +297,7 @@ def write_csv(path: Path, rows: list, cfg: RunConfig) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    import json
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
@@ -509,6 +512,7 @@ SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def main(argv=None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="treespec",
         description="Spectra of width-weighted tree operators and of their "

@@ -1,13 +1,14 @@
-"""The experiment config: the schema dataclass with its defaults and domain
+"""The experiment config: the schema record with its defaults and domain
 checks, and the error its checks raise.
 
 Validating a config loads only this module and ``tree_model``, and runs on
 the standard library alone: the cosine potential imports numpy when it is
 evaluated, and ``mesh2d``, ``connector`` and the solver modules are imported
-by the functions that use them.
+by the functions that use them.  ``ExperimentConfig`` is a named tuple, not a
+dataclass, so that the check does not import ``dataclasses`` and ``inspect``.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .tree_model import TreeSpec
 
@@ -19,20 +20,15 @@ class ExperimentError(RuntimeError):
     """An experiment could not produce a meaningful result."""
 
 
-@dataclass
-class ExperimentConfig:
-    tree: TreeSpec = field(default_factory=TreeSpec)
-    eps_list: tuple = (0.2, 0.1, 0.05)
-    n_list: tuple = (4, 8, 16, 32)
-    m: int = 4
-    h_1d: float = 0.01
-    h_2d: float = 0.03
-    n_cross: int = 3
-    apex_c: float = 0.3
-    zone_factor: float = 1.1
-    potential: str = "zero"          # "zero" | "cosine"
-    potential_params: tuple = (1.0, 1.0)
-    seed: int = 0
+class ExperimentConfig(namedtuple(
+        "ExperimentConfig",
+        "tree eps_list n_list m h_1d h_2d n_cross apex_c zone_factor potential "
+        "potential_params seed",
+        defaults=(TreeSpec(), (0.2, 0.1, 0.05), (4, 8, 16, 32), 4, 0.01, 0.03, 3, 0.3, 1.1,
+                  "zero", (1.0, 1.0), 0))):
+    """The parameters of every experiment; ``potential`` is "zero" or "cosine"."""
+
+    __slots__ = ()
 
     def geometry(self, eps: float, h: float | None = None) -> "GeometrySpec2D":
         """Inflated-tree geometry at width eps, at pitch h_2d unless h is given."""

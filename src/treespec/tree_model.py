@@ -8,12 +8,14 @@ sits at distance 0 and carries the Dirichlet condition; the vertex at the far en
 of a generation-J edge is a truncated tip.
 
 numpy is imported by the methods that build arrays, so checking a
-``TreeSpec`` runs on the standard library alone.
+``TreeSpec`` runs on the standard library alone; the records are named
+tuples, since ``dataclasses`` would add ``inspect`` and 12 ms of start-up.
 """
 
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 
-# Hard cap on k**J before an explicit resource error is raised.
+# Hard cap on k**J (J + 1 on a path) before an explicit resource error is raised.
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
@@ -25,8 +27,8 @@ class ResourceBudgetError(TreeModelError):
     """Requested tree exceeds the configured node budget."""
 
 
-@dataclass(frozen=True)
-class TreeSpec:
+class TreeSpec(namedtuple("TreeSpec", "k l0 r delta N omega J",
+                          defaults=(2, 1.0, 0.5, 0.6, 2, 1.0, 2))):
     """Combinatorial and metric description of a regular rooted tree.
 
     Parameters
@@ -40,13 +42,7 @@ class TreeSpec:
     J : last generation kept by the truncation, >= 0
     """
 
-    k: int = 2
-    l0: float = 1.0
-    r: float = 0.5
-    delta: float = 0.6
-    N: int = 2
-    omega: float = 1.0
-    J: int = 2
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.k < 1:
@@ -63,6 +59,10 @@ class TreeSpec:
             raise TreeModelError(f"cross-section measure must be positive, got {self.omega}")
         if self.J < 0:
             raise TreeModelError(f"max generation J must be >= 0, got {self.J}")
+        if self.k == 1 and self.J + 1 > DEFAULT_NODE_BUDGET:
+            raise ResourceBudgetError(
+                f"tree.J = {self.J}: the path k = 1 has J + 1 = {self.J + 1} edges, "
+                f"above node budget {DEFAULT_NODE_BUDGET}")
         # k**J itself has J log2(k) bits: stop the product once it passes
         nodes = 1
         for _ in range(self.J if self.k > 1 else 0):
@@ -80,14 +80,23 @@ class TreeSpec:
                 raise TreeModelError(
                     f"tree.J = {self.J}: the shells t_{j - 1} and t_{j} coincide in "
                     f"floating point (l0 = {self.l0}, r = {self.r})")
+        # the smallest weight, rho_star(J): a subnormal one stalls the solves;
+        # an exponent too large for a float leaves nothing of delta**exponent
+        try:
+            weight = self.delta ** ((self.N - 1) * self.J) * self.omega
+        except OverflowError:
+            weight = 0.0
+        if not weight >= sys.float_info.min:
+            raise TreeModelError(
+                f"tree.delta = {self.delta}, tree.N = {self.N}, tree.J = {self.J}: the "
+                f"last generation's weight delta**((N-1)*J) * omega = {weight:.3g} is "
+                f"below the smallest normal float {sys.float_info.min:.3g}")
 
 
-@dataclass(frozen=True)
-class EdgeId:
+class EdgeId(namedtuple("EdgeId", "j index")):
     """Edge address: generation ``j`` and index within the generation."""
 
-    j: int
-    index: int
+    __slots__ = ()
 
 
 class Tree:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -444,7 +443,7 @@ def test_node_budget_rejects_a_deep_tree_at_once(tmp_path, capsys):
 
 @pytest.mark.parametrize("sub", ["spectrum1d", "check-discreteness"])
 def test_deep_path_with_coinciding_shells_rejected_at_load(tmp_path, capsys, sub):
-    # k = 1 leaves J unbounded by the node budget; at r = 0.5 the shells
+    # on a path (k = 1) the node budget allows J < 10**6; at r = 0.5 the shells
     # t_54 and t_55 coincide in floating point, which the 1-D profile
     # rejected only once a run had started (exit 1 and 3)
     cfg = write_cfg(tmp_path, {"tree": {"k": 1, "J": 60}})
@@ -452,6 +451,39 @@ def test_deep_path_with_coinciding_shells_rejected_at_load(tmp_path, capsys, sub
     assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: tree: tree.J = 60: "), err
+    assert not out.exists()
+
+
+def test_path_budget_rejects_a_long_path_at_once(tmp_path, capsys):
+    # the node budget caps k**J, which is 1 on a path; J + 1 edges it is
+    # (1.45 s to accept this tree, and every subcommand then looped over
+    # 10**7 generations)
+    cfg = write_cfg(tmp_path, {"tree": {"k": 1, "r": 0.999999999, "delta": 0.9999999,
+                                        "J": 10_000_000}})
+    start = time.perf_counter()
+    assert main(["check-discreteness", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tree: tree.J = 10000000: ") and "node budget" in err
+
+
+@pytest.mark.parametrize("sub", ["spectrum1d", "decompose", "check-discreteness"])
+@pytest.mark.parametrize("tree", [
+    {"delta": 0.01, "N": 100, "J": 2},
+    {"k": 1, "r": 0.99, "J": 1500},
+    {"k": 1, "r": 0.9, "J": 160, "delta": 0.1, "N": 3},
+], ids=["zero", "zero-path", "subnormal"])
+def test_underflowing_weight_rejected_at_load(tmp_path, capsys, sub, tree):
+    # the last generation's weight delta**((N-1) J) omega below the smallest
+    # normal float: 0 failed the weight profile once a run had started (exit
+    # 1 and 3), and the subnormal 1e-320 stalled the 1-D solves for minutes
+    cfg = write_cfg(tmp_path, {"tree": tree})
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tree: tree.delta = "), err
+    assert "tree.N = " in err and f"tree.J = {tree['J']}: " in err
     assert not out.exists()
 
 
@@ -674,7 +706,7 @@ def test_default_config_golden():
     assert cfg.config_hash() == "d8c61a352e81"
 
 
-def test_config_keys_map_to_dataclass_defaults():
+def test_config_keys_map_to_record_defaults():
     paths = set()
     for block, value in _DEFAULTS.items():
         paths |= {f"{block}.{k}" for k in value} if isinstance(value, dict) else {block}
@@ -682,10 +714,10 @@ def test_config_keys_map_to_dataclass_defaults():
     assert not set(_FIELDS) & set(_CLI_ONLY)
     for path, (owner, name) in _FIELDS.items():
         block, key = path.split(".")
-        field = {f.name: f for f in dataclasses.fields(owner)}[name]
-        default = list(field.default) if field.type is tuple else field.default
+        default = owner._field_defaults[name]
+        default = list(default) if isinstance(default, tuple) else default
         assert _DEFAULTS[block][key] == default, path
-    # the empty config builds the default dataclasses
+    # the empty config builds the default records
     assert validate_config({}).experiment == ExperimentConfig()
 
 
@@ -697,11 +729,13 @@ SCIPY_MODULES = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
 
 def probe(code: str, cwd: Path, result: str, **env):
     """The JSON value of the expression ``result`` in a fresh interpreter,
-    run in ``cwd`` with the extra environment ``env``, after ``code``."""
+    run in ``cwd`` with the extra environment ``env``, after ``code``;
+    ``result`` is evaluated before the probe imports ``json``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src), **env)
     out = subprocess.run([sys.executable, "-c",
-                          f"import json, sys\n{code}\nprint(json.dumps({result}))"],
+                          f"import sys\n{code}\nresult = {result}\n"
+                          "import json\nprint(json.dumps(result))"],
                          cwd=cwd, env=env, capture_output=True, text=True, check=True,
                          timeout=120)
     return json.loads(out.stdout.splitlines()[-1])
@@ -740,6 +774,9 @@ def test_config_checks_and_check_discreteness_run_without_scipy(tmp_path, code, 
 CONFIG_PATH_MODULES = ["treespec", "treespec.cli", "treespec.config", "treespec.tree_model"]
 SOLVER_MODULES = ["treespec.convergence", "treespec.eigensolver", "treespec.fem_2d",
                   "treespec.operator_1d"]
+# standard-library modules that validation never calls: argparse, json and
+# hashlib take about 11 ms of start-up, and dataclasses with inspect 12 ms
+UNUSED_STDLIB = ["argparse", "json", "hashlib", "dataclasses", "inspect"]
 
 
 def test_config_path_loads_no_solver_module(tmp_path):
@@ -750,10 +787,12 @@ def test_config_path_loads_no_solver_module(tmp_path):
         "import importlib\nimport treespec, treespec.cli\ntreespec.cli.validate_config({})",
         tmp_path,
         "{'loaded': sorted(m for m in sys.modules if m.partition('.')[0] == 'treespec'), "
+        "'stdlib': [m for m in %r if m in sys.modules], "
         "'foreign': [n for n, m in treespec._EXPORTS.items() if getattr(treespec, n) "
-        "is not getattr(importlib.import_module('treespec.' + m), n)]}")
+        "is not getattr(importlib.import_module('treespec.' + m), n)]}" % UNUSED_STDLIB)
     assert result["loaded"] == CONFIG_PATH_MODULES
     assert not set(SOLVER_MODULES) & set(result["loaded"])
+    assert result["stdlib"] == []
     assert result["foreign"] == []
 
 

@@ -136,6 +136,19 @@ def test_config_path_imports_numpy_on_first_use(module):
     assert eager_imports((SRC / module).read_text(), "numpy", NUMPY_ALIASES) == []
 
 
+# standard-library modules that validating a config never calls: argparse,
+# json and hashlib take about 11 ms of start-up, and dataclasses, which
+# imports inspect, 12 ms; the config records are named tuples instead
+UNUSED_STDLIB = {"argparse": {"argparse"}, "json": {"json"}, "hashlib": {"hashlib"},
+                 "dataclasses": {"dataclasses", "dataclass", "field", "fields"}}
+
+
+@pytest.mark.parametrize("package", sorted(UNUSED_STDLIB))
+@pytest.mark.parametrize("module", CONFIG_PATH)
+def test_config_path_imports_unused_stdlib_on_first_use(module, package):
+    assert eager_imports((SRC / module).read_text(), package, UNUSED_STDLIB[package]) == []
+
+
 # the modules that validating a config runs import no solver module when they
 # are imported; tests/test_cli.py probes the loaded set in a fresh interpreter
 SOLVER_MODULES = {"convergence", "eigensolver", "fem_2d", "operator_1d"}

@@ -75,11 +75,24 @@ ALLOWED_DEFAULTS = {
 }
 
 
+def namedtuple_fields(node: ast.ClassDef) -> tuple:
+    """(fields, fields with a default) of a class whose base is
+    ``namedtuple("Name", "a b c", defaults=(...))``; the field string is
+    split as namedtuple splits it, and the defaults go to the last fields."""
+    for base in node.bases:
+        if isinstance(base, ast.Call) and ast.unparse(base.func).endswith("namedtuple"):
+            names = base.args[1].value.replace(",", " ").split()
+            defaults = next((len(k.value.elts) for k in base.keywords
+                             if k.arg == "defaults"), 0)
+            return names, names[len(names) - defaults:]
+    return [], []
+
+
 def defaults_in(source: str, module: str) -> set:
     """Qualified names of every parameter with a default, nested functions
-    included, and of every dataclass field with a default outside
-    SCHEMA_CLASSES; ``field(...)`` without ``default`` or ``default_factory``
-    is no default."""
+    included, and of every dataclass or named-tuple field with a default
+    outside SCHEMA_CLASSES; ``field(...)`` without ``default`` or
+    ``default_factory`` is no default."""
     found = set()
 
     def visit(node, prefix):
@@ -96,6 +109,9 @@ def defaults_in(source: str, module: str) -> set:
                 if dataclass and sub.name not in SCHEMA_CLASSES:
                     found.update(f"{prefix}{sub.name}.{st.target.id}" for st in sub.body
                                  if isinstance(st, ast.AnnAssign) and has_default(st.value))
+                if sub.name not in SCHEMA_CLASSES:
+                    found.update(f"{prefix}{sub.name}.{name}"
+                                 for name in namedtuple_fields(sub)[1])
                 visit(sub, f"{prefix}{sub.name}.")
             else:
                 visit(sub, prefix)
@@ -204,14 +220,16 @@ def test_pinned_oracle_is_used_by_its_test(qualified):
 
 
 def stored_fields(source: str, module: str) -> dict:
-    """Qualified name -> bare name of every dataclass field and every
-    ``self.x`` assigned in ``__init__``, on classes not named ``*Report`` or
-    ``*Row`` (the experiment results, whose fields are read off by name)."""
+    """Qualified name -> bare name of every dataclass field, every
+    named-tuple field and every ``self.x`` assigned in ``__init__``, on
+    classes not named ``*Report`` or ``*Row`` (the experiment results, whose
+    fields are read off by name)."""
     found = {}
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef) or node.name.endswith(("Report", "Row")):
             continue
         prefix = f"{module}.{node.name}."
+        found.update({prefix + name: name for name in namedtuple_fields(node)[0]})
         if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
             found.update({prefix + st.target.id: st.target.id for st in node.body
                           if isinstance(st, ast.AnnAssign)})
@@ -240,11 +258,12 @@ def test_checker_flags_an_unread_field():
              "@dataclass\nclass D:\n    kept: int\n    dead: int\n\n"
              "class T:\n    def __init__(self, d):\n        self.d = d\n"
              "        self.spare = d.kept\n\n"
-             "@dataclass\nclass FitReport:\n    unread: int\n",
-        "b": "def f(t):\n    t.d = None\n    return t.d\n",
+             "@dataclass\nclass FitReport:\n    unread: int\n\n"
+             "class N(namedtuple('N', 'used, idle')):\n    __slots__ = ()\n",
+        "b": "def f(t, n):\n    t.d = None\n    return t.d, n.used\n",
     }
-    assert unread(sources, []) == {"a.D.dead", "a.T.spare"}
-    assert unread(sources, ["def g(d):\n    return d.dead\n"]) == {"a.T.spare"}
+    assert unread(sources, []) == {"a.D.dead", "a.T.spare", "a.N.idle"}
+    assert unread(sources, ["def g(d):\n    return d.dead, d.idle\n"]) == {"a.T.spare"}
 
 
 def test_every_stored_field_is_read_or_pinned():
@@ -261,9 +280,11 @@ def test_default_scan_sees_signatures_nested_functions_and_fields():
               "@dataclass\nclass D:\n    x: int\n    y: int = 0\n"
               "    z: list = field(repr=False)\n    w: list = field(default_factory=list)\n"
               "    def m(self, k=3):\n        pass\n\n"
-              "@dataclass\nclass TreeSpec:\n    k: int = 2\n")
+              "@dataclass\nclass TreeSpec:\n    k: int = 2\n\n"
+              "class N(namedtuple('N', 'p q r', defaults=(0, 1))):\n    pass\n\n"
+              "class ExperimentConfig(namedtuple('E', 's', defaults=(0,))):\n    pass\n")
     assert defaults_in(source, "a") == {"a.f.b", "a.f.c", "a.f.g.i", "a.D.y", "a.D.w",
-                                        "a.D.m.k"}
+                                        "a.D.m.k", "a.N.q", "a.N.r"}
 
 
 def test_every_default_outside_the_config_schema_is_pinned():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,13 @@ def test_node_budget_is_inclusive():
     TreeSpec(k=10, J=6).validate()
     with pytest.raises(ResourceBudgetError, match=r"k\*\*J = 10\*\*7 exceeds node budget"):
         TreeSpec(k=10, J=7).validate()
-    TreeSpec(k=1, J=53).validate()   # k = 1 never reaches it
+    # on a path (k = 1) the budget caps the J + 1 edges; J = 999_999 passes
+    # it and fails on its shells, which coincide from t_54 on at r = 0.5
+    TreeSpec(k=1, J=53).validate()
+    with pytest.raises(TreeModelError, match=r"^tree.J = 999999: the shells"):
+        TreeSpec(k=1, J=999_999).validate()
+    with pytest.raises(ResourceBudgetError, match=r"^tree.J = 1000000: .* node budget"):
+        TreeSpec(k=1, J=1_000_000).validate()
 
 
 @pytest.mark.parametrize("r, deepest", [(0.5, 53), (0.9, 324)])
@@ -68,6 +76,15 @@ def test_deep_tree_rejected_where_its_shells_coincide(r, deepest):
     with pytest.raises(TreeModelError, match=f"^tree.J = {deepest + 1}: the shells "
                                              f"t_{deepest + 1} and t_{deepest + 2} coincide"):
         TreeSpec(k=1, r=r, J=deepest + 1).validate()
+
+
+def test_weight_floor_is_the_smallest_normal_float():
+    # rho_star(J) = 0.5**1022 is the smallest normal float; one generation
+    # more is subnormal, which stalls the 1-D solves
+    tree = build_tree(TreeSpec(k=1, r=0.999, delta=0.5, J=1022))
+    assert tree.rho_star(1022) == sys.float_info.min
+    with pytest.raises(TreeModelError, match=r"^tree.delta = 0.5, tree.N = 2, tree.J = 1023: "):
+        TreeSpec(k=1, r=0.999, delta=0.5, J=1023).validate()
 
 
 def test_counting_function_values():

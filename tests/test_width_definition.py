@@ -20,6 +20,9 @@ ALLOWED = {
     "operator_1d.VertexZones._scale":
         "the one per-generation width scale eps * delta**j",
     "tree_model.Tree.rho_star": "the weight delta**((N-1) j) |Omega|, not a width",
+    "tree_model.TreeSpec.validate":
+        "the weight floor: rho_star(J) in the same float arithmetic, checked on the "
+        "standard library before a Tree, which imports numpy, exists",
     "connector.SkeletonStar.regular": "the child weight delta**(N-1) of one vertex star",
 }
 
